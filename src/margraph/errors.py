@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types and the resource limit shared across the library."""
+
+# Largest number of entries of any dense table the library will allocate:
+# the oracle's joint state space and the engine's elimination factors.
+STATE_LIMIT = 1 << 20
 
 
 class MargraphError(Exception):

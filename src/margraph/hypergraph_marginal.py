@@ -10,25 +10,35 @@ the original to A plus the innovations; reading off which scopes survive
 that appear, disappear, or persist, and settles graphical and parametric
 collapsibility.
 
-All interaction tables here are finite-domain; component folding uses
-log-sum-exp stabilization.
+One :class:`EliminationPlan` per call fixes the components, their
+boundaries, an elimination order inside each component and the size of the
+largest table the folds will form; a plan above ``STATE_LIMIT`` entries is
+refused before any table is allocated.  A component is folded by
+sum-product variable elimination in log space (Koller & Friedman,
+*Probabilistic Graphical Models*, ch. 9): eliminating a variable combines
+only the factors that contain it and replaces them by their log-sum over
+that variable, stabilized by the smallest energy along the summed axis.
+The cost follows the width of the order, not the size of the component.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import InvalidInputError
-from .graphs import Graph, VarSet, boundary, connectivity_components, subgraph, varset
+from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
+from .graphs import Graph, VarSet, Variables, connectivity_components, subgraph, varset
 from .potentials import (
     NULL_TOL,
     Hypergraph,
     InteractionTable,
     Potential,
     PotentialFamily,
+    _aligned,
     _normalized_pieces,
     hypergraph_of,
     induced_graph,
@@ -78,44 +88,204 @@ class MarginalReport:
         return induced_graph(self.marginal_hypergraph, self.retained)
 
 
-def _table_grid(vars, scope: VarSet, tables) -> np.ndarray:
-    grid = np.zeros(vars.sizes(scope))
-    axis = {v: k for k, v in enumerate(scope)}
-    for t in tables:
-        shape = [1] * len(scope)
-        for v in t.scope:
-            shape[axis[v]] = len(vars.domain(v))
-        grid = grid + t.values.reshape(shape)
-    return grid
+def _min_fill_order(scopes, tau: VarSet) -> tuple[tuple[int, ...], list[VarSet]]:
+    """Greedy min-fill elimination order of ``tau`` in the graph joining the
+    members of each of ``scopes``; ties go to the smallest id.
+
+    Also returns the scope of the factor formed at each step: the
+    eliminated variable together with its neighbours at that point.
+    """
+    nb: dict[int, set[int]] = {v: set() for v in tau}
+    for s in scopes:
+        for v in s:
+            nb.setdefault(v, set()).update(s)
+    for v, ns in nb.items():
+        ns.discard(v)
+
+    def fill(v: int) -> int:
+        return sum(1 for x, y in combinations(nb[v], 2) if y not in nb[x])
+
+    score = {v: fill(v) for v in tau}
+    heap = [(f, v) for v, f in score.items()]
+    heapq.heapify(heap)
+    order, factors = [], []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if score.get(v) != f:
+            continue  # eliminated already, or a stale score
+        del score[v]
+        ns = nb.pop(v)
+        order.append(v)
+        factors.append(varset(ns | {v}))
+        for x in ns:
+            nb[x].discard(v)
+            nb[x] |= ns - {x}
+        # fill counts change only within two steps of v
+        for x in ns.union(*(nb[y] for y in ns)) & score.keys():
+            new = fill(x)
+            if new != score[x]:
+                score[x] = new
+                heapq.heappush(heap, (new, x))
+    return tuple(order), factors
+
+
+def _largest_table(vars: Variables, scopes) -> int:
+    return max((math.prod(vars.sizes(s)) for s in scopes), default=1)
+
+
+def _require_within_limit(entries: int) -> None:
+    if entries > STATE_LIMIT:
+        raise ResourceLimitError(
+            f"elimination needs a table of {entries} entries, "
+            f"above the limit of {STATE_LIMIT}")
+
+
+class EliminationPlan:
+    """How marginalizing onto a retained set folds the eliminated variables.
+
+    Built once per call from a hypergraph of interaction scopes; a plan from
+    a family's hypergraph serves every member.  It holds:
+
+    - ``graph``: the graph the hypergraph induces on ``vertices``;
+    - ``components``: the connectivity components of the eliminated set,
+      ordered by smallest member, and their ``boundaries`` in ``graph``;
+    - ``incidence``: the hyperedges containing each variable;
+    - ``orders``: a greedy min-fill elimination order of each component,
+      ties to the smallest id;
+    - ``factor_scopes``: the scope of every table the folds form (product
+      factors and boundary tables), from which :meth:`largest_factor`
+      predicts the largest allocation.
+    """
+
+    __slots__ = ("graph", "components", "boundaries", "incidence", "orders", "factor_scopes")
+
+    def __init__(self, h: Hypergraph, vertices, a):
+        vertices = varset(vertices)
+        a = varset(a)
+        if not set(a) <= set(vertices):
+            raise InvalidInputError(f"ids {sorted(set(a) - set(vertices))} outside the vertex set")
+        self.graph = induced_graph(h, vertices)
+        incidence: dict[int, list[VarSet]] = {v: [] for v in vertices}
+        for e in h:
+            for v in e:
+                incidence[v].append(e)
+        self.incidence = {v: tuple(es) for v, es in incidence.items()}
+        self.components = tuple(connectivity_components(
+            subgraph(self.graph, set(vertices) - set(a))))
+        adj = self.graph.adjacency()
+        self.boundaries: dict[VarSet, VarSet] = {}
+        self.orders: dict[VarSet, tuple[int, ...]] = {}
+        factor_scopes: set[VarSet] = set()
+        for tau in self.components:
+            d = varset(set().union(*(adj[v] for v in tau)) - set(tau))
+            order, factors = _min_fill_order(self.touching(tau), tau)
+            self.boundaries[tau] = d
+            self.orders[tau] = order
+            factor_scopes.update(factors)
+            factor_scopes.add(d)
+        self.factor_scopes = tuple(sorted(factor_scopes))
+
+    def touching(self, tau) -> tuple[VarSet, ...]:
+        """Hyperedges that meet ``tau``, in lexicographic order."""
+        return tuple(sorted(set(chain.from_iterable(self.incidence[v] for v in tau))))
+
+    def largest_factor(self, vars: Variables) -> int:
+        """Entries of the largest table the folds form."""
+        return _largest_table(vars, self.factor_scopes)
+
+
+def _checked_plan(h: Hypergraph, vars: Variables, a) -> EliminationPlan:
+    plan = EliminationPlan(h, vars.all_ids(), a)
+    _require_within_limit(plan.largest_factor(vars))
+    return plan
+
+
+def boundary_hypergraph(h: Hypergraph, vars_ids, a) -> Hypergraph:
+    """Boundaries of the eliminated components, as a hypergraph on ``a``.
+
+    The graph induced by ``h`` on ``vars_ids`` is restricted to the
+    eliminated set; each connectivity component contributes its boundary
+    (taken in the induced graph).  Duplicates collapse.  A component with
+    no neighbors in ``a`` contributes the empty set, which is kept so
+    callers can see it (it only ever feeds the normalizing constant).
+    """
+    return Hypergraph(EliminationPlan(h, vars_ids, a).boundaries.values(), allow_empty=True)
 
 
 def _drop_null_tables(u: Potential, null_tol: float) -> Potential:
     return Potential(u.vars, (t for t in u.tables if np.max(np.abs(t.values)) > null_tol))
 
 
-def component_potential(u: Potential, tau) -> InteractionTable:
-    """Fold one eliminated component into a table over its boundary.
+def _fold(vars: Variables, tables, order) -> tuple[VarSet, np.ndarray]:
+    """Sum the variables of ``order`` out of exp(-sum of ``tables``), one at
+    a time and in log space (bucket elimination).
+
+    Returns the scope left over and -ln of the sum on it.
+    """
+    pos = {v: k for k, v in enumerate(order)}
+    buckets: list[list] = [[] for _ in order]
+    rest: list = []
+
+    def place(scope: VarSet, values: np.ndarray) -> None:
+        first = min((pos[v] for v in scope if v in pos), default=None)
+        (rest if first is None else buckets[first]).append((scope, values))
+
+    for t in tables:
+        place(t.scope, t.values)
+    const = 0.0
+    for v, bucket in zip(order, buckets):
+        if not bucket:  # no factor contains v: it only multiplies the sum
+            const -= math.log(len(vars.domain(v)))
+            continue
+        scope = varset(chain.from_iterable(s for s, _ in bucket))
+        energy = sum(_aligned(values, s, scope) for s, values in bucket)
+        ax = scope.index(v)
+        low = energy.min(axis=ax, keepdims=True)
+        folded = low - np.log(np.exp(low - energy).sum(axis=ax, keepdims=True))
+        place(scope[:ax] + scope[ax + 1:], np.squeeze(folded, axis=ax))
+    bd = varset(chain.from_iterable(s for s, _ in rest))
+    total = np.full(vars.sizes(bd), const)
+    for s, values in rest:
+        total += _aligned(values, s, bd)
+    return bd, total
+
+
+def component_potential(u: Potential, tau, plan: EliminationPlan | None = None) -> InteractionTable:
+    """Fold the variables ``tau`` into a table over their boundary.
 
     The entry at a boundary assignment b is
-    -ln sum_t exp(-sum of the interactions touching the component at (b, t)),
-    the sum running over all joint assignments t of the component.  A
+    -ln sum_t exp(-sum of the interactions touching tau at (b, t)),
+    the sum running over the joint assignments t of tau, and the boundary
+    is every variable outside tau that shares an interaction with it.  The
+    sum is never formed over all of tau at once: its variables are
+    eliminated one at a time along ``plan``'s order for the component tau
+    (without a plan, a min-fill order of the interactions touching tau),
+    each step combining only the factors that contain the variable.  A
+    variable no interaction touches contributes -ln(its domain size), so a
     component touched by no interaction yields the constant -ln(number of
     component assignments) on the empty scope.
+
+    With a plan, tau must be one of its components and every scope of ``u``
+    one of the hyperedges it was built from; the plan's size is the
+    caller's to check.  Without one, a fold whose largest table would
+    exceed ``STATE_LIMIT`` entries raises :class:`ResourceLimitError`.
     """
     tau = varset(tau)
     if not tau:
         raise InvalidInputError("component must be non-empty")
-    extra = set(tau) - set(u.vars.all_ids())
-    if extra:
-        raise InvalidInputError(f"ids {sorted(extra)} outside the registry")
-    inside = set(tau)
-    touching = [t for t in u.tables if set(t.scope) & inside]
-    bd = varset(set().union(*(set(t.scope) for t in touching)) - inside) if touching else ()
-    full = varset(set(bd) | inside)
-    grid = _table_grid(u.vars, full, touching)
-    tau_axes = tuple(k for k, v in enumerate(full) if v in inside)
-    folded = -logsumexp(-grid, axis=tau_axes)
-    return InteractionTable(bd, np.asarray(folded))
+    n = len(u.vars)
+    if tau[0] < 0 or tau[-1] >= n:
+        raise InvalidInputError(f"ids {[v for v in tau if not 0 <= v < n]} outside the registry")
+    if plan is None:
+        inside = set(tau)
+        tables = [t for t in u.tables if inside.intersection(t.scope)]
+        order, factors = _min_fill_order([t.scope for t in tables], tau)
+        bd = varset(set().union(*(t.scope for t in tables)) - inside)
+        _require_within_limit(_largest_table(u.vars, factors + [bd]))
+    else:
+        tables = [t for s in plan.touching(tau) if (t := u.table_for(s)) is not None]
+        order = plan.orders[tau]
+    return InteractionTable(*_fold(u.vars, tables, order))
 
 
 def boundary_aggregate(u: Potential, components, d) -> InteractionTable:
@@ -134,22 +304,17 @@ def boundary_aggregate(u: Potential, components, d) -> InteractionTable:
     return InteractionTable(d, total)
 
 
-def _innovation_tables(u: Potential, comps, comp_boundary: dict[VarSet, VarSet],
+def _innovation_tables(u: Potential, plan: EliminationPlan,
                        null_tol: float) -> list[Innovation]:
-    """Innovations of ``u`` given eliminated components and their boundary
-    sets (the boundaries may be wider than what ``u`` alone induces, e.g.
-    when they come from a family-level hypergraph)."""
+    """Innovations of ``u`` along ``plan`` (its boundaries may be wider than
+    what ``u`` alone induces, e.g. when the plan is built for a family)."""
     agg: dict[VarSet, np.ndarray] = {}
-    for tau in comps:
-        d = comp_boundary[tau]
+    for tau in plan.components:
+        d = plan.boundaries[tau]
         if not d:
             continue  # constant factor, absorbed by normalization
-        ct = component_potential(u, tau)
-        axis = {v: k for k, v in enumerate(d)}
-        shape = [1] * len(d)
-        for v in ct.scope:
-            shape[axis[v]] = len(u.vars.domain(v))
-        embedded = np.broadcast_to(ct.values.reshape(shape), u.vars.sizes(d))
+        ct = component_potential(u, tau, plan)
+        embedded = np.broadcast_to(_aligned(ct.values, ct.scope, d), u.vars.sizes(d))
         agg[d] = agg.get(d, 0.0) + embedded
     acc: dict[VarSet, np.ndarray] = {}
     for d, vals in agg.items():
@@ -160,7 +325,7 @@ def _innovation_tables(u: Potential, comps, comp_boundary: dict[VarSet, VarSet],
                 acc[b] = tbl
     out = [Innovation(b, InteractionTable(b, v))
            for b, v in sorted(acc.items()) if np.max(np.abs(v)) > null_tol]
-    assert all(is_normalized(Potential(u.vars, [i.table])) for i in out)
+    assert is_normalized(Potential(u.vars, (i.table for i in out)))
     return out
 
 
@@ -177,13 +342,7 @@ def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]
     if not set(a) <= set(allv):
         raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
     u = _drop_null_tables(u, null_tol)
-    g = induced_graph(hypergraph_of(u, null_tol), allv)
-    dropped = varset(set(allv) - set(a))
-    if not dropped:
-        return []
-    comps = connectivity_components(subgraph(g, dropped))
-    comp_boundary = {tau: boundary(g, tau) for tau in comps}
-    return _innovation_tables(u, comps, comp_boundary, null_tol)
+    return _innovation_tables(u, _checked_plan(hypergraph_of(u, null_tol), u.vars, a), null_tol)
 
 
 def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport:
@@ -212,13 +371,7 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
 
     clean = [_drop_null_tables(m, null_tol) for m in fam]
     h = hypergraph_of(clean, null_tol)
-    g = induced_graph(h, allv)
-    dropped = varset(set(allv) - set(a))
-    if dropped:
-        comps = connectivity_components(subgraph(g, dropped))
-    else:
-        comps = []
-    comp_boundary = {tau: boundary(g, tau) for tau in comps}
+    plan = _checked_plan(h, vars, a)
     h_restricted = h.restrict(a)
 
     marginals = []
@@ -237,7 +390,7 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     for k, m in enumerate(clean):
         for t in restrict(m, a).tables:
             _add(t.scope, k, t.values)
-        member_innovations = _innovation_tables(m, comps, comp_boundary, null_tol)
+        member_innovations = _innovation_tables(m, plan, null_tol)
         if member_innovations:
             parametric = False
         for innov in member_innovations:
@@ -263,7 +416,7 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     marginal_hypergraph = kept.union(added)
     assert marginal_hypergraph == hypergraph_of(marginals, null_tol)
 
-    graphical = induced_graph(marginal_hypergraph, a) == subgraph(g, a)
+    graphical = induced_graph(marginal_hypergraph, a) == subgraph(plan.graph, a)
     return MarginalReport(
         retained=a,
         marginal_family=PotentialFamily(marginals),

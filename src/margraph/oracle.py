@@ -14,11 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
 from .graphs import VarSet, Variables, varset
 from .potentials import NULL_TOL, InteractionTable, Potential, energy_grid
-
-STATE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Finite-domain Gibbs potentials: interaction tables, normalization,
-hypergraphs of interaction scopes, and the boundary hypergraph.
+"""Finite-domain Gibbs potentials: interaction tables, normalization and
+hypergraphs of interaction scopes.
 
 A potential is a collection of real-valued interaction tables, one per
 variable subset, defining an unnormalized density exp(-sum of tables).
@@ -19,21 +19,14 @@ C-order raveling of an array whose axes follow the sorted scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, NotNormalizedError
-from .graphs import (
-    Graph,
-    VarSet,
-    Variables,
-    boundary,
-    connectivity_components,
-    subgraph,
-    varset,
-)
+from .graphs import Graph, VarSet, Variables, varset
 
 # A table is treated as identically zero iff its max-abs entry is below
 # NULL_TOL; log-sum computations make exact zeros unattainable, and this
@@ -229,13 +222,22 @@ def _subscope_transform(values: np.ndarray, zero_positions: Sequence[int]) -> np
     return out
 
 
-def _zero_coord_mask(shape: tuple[int, ...], zero_positions: Sequence[int]) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for ax, z in enumerate(zero_positions):
-        idx = [slice(None)] * len(shape)
-        idx[ax] = z
-        mask[tuple(idx)] = True
-    return mask
+@lru_cache(maxsize=256)
+def _off_anchor_counts(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> np.ndarray:
+    """Number of coordinates away from the anchor at each entry of a grid.
+
+    An entry has a coordinate at the anchor exactly when its count is below
+    the number of axes; pinning the axes outside a sub-scope C to the anchor
+    leaves a slice where the same holds with |C| in place of that number, so
+    one array serves the zero-coordinate masks of every sub-scope.
+    Read-only and cached, since a few shapes recur across many tables.
+    """
+    count = np.zeros(shape, dtype=np.uint8)
+    for ax, (n, z) in enumerate(zip(shape, zero_positions)):
+        off = np.arange(n) != z
+        count += off.reshape([n if k == ax else 1 for k in range(len(shape))])
+    count.setflags(write=False)
+    return count
 
 
 def _normalized_pieces(vars: Variables, scope: VarSet,
@@ -244,14 +246,12 @@ def _normalized_pieces(vars: Variables, scope: VarSet,
     non-empty subset of ``scope`` (the constant piece is dropped)."""
     zp = _zero_positions(vars, scope)
     m = _subscope_transform(values, zp)
+    count = _off_anchor_counts(m.shape, zp)
     for k in range(1, len(scope) + 1):
         for sub in combinations(range(len(scope)), k):
             inside = set(sub)
             idx = tuple(slice(None) if ax in inside else zp[ax] for ax in range(len(scope)))
-            tbl = np.array(m[idx])
-            sub_scope = tuple(scope[ax] for ax in sub)
-            tbl[_zero_coord_mask(tbl.shape, _zero_positions(vars, sub_scope))] = 0.0
-            yield sub_scope, tbl
+            yield tuple(scope[ax] for ax in sub), np.where(count[idx] == k, m[idx], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +280,25 @@ def energy(u: Potential, values: Sequence[float]) -> float:
     return total
 
 
+def _aligned(values: np.ndarray, sub: VarSet, scope: VarSet) -> np.ndarray:
+    """``values`` (axes in ``sub`` order) reshaped to broadcast against a grid
+    whose axes follow ``scope``, a superset of ``sub``."""
+    sizes = dict(zip(sub, values.shape))
+    return values.reshape([sizes.get(v, 1) for v in scope])
+
+
 def energy_grid(u: Potential, scope) -> np.ndarray:
     """Dense energy tensor over ``scope`` (axes in scope order).
 
     Every interaction scope of ``u`` must be contained in ``scope``.
     """
     scope = varset(scope)
-    axis = {v: k for k, v in enumerate(scope)}
     grid = np.zeros(u.vars.sizes(scope))
     for t in u.tables:
         if not set(t.scope) <= set(scope):
             raise InvalidInputError(
                 f"interaction scope {t.scope} not contained in grid scope {scope}")
-        shape = [1] * len(scope)
-        for v in t.scope:
-            shape[axis[v]] = len(u.vars.domain(v))
-        grid = grid + t.values.reshape(shape)
+        grid = grid + _aligned(t.values, t.scope, scope)
     return grid
 
 
@@ -322,8 +325,8 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
 def is_normalized(u: Potential, tol: float = NORMALIZED_TOL) -> bool:
     """True iff every entry at an assignment with some coordinate 0 is 0 (within ``tol``)."""
     for t in u.tables:
-        mask = _zero_coord_mask(t.values.shape, _zero_positions(u.vars, t.scope))
-        if mask.any() and np.max(np.abs(t.values[mask])) > tol:
+        mask = _off_anchor_counts(t.values.shape, _zero_positions(u.vars, t.scope)) < t.values.ndim
+        if np.max(np.abs(t.values[mask])) > tol:
             return False
     return True
 
@@ -381,21 +384,3 @@ def precedes(h1: Hypergraph, h2: Hypergraph) -> bool:
     bigger = [set(e) for e in h2]
     return all(any(set(e1) <= e2 for e2 in bigger) for e1 in h1)
 
-
-def boundary_hypergraph(h: Hypergraph, vars_ids, a) -> Hypergraph:
-    """Boundaries of the eliminated components, as a hypergraph on ``a``.
-
-    The graph induced by ``h`` on ``vars_ids`` is restricted to the
-    eliminated set; each connectivity component contributes its boundary
-    (taken in the induced graph).  Duplicates collapse.  A component with
-    no neighbors in ``a`` contributes the empty set, which is kept so
-    callers can see it (it only ever feeds the normalizing constant).
-    """
-    vs = varset(vars_ids)
-    a = varset(a)
-    if not set(a) <= set(vs):
-        raise InvalidInputError(f"ids {sorted(set(a) - set(vs))} outside the vertex set")
-    g = induced_graph(h, vs)
-    dropped = varset(set(vs) - set(a))
-    sets = [boundary(g, comp) for comp in connectivity_components(subgraph(g, dropped))]
-    return Hypergraph(sets, allow_empty=True)

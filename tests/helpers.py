@@ -10,8 +10,9 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import numpy as np
+from scipy.special import logsumexp
 
-from margraph import Graph, InteractionTable, Potential, Variables, varset
+from margraph import Graph, InteractionTable, Potential, Variables, energy_grid, varset
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> Graph:
@@ -157,3 +158,25 @@ def folded_component_by_loops(u: Potential, tau, bd) -> np.ndarray:
             total += np.exp(-e)
         out[b_idx] = -np.log(total)
     return out
+
+
+def dense_component_potential(u: Potential, tau) -> InteractionTable:
+    """Reference component fold: one dense energy grid over the component
+    plus its boundary, summed out by a single log-sum-exp."""
+    inside = set(varset(tau))
+    touching = [t for t in u.tables if set(t.scope) & inside]
+    bd = varset(set().union(*(t.scope for t in touching)) - inside)
+    full = varset(set(bd) | inside)
+    grid = energy_grid(Potential(u.vars, touching), full)
+    tau_axes = tuple(k for k, v in enumerate(full) if v in inside)
+    return InteractionTable(bd, np.asarray(-logsumexp(-grid, axis=tau_axes)))
+
+
+def zero_coord_mask(shape: tuple[int, ...], zero_positions) -> np.ndarray:
+    """Entries of a grid with some coordinate at its anchor, axis by axis."""
+    mask = np.zeros(shape, dtype=bool)
+    for ax, z in enumerate(zero_positions):
+        idx = [slice(None)] * len(shape)
+        idx[ax] = z
+        mask[tuple(idx)] = True
+    return mask

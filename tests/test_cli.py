@@ -1,5 +1,7 @@
 import json
 import os
+import time
+import tracemalloc
 
 from margraph.cli import main
 from margraph.model_io import dump_json
@@ -217,6 +219,44 @@ class TestOracleVerify:
         path.write_text(dump_json(doc))
         code, out, err = run(capsys, "oracle-verify", str(path), "--keep", "A0")
         assert code == 3 and "state space" in err
+
+
+class TestEngineResourceLimit:
+    """One eliminated hub joined by pair tables to 21 retained binary
+    variables needs a 2^22-entry factor: refused before it is allocated."""
+
+    @staticmethod
+    def _hub_model(tmp_path):
+        retained = [f"A{k}" for k in range(1, 22)]
+        doc = {
+            "format_version": 1,
+            "variables": [{"label": lbl} for lbl in ["H"] + retained],
+            "potential": {"interactions": [
+                {"scope": ["H", lbl], "table": [0.0, 0.0, 0.0, 0.4]} for lbl in retained]},
+        }
+        path = tmp_path / "hub.json"
+        path.write_text(dump_json(doc))
+        return str(path), ",".join(retained)
+
+    def _exits_3_quickly_and_small(self, capsys, tmp_path, command):
+        path, keep = self._hub_model(tmp_path)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run(capsys, command, path, "--keep", keep)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and "limit" in err
+        assert elapsed < 1.0
+        assert peak < 16 * 2 ** 20
+
+    def test_marginalize_hypergraph(self, capsys, tmp_path):
+        self._exits_3_quickly_and_small(capsys, tmp_path, "marginalize-hypergraph")
+
+    def test_check_collapsibility(self, capsys, tmp_path):
+        self._exits_3_quickly_and_small(capsys, tmp_path, "check-collapsibility")
 
 
 class TestOutputContract:

@@ -1,0 +1,234 @@
+"""The elimination plan and the log-space component fold.
+
+The fold is checked against the dense reference fold in ``helpers`` and
+against the brute-force oracle; the plan's size guard must refuse an
+oversized elimination before allocating anything.
+"""
+
+import time
+import tracemalloc
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from margraph import (
+    STATE_LIMIT,
+    EliminationPlan,
+    InteractionTable,
+    Potential,
+    PotentialFamily,
+    ResourceLimitError,
+    Variables,
+    component_potential,
+    energy_grid,
+    hypergraph_of,
+    innovations,
+    joint_table,
+    marginal_table,
+    marginalize_hypergraph,
+    normalize_potential,
+    varset,
+)
+from margraph.hypergraph_marginal import _fold
+from margraph.potentials import _off_anchor_counts
+
+from helpers import binary_vars, dense_component_potential, zero_coord_mask
+
+FOLD_TOL = 1e-12
+ORACLE_TOL = 1e-9
+
+
+def _random_potential(rng: np.random.Generator, variables: Variables,
+                      max_scope: int = 3) -> Potential:
+    """Normalized form of random raw tables on random scopes."""
+    n = len(variables)
+    tables = {}
+    for _ in range(int(rng.integers(1, 2 * n + 1))):
+        size = int(rng.integers(1, min(max_scope, n) + 1))
+        scope = varset(rng.choice(n, size=size, replace=False).tolist())
+        tables[scope] = InteractionTable(
+            scope, rng.uniform(-1.5, 1.5, size=variables.sizes(scope)))
+    return normalize_potential(Potential(variables, tables.values()))
+
+
+@st.composite
+def models(draw, max_vars: int = 12):
+    """(normalized potential, retained set, rng) on binary and ternary
+    variables; ternary ones anchor at a middle value."""
+    n = draw(st.integers(1, max_vars))
+    ternary = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    variables = Variables([f"V{k}" for k in range(n)],
+                          [(-1.0, 0.0, 2.5) if t else (0.0, 1.0) for t in ternary])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    keep = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    return _random_potential(rng, variables), varset(keep), rng
+
+
+def _plan(u: Potential, keep) -> EliminationPlan:
+    return EliminationPlan(hypergraph_of(u), u.vars.all_ids(), keep)
+
+
+def _max_diff(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+class TestFoldAgainstDenseReference:
+    @settings(max_examples=60, deadline=None)
+    @given(models())
+    def test_plan_fold_matches_dense_fold(self, model):
+        u, keep, _ = model
+        plan = _plan(u, keep)
+        for tau in plan.components:
+            got = component_potential(u, tau, plan)
+            ref = dense_component_potential(u, tau)
+            assert got.scope == ref.scope
+            assert _max_diff(got.values, ref.values) <= FOLD_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(models())
+    def test_fold_of_any_variable_set_matches_dense_fold(self, model):
+        u, keep, _ = model  # keep doubles as an arbitrary, possibly disconnected, set
+        got = component_potential(u, keep)
+        ref = dense_component_potential(u, keep)
+        assert got.scope == ref.scope
+        assert _max_diff(got.values, ref.values) <= FOLD_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(models(), st.randoms(use_true_random=False))
+    def test_shuffled_order_gives_the_same_table(self, model, random):
+        u, keep, _ = model
+        plan = _plan(u, keep)
+        for tau in plan.components:
+            tables = [t for t in u.tables if set(t.scope) & set(tau)]
+            shuffled = list(plan.orders[tau])
+            random.shuffle(shuffled)
+            scope, values = _fold(u.vars, tables, plan.orders[tau])
+            scope2, values2 = _fold(u.vars, tables, shuffled)
+            assert scope == scope2
+            assert _max_diff(values, values2) <= FOLD_TOL
+
+
+class TestMarginalAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(models())
+    def test_family_marginal_density_matches_brute_force(self, model):
+        u, keep, rng = model
+        # the second member keeps a subset of the scopes, so its own
+        # boundaries can be narrower than the family plan's
+        kept = [InteractionTable(t.scope, -t.values) for t in u.tables if rng.random() < 0.6]
+        family = PotentialFamily([u, Potential(u.vars, kept)])
+        rep = marginalize_hypergraph(family, keep)
+        for member, marginal in zip(family, rep.marginal_family):
+            grid = energy_grid(marginal, keep)
+            dens = np.exp(-(grid - grid.min()))
+            dens /= dens.sum()
+            oracle = marginal_table(joint_table(member), keep).probs
+            assert np.max(np.abs(dens - oracle) / oracle) <= ORACLE_TOL
+
+    def test_long_chain_keeping_its_ends_matches_transfer_matrices(self):
+        n = 40
+        rng = np.random.default_rng(4040)
+        raw = [InteractionTable((k,), rng.uniform(-1.5, 1.5, 2)) for k in range(n)]
+        raw += [InteractionTable((k, k + 1), rng.uniform(-1.5, 1.5, (2, 2)))
+                for k in range(n - 1)]
+        u = normalize_potential(Potential(binary_vars(n), raw))
+        rep = marginalize_hypergraph(u, (0, n - 1))
+
+        def table(scope):
+            t = u.table_for(scope)
+            return np.zeros((2,) * len(scope)) if t is None else t.values
+
+        # exact marginal of the ends: a rescaled product of Boltzmann matrices
+        prod = np.diag(np.exp(-table((0,))))
+        for k in range(n - 1):
+            prod = prod @ np.exp(-(table((k, k + 1)) + table((k + 1,))[None, :]))
+            prod /= prod.max()
+        expected = prod / prod.sum()
+        grid = energy_grid(rep.marginal_potential, (0, n - 1))
+        dens = np.exp(-(grid - grid.min()))
+        dens /= dens.sum()
+        assert np.max(np.abs(dens - expected) / expected) <= ORACLE_TOL
+
+
+class TestPlan:
+    def test_chain_component_order_boundary_and_largest_factor(self):
+        n = 8
+        pairs = [InteractionTable((k, k + 1), np.array([[0.0, 0.0], [0.0, 0.5]]))
+                 for k in range(n - 1)]
+        u = Potential(binary_vars(n), pairs)
+        plan = _plan(u, (0, n - 1))
+        tau = tuple(range(1, n - 1))
+        assert plan.components == (tau,)
+        assert plan.boundaries[tau] == (0, n - 1)
+        # every vertex of the path has fill 1; ties go to the smallest id
+        assert plan.orders[tau] == tau
+        assert plan.largest_factor(u.vars) == 8
+        assert plan.touching(tau) == tuple(t.scope for t in u.tables)
+        assert plan.incidence[3] == ((2, 3), (3, 4))
+
+    def test_min_fill_prefers_the_vertex_that_adds_no_edge(self):
+        # 2 is a leaf of 1; eliminating 1 first would join 2 with 3 and 4
+        scopes = [(1, 2), (1, 3), (1, 4), (3, 4)]
+        u = Potential(binary_vars(5), [InteractionTable(s, np.array([[0.0, 0.0], [0.0, 0.3]]))
+                                       for s in scopes])
+        plan = _plan(u, (0, 3, 4))
+        assert plan.orders[(1, 2)] == (2, 1)
+        assert plan.largest_factor(u.vars) == 8
+
+    def test_untouched_variables_are_their_own_components(self):
+        u = Potential(binary_vars(3), [InteractionTable((0, 1), np.array([[0.0, 0.0], [0.0, 1.0]]))])
+        plan = _plan(u, (0,))
+        assert plan.components == ((1,), (2,))
+        assert plan.boundaries == {(1,): (0,), (2,): ()}
+
+
+def _hub_potential(retained: int) -> Potential:
+    """One eliminated hub (id 0) joined by pair tables to ``retained``
+    binary variables."""
+    variables = binary_vars(retained + 1)
+    return Potential(variables, [InteractionTable((0, k), np.array([[0.0, 0.0], [0.0, 0.4]]))
+                                 for k in range(1, retained + 1)])
+
+
+def _refused_quickly_and_small(call) -> None:
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimitError):
+            call()
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 16 * 2 ** 20
+
+
+class TestResourceGuard:
+    def test_hub_next_to_21_retained_variables_is_refused(self):
+        u = _hub_potential(21)
+        keep = tuple(range(1, 22))
+        assert _plan(u, keep).largest_factor(u.vars) > STATE_LIMIT
+        _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
+        _refused_quickly_and_small(lambda: innovations(u, keep))
+        _refused_quickly_and_small(lambda: component_potential(u, (0,)))
+
+    def test_hub_within_the_limit_still_folds(self):
+        u = _hub_potential(5)
+        rep = marginalize_hypergraph(u, tuple(range(1, 6)))
+        assert not rep.parametrically_collapsible
+
+
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=5), st.data())
+def test_masks_from_the_support_array_match_zero_coord_mask(sizes, data):
+    shape = tuple(sizes)
+    zp = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+    count = _off_anchor_counts(shape, zp)
+    assert np.array_equal(count < len(shape), zero_coord_mask(shape, zp))
+    for k in range(1, len(shape) + 1):
+        for sub in combinations(range(len(shape)), k):
+            idx = tuple(slice(None) if ax in sub else zp[ax] for ax in range(len(shape)))
+            expected = zero_coord_mask(tuple(shape[ax] for ax in sub), tuple(zp[ax] for ax in sub))
+            assert np.array_equal(count[idx] < k, expected)
