@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidInputError, ModelFormatError, ResourceLimitError
-from .gaussian import gaussian_marginal_graph, innovation_matrix, marginal_precision
+from .gaussian import _scaled_tol, gaussian_marginal_graph, innovation_matrix, marginal_precision
 from .graph_marginal import marginalize_graph
 from .graphs import Graph, Variables, subgraph
 from .hypergraph_marginal import MarginalReport, marginalize_hypergraph
@@ -183,9 +183,7 @@ def _cmd_marginalize_gaussian(args) -> int:
     }
     doc["innovation_matrix"] = [[float(x) for x in row] for row in gamma]
     doc["marginal_graph"] = _graph_payload(model.variables, graph)
-    used_tol = args.tolerance if args.tolerance is not None \
-        else 1e-9 * float(np.max(np.abs(marginal.precision)))
-    doc["diagnostics"] = {"edge_tolerance": used_tol}
+    doc["diagnostics"] = {"edge_tolerance": _scaled_tol(marginal.precision, args.tolerance)}
     _emit(args, doc, None)
     return 0
 

@@ -5,14 +5,14 @@ marginal keeps, gains, or can lose.
 For a Gaussian model the normalized pairwise interactions are exactly the
 off-diagonal precision entries, so the marginal precision splits into the
 retained block (the restricted potential) minus the innovation matrix.
-The eliminated block is handled through a symmetric (Cholesky)
-factorization rather than an explicit inverse.
+The eliminated block is handled through its Cholesky factor L rather than
+an explicit inverse: with Y = L^-1 P_za the innovation matrix is Y^T Y,
+symmetric by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InvalidInputError
 from .graphs import Graph, VarSet, varset
@@ -23,7 +23,7 @@ SYMMETRY_TOL = 1e-12
 class GaussianModel:
     """Mean vector plus symmetric positive-definite precision matrix."""
 
-    __slots__ = ("mean", "precision")
+    __slots__ = ("mean", "precision", "_innovation")
 
     def __init__(self, mean, precision):
         mean = np.asarray(mean, dtype=float)
@@ -47,6 +47,8 @@ class GaussianModel:
         prec.setflags(write=False)
         self.mean = mean
         self.precision = prec
+        # (retained set, read-only innovation matrix) of the last split
+        self._innovation = None
 
     @property
     def n(self) -> int:
@@ -66,26 +68,39 @@ def _split(m: GaussianModel, a) -> tuple[VarSet, VarSet]:
     return a, z
 
 
-def _eliminated_factor(m: GaussianModel, z: VarSet):
-    try:
-        return cho_factor(m.precision[np.ix_(z, z)])
-    except np.linalg.LinAlgError:
-        raise InvalidInputError(
-            "eliminated precision block is not positive definite; corrupted input") from None
+def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
+    """Sorted retained set and its read-only innovation matrix, factored
+    once per (model, retained set): the model keeps the last one.  The slot
+    is replaced whole, so concurrent callers at worst factor twice."""
+    a, z = _split(m, a)
+    cached = m._innovation
+    if cached is not None and cached[0] == a:
+        return cached
+    if not z:
+        gamma = np.zeros((len(a), len(a)))
+    else:
+        p = m.precision
+        try:
+            chol = np.linalg.cholesky(p[np.ix_(z, z)])
+        except np.linalg.LinAlgError:
+            raise InvalidInputError(
+                "eliminated precision block is not positive definite; corrupted input") from None
+        y = np.linalg.solve(chol, p[np.ix_(z, a)])
+        gamma = y.T @ y
+    gamma.setflags(write=False)
+    m._innovation = (a, gamma)
+    return m._innovation
+
+
+def _marginal_block(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
+    a, gamma = _gamma(m, a)
+    return a, m.precision[np.ix_(a, a)] - gamma
 
 
 def marginal_precision(m: GaussianModel, a) -> GaussianModel:
     """Marginal model on ``a``: restricted mean, Schur-complement precision."""
-    a, z = _split(m, a)
-    mean = m.mean[list(a)]
-    if not z:
-        return GaussianModel(mean, np.array(m.precision))
-    p = m.precision
-    paa = p[np.ix_(a, a)]
-    paz = p[np.ix_(a, z)]
-    x = cho_solve(_eliminated_factor(m, z), paz.T)
-    schur = paa - paz @ x
-    return GaussianModel(mean, (schur + schur.T) / 2.0)
+    a, block = _marginal_block(m, a)
+    return GaussianModel(m.mean[list(a)], block)
 
 
 def innovation_matrix(m: GaussianModel, a) -> np.ndarray:
@@ -94,43 +109,7 @@ def innovation_matrix(m: GaussianModel, a) -> np.ndarray:
     Satisfies: marginal precision = retained block - innovation matrix.
     Rows/columns follow the sorted order of ``a``.
     """
-    a, z = _split(m, a)
-    if not z:
-        return np.zeros((len(a), len(a)))
-    paz = m.precision[np.ix_(a, z)]
-    gamma = paz @ cho_solve(_eliminated_factor(m, z), paz.T)
-    return (gamma + gamma.T) / 2.0
-
-
-def pairwise_innovation(m: GaussianModel, a, i: int, j: int) -> float:
-    """Innovation entry for the pair (i, j) by the explicit neighbor sum.
-
-    Sums rho_rs * P[i, r] * P[s, j] over eliminated r adjacent to i and
-    eliminated s adjacent to j, where rho is the inverse of the eliminated
-    block, recovered column by column from the factorization.  Equals the
-    (i, j) entry of :func:`innovation_matrix`, computed the long way.
-    """
-    a, z = _split(m, a)
-    if i == j:
-        raise InvalidInputError("pairwise innovation is defined for distinct variables")
-    if i not in set(a) or j not in set(a):
-        raise InvalidInputError(f"{i} and {j} must belong to the retained set")
-    if not z:
-        return 0.0
-    p = m.precision
-    factor = _eliminated_factor(m, z)
-    total = 0.0
-    for sk, s in enumerate(z):
-        if p[s, j] == 0.0:
-            continue
-        unit = np.zeros(len(z))
-        unit[sk] = 1.0
-        rho_col = cho_solve(factor, unit)
-        for rk, r in enumerate(z):
-            if p[i, r] == 0.0:
-                continue
-            total += rho_col[rk] * p[i, r] * p[s, j]
-    return float(total)
+    return np.array(_gamma(m, a)[1])
 
 
 def _scaled_tol(matrix: np.ndarray, tol: float | None) -> float:
@@ -139,12 +118,17 @@ def _scaled_tol(matrix: np.ndarray, tol: float | None) -> float:
     return 1e-9 * float(np.max(np.abs(matrix), initial=0.0))
 
 
+def _edges_above(matrix: np.ndarray, ids, t: float) -> frozenset:
+    """Pairs (ids[i], ids[j]), i < j, whose off-diagonal entry exceeds ``t``."""
+    rows, cols = np.nonzero(np.triu(np.abs(matrix) > t, 1))
+    ids = np.asarray(ids, dtype=int)
+    return frozenset(zip(ids[rows].tolist(), ids[cols].tolist()))
+
+
 def pattern_graph(m: GaussianModel, tol: float | None = None) -> Graph:
     """Graph with an edge wherever the precision has a non-null off-diagonal."""
     t = _scaled_tol(m.precision, tol)
-    edges = {(i, j) for i in range(m.n) for j in range(i + 1, m.n)
-             if abs(m.precision[i, j]) > t}
-    return Graph(tuple(range(m.n)), frozenset(edges))
+    return Graph(tuple(range(m.n)), _edges_above(m.precision, range(m.n), t))
 
 
 def gaussian_marginal_graph(m: GaussianModel, a, tol: float | None = None) -> Graph:
@@ -153,12 +137,5 @@ def gaussian_marginal_graph(m: GaussianModel, a, tol: float | None = None) -> Gr
     ``tol`` defaults to 1e-9 times the largest absolute entry of the
     marginal precision (scale-free zero test).
     """
-    a, _ = _split(m, a)
-    mp = marginal_precision(m, a).precision
-    t = _scaled_tol(mp, tol)
-    edges = set()
-    for ki in range(len(a)):
-        for kj in range(ki + 1, len(a)):
-            if abs(mp[ki, kj]) > t:
-                edges.add((a[ki], a[kj]))
-    return Graph(a, frozenset(edges))
+    a, mp = _marginal_block(m, a)
+    return Graph(a, _edges_above(mp, a, _scaled_tol(mp, tol)))

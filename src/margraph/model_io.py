@@ -46,10 +46,15 @@ def _fail(context: str, message: str) -> ModelFormatError:
     return ModelFormatError(f"{context}: {message}")
 
 
-def _number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(context, f"expected a number, got {value!r}")
-    return float(value)
+def _numbers(values: list, context: str) -> list:
+    """``values`` unchanged if every entry is a number; otherwise the error
+    names the first offending entry as ``context[i]``."""
+    if set(map(type, values)) <= {int, float}:  # fast path for plain JSON numbers
+        return values
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _fail(f"{context}[{i}]", f"expected a number, got {value!r}")
+    return values
 
 
 def _parse_variables(data, context: str) -> Variables:
@@ -67,7 +72,7 @@ def _parse_variables(data, context: str) -> Variables:
         dom = item.get("domain", [0, 1])
         if not isinstance(dom, list):
             raise _fail(f"{ctx}.domain", "expected a list of numbers")
-        domains.append([_number(v, f"{ctx}.domain[{i}]") for i, v in enumerate(dom)])
+        domains.append([float(v) for v in _numbers(dom, f"{ctx}.domain")])
     try:
         return Variables(labels, domains)
     except InvalidInputError as exc:
@@ -116,13 +121,13 @@ def _parse_potential(data, variables: Variables, context: str) -> Potential:
             raise _fail(f"{ctx}.scope", "repeated labels in scope")
         if not isinstance(item["table"], list):
             raise _fail(f"{ctx}.table", "expected a flat list of numbers")
-        flat = [_number(v, f"{ctx}.table[{i}]") for i, v in enumerate(item["table"])]
+        flat = _numbers(item["table"], f"{ctx}.table")
         sizes = variables.sizes(scope)
         expected = int(np.prod(sizes))
         if len(flat) != expected:
             raise _fail(f"{ctx}.table",
                         f"expected {expected} values for scope {item['scope']}, got {len(flat)}")
-        tables.append(InteractionTable(scope, np.array(flat).reshape(sizes)))
+        tables.append(InteractionTable(scope, np.array(flat, dtype=float).reshape(sizes)))
     try:
         return Potential(variables, tables)
     except InvalidInputError as exc:
@@ -136,17 +141,16 @@ def _parse_gaussian(data, variables: Variables, context: str) -> GaussianModel:
     mean = data.get("mean")
     if not isinstance(mean, list) or len(mean) != n:
         raise _fail(f"{context}.mean", f"expected {n} numbers")
-    mean = [_number(v, f"{context}.mean[{i}]") for i, v in enumerate(mean)]
+    _numbers(mean, f"{context}.mean")
     rows = data.get("precision")
     if not isinstance(rows, list) or len(rows) != n:
         raise _fail(f"{context}.precision", f"expected {n} rows")
-    matrix = []
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise _fail(f"{context}.precision[{k}]", f"expected {n} numbers")
-        matrix.append([_number(v, f"{context}.precision[{k}][{i}]") for i, v in enumerate(row)])
+        _numbers(row, f"{context}.precision[{k}]")
     try:
-        return GaussianModel(mean, matrix)
+        return GaussianModel(mean, rows)
     except InvalidInputError as exc:
         raise _fail(f"{context}.precision", str(exc)) from None
 

@@ -10,9 +10,17 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import numpy as np
-from scipy.special import logsumexp
 
-from margraph import Graph, InteractionTable, Potential, Variables, energy_grid, varset
+from margraph import (
+    GaussianModel,
+    Graph,
+    InteractionTable,
+    InvalidInputError,
+    Potential,
+    Variables,
+    energy_grid,
+    varset,
+)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> Graph:
@@ -169,7 +177,13 @@ def dense_component_potential(u: Potential, tau) -> InteractionTable:
     full = varset(set(bd) | inside)
     grid = energy_grid(Potential(u.vars, touching), full)
     tau_axes = tuple(k for k, v in enumerate(full) if v in inside)
-    return InteractionTable(bd, np.asarray(-logsumexp(-grid, axis=tau_axes)))
+    return InteractionTable(bd, np.asarray(-logsumexp(-grid, tau_axes)))
+
+
+def logsumexp(x: np.ndarray, axis) -> np.ndarray:
+    """log(sum(exp(x))) over ``axis``, shifted by the maximum for stability."""
+    top = np.max(x, axis=axis, keepdims=True)
+    return np.squeeze(top, axis=axis) + np.log(np.sum(np.exp(x - top), axis=axis))
 
 
 def zero_coord_mask(shape: tuple[int, ...], zero_positions) -> np.ndarray:
@@ -180,3 +194,45 @@ def zero_coord_mask(shape: tuple[int, ...], zero_positions) -> np.ndarray:
         idx[ax] = z
         mask[tuple(idx)] = True
     return mask
+
+
+# ---------------------------------------------------------------------------
+# Gaussian references.
+# ---------------------------------------------------------------------------
+
+def innovation_by_neighbour_sum(m: GaussianModel, a) -> np.ndarray:
+    """Innovation matrix entry by entry, diagonal included: entry (i, j) sums
+    rho_rs * P[i, r] * P[s, j] over eliminated r adjacent to i and eliminated
+    s adjacent to j, with rho the explicit inverse of the eliminated block."""
+    a = varset(a)
+    z = varset(set(range(m.n)) - set(a))
+    p = np.asarray(m.precision)
+    rho = np.linalg.inv(p[np.ix_(z, z)]) if z else np.zeros((0, 0))
+    out = np.zeros((len(a), len(a)))
+    for ki, i in enumerate(a):
+        for kj, j in enumerate(a):
+            for rk, r in enumerate(z):
+                for sk, s in enumerate(z):
+                    if p[i, r] != 0.0 and p[s, j] != 0.0:
+                        out[ki, kj] += rho[rk, sk] * p[i, r] * p[s, j]
+    return out
+
+
+def pairwise_innovation(m: GaussianModel, a, i: int, j: int) -> float:
+    """Off-diagonal entry (i, j) of :func:`innovation_by_neighbour_sum`."""
+    a = varset(a)
+    if i == j:
+        raise InvalidInputError("pairwise innovation is defined for distinct variables")
+    if i not in a or j not in a:
+        raise InvalidInputError(f"{i} and {j} must belong to the retained set")
+    return float(innovation_by_neighbour_sum(m, a)[a.index(i), a.index(j)])
+
+
+def edges_by_loops(matrix: np.ndarray, ids, t: float) -> set:
+    """Pairs of ``ids`` whose off-diagonal entry exceeds ``t``, by a double loop."""
+    edges = set()
+    for ki in range(len(ids)):
+        for kj in range(ki + 1, len(ids)):
+            if abs(matrix[ki, kj]) > t:
+                edges.add((ids[ki], ids[kj]))
+    return edges

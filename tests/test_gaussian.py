@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margraph import (
     GaussianModel,
@@ -8,7 +13,6 @@ from margraph import (
     innovation_matrix,
     marginal_precision,
     marginalize_graph,
-    pairwise_innovation,
     pattern_graph,
     subgraph,
     varset,
@@ -20,8 +24,9 @@ from margraph.fixtures import (
     damage_retained,
     random_precision_on,
 )
+from margraph.gaussian import _scaled_tol
 
-from helpers import random_graph
+from helpers import edges_by_loops, innovation_by_neighbour_sum, pairwise_innovation, random_graph
 
 KEEP = damage_retained()
 X = {f"X{k}": k - 1 for k in range(1, 25)}  # label -> id
@@ -186,3 +191,100 @@ class TestGaussianMarginalGraph:
             a = varset(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
             got = gaussian_marginal_graph(m, a)
             assert got.edges <= marginalize_graph(pattern_graph(m), a).edges
+
+
+@st.composite
+def split_models(draw, quantized: bool = False):
+    """A random SPD model and a non-empty retained set.
+
+    Either diagonally dominant on a random sparsity pattern or a dense
+    Gram matrix; ``quantized`` draws off-diagonals from multiples of 0.25,
+    so entries tie exactly with the explicit tolerances below.
+    """
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if quantized or draw(st.booleans()):
+        g = random_graph(rng, n, draw(st.floats(0.0, 1.0)))
+        prec = random_precision_on(g, rng)
+        if quantized:
+            prec = np.round(prec * 4.0) / 4.0
+            np.fill_diagonal(prec, 0.0)
+            np.fill_diagonal(prec, np.abs(prec).sum(axis=1) + 0.5)
+    else:
+        b = rng.normal(size=(n, n))
+        prec = b @ b.T / n + np.eye(n)
+    keep = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    return GaussianModel(np.zeros(n), prec), varset(keep)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=80, deadline=None)
+    @given(split_models())
+    def test_innovation_matrix_matches_neighbour_sum(self, split):
+        m, a = split
+        gamma = innovation_matrix(m, a)
+        assert np.array_equal(gamma, gamma.T)
+        assert np.max(np.abs(gamma - innovation_by_neighbour_sum(m, a))) <= 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(split_models(quantized=True), st.sampled_from([None, 0.0, 0.25, 0.5]))
+    def test_pattern_graph_matches_double_loop(self, split, tol):
+        m, _ = split
+        expected = edges_by_loops(m.precision, range(m.n), _scaled_tol(m.precision, tol))
+        assert pattern_graph(m, tol).edges == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(split_models(quantized=True), st.sampled_from([None, 0.0, 0.25, 0.5]))
+    def test_marginal_graph_matches_double_loop(self, split, tol):
+        m, a = split
+        mp = marginal_precision(m, a).precision
+        got = gaussian_marginal_graph(m, a, tol)
+        assert got.vertices == a
+        assert got.edges == edges_by_loops(mp, a, _scaled_tol(mp, tol))
+
+
+class TestFactorCache:
+    def test_repeated_calls_give_equal_arrays(self):
+        m = damage_gaussian()
+        first = innovation_matrix(m, KEEP), marginal_precision(m, KEEP).precision
+        again = innovation_matrix(m, KEEP), marginal_precision(m, KEEP).precision
+        assert np.array_equal(first[0], again[0])
+        assert np.array_equal(first[1], again[1])
+
+    def test_a_different_retained_set_recomputes(self):
+        m = damage_gaussian()
+        other = KEEP[:-1]
+        gamma = innovation_matrix(m, KEEP)
+        assert np.array_equal(innovation_matrix(m, other),
+                              innovation_matrix(damage_gaussian(), other))
+        assert np.array_equal(innovation_matrix(m, KEEP), gamma)
+
+    def test_mutating_a_returned_matrix_leaves_the_cache_alone(self):
+        m = damage_gaussian()
+        gamma = innovation_matrix(m, KEEP)
+        expected = gamma.copy()
+        gamma[:] = 99.0
+        assert np.array_equal(innovation_matrix(m, KEEP), expected)
+        fresh = marginal_precision(damage_gaussian(), KEEP).precision
+        assert np.array_equal(marginal_precision(m, KEEP).precision, fresh)
+
+    def test_one_factorization_per_retained_set(self, monkeypatch):
+        m = damage_gaussian()
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        marginal_precision(m, KEEP)
+        innovation_matrix(m, KEEP)
+        gaussian_marginal_graph(m, KEEP)
+        assert len(calls) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import margraph.cli, sys; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -135,6 +135,32 @@ class TestParseErrors:
         with pytest.raises(ModelFormatError, match="positive definite"):
             parse_model(doc)
 
+    @pytest.mark.parametrize("where, bad, message", [
+        ("precision", "x", "model.gaussian.precision[1][0]: expected a number, got 'x'"),
+        ("precision", True, "model.gaussian.precision[1][0]: expected a number, got True"),
+        ("mean", None, "model.gaussian.mean[1]: expected a number, got None"),
+        ("table", False, "model.potential.interactions[0].table[2]: expected a number, got False"),
+        ("domain", "1", "model.variables[1].domain[1]: expected a number, got '1'"),
+    ])
+    def test_bad_number_names_the_entry(self, where, bad, message):
+        doc = {"format_version": 1, "variables": [{"label": "A"}, {"label": "B"}]}
+        if where in ("precision", "mean"):
+            doc["gaussian"] = {"mean": [0, 0.5], "precision": [[2.0, 0.5], [0.5, 1]]}
+            if where == "precision":
+                doc["gaussian"]["precision"][1][0] = bad
+            else:
+                doc["gaussian"]["mean"][1] = bad
+        else:
+            doc["potential"] = {"interactions": [
+                {"scope": ["A", "B"], "table": [0.0, 0.0, 0.0, 1.5]}]}
+            if where == "table":
+                doc["potential"]["interactions"][0]["table"][2] = bad
+            else:
+                doc["variables"][1]["domain"] = [0, bad]
+        with pytest.raises(ModelFormatError) as exc:
+            parse_model(doc)
+        assert str(exc.value) == message
+
     def test_json_syntax_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"format_version\": 1,,\n}\n")
