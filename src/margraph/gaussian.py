@@ -5,9 +5,15 @@ marginal keeps, gains, or can lose.
 For a Gaussian model the normalized pairwise interactions are exactly the
 off-diagonal precision entries, so the marginal precision splits into the
 retained block (the restricted potential) minus the innovation matrix.
-The eliminated block is handled through its Cholesky factor L rather than
-an explicit inverse: with Y = L^-1 P_za the innovation matrix is Y^T Y,
-symmetric by construction.
+The innovation matrix is a sum over the connectivity components of the
+eliminated set (components of the non-zero pattern of its block): a
+component tau with boundary d = {retained j : P[tau, j] != 0} contributes
+P_d,tau P_tau,tau^-1 P_tau,d on the d x d entries only.  This is the
+Gaussian analogue of innovations on the subsets of each boundary.  Each
+term is computed through the Cholesky factor L of P_tau,tau rather than an
+explicit inverse: with Y = L^-1 P_tau,d it is Y^T Y, symmetric by
+construction.  Components of equal size and boundary width are factored
+and solved together as one stack.
 """
 
 from __future__ import annotations
@@ -68,25 +74,71 @@ def _split(m: GaussianModel, a) -> tuple[VarSet, VarSet]:
     return a, z
 
 
+def _components(nz: np.ndarray) -> list[np.ndarray]:
+    """Connectivity components of a symmetric non-zero pattern with a set
+    diagonal, as ascending index arrays ordered by smallest member.
+
+    Every row first points at its smallest neighbour.  Pointer jumping turns
+    that forest into root labels, and while trees remain, every vertex takes
+    the smallest label in its neighbourhood and jumps again.  Labels only
+    decrease and settle on the smallest member of each component.
+    """
+    label = nz.argmax(axis=1)
+    cols = None
+    while True:
+        jumped = label[label]
+        if not np.array_equal(jumped, label):
+            label = jumped
+            continue
+        if not label.any():  # one tree, rooted at 0, spans everything
+            break
+        if cols is None:
+            rows, cols = np.nonzero(nz)
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        smallest = np.minimum.reduceat(label[cols], starts)
+        if np.array_equal(smallest, label):
+            break
+        label = smallest
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
 def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
-    """Sorted retained set and its read-only innovation matrix, factored
+    """Sorted retained set and its read-only innovation matrix, computed
     once per (model, retained set): the model keeps the last one.  The slot
-    is replaced whole, so concurrent callers at worst factor twice."""
+    is replaced whole, so concurrent callers at worst compute it twice."""
     a, z = _split(m, a)
     cached = m._innovation
     if cached is not None and cached[0] == a:
         return cached
+    k = len(a)
     if not z:
-        gamma = np.zeros((len(a), len(a)))
+        gamma = np.zeros((k, k))
     else:
         p = m.precision
-        try:
-            chol = np.linalg.cholesky(p[np.ix_(z, z)])
-        except np.linalg.LinAlgError:
-            raise InvalidInputError(
-                "eliminated precision block is not positive definite; corrupted input") from None
-        y = np.linalg.solve(chol, p[np.ix_(z, a)])
-        gamma = y.T @ y
+        rows, cols = np.asarray(z), np.asarray(a)
+        pattern = p[rows] != 0
+        touches = pattern[:, cols]
+        stacks: dict[tuple[int, int], list] = {}
+        for tau in _components(pattern[:, rows]):
+            d = np.flatnonzero(touches[tau].any(axis=0))
+            stacks.setdefault((len(tau), len(d)), []).append((rows[tau], d))
+        gamma = np.zeros(k * k)
+        for (_, width), members in stacks.items():
+            taus = np.array([tau for tau, _ in members])
+            ds = np.array([d for _, d in members])
+            try:
+                chol = np.linalg.cholesky(p[taus[:, :, None], taus[:, None, :]])
+            except np.linalg.LinAlgError:
+                raise InvalidInputError(
+                    "eliminated precision block is not positive definite; "
+                    "corrupted input") from None
+            if width:
+                y = np.linalg.solve(chol, p[taus[:, :, None], cols[ds][:, None, :]])
+                terms = np.matmul(y.transpose(0, 2, 1), y).ravel()
+                del chol, y  # up to |z| x |a| each: free them before the scatter
+                np.add.at(gamma, (ds[:, :, None] * k + ds[:, None, :]).ravel(), terms)
+        gamma = gamma.reshape(k, k)
     gamma.setflags(write=False)
     m._innovation = (a, gamma)
     return m._innovation

@@ -5,19 +5,19 @@ component of the eliminated subgraph into a completed boundary: the marginal
 distribution of A factorizes according to the subgraph on A plus those
 fill-in edges.  The operator returns this graph exactly as constructed,
 never pruned; it may keep edges a finer (hypergraph) analysis would remove.
+
+The components and their boundaries come from
+:func:`~margraph.graphs.component_boundaries`, one adjacency pass per call,
+the same split the hypergraph plan uses.  The finer routes put their new
+structure on the same boundaries: innovations on boundary subsets for
+potentials, and for a Gaussian an innovation matrix summed over the
+components, each term supported on its component's boundary.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInputError
-from .graphs import (
-    Graph,
-    boundary,
-    completed_edge_set,
-    connectivity_components,
-    subgraph,
-    varset,
-)
+from .graphs import Graph, completed_edge_set, component_boundaries, subgraph, varset
 
 
 def marginalize_graph(g: Graph, a) -> Graph:
@@ -29,12 +29,12 @@ def marginalize_graph(g: Graph, a) -> Graph:
     """
     a = varset(a)
     kept = subgraph(g, a)  # validates a against g.vertices
-    dropped = varset(set(g.vertices) - set(a))
+    dropped = set(g.vertices) - set(a)
     if not dropped:
         return kept
     fill = set(kept.edges)
-    for comp in connectivity_components(subgraph(g, dropped)):
-        fill |= completed_edge_set(boundary(g, comp))
+    for _, d in component_boundaries(g, dropped):
+        fill |= completed_edge_set(d)
     return Graph(a, frozenset(fill))
 
 

@@ -190,6 +190,22 @@ def boundary(g: Graph, a: Iterable[int]) -> VarSet:
     return varset(out)
 
 
+def component_boundaries(g: Graph, z: Iterable[int]) -> list[tuple[VarSet, VarSet]]:
+    """Connectivity components of the subgraph on ``z``, each paired with
+    its boundary in ``g``.
+
+    Components come out as in :func:`connectivity_components`.  One
+    adjacency map serves every boundary, taken as the union of the
+    members' neighbourhoods minus the component.
+    """
+    adj = g.adjacency()
+    out = []
+    for comp in connectivity_components(subgraph(g, z)):
+        inside = set(comp)
+        out.append((comp, varset(set().union(*(adj[v] for v in comp)) - inside)))
+    return out
+
+
 def connectivity_components(g: Graph) -> list[VarSet]:
     """Partition of the vertices into maximal mutually connected sets.
 

@@ -31,7 +31,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
-from .graphs import Graph, VarSet, Variables, connectivity_components, subgraph, varset
+from .graphs import Graph, VarSet, Variables, component_boundaries, subgraph, varset
 from .potentials import (
     NULL_TOL,
     Hypergraph,
@@ -170,19 +170,15 @@ class EliminationPlan:
             for v in e:
                 incidence[v].append(e)
         self.incidence = {v: tuple(es) for v, es in incidence.items()}
-        self.components = tuple(connectivity_components(
-            subgraph(self.graph, set(vertices) - set(a))))
-        adj = self.graph.adjacency()
-        self.boundaries: dict[VarSet, VarSet] = {}
+        pairs = component_boundaries(self.graph, set(vertices) - set(a))
+        self.components = tuple(tau for tau, _ in pairs)
+        self.boundaries: dict[VarSet, VarSet] = dict(pairs)
         self.orders: dict[VarSet, tuple[int, ...]] = {}
-        factor_scopes: set[VarSet] = set()
+        factor_scopes: set[VarSet] = set(self.boundaries.values())
         for tau in self.components:
-            d = varset(set().union(*(adj[v] for v in tau)) - set(tau))
             order, factors = _min_fill_order(self.touching(tau), tau)
-            self.boundaries[tau] = d
             self.orders[tau] = order
             factor_scopes.update(factors)
-            factor_scopes.add(d)
         self.factor_scopes = tuple(sorted(factor_scopes))
 
     def touching(self, tau) -> tuple[VarSet, ...]:

@@ -10,6 +10,7 @@ order (last scope variable fastest); the precision matrix is a list of rows
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,21 @@ def _numbers(values: list, context: str) -> list:
     return values
 
 
+def _floats(values: list, context: str) -> np.ndarray:
+    """``values``, numbers or rows of numbers, as a float array; the error
+    names an integer too large for a float as ``context[i]`` or
+    ``context[i][j]``."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        for i, value in enumerate(values):
+            if isinstance(value, list):
+                _floats(value, f"{context}[{i}]")
+            elif isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise _fail(f"{context}[{i}]", "integer too large for a float") from None
+        raise
+
+
 def _parse_variables(data, context: str) -> Variables:
     if not isinstance(data, list) or not data:
         raise _fail(context, "expected a non-empty list of variables")
@@ -72,7 +88,7 @@ def _parse_variables(data, context: str) -> Variables:
         dom = item.get("domain", [0, 1])
         if not isinstance(dom, list):
             raise _fail(f"{ctx}.domain", "expected a list of numbers")
-        domains.append([float(v) for v in _numbers(dom, f"{ctx}.domain")])
+        domains.append(_floats(_numbers(dom, f"{ctx}.domain"), f"{ctx}.domain").tolist())
     try:
         return Variables(labels, domains)
     except InvalidInputError as exc:
@@ -127,7 +143,7 @@ def _parse_potential(data, variables: Variables, context: str) -> Potential:
         if len(flat) != expected:
             raise _fail(f"{ctx}.table",
                         f"expected {expected} values for scope {item['scope']}, got {len(flat)}")
-        tables.append(InteractionTable(scope, np.array(flat, dtype=float).reshape(sizes)))
+        tables.append(InteractionTable(scope, _floats(flat, f"{ctx}.table").reshape(sizes)))
     try:
         return Potential(variables, tables)
     except InvalidInputError as exc:
@@ -150,7 +166,8 @@ def _parse_gaussian(data, variables: Variables, context: str) -> GaussianModel:
             raise _fail(f"{context}.precision[{k}]", f"expected {n} numbers")
         _numbers(row, f"{context}.precision[{k}]")
     try:
-        return GaussianModel(mean, rows)
+        return GaussianModel(_floats(mean, f"{context}.mean"),
+                             _floats(rows, f"{context}.precision"))
     except InvalidInputError as exc:
         raise _fail(f"{context}.precision", str(exc)) from None
 
@@ -257,12 +274,18 @@ def dump_json(document: dict) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
+def _dot_id(label: str) -> str:
+    """``label`` as a quoted DOT ID: backslashes and double quotes escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(graph: Graph, variables: Variables, name: str = "marginal") -> str:
     """Plain DOT rendering; vertices then edges, both in id order."""
+    ids = [_dot_id(label) for label in variables.labels]
     lines = [f"graph {name} {{"]
     for v in graph.vertices:
-        lines.append(f'  "{variables.labels[v]}";')
+        lines.append(f"  {ids[v]};")
     for a, b in graph.edge_list:
-        lines.append(f'  "{variables.labels[a]}" -- "{variables.labels[b]}";')
+        lines.append(f"  {ids[a]} -- {ids[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,11 @@ from margraph import (
     InvalidInputError,
     Potential,
     Variables,
+    boundary,
+    completed_edge_set,
+    connectivity_components,
     energy_grid,
+    subgraph,
     varset,
 )
 
@@ -104,6 +108,19 @@ def reachability_components(g: Graph) -> list[tuple[int, ...]]:
         seen |= {pos[v] for v in members}
         parts.append(varset(members))
     return sorted(parts, key=lambda p: p[0])
+
+
+def marginal_graph_by_boundaries(g: Graph, a) -> Graph:
+    """Reference graph operator: the subgraph on ``a`` plus, for every
+    eliminated component, its boundary found by a full edge scan
+    (:func:`boundary`) and completed."""
+    a = varset(a)
+    fill = set(subgraph(g, a).edges)
+    dropped = varset(set(g.vertices) - set(a))
+    if dropped:
+        for comp in connectivity_components(subgraph(g, dropped)):
+            fill |= completed_edge_set(boundary(g, comp))
+    return Graph(a, frozenset(fill))
 
 
 def brute_force_cliques(g: Graph) -> list[tuple[int, ...]]:

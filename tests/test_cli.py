@@ -1,11 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+
+import pytest
 
 from margraph.cli import main
 from margraph.model_io import dump_json
 
+HUGE = int("9" * 401)  # a JSON integer no float can hold
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
@@ -287,3 +292,26 @@ class TestOutputContract:
         path.write_text("{not json")
         code, out, err = run(capsys, "marginalize-graph", str(path), "--keep", "A")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("command, payload, field", [
+        ("marginalize-gaussian",
+         {"gaussian": {"mean": [0, 0], "precision": [[2.0, 0.5], [0.5, HUGE]]}},
+         "gaussian.precision[1][1]"),
+        ("marginalize-hypergraph",
+         {"potential": {"interactions": [{"scope": ["A", "B"],
+                                          "table": [0.0, 0.0, 0.0, HUGE]}]}},
+         "potential.interactions[0].table[3]"),
+    ])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, command, payload, field):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"format_version": 1,
+                                    "variables": [{"label": "A"}, {"label": "B"}],
+                                    **payload}))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "margraph.cli", command, str(path),
+                               "--keep", "A"], env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert f"{field}: integer too large for a float" in done.stderr

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from margraph import (
     GaussianModel,
     InvalidInputError,
+    boundary,
+    connectivity_components,
     gaussian_marginal_graph,
     innovation_matrix,
     marginal_precision,
@@ -243,6 +245,77 @@ class TestAgainstReferences:
         assert got.edges == edges_by_loops(mp, a, _scaled_tol(mp, tol))
 
 
+@st.composite
+def block_models(draw):
+    """An SPD model whose eliminated set splits into chain-connected
+    components: at least one coupled to every retained variable, one to a
+    non-empty strict subset and one to none.  Ids are shuffled, so the
+    components interleave.  Returns the model, the retained set and the
+    boundary of every component."""
+    r = draw(st.integers(2, 6))
+    kinds = ["all", "some", "none"] + draw(
+        st.lists(st.sampled_from(["all", "some", "none"]), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = [int(rng.integers(1, 4)) for _ in kinds]  # small sizes make equal shapes
+    n = r + sum(sizes)
+    new_id = rng.permutation(n)
+    prec = np.zeros((n, n))
+
+    def couple(i, j):
+        prec[new_id[i], new_id[j]] = prec[new_id[j], new_id[i]] = \
+            rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
+
+    for i in range(r):
+        for j in range(i + 1, r):
+            if rng.random() < 0.4:
+                couple(i, j)
+    boundaries = []
+    start = r
+    for kind, size in zip(kinds, sizes):
+        members = range(start, start + size)
+        for i in members[1:]:
+            couple(i - 1, i)
+        if size == 3 and rng.random() < 0.5:
+            couple(members[0], members[2])
+        if kind == "all":
+            d = list(range(r))
+        elif kind == "some":
+            d = rng.choice(r, size=int(rng.integers(1, r)), replace=False).tolist()
+        else:
+            d = []
+        for j in d:
+            couple(int(rng.choice(members)), j)
+        boundaries.append(varset(new_id[d].tolist()))
+        start += size
+    np.fill_diagonal(prec, np.abs(prec).sum(axis=1) + rng.uniform(0.5, 1.5, size=n))
+    return GaussianModel(np.zeros(n), prec), varset(new_id[:r].tolist()), boundaries
+
+
+class TestComponentWiseInnovation:
+    @settings(max_examples=80, deadline=None)
+    @given(block_models())
+    def test_sum_of_boundary_terms_matches_neighbour_sum(self, case):
+        m, a, boundaries = case
+        gamma = innovation_matrix(m, a)
+        assert np.array_equal(gamma, gamma.T)
+        assert np.max(np.abs(gamma - innovation_by_neighbour_sum(m, a))) <= 1e-10
+        # each component's term lives on its boundary's entries only
+        support = np.zeros(gamma.shape, dtype=bool)
+        for d in boundaries:
+            at = [a.index(j) for j in d]
+            support[np.ix_(at, at)] = True
+        assert np.all(gamma[~support] == 0.0)
+        assert np.all(np.diag(gamma)[np.diag(support)] > 0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(block_models(), st.sampled_from([None, 0.0, 0.25]))
+    def test_marginal_graph_matches_double_loop(self, case, tol):
+        m, a, _ = case
+        mp = marginal_precision(m, a).precision
+        got = gaussian_marginal_graph(m, a, tol)
+        assert got.edges == edges_by_loops(mp, a, _scaled_tol(mp, tol))
+
+
 class TestFactorCache:
     def test_repeated_calls_give_equal_arrays(self):
         m = damage_gaussian()
@@ -269,14 +342,40 @@ class TestFactorCache:
         assert np.array_equal(marginal_precision(m, KEEP).precision, fresh)
 
     def test_one_factorization_per_retained_set(self, monkeypatch):
+        # One solve per stack of eliminated components that share a size and
+        # a boundary width, counting only components with a non-empty
+        # boundary; the calls after the first reuse the cached matrix.
         m = damage_gaussian()
+        z = varset(set(range(m.n)) - set(KEEP))
+        pattern = pattern_graph(m, 0.0)
+        shapes = {(len(tau), len(d)) for tau in connectivity_components(subgraph(pattern, z))
+                  for d in [boundary(pattern, tau)] if d}
+        assert shapes == {(8, 3), (1, 1)}
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
         marginal_precision(m, KEEP)
+        assert len(calls) == len(shapes)
         innovation_matrix(m, KEEP)
         gaussian_marginal_graph(m, KEEP)
-        assert len(calls) == 1
+        assert len(calls) == len(shapes)
+
+    def test_components_of_equal_shape_share_one_solve(self, monkeypatch):
+        # chains X0-X1-X2, X3-X4-X5 and X6-X7-X8-X9 keeping X0, X3, X6, X9:
+        # the eliminated pairs (X1, X2) and (X4, X5) each touch one retained
+        # variable, (X7, X8) touches two, so two stacks need a solve
+        prec = np.eye(10) * 2.0
+        for i, j in [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9)]:
+            prec[i, j] = prec[j, i] = 0.5 if i < 3 else 0.75
+        m = GaussianModel(np.zeros(10), prec)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        gamma = innovation_matrix(m, (0, 3, 6, 9))
+        assert len(calls) == 2
+        assert np.max(np.abs(gamma - innovation_by_neighbour_sum(m, (0, 3, 6, 9)))) <= 1e-12
+        assert gamma[0, 1] == gamma[0, 2] == gamma[1, 2] == 0.0
+        assert gamma[2, 3] != 0.0
 
 
 def test_cli_import_loads_no_scipy():

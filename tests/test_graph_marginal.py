@@ -1,10 +1,14 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margraph import (
     Graph,
     InvalidInputError,
     boundary,
+    component_boundaries,
     connectivity_components,
     eliminate_vertex,
     hypergraph_of,
@@ -23,7 +27,12 @@ from margraph.fixtures import (
     two_chain_graph,
 )
 
-from helpers import induced_scope_graph, random_graph, random_normalized_potential
+from helpers import (
+    induced_scope_graph,
+    marginal_graph_by_boundaries,
+    random_graph,
+    random_normalized_potential,
+)
 
 
 class TestTwoChainModel:
@@ -133,3 +142,36 @@ class TestInvariants:
                 marginal_table(joint_table(u), a))
             for scope in hypergraph_of(recovered):
                 assert is_complete(m, scope)
+
+
+@st.composite
+def graphs_with_retained_sets(draw):
+    """A random graph on up to 40 vertices, from edgeless through sparse
+    (many components, isolated vertices) to dense, and a retained set that
+    may be empty or everything."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.7]))
+    g = random_graph(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n, density)
+    a = draw(st.one_of(st.just(()), st.just(tuple(range(n))),
+                       st.sets(st.integers(0, n - 1)).map(varset)))
+    return g, a
+
+
+class TestAgainstReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_retained_sets())
+    def test_matches_boundary_scan_and_vertex_fold(self, case):
+        g, a = case
+        got = marginalize_graph(g, a)
+        assert got == marginal_graph_by_boundaries(g, a)
+        dropped = sorted(set(g.vertices) - set(a))
+        assert got == reduce(eliminate_vertex, dropped, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_retained_sets())
+    def test_component_boundaries_match_per_component_scans(self, case):
+        g, a = case
+        z = set(g.vertices) - set(a)
+        expected = [(comp, boundary(g, comp))
+                    for comp in connectivity_components(subgraph(g, z))]
+        assert component_boundaries(g, z) == expected

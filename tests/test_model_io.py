@@ -1,10 +1,11 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from margraph import ModelFormatError
+from margraph import Graph, ModelFormatError, Variables
 from margraph.fixtures import fixture_documents, two_chain_graph
 from margraph.model_io import (
     dump_json,
@@ -141,6 +142,12 @@ class TestParseErrors:
         ("mean", None, "model.gaussian.mean[1]: expected a number, got None"),
         ("table", False, "model.potential.interactions[0].table[2]: expected a number, got False"),
         ("domain", "1", "model.variables[1].domain[1]: expected a number, got '1'"),
+        ("precision", -10 ** 400,
+         "model.gaussian.precision[1][0]: integer too large for a float"),
+        ("mean", 10 ** 400, "model.gaussian.mean[1]: integer too large for a float"),
+        ("table", 10 ** 400,
+         "model.potential.interactions[0].table[2]: integer too large for a float"),
+        ("domain", 10 ** 400, "model.variables[1].domain[1]: integer too large for a float"),
     ])
     def test_bad_number_names_the_entry(self, where, bad, message):
         doc = {"format_version": 1, "variables": [{"label": "A"}, {"label": "B"}]}
@@ -175,3 +182,21 @@ def test_dot_output_is_deterministic():
     assert dot.splitlines()[0] == "graph marginal {"
     assert '  "V1" -- "V2";' in dot
     assert dot.endswith("}\n")
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    labels = ['a"b', "a\\", "plain"]
+    dot = graph_to_dot(Graph.from_edges(range(3), [(0, 1), (1, 2)]), Variables(labels))
+    assert dot.splitlines() == [
+        "graph marginal {",
+        '  "a\\"b";',
+        '  "a\\\\";',
+        '  "plain";',
+        '  "a\\"b" -- "a\\\\";',
+        '  "a\\\\" -- "plain";',
+        "}",
+    ]
+    # a reader that takes a backslash as escaping the next character gets
+    # every label back, and every quoted ID ends where it should
+    quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
+    assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == labels + labels[:2] + labels[1:]
