@@ -19,6 +19,19 @@ sum-product variable elimination in log space (Koller & Friedman,
 only the factors that contain it and replaces them by their log-sum over
 that variable, stabilized by the smallest energy along the summed axis.
 The cost follows the width of the order, not the size of the component.
+The plan also refuses a boundary whose innovation split would make more
+than ``STATE_LIMIT`` entries, prod(|dom v| + 1) - 1 for a boundary d.
+
+Models with many small components pay numpy's per-call cost per table
+unless the work is batched, so the table work runs once per group of
+like-shaped tables.  Components whose touching tables and elimination
+order coincide once their variables are relabeled by position (and whose
+domain sizes agree) fold as stacks along a leading axis, each stack
+holding at most ``STATE_LIMIT`` entries in its largest table; the boundary
+tables are then summed per boundary in ``plan.components`` order and split
+as stacks (see :mod:`margraph.potentials`).  Every sum runs in the order a
+component-by-component loop would use, so results do not depend on the
+grouping, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from .potentials import (
     Potential,
     PotentialFamily,
     _aligned,
-    _normalized_pieces,
+    _split,
     hypergraph_of,
     induced_graph,
     is_normalized,
@@ -136,7 +149,7 @@ def _largest_table(vars: Variables, scopes) -> int:
 def _require_within_limit(entries: int) -> None:
     if entries > STATE_LIMIT:
         raise ResourceLimitError(
-            f"elimination needs a table of {entries} entries, "
+            f"elimination needs {entries} table entries, "
             f"above the limit of {STATE_LIMIT}")
 
 
@@ -152,12 +165,17 @@ class EliminationPlan:
     - ``incidence``: the hyperedges containing each variable;
     - ``orders``: a greedy min-fill elimination order of each component,
       ties to the smallest id;
-    - ``factor_scopes``: the scope of every table the folds form (product
-      factors and boundary tables), from which :meth:`largest_factor`
-      predicts the largest allocation.
+    - ``factors``: per component, the scope of every product factor its
+      fold forms along its order, from which :meth:`fold_entries` and
+      :meth:`largest_factor` predict the largest allocation;
+      :meth:`largest_split` predicts the entries the innovation split of
+      the widest boundary makes.
+
+    A member of a family touches a subset of the plan's hyperedges, so the
+    tables its fold of a component forms lie within these factor scopes.
     """
 
-    __slots__ = ("graph", "components", "boundaries", "incidence", "orders", "factor_scopes")
+    __slots__ = ("graph", "components", "boundaries", "incidence", "orders", "factors")
 
     def __init__(self, h: Hypergraph, vertices, a):
         vertices = varset(vertices)
@@ -174,25 +192,33 @@ class EliminationPlan:
         self.components = tuple(tau for tau, _ in pairs)
         self.boundaries: dict[VarSet, VarSet] = dict(pairs)
         self.orders: dict[VarSet, tuple[int, ...]] = {}
-        factor_scopes: set[VarSet] = set(self.boundaries.values())
+        self.factors: dict[VarSet, list[VarSet]] = {}
         for tau in self.components:
-            order, factors = _min_fill_order(self.touching(tau), tau)
-            self.orders[tau] = order
-            factor_scopes.update(factors)
-        self.factor_scopes = tuple(sorted(factor_scopes))
+            self.orders[tau], self.factors[tau] = _min_fill_order(self.touching(tau), tau)
 
     def touching(self, tau) -> tuple[VarSet, ...]:
         """Hyperedges that meet ``tau``, in lexicographic order."""
         return tuple(sorted(set(chain.from_iterable(self.incidence[v] for v in tau))))
 
+    def fold_entries(self, vars: Variables, tau: VarSet) -> int:
+        """Entries of the largest table the fold of component ``tau`` forms,
+        its boundary table included."""
+        return _largest_table(vars, self.factors[tau] + [self.boundaries[tau]])
+
     def largest_factor(self, vars: Variables) -> int:
         """Entries of the largest table the folds form."""
-        return _largest_table(vars, self.factor_scopes)
+        return max((self.fold_entries(vars, tau) for tau in self.components), default=1)
+
+    def largest_split(self, vars: Variables) -> int:
+        """Entries of the largest innovation split: a boundary d splits into
+        pieces on its non-empty subsets, prod(|dom v| + 1) - 1 entries."""
+        return max((math.prod(n + 1 for n in vars.sizes(d)) - 1
+                    for d in set(self.boundaries.values())), default=0)
 
 
 def _checked_plan(h: Hypergraph, vars: Variables, a) -> EliminationPlan:
     plan = EliminationPlan(h, vars.all_ids(), a)
-    _require_within_limit(plan.largest_factor(vars))
+    _require_within_limit(max(plan.largest_factor(vars), plan.largest_split(vars)))
     return plan
 
 
@@ -209,15 +235,34 @@ def boundary_hypergraph(h: Hypergraph, vars_ids, a) -> Hypergraph:
 
 
 def _drop_null_tables(u: Potential, null_tol: float) -> Potential:
-    return Potential(u.vars, (t for t in u.tables if np.max(np.abs(t.values)) > null_tol))
+    return Potential(u.vars, (t for t in u.tables if t.max_abs > null_tol))
 
 
-def _fold(vars: Variables, tables, order) -> tuple[VarSet, np.ndarray]:
-    """Sum the variables of ``order`` out of exp(-sum of ``tables``), one at
-    a time and in log space (bucket elimination).
+def _local_structure(vars: Variables, tables, order) -> tuple[tuple, VarSet]:
+    """What a fold of ``tables`` along ``order`` computes, up to the
+    variables' names: the scopes and the order relabeled to positions in
+    the sorted union of ``order`` and the scopes, plus the domain sizes at
+    those positions.  Also returns that union, to map positions back.
 
-    Returns the scope left over and -ln of the sum on it.
+    The relabeling keeps the order of ids, so a fold of the relabeled
+    structure does the same arithmetic as a fold of the original.
     """
+    local = varset(chain(order, *(t.scope for t in tables)))
+    at = {v: k for k, v in enumerate(local)}
+    structure = (tuple(tuple(at[v] for v in t.scope) for t in tables),
+                 tuple(at[v] for v in order), vars.sizes(local))
+    return structure, local
+
+
+def _fold_stack(structure: tuple, stacks, batch: int) -> tuple[VarSet, np.ndarray]:
+    """Bucket elimination of ``batch`` folds of one local structure at once.
+
+    ``stacks[i]`` holds table i of every fold, stacked along a leading
+    axis.  The order's variables are summed out of exp(-sum of the tables)
+    one at a time, in log space; returns the local scope left over and
+    -ln of the sum on it, one entry of the leading axis per fold.
+    """
+    scopes, order, sizes = structure
     pos = {v: k for k, v in enumerate(order)}
     buckets: list[list] = [[] for _ in order]
     rest: list = []
@@ -226,24 +271,35 @@ def _fold(vars: Variables, tables, order) -> tuple[VarSet, np.ndarray]:
         first = min((pos[v] for v in scope if v in pos), default=None)
         (rest if first is None else buckets[first]).append((scope, values))
 
-    for t in tables:
-        place(t.scope, t.values)
+    for scope, values in zip(scopes, stacks):
+        place(scope, values)
     const = 0.0
     for v, bucket in zip(order, buckets):
         if not bucket:  # no factor contains v: it only multiplies the sum
-            const -= math.log(len(vars.domain(v)))
+            const -= math.log(sizes[v])
             continue
         scope = varset(chain.from_iterable(s for s, _ in bucket))
         energy = sum(_aligned(values, s, scope) for s, values in bucket)
-        ax = scope.index(v)
+        ax = scope.index(v) + 1
         low = energy.min(axis=ax, keepdims=True)
         folded = low - np.log(np.exp(low - energy).sum(axis=ax, keepdims=True))
-        place(scope[:ax] + scope[ax + 1:], np.squeeze(folded, axis=ax))
+        place(scope[:ax - 1] + scope[ax:], np.squeeze(folded, axis=ax))
     bd = varset(chain.from_iterable(s for s, _ in rest))
-    total = np.full(vars.sizes(bd), const)
+    total = np.full((batch,) + tuple(sizes[v] for v in bd), const)
     for s, values in rest:
         total += _aligned(values, s, bd)
     return bd, total
+
+
+def _fold(vars: Variables, tables, order) -> tuple[VarSet, np.ndarray]:
+    """Sum the variables of ``order`` out of exp(-sum of ``tables``), one at
+    a time and in log space (bucket elimination).
+
+    Returns the scope left over and -ln of the sum on it.
+    """
+    structure, local = _local_structure(vars, tables, order)
+    bd, total = _fold_stack(structure, [t.values[None] for t in tables], 1)
+    return tuple(local[p] for p in bd), total[0]
 
 
 def component_potential(u: Potential, tau, plan: EliminationPlan | None = None) -> InteractionTable:
@@ -300,27 +356,54 @@ def boundary_aggregate(u: Potential, components, d) -> InteractionTable:
     return InteractionTable(d, total)
 
 
+def _component_folds(u: Potential,
+                     plan: EliminationPlan) -> dict[VarSet, tuple[VarSet, np.ndarray]]:
+    """Scope and values of the fold of every component of ``plan`` with a
+    non-empty boundary, keyed by component in ``plan.components`` order.
+
+    Components of one local structure (:func:`_local_structure` of the
+    tables of ``u`` touching them, along the plan's order) are folded as
+    stacks; each fold equals :func:`component_potential` on its component.
+    A stack holds at most ``STATE_LIMIT`` entries in its largest table, so
+    stacking never allocates more than the plan's guard allows one fold.
+    """
+    groups: dict[tuple, list] = {}
+    for tau in plan.components:
+        if not plan.boundaries[tau]:
+            continue  # constant factor, absorbed by normalization
+        tables = [t for s in plan.touching(tau) if (t := u.table_for(s)) is not None]
+        structure, local = _local_structure(u.vars, tables, plan.orders[tau])
+        groups.setdefault(structure, []).append((tau, tables, local))
+    folded = {}
+    for structure, members in groups.items():
+        widest = max(plan.fold_entries(u.vars, tau) for tau, _, _ in members)
+        step = max(1, STATE_LIMIT // widest)
+        for start in range(0, len(members), step):
+            chunk = members[start:start + step]
+            stacks = [np.stack([tables[i].values for _, tables, _ in chunk])
+                      for i in range(len(structure[0]))]
+            bd, total = _fold_stack(structure, stacks, len(chunk))
+            for (tau, _, local), values in zip(chunk, total):
+                folded[tau] = (tuple(local[p] for p in bd), values)
+    return {tau: folded[tau] for tau in plan.components if tau in folded}
+
+
 def _innovation_tables(u: Potential, plan: EliminationPlan,
                        null_tol: float) -> list[Innovation]:
     """Innovations of ``u`` along ``plan`` (its boundaries may be wider than
-    what ``u`` alone induces, e.g. when the plan is built for a family)."""
+    what ``u`` alone induces, e.g. when the plan is built for a family).
+
+    The folded tables are summed per boundary in ``plan.components`` order
+    and then split, so the result does not depend on how the folds were
+    stacked.
+    """
     agg: dict[VarSet, np.ndarray] = {}
-    for tau in plan.components:
+    for tau, (scope, values) in _component_folds(u, plan).items():
         d = plan.boundaries[tau]
-        if not d:
-            continue  # constant factor, absorbed by normalization
-        ct = component_potential(u, tau, plan)
-        embedded = np.broadcast_to(_aligned(ct.values, ct.scope, d), u.vars.sizes(d))
+        embedded = np.broadcast_to(_aligned(values, scope, d), u.vars.sizes(d))
         agg[d] = agg.get(d, 0.0) + embedded
-    acc: dict[VarSet, np.ndarray] = {}
-    for d, vals in agg.items():
-        for b, tbl in _normalized_pieces(u.vars, d, vals):
-            if b in acc:
-                acc[b] = acc[b] + tbl
-            else:
-                acc[b] = tbl
-    out = [Innovation(b, InteractionTable(b, v))
-           for b, v in sorted(acc.items()) if np.max(np.abs(v)) > null_tol]
+    tables = [InteractionTable(b, v) for b, v in sorted(_split(u.vars, list(agg.items())).items())]
+    out = [Innovation(t.scope, t) for t in tables if t.max_abs > null_tol]
     assert is_normalized(Potential(u.vars, (i.table for i in out)))
     return out
 
@@ -370,7 +453,6 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     plan = _checked_plan(h, vars, a)
     h_restricted = h.restrict(a)
 
-    marginals = []
     any_innovation_scopes: set[VarSet] = set()
     parametric = True
     # combined[scope][k] = member k's restricted table + innovation on scope
@@ -393,17 +475,15 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
             any_innovation_scopes.add(innov.scope)
             _add(innov.scope, k, innov.table.values)
 
-    for k in range(len(clean)):
-        tables = []
-        for scope in sorted(combined):
-            vals = combined[scope][k]
-            if vals is not None and np.max(np.abs(vals)) > null_tol:
-                tables.append(InteractionTable(scope, vals))
-        marginals.append(Potential(vars, tables))
+    summed = {scope: [None if vals is None else InteractionTable(scope, vals)
+                      for vals in per_member]
+              for scope, per_member in sorted(combined.items())}
+    marginals = [Potential(vars, (ts[k] for ts in summed.values()
+                                  if ts[k] is not None and ts[k].max_abs > null_tol))
+                 for k in range(len(clean))]
 
     def _null_for_every_member(scope: VarSet) -> bool:
-        return all(vals is None or np.max(np.abs(vals)) <= null_tol
-                   for vals in combined[scope])
+        return all(t is None or t.max_abs <= null_tol for t in summed[scope])
 
     removed = Hypergraph(e for e in h_restricted if _null_for_every_member(e))
     kept = h_restricted.difference(removed)

@@ -100,9 +100,6 @@ def normalized_potential_from_table(t: DensityTable, null_tol: float = NULL_TOL)
                             shape[pos] = sizes[ax]
                     tbl -= prev.reshape(shape)
             recovered[axes] = tbl
-    tables = []
-    for axes, tbl in recovered.items():
-        if np.max(np.abs(tbl)) > null_tol:
-            scope = tuple(t.scope[ax] for ax in axes)
-            tables.append(InteractionTable(scope, tbl))
-    return Potential(t.vars, tables)
+    tables = [InteractionTable(tuple(t.scope[ax] for ax in axes), tbl)
+              for axes, tbl in recovered.items()]
+    return Potential(t.vars, (tbl for tbl in tables if tbl.max_abs > null_tol))

@@ -11,6 +11,19 @@ marginalization, both come down to one primitive: an anchored Mobius
 (finite-difference) transform that splits a table over a scope D into its
 normalized pieces on all subsets of D.  That transform lives here.
 
+The transform runs once per group of like-shaped tables, not once per
+table: tables of one shape and one set of anchor positions are stacked
+along a leading axis, differenced together, and every sub-scope piece is
+sliced out of the stack.  Pieces still add onto each sub-scope in table
+order, then subset order, as a table-by-table loop would, so the sums do
+not depend on the grouping.  :func:`is_normalized` likewise takes one
+masked max per group.
+
+Each :class:`InteractionTable` computes its max-abs entry once; that value
+is both its finiteness check (a NaN or an inf makes it non-finite) and
+what every null-table test reads (:func:`max_abs` for arrays that are not
+tables yet).
+
 Table layout is normative for file serialization: entries are dense in
 assignment-major order with the last scope variable fastest, i.e. the
 C-order raveling of an array whose axes follow the sorted scope.
@@ -18,7 +31,8 @@ C-order raveling of an array whose axes follow the sorted scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
@@ -37,6 +51,12 @@ NULL_TOL = 1e-9
 NORMALIZED_TOL = 1e-12
 
 
+def max_abs(values: np.ndarray) -> float:
+    """Largest absolute entry (0 for an empty array); NaN if any entry is
+    NaN, so the result is finite exactly when every entry is."""
+    return float(np.abs(values).max(initial=0.0))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -49,11 +69,14 @@ class InteractionTable:
 
     ``values`` has one axis per scope variable, in scope order.  The empty
     scope (a constant) is permitted for intermediate quantities but never
-    stored inside a :class:`Potential`.
+    stored inside a :class:`Potential`.  ``max_abs`` is the largest
+    absolute entry, computed once; the table is null within a tolerance
+    when ``max_abs`` is at most that tolerance.
     """
 
     scope: VarSet
     values: np.ndarray
+    max_abs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scope", varset(self.scope))
@@ -61,8 +84,10 @@ class InteractionTable:
         if vals.ndim != len(self.scope):
             raise InvalidInputError(
                 f"table for scope {self.scope} has {vals.ndim} axes, expected {len(self.scope)}")
-        if not np.all(np.isfinite(vals)):
+        peak = max_abs(vals)
+        if not math.isfinite(peak):
             raise InvalidInputError(f"non-finite entries in table for scope {self.scope}")
+        object.__setattr__(self, "max_abs", peak)
         object.__setattr__(self, "values", _readonly(vals))
 
     def ravel(self) -> list[float]:
@@ -203,16 +228,17 @@ def _zero_positions(vars: Variables, scope: VarSet) -> tuple[int, ...]:
     return tuple(vars.zero_index(v) for v in scope)
 
 
-def _subscope_transform(values: np.ndarray, zero_positions: Sequence[int]) -> np.ndarray:
-    """Anchored finite-difference transform along every axis.
+def _anchored_differences(stack: np.ndarray, zero_positions: Sequence[int]) -> np.ndarray:
+    """Anchored finite-difference transform of a stack of tables, along
+    every axis but the leading (stack) one.
 
     In the result, the entry at an assignment whose non-anchor coordinates
     form the sub-scope C equals the alternating sum of the input over all
     ways of pinning coordinates of C back to the anchor, i.e. the value of
     the normalized piece on C at that assignment.
     """
-    out = np.array(values, dtype=float)
-    for ax, z in enumerate(zero_positions):
+    out = np.asarray(stack, dtype=float)
+    for ax, z in enumerate(zero_positions, start=1):
         ref = np.take(out, [z], axis=ax)
         new = out - ref
         idx = [slice(None)] * out.ndim
@@ -240,18 +266,42 @@ def _off_anchor_counts(shape: tuple[int, ...], zero_positions: tuple[int, ...]) 
     return count
 
 
-def _normalized_pieces(vars: Variables, scope: VarSet,
-                       values: np.ndarray) -> Iterator[tuple[VarSet, np.ndarray]]:
-    """Split a table over ``scope`` into normalized tables on every
-    non-empty subset of ``scope`` (the constant piece is dropped)."""
-    zp = _zero_positions(vars, scope)
-    m = _subscope_transform(values, zp)
-    count = _off_anchor_counts(m.shape, zp)
-    for k in range(1, len(scope) + 1):
-        for sub in combinations(range(len(scope)), k):
-            inside = set(sub)
-            idx = tuple(slice(None) if ax in inside else zp[ax] for ax in range(len(scope)))
-            yield tuple(scope[ax] for ax in sub), np.where(count[idx] == k, m[idx], 0.0)
+def _like_shaped(vars: Variables, scoped: Sequence[tuple[VarSet, np.ndarray]]) -> dict:
+    """Positions in ``scoped`` grouped by (shape, anchor positions) of their
+    tables, in first-seen order."""
+    groups: dict[tuple, list[int]] = {}
+    for k, (scope, values) in enumerate(scoped):
+        groups.setdefault((values.shape, _zero_positions(vars, scope)), []).append(k)
+    return groups
+
+
+def _split(vars: Variables,
+           scoped: Sequence[tuple[VarSet, np.ndarray]]) -> dict[VarSet, np.ndarray]:
+    """Split each (scope, values) table into normalized pieces on every
+    non-empty subset of its scope (the constant piece is dropped) and sum
+    the pieces per sub-scope.
+
+    Each group of like-shaped tables takes one transform and one masked
+    slice per subset pattern.  Pieces add onto a sub-scope in the order of
+    ``scoped``, then subset order, whatever the grouping.
+    """
+    pieces: list = [()] * len(scoped)
+    for (shape, zp), members in _like_shaped(vars, scoped).items():
+        m = _anchored_differences(np.stack([scoped[k][1] for k in members]), zp)
+        count = _off_anchor_counts(shape, zp)
+        subs = [sub for r in range(1, len(shape) + 1) for sub in combinations(range(len(shape)), r)]
+        sliced = []
+        for sub in subs:
+            idx = tuple(slice(None) if ax in sub else z for ax, z in enumerate(zp))
+            sliced.append(np.where(count[idx] == len(sub), m[(slice(None),) + idx], 0.0))
+        for j, k in enumerate(members):
+            scope = scoped[k][0]
+            pieces[k] = [(tuple([scope[ax] for ax in sub]), s[j]) for sub, s in zip(subs, sliced)]
+    acc: dict[VarSet, np.ndarray] = {}
+    for per_table in pieces:
+        for sub_scope, piece in per_table:
+            acc[sub_scope] = acc[sub_scope] + piece if sub_scope in acc else piece
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +331,12 @@ def energy(u: Potential, values: Sequence[float]) -> float:
 
 
 def _aligned(values: np.ndarray, sub: VarSet, scope: VarSet) -> np.ndarray:
-    """``values`` (axes in ``sub`` order) reshaped to broadcast against a grid
-    whose axes follow ``scope``, a superset of ``sub``."""
-    sizes = dict(zip(sub, values.shape))
-    return values.reshape([sizes.get(v, 1) for v in scope])
+    """``values`` (trailing axes in ``sub`` order) reshaped to broadcast
+    against a grid whose trailing axes follow ``scope``, a superset of
+    ``sub``; leading (stack) axes are kept."""
+    lead = values.ndim - len(sub)
+    sizes = dict(zip(sub, values.shape[lead:]))
+    return values.reshape(values.shape[:lead] + tuple(sizes.get(v, 1) for v in scope))
 
 
 def energy_grid(u: Potential, scope) -> np.ndarray:
@@ -311,22 +363,20 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
     (max-abs below ``null_tol``) are dropped.  The result induces the same
     density as the input up to one multiplicative constant.
     """
-    acc: dict[VarSet, np.ndarray] = {}
-    for t in u0.tables:
-        for sub_scope, tbl in _normalized_pieces(u0.vars, t.scope, t.values):
-            if sub_scope in acc:
-                acc[sub_scope] = acc[sub_scope] + tbl
-            else:
-                acc[sub_scope] = tbl
-    kept = {s: v for s, v in acc.items() if np.max(np.abs(v)) > null_tol}
-    return Potential(u0.vars, (InteractionTable(s, v) for s, v in kept.items()))
+    acc = _split(u0.vars, [(t.scope, t.values) for t in u0.tables])
+    tables = [InteractionTable(s, v) for s, v in acc.items()]
+    return Potential(u0.vars, (t for t in tables if t.max_abs > null_tol))
 
 
 def is_normalized(u: Potential, tol: float = NORMALIZED_TOL) -> bool:
-    """True iff every entry at an assignment with some coordinate 0 is 0 (within ``tol``)."""
-    for t in u.tables:
-        mask = _off_anchor_counts(t.values.shape, _zero_positions(u.vars, t.scope)) < t.values.ndim
-        if np.max(np.abs(t.values[mask])) > tol:
+    """True iff every entry at an assignment with some coordinate 0 is 0 (within ``tol``).
+
+    Like-shaped tables are stacked and checked by one masked max.
+    """
+    scoped = [(t.scope, t.values) for t in u.tables]
+    for (shape, zp), members in _like_shaped(u.vars, scoped).items():
+        on_anchor = _off_anchor_counts(shape, zp) < len(shape)
+        if max_abs(np.stack([scoped[k][1] for k in members])[:, on_anchor]) > tol:
             return False
     return True
 
@@ -362,7 +412,7 @@ def hypergraph_of(fam, null_tol: float = NULL_TOL) -> Hypergraph:
     scopes = set()
     for m in members:
         for t in m.tables:
-            if np.max(np.abs(t.values)) > null_tol:
+            if t.max_abs > null_tol:
                 scopes.add(t.scope)
     return Hypergraph(scopes)
 

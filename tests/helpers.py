@@ -20,6 +20,7 @@ from margraph import (
     Variables,
     boundary,
     completed_edge_set,
+    component_potential,
     connectivity_components,
     energy_grid,
     subgraph,
@@ -211,6 +212,72 @@ def zero_coord_mask(shape: tuple[int, ...], zero_positions) -> np.ndarray:
         idx[ax] = z
         mask[tuple(idx)] = True
     return mask
+
+
+# ---------------------------------------------------------------------------
+# Table-by-table references for the stacked table kernels.
+# ---------------------------------------------------------------------------
+
+def subscope_transform(values: np.ndarray, zero_positions) -> np.ndarray:
+    """Anchored finite-difference transform of one table along every axis:
+    the entry at an assignment whose non-anchor coordinates form C is the
+    normalized piece on C at that assignment."""
+    out = np.array(values, dtype=float)
+    for ax, z in enumerate(zero_positions):
+        ref = np.take(out, [z], axis=ax)
+        new = out - ref
+        idx = [slice(None)] * out.ndim
+        idx[ax] = z
+        new[tuple(idx)] = out[tuple(idx)]
+        out = new
+    return out
+
+
+def normalized_pieces(vars: Variables, scope, values: np.ndarray):
+    """Split one table over ``scope`` into normalized tables on every
+    non-empty subset of ``scope``, in subset order (the constant is dropped)."""
+    zp = tuple(vars.zero_index(v) for v in scope)
+    m = subscope_transform(values, zp)
+    for k in range(1, len(scope) + 1):
+        for sub in combinations(range(len(scope)), k):
+            idx = tuple(slice(None) if ax in sub else zp[ax] for ax in range(len(scope)))
+            on_anchor = zero_coord_mask(m[idx].shape, tuple(zp[ax] for ax in sub))
+            yield tuple(scope[ax] for ax in sub), np.where(on_anchor, 0.0, m[idx])
+
+
+def split_by_tables(vars: Variables, scoped) -> dict:
+    """Pieces of each (scope, values) table, table by table, summed per sub-scope."""
+    acc: dict = {}
+    for scope, values in scoped:
+        for sub_scope, piece in normalized_pieces(vars, scope, values):
+            acc[sub_scope] = acc[sub_scope] + piece if sub_scope in acc else piece
+    return acc
+
+
+def is_normalized_by_tables(u: Potential, tol: float) -> bool:
+    """Every table zero within ``tol`` wherever a coordinate is at its anchor."""
+    for t in u.tables:
+        mask = zero_coord_mask(t.values.shape, tuple(u.vars.zero_index(v) for v in t.scope))
+        if np.max(np.abs(t.values[mask])) > tol:
+            return False
+    return True
+
+
+def innovations_by_components(u: Potential, plan, null_tol: float) -> dict:
+    """Innovation tables by scope: each component folded on its own by
+    ``component_potential``, the folds summed per boundary in plan order,
+    and the sums split table by table."""
+    agg: dict = {}
+    for tau in plan.components:
+        d = plan.boundaries[tau]
+        if not d:
+            continue
+        ct = component_potential(u, tau, plan)
+        sizes = dict(zip(ct.scope, ct.values.shape))
+        aligned = ct.values.reshape([sizes.get(v, 1) for v in d])
+        agg[d] = agg.get(d, 0.0) + np.broadcast_to(aligned, u.vars.sizes(d))
+    acc = split_by_tables(u.vars, agg.items())
+    return {b: v for b, v in sorted(acc.items()) if np.max(np.abs(v)) > null_tol}
 
 
 # ---------------------------------------------------------------------------

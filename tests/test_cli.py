@@ -228,11 +228,13 @@ class TestOracleVerify:
 
 class TestEngineResourceLimit:
     """One eliminated hub joined by pair tables to 21 retained binary
-    variables needs a 2^22-entry factor: refused before it is allocated."""
+    variables needs a 2^22-entry factor; with 13 the factors fit, but the
+    innovation split of the boundary needs 3^13 - 1 entries.  Both are
+    refused before anything that size is allocated."""
 
     @staticmethod
-    def _hub_model(tmp_path):
-        retained = [f"A{k}" for k in range(1, 22)]
+    def _hub_model(tmp_path, width=21):
+        retained = [f"A{k}" for k in range(1, width + 1)]
         doc = {
             "format_version": 1,
             "variables": [{"label": lbl} for lbl in ["H"] + retained],
@@ -243,8 +245,8 @@ class TestEngineResourceLimit:
         path.write_text(dump_json(doc))
         return str(path), ",".join(retained)
 
-    def _exits_3_quickly_and_small(self, capsys, tmp_path, command):
-        path, keep = self._hub_model(tmp_path)
+    def _exits_3_quickly_and_small(self, capsys, tmp_path, command, width=21):
+        path, keep = self._hub_model(tmp_path, width)
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -262,6 +264,9 @@ class TestEngineResourceLimit:
 
     def test_check_collapsibility(self, capsys, tmp_path):
         self._exits_3_quickly_and_small(capsys, tmp_path, "check-collapsibility")
+
+    def test_marginalize_hypergraph_split_too_large(self, capsys, tmp_path):
+        self._exits_3_quickly_and_small(capsys, tmp_path, "marginalize-hypergraph", width=13)
 
 
 class TestOutputContract:
@@ -292,6 +297,18 @@ class TestOutputContract:
         path.write_text("{not json")
         code, out, err = run(capsys, "marginalize-graph", str(path), "--keep", "A")
         assert code == 2 and "error:" in err
+
+    def test_nan_table_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "variables": [{"label": "A"}, {"label": "B"}],
+            "potential": {"interactions": [{"scope": ["A", "B"],
+                                            "table": [0.0, 0.0, 0.0, float("nan")]}]}}))
+        assert "NaN" in path.read_text()
+        code, out, err = run(capsys, "marginalize-hypergraph", str(path), "--keep", "A")
+        assert code == 2 and out == ""
+        assert "non-finite" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command, payload, field", [
         ("marginalize-gaussian",

@@ -31,10 +31,16 @@ from margraph import (
     normalize_potential,
     varset,
 )
-from margraph.hypergraph_marginal import _fold
-from margraph.potentials import _off_anchor_counts
+from margraph import hypergraph_marginal
+from margraph.hypergraph_marginal import _component_folds, _fold, _innovation_tables
+from margraph.potentials import NULL_TOL, _off_anchor_counts
 
-from helpers import binary_vars, dense_component_potential, zero_coord_mask
+from helpers import (
+    binary_vars,
+    dense_component_potential,
+    innovations_by_components,
+    zero_coord_mask,
+)
 
 FOLD_TOL = 1e-12
 ORACLE_TOL = 1e-9
@@ -108,6 +114,93 @@ class TestFoldAgainstDenseReference:
             scope2, values2 = _fold(u.vars, tables, shuffled)
             assert scope == scope2
             assert _max_diff(values, values2) <= FOLD_TOL
+
+
+@st.composite
+def block_families(draw):
+    """A family over blocks of variables: each block is a copy of one of a
+    few random motifs (a small potential plus the positions it retains), so
+    eliminated components repeat one local structure across copies, and a
+    random pair table sometimes links two blocks.  Further members drop
+    tables at random, so their structures differ from block to block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    motifs = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = int(rng.integers(2, 5))
+        sizes = rng.integers(2, 4, size=size).tolist()
+        scopes = {(k,) for k in range(size)}
+        scopes |= {varset(rng.choice(size, size=int(rng.integers(2, min(3, size) + 1)),
+                                     replace=False).tolist()) for _ in range(size)}
+        keep = rng.choice(size, size=int(rng.integers(1, size)), replace=False).tolist()
+        motifs.append((sizes, sorted(scopes), keep))
+    blocks = [motifs[int(rng.integers(len(motifs)))] for _ in range(draw(st.integers(1, 6)))]
+    domains, scopes, keep = [], [], []
+    for sizes, motif_scopes, motif_keep in blocks:
+        base = len(domains)
+        domains += [tuple(float(i - 1) for i in range(n)) for n in sizes]
+        scopes += [tuple(base + v for v in s) for s in motif_scopes]
+        keep += [base + v for v in motif_keep]
+    n = len(domains)
+    if n > 2 and rng.random() < 0.5:
+        scopes.append(varset(rng.choice(n, size=2, replace=False).tolist()))
+    variables = Variables([f"V{k}" for k in range(n)], domains)
+    members = []
+    for k in range(draw(st.integers(1, 3))):
+        kept = [s for s in scopes if k == 0 or rng.random() < 0.7]
+        members.append(Potential(variables, [
+            InteractionTable(s, rng.uniform(-1.5, 1.5, size=variables.sizes(s)))
+            for s in sorted(set(kept))]))
+    family = PotentialFamily(normalize_potential(m) for m in members)
+    return family, varset(keep)
+
+
+class TestStackedFolds:
+    @settings(max_examples=60, deadline=None)
+    @given(block_families())
+    def test_stacked_folds_match_component_potential_bit_for_bit(self, case):
+        family, keep = case
+        plan = EliminationPlan(hypergraph_of(family), family.vars.all_ids(), keep)
+        for member in family:
+            folds = _component_folds(member, plan)
+            assert list(folds) == [tau for tau in plan.components if plan.boundaries[tau]]
+            for tau, (scope, values) in folds.items():
+                ref = component_potential(member, tau, plan)
+                assert scope == ref.scope
+                assert values.shape == ref.values.shape
+                assert values.tobytes() == ref.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_families())
+    def test_innovations_match_the_component_by_component_route_bit_for_bit(self, case):
+        family, keep = case
+        plan = EliminationPlan(hypergraph_of(family), family.vars.all_ids(), keep)
+        for member in family:
+            got = {i.scope: i.table.values for i in _innovation_tables(member, plan, NULL_TOL)}
+            ref = innovations_by_components(member, plan, NULL_TOL)
+            assert list(got) == list(ref)
+            for scope, values in ref.items():
+                assert got[scope].tobytes() == values.tobytes()
+
+    def test_components_of_one_local_structure_share_one_fold(self, monkeypatch):
+        # a chain keeping every third variable: the ten eliminated pairs
+        # between two retained variables all look alike
+        n = 31
+        rng = np.random.default_rng(31)
+        raw = [InteractionTable((k,), rng.uniform(-1.5, 1.5, 2)) for k in range(n)]
+        raw += [InteractionTable((k, k + 1), rng.uniform(-1.5, 1.5, (2, 2)))
+                for k in range(n - 1)]
+        u = normalize_potential(Potential(binary_vars(n), raw))
+        plan = _plan(u, range(0, n, 3))
+        batches = []
+        fold_stack = hypergraph_marginal._fold_stack
+
+        def counting(structure, stacks, batch):
+            batches.append(batch)
+            return fold_stack(structure, stacks, batch)
+
+        monkeypatch.setattr(hypergraph_marginal, "_fold_stack", counting)
+        _component_folds(u, plan)
+        assert batches == [10]
 
 
 class TestMarginalAgainstOracle:
@@ -192,6 +285,20 @@ def _hub_potential(retained: int) -> Potential:
                                  for k in range(1, retained + 1)])
 
 
+def _cliques(copies: int, width: int = 20) -> tuple[Potential, list[int]]:
+    """``copies`` eliminated cliques of ``width`` binary variables, joined by
+    pair tables, each next to one retained variable; every clique folds
+    through a table of 2^width entries."""
+    tables, keep = [], []
+    for c in range(copies):
+        base = c * (width + 1)
+        tables += [InteractionTable((x, y), np.array([[0.0, 0.0], [0.0, 0.1]]))
+                   for x, y in combinations(range(base, base + width), 2)]
+        tables.append(InteractionTable((base, base + width), np.array([[0.0, 0.0], [0.0, 0.3]])))
+        keep.append(base + width)
+    return Potential(binary_vars(copies * (width + 1)), tables), keep
+
+
 def _refused_quickly_and_small(call) -> None:
     tracemalloc.start()
     start = time.perf_counter()
@@ -219,6 +326,59 @@ class TestResourceGuard:
         u = _hub_potential(5)
         rep = marginalize_hypergraph(u, tuple(range(1, 6)))
         assert not rep.parametrically_collapsible
+
+    def test_stacked_folds_stay_within_the_limit(self):
+        # six like-shaped components, each folding through a table of
+        # STATE_LIMIT entries: stacked at once they would need six of them
+        u, keep = _cliques(6)
+        plan = _plan(u, keep)
+        assert len(plan.components) == 6
+        assert plan.largest_factor(u.vars) == STATE_LIMIT
+        tracemalloc.start()
+        try:
+            out = innovations(u, keep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [i.scope for i in out] == [(k,) for k in keep]
+        assert peak < 5 * 8 * STATE_LIMIT
+
+    def test_a_group_too_wide_for_one_stack_folds_in_chunks(self, monkeypatch):
+        # ten components folding through 2^17 entries: eight fit one stack
+        u, keep = _cliques(10, width=17)
+        plan = _plan(u, keep)
+        batches = []
+        fold_stack = hypergraph_marginal._fold_stack
+
+        def counting(structure, stacks, batch):
+            batches.append(batch)
+            return fold_stack(structure, stacks, batch)
+
+        monkeypatch.setattr(hypergraph_marginal, "_fold_stack", counting)
+        folds = _component_folds(u, plan)
+        assert batches == [8, 2]
+        monkeypatch.undo()
+        for tau, (scope, values) in folds.items():
+            ref = component_potential(u, tau, plan)
+            assert scope == ref.scope
+            assert values.tobytes() == ref.values.tobytes()
+
+    def test_split_of_a_13_variable_boundary_is_refused(self):
+        # every factor fits, but the boundary splits into 3^13 - 1 entries
+        u = _hub_potential(13)
+        keep = tuple(range(1, 14))
+        plan = _plan(u, keep)
+        assert plan.largest_factor(u.vars) == 2 ** 14
+        assert plan.largest_split(u.vars) == 3 ** 13 - 1 > STATE_LIMIT
+        _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
+        _refused_quickly_and_small(lambda: innovations(u, keep))
+
+    def test_split_of_a_12_variable_boundary_still_folds(self):
+        u = _hub_potential(12)
+        keep = tuple(range(1, 13))
+        assert _plan(u, keep).largest_split(u.vars) == 3 ** 12 - 1 <= STATE_LIMIT
+        rep = marginalize_hypergraph(u, keep)
+        assert (1, 2) in rep.added
 
 
 @given(st.lists(st.integers(2, 4), min_size=1, max_size=5), st.data())

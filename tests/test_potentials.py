@@ -9,6 +9,7 @@ from margraph import (
     InvalidInputError,
     Potential,
     PotentialFamily,
+    Variables,
     boundary_hypergraph,
     energy,
     energy_grid,
@@ -21,6 +22,7 @@ from margraph import (
     normalized_potential_from_table,
     precedes,
     restrict,
+    varset,
 )
 from margraph.fixtures import (
     chain_retained,
@@ -29,7 +31,16 @@ from margraph.fixtures import (
     triangle_chain_raw_potential,
 )
 
-from helpers import binary_vars, energy_by_loops, random_normalized_potential
+from margraph.potentials import NORMALIZED_TOL, _split
+
+from helpers import (
+    binary_vars,
+    energy_by_loops,
+    is_normalized_by_tables,
+    random_normalized_potential,
+    split_by_tables,
+    zero_coord_mask,
+)
 
 THETAS = (0.3, -0.7, 1.1, 0.5, -0.2)
 
@@ -63,8 +74,13 @@ class TestTypes:
             Potential(v, [InteractionTable((0,), np.zeros(3))])
 
     def test_non_finite_entries_rejected(self):
-        with pytest.raises(InvalidInputError):
-            InteractionTable((0,), np.array([0.0, np.inf]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                InteractionTable((0,), np.array([0.0, bad]))
+
+    def test_max_abs_is_computed_once_at_construction(self):
+        t = InteractionTable((0, 1), np.array([[0.0, -2.5], [1.0, 0.5]]))
+        assert t.max_abs == 2.5
 
     def test_duplicate_scope_rejected(self):
         v = binary_vars(2)
@@ -193,6 +209,74 @@ class TestIsNormalized:
 
     def test_empty_potential(self):
         assert is_normalized(Potential(binary_vars(3)))
+
+    @pytest.mark.parametrize("off, expected", [
+        (NORMALIZED_TOL, True), (np.nextafter(NORMALIZED_TOL, 1.0), False)])
+    def test_one_member_of_a_stack_off_by_just_above_tol(self, off, expected):
+        # five ternary pair tables of one shape and anchor, checked as one stack
+        v = Variables([f"V{k}" for k in range(6)], [(-1.0, 0.0, 1.0)] * 6)
+        tables = []
+        for k in range(5):
+            vals = np.where(zero_coord_mask((3, 3), (1, 1)), 0.0, 0.5 + k)
+            if k == 3:
+                vals[2, 1] = off
+            tables.append(InteractionTable((k, k + 1), vals))
+        u = Potential(v, tables)
+        assert is_normalized(u) is expected
+        assert is_normalized_by_tables(u, NORMALIZED_TOL) is expected
+
+
+@st.composite
+def anchored_tables(draw, max_vars: int = 6):
+    """(registry, [(scope, values), ...]): domain sizes 2-4, each anchored
+    at a drawn position, and tables of mixed magnitudes on random scopes of
+    up to 3 variables, scopes repeating at times."""
+    n = draw(st.integers(1, max_vars))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    zeros = [draw(st.integers(0, size - 1)) for size in sizes]
+    variables = Variables([f"V{k}" for k in range(n)],
+                          [[float(i - z) for i in range(size)] for size, z in zip(sizes, zeros)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scoped = []
+    for _ in range(draw(st.integers(1, 12))):
+        scope = varset(rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)),
+                                  replace=False).tolist())
+        shape = variables.sizes(scope)
+        scoped.append((scope, rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)))
+    return variables, scoped
+
+
+class TestStackedKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(anchored_tables())
+    def test_split_matches_the_table_by_table_split_bit_for_bit(self, case):
+        variables, scoped = case
+        got = _split(variables, scoped)
+        ref = split_by_tables(variables, scoped)
+        assert list(got) == list(ref)
+        for scope, values in ref.items():
+            assert got[scope].shape == values.shape
+            assert got[scope].tobytes() == values.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(anchored_tables(), st.data())
+    def test_is_normalized_matches_the_per_table_check(self, case, data):
+        variables, scoped = case
+        tables = {}
+        for scope, values in scoped:
+            zp = tuple(variables.zero_index(v) for v in scope)
+            tables[scope] = np.where(zero_coord_mask(values.shape, zp), 0.0, values)
+        # one anchored entry of one table moves to within or just beyond the tolerance
+        scope = data.draw(st.sampled_from(sorted(tables)))
+        zp = tuple(variables.zero_index(v) for v in scope)
+        on_anchor = np.argwhere(zero_coord_mask(tables[scope].shape, zp))
+        at = tuple(on_anchor[data.draw(st.integers(0, len(on_anchor) - 1))])
+        above = np.nextafter(NORMALIZED_TOL, 1.0)
+        off = data.draw(st.sampled_from([0.0, NORMALIZED_TOL, -NORMALIZED_TOL, above, -above]))
+        tables[scope][at] = off
+        u = Potential(variables, [InteractionTable(s, v) for s, v in tables.items()])
+        assert is_normalized(u) == is_normalized_by_tables(u, NORMALIZED_TOL)
+        assert is_normalized(u) == (abs(off) <= NORMALIZED_TOL)
 
 
 class TestRestrict:
