@@ -180,7 +180,7 @@ def _edges_above(matrix: np.ndarray, ids, t: float) -> frozenset:
 def pattern_graph(m: GaussianModel, tol: float | None = None) -> Graph:
     """Graph with an edge wherever the precision has a non-null off-diagonal."""
     t = _scaled_tol(m.precision, tol)
-    return Graph(tuple(range(m.n)), _edges_above(m.precision, range(m.n), t))
+    return Graph._of(tuple(range(m.n)), _edges_above(m.precision, range(m.n), t))
 
 
 def gaussian_marginal_graph(m: GaussianModel, a, tol: float | None = None) -> Graph:
@@ -190,4 +190,4 @@ def gaussian_marginal_graph(m: GaussianModel, a, tol: float | None = None) -> Gr
     marginal precision (scale-free zero test).
     """
     a, mp = _marginal_block(m, a)
-    return Graph(a, _edges_above(mp, a, _scaled_tol(mp, tol)))
+    return Graph._of(a, _edges_above(mp, a, _scaled_tol(mp, tol)))

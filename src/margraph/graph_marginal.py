@@ -35,7 +35,7 @@ def marginalize_graph(g: Graph, a) -> Graph:
     fill = set(kept.edges)
     for _, d in component_boundaries(g, dropped):
         fill |= completed_edge_set(d)
-    return Graph(a, frozenset(fill))
+    return Graph._of(a, frozenset(fill))
 
 
 def eliminate_vertex(g: Graph, v: int) -> Graph:
@@ -49,4 +49,4 @@ def eliminate_vertex(g: Graph, v: int) -> Graph:
     rest = varset(set(g.vertices) - {v})
     fill = completed_edge_set(g.neighbors(v))
     kept = frozenset(e for e in g.edges if v not in e)
-    return Graph(rest, kept | fill)
+    return Graph._of(rest, kept | fill)

@@ -99,6 +99,11 @@ class Variables:
         """Position of the value 0 in variable i's domain."""
         return self._zero[i]
 
+    @property
+    def zero_indices(self) -> tuple[int, ...]:
+        """Position of the value 0 in each variable's domain, in id order."""
+        return self._zero
+
     def sizes(self, scope: Iterable[int]) -> tuple[int, ...]:
         return tuple(len(self.domains[i]) for i in scope)
 
@@ -109,14 +114,25 @@ class Variables:
             raise InvalidInputError(f"unknown variable labels: {unknown}")
         return varset(self._index[l] for l in labels)
 
-    def label_set(self, ids: Iterable[int]) -> list[str]:
-        return [self.labels[i] for i in varset(ids)]
-
 
 def _canonical_edge(a: int, b: int) -> Edge:
     if a == b:
         raise InvalidInputError(f"self-loop on vertex {a}")
     return (a, b) if a < b else (b, a)
+
+
+def _checked_edges(vs: VarSet, edges) -> frozenset[Edge]:
+    """``edges`` as (min, max) int pairs, each checked to join two
+    distinct vertices of ``vs``."""
+    vset = set(vs)
+    canon = set()
+    for e in edges:
+        a, b = e
+        a, b = int(a), int(b)
+        if a not in vset or b not in vset:
+            raise InvalidInputError(f"edge {e} uses a vertex outside the graph")
+        canon.add(_canonical_edge(a, b))
+    return frozenset(canon)
 
 
 @dataclass(frozen=True)
@@ -134,19 +150,21 @@ class Graph:
     def __post_init__(self):
         vs = varset(self.vertices)
         object.__setattr__(self, "vertices", vs)
-        vset = set(vs)
-        canon = set()
-        for e in self.edges:
-            a, b = e
-            a, b = int(a), int(b)
-            if a not in vset or b not in vset:
-                raise InvalidInputError(f"edge {e} uses a vertex outside the graph")
-            canon.add(_canonical_edge(a, b))
-        object.__setattr__(self, "edges", frozenset(canon))
+        object.__setattr__(self, "edges", _checked_edges(vs, self.edges))
 
     @classmethod
     def from_edges(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(varset(vertices), frozenset(_canonical_edge(a, b) for a, b in edges))
+        vs = varset(vertices)
+        return cls._of(vs, _checked_edges(vs, edges))
+
+    @classmethod
+    def _of(cls, vertices: VarSet, edges: frozenset[Edge]) -> "Graph":
+        """A graph the engine built: sorted vertices and (min, max) int
+        edges between them, taken as they are."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @property
     def edge_list(self) -> list[Edge]:
@@ -234,7 +252,7 @@ def subgraph(g: Graph, a: Iterable[int]) -> Graph:
     """Graph on ``a`` keeping exactly the edges with both endpoints in ``a``."""
     a = _require_subset(g, a)
     inside = set(a)
-    return Graph(a, frozenset(e for e in g.edges if e[0] in inside and e[1] in inside))
+    return Graph._of(a, frozenset(e for e in g.edges if e[0] in inside and e[1] in inside))
 
 
 def completed_edge_set(a: Iterable[int]) -> frozenset[Edge]:

@@ -23,14 +23,18 @@ The plan also refuses a boundary whose innovation split would make more
 than ``STATE_LIMIT`` entries, prod(|dom v| + 1) - 1 for a boundary d.
 
 Models with many small components pay numpy's per-call cost per table
-unless the work is batched, so the table work runs once per group of
-like-shaped tables.  Components whose touching tables and elimination
-order coincide once their variables are relabeled by position (and whose
-domain sizes agree) fold as stacks along a leading axis, each stack
-holding at most ``STATE_LIMIT`` entries in its largest table; the boundary
-tables are then summed per boundary in ``plan.components`` order and split
-as stacks (see :mod:`margraph.potentials`).  Every sum runs in the order a
-component-by-component loop would use, so results do not depend on the
+unless the work is batched, so the route never leaves the columnar form of
+:mod:`margraph.potentials`.  The plan computes one min-fill order per local
+structure: the hyperedges touching a component, relabeled by position in
+the sorted union of their variables (relabeling keeps the order of ids, so
+smallest-id tie-breaking maps back exactly).  Components whose touching
+tables and order coincide under that relabeling (and whose domain sizes
+agree) fold as stacks gathered from the potential's stacks, each stack
+holding at most ``STATE_LIMIT`` entries in its largest table.  The folds
+are summed per boundary, ranked by component in ``plan.components`` order,
+and split as stacks; the marginal of a member is its restriction plus its
+innovations, summed per scope in that order.  Every sum runs in the order
+a component-by-component loop would use, so results do not depend on the
 grouping, bit for bit.
 """
 
@@ -52,7 +56,10 @@ from .potentials import (
     Potential,
     PotentialFamily,
     _aligned,
+    _anchored_parts,
+    _drop_null,
     _split,
+    _sum_parts,
     hypergraph_of,
     induced_graph,
     is_normalized,
@@ -67,6 +74,18 @@ class Innovation:
 
     scope: VarSet
     table: InteractionTable
+
+
+class _Innovations(list):
+    """A member's innovations in scope order, the list that
+    :func:`innovations` returns; ``potential`` holds the same tables as
+    stacks, which is what :func:`marginalize_hypergraph` sums."""
+
+    __slots__ = ("potential",)
+
+    def __init__(self, potential: Potential):
+        super().__init__(Innovation(t.scope, t) for t in potential.tables)
+        self.potential = potential
 
 
 @dataclass(frozen=True)
@@ -142,10 +161,6 @@ def _min_fill_order(scopes, tau: VarSet) -> tuple[tuple[int, ...], list[VarSet]]
     return tuple(order), factors
 
 
-def _largest_table(vars: Variables, scopes) -> int:
-    return max((math.prod(vars.sizes(s)) for s in scopes), default=1)
-
-
 def _require_within_limit(entries: int) -> None:
     if entries > STATE_LIMIT:
         raise ResourceLimitError(
@@ -164,7 +179,7 @@ class EliminationPlan:
       ordered by smallest member, and their ``boundaries`` in ``graph``;
     - ``incidence``: the hyperedges containing each variable;
     - ``orders``: a greedy min-fill elimination order of each component,
-      ties to the smallest id;
+      ties to the smallest id, computed once per local structure;
     - ``factors``: per component, the scope of every product factor its
       fold forms along its order, from which :meth:`fold_entries` and
       :meth:`largest_factor` predict the largest allocation;
@@ -175,35 +190,83 @@ class EliminationPlan:
     tables its fold of a component forms lie within these factor scopes.
     """
 
-    __slots__ = ("graph", "components", "boundaries", "incidence", "orders", "factors")
+    __slots__ = ("graph", "components", "boundaries", "incidence", "orders", "factors",
+                 "_local", "_sized_for", "_sizes")
 
     def __init__(self, h: Hypergraph, vertices, a):
         vertices = varset(vertices)
         a = varset(a)
         if not set(a) <= set(vertices):
             raise InvalidInputError(f"ids {sorted(set(a) - set(vertices))} outside the vertex set")
+        self._index(h, vertices)
+        self._order(component_boundaries(self.graph, set(vertices) - set(a)))
+
+    @classmethod
+    def _one_component(cls, h: Hypergraph, vertices, tau: VarSet) -> "EliminationPlan":
+        """A plan that folds ``tau`` as one component, connected or not."""
+        plan = cls.__new__(cls)
+        plan._index(h, varset(vertices))
+        plan._order([(tau, varset(set(chain.from_iterable(plan.touching(tau))) - set(tau)))])
+        return plan
+
+    def _index(self, h: Hypergraph, vertices: VarSet) -> None:
         self.graph = induced_graph(h, vertices)
         incidence: dict[int, list[VarSet]] = {v: [] for v in vertices}
         for e in h:
             for v in e:
                 incidence[v].append(e)
         self.incidence = {v: tuple(es) for v, es in incidence.items()}
-        pairs = component_boundaries(self.graph, set(vertices) - set(a))
+
+    def _order(self, pairs) -> None:
+        """Components, boundaries and one min-fill order per local structure.
+
+        ``_local[tau]`` keeps the hyperedges touching tau, their sorted
+        union ``local``, the hyperedges and the order relabeled to positions
+        in ``local``, and the relabeled factor scopes followed by the
+        relabeled boundary.
+        """
         self.components = tuple(tau for tau, _ in pairs)
         self.boundaries: dict[VarSet, VarSet] = dict(pairs)
         self.orders: dict[VarSet, tuple[int, ...]] = {}
         self.factors: dict[VarSet, list[VarSet]] = {}
+        self._local: dict[VarSet, tuple] = {}
+        self._sized_for: Variables | None = None
+        self._sizes: dict[VarSet, tuple[tuple[int, ...], int]] = {}
+        found: dict[tuple, tuple] = {}
         for tau in self.components:
-            self.orders[tau], self.factors[tau] = _min_fill_order(self.touching(tau), tau)
+            touching = self.touching(tau)
+            local = varset(chain(tau, *touching))
+            at = {v: k for k, v in enumerate(local)}
+            key = (tuple(tuple(at[v] for v in s) for s in touching), tuple(at[v] for v in tau))
+            if key not in found:
+                found[key] = _min_fill_order(*key)
+            order, factors = found[key]
+            self.orders[tau] = tuple(local[p] for p in order)
+            self.factors[tau] = [tuple(local[p] for p in f) for f in factors]
+            inside = set(tau)
+            boundary = tuple(k for k, v in enumerate(local) if v not in inside)
+            self._local[tau] = (touching, local, key[0], order, tuple(factors) + (boundary,))
 
     def touching(self, tau) -> tuple[VarSet, ...]:
         """Hyperedges that meet ``tau``, in lexicographic order."""
         return tuple(sorted(set(chain.from_iterable(self.incidence[v] for v in tau))))
 
+    def _sized(self, vars: Variables, tau: VarSet) -> tuple[tuple[int, ...], int]:
+        """Domain sizes at the local positions of ``tau`` and the entries of
+        the largest table its fold forms, computed once per component for
+        the registry in use (a :class:`Variables` is immutable)."""
+        if self._sized_for is not vars:
+            self._sized_for, self._sizes = vars, {}
+        if tau not in self._sizes:
+            _, local, _, _, factors = self._local[tau]
+            sizes = vars.sizes(local)
+            self._sizes[tau] = sizes, max(math.prod(sizes[p] for p in f) for f in factors)
+        return self._sizes[tau]
+
     def fold_entries(self, vars: Variables, tau: VarSet) -> int:
         """Entries of the largest table the fold of component ``tau`` forms,
         its boundary table included."""
-        return _largest_table(vars, self.factors[tau] + [self.boundaries[tau]])
+        return self._sized(vars, tau)[1]
 
     def largest_factor(self, vars: Variables) -> int:
         """Entries of the largest table the folds form."""
@@ -234,22 +297,18 @@ def boundary_hypergraph(h: Hypergraph, vars_ids, a) -> Hypergraph:
     return Hypergraph(EliminationPlan(h, vars_ids, a).boundaries.values(), allow_empty=True)
 
 
-def _drop_null_tables(u: Potential, null_tol: float) -> Potential:
-    return Potential(u.vars, (t for t in u.tables if t.max_abs > null_tol))
-
-
-def _local_structure(vars: Variables, tables, order) -> tuple[tuple, VarSet]:
-    """What a fold of ``tables`` along ``order`` computes, up to the
-    variables' names: the scopes and the order relabeled to positions in
-    the sorted union of ``order`` and the scopes, plus the domain sizes at
-    those positions.  Also returns that union, to map positions back.
+def _local_structure(vars: Variables, scopes, order) -> tuple[tuple, VarSet]:
+    """What a fold of tables on ``scopes`` along ``order`` computes, up to
+    the variables' names: the scopes and the order relabeled to positions
+    in the sorted union of ``order`` and the scopes, plus the domain sizes
+    at those positions.  Also returns that union, to map positions back.
 
     The relabeling keeps the order of ids, so a fold of the relabeled
     structure does the same arithmetic as a fold of the original.
     """
-    local = varset(chain(order, *(t.scope for t in tables)))
+    local = varset(chain(order, *scopes))
     at = {v: k for k, v in enumerate(local)}
-    structure = (tuple(tuple(at[v] for v in t.scope) for t in tables),
+    structure = (tuple(tuple(at[v] for v in s) for s in scopes),
                  tuple(at[v] for v in order), vars.sizes(local))
     return structure, local
 
@@ -297,7 +356,7 @@ def _fold(vars: Variables, tables, order) -> tuple[VarSet, np.ndarray]:
 
     Returns the scope left over and -ln of the sum on it.
     """
-    structure, local = _local_structure(vars, tables, order)
+    structure, local = _local_structure(vars, [t.scope for t in tables], order)
     bd, total = _fold_stack(structure, [t.values[None] for t in tables], 1)
     return tuple(local[p] for p in bd), total[0]
 
@@ -329,63 +388,59 @@ def component_potential(u: Potential, tau, plan: EliminationPlan | None = None) 
     if tau[0] < 0 or tau[-1] >= n:
         raise InvalidInputError(f"ids {[v for v in tau if not 0 <= v < n]} outside the registry")
     if plan is None:
-        inside = set(tau)
-        tables = [t for t in u.tables if inside.intersection(t.scope)]
-        order, factors = _min_fill_order([t.scope for t in tables], tau)
-        bd = varset(set().union(*(t.scope for t in tables)) - inside)
-        _require_within_limit(_largest_table(u.vars, factors + [bd]))
-    else:
-        tables = [t for s in plan.touching(tau) if (t := u.table_for(s)) is not None]
-        order = plan.orders[tau]
-    return InteractionTable(*_fold(u.vars, tables, order))
+        plan = EliminationPlan._one_component(Hypergraph._of(u.scopes()), u.vars.all_ids(), tau)
+        _require_within_limit(plan.fold_entries(u.vars, tau))
+    tables = [t for s in plan.touching(tau) if (t := u.table_for(s)) is not None]
+    return InteractionTable(*_fold(u.vars, tables, plan.orders[tau]))
 
 
-def boundary_aggregate(u: Potential, components, d) -> InteractionTable:
-    """Sum of the folded component tables whose boundary is exactly ``d``."""
-    d = varset(d)
-    parts = []
-    for tau in components:
-        ct = component_potential(u, tau)
-        if ct.scope == d:
-            parts.append(ct.values)
-    if not parts:
-        raise InvalidInputError(f"{set(d) or set()} is not the boundary of any given component")
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return InteractionTable(d, total)
+def _gather(rows) -> np.ndarray:
+    """Stack of the (group, row) tables ``rows`` of a potential."""
+    first = rows[0][0]
+    if all(g is first for g, _ in rows):
+        return first.values[[k for _, k in rows]]
+    return np.stack([g.values[k] for g, k in rows])
 
 
-def _component_folds(u: Potential,
-                     plan: EliminationPlan) -> dict[VarSet, tuple[VarSet, np.ndarray]]:
-    """Scope and values of the fold of every component of ``plan`` with a
-    non-empty boundary, keyed by component in ``plan.components`` order.
+def _component_folds(u: Potential, plan: EliminationPlan) -> list:
+    """The folds of the components of ``plan`` with a non-empty boundary,
+    as stacks: a list of (ranks, scopes, values), where row i of the (B, k)
+    ``scopes`` array and of the (B, *shape) ``values`` stack hold the scope
+    and the -ln table of the fold of ``plan.components[ranks[i]]``.
 
     Components of one local structure (:func:`_local_structure` of the
-    tables of ``u`` touching them, along the plan's order) are folded as
-    stacks; each fold equals :func:`component_potential` on its component.
-    A stack holds at most ``STATE_LIMIT`` entries in its largest table, so
-    stacking never allocates more than the plan's guard allows one fold.
+    tables of ``u`` touching them, along the plan's order) fold as one
+    stack, gathered row by row from the stacks of ``u``; each fold equals
+    :func:`component_potential` on its component.  A stack holds at most
+    ``STATE_LIMIT`` entries in its largest table, so stacking never
+    allocates more than the plan's guard allows one fold.
     """
+    rows_of = u._rows()
     groups: dict[tuple, list] = {}
-    for tau in plan.components:
+    for rank, tau in enumerate(plan.components):
         if not plan.boundaries[tau]:
             continue  # constant factor, absorbed by normalization
-        tables = [t for s in plan.touching(tau) if (t := u.table_for(s)) is not None]
-        structure, local = _local_structure(u.vars, tables, plan.orders[tau])
-        groups.setdefault(structure, []).append((tau, tables, local))
-    folded = {}
+        touching, local, scopes, order, _ = plan._local[tau]
+        rows = [rows_of.get(s) for s in touching]
+        if None in rows:  # a family member without some of the plan's hyperedges
+            present = [s for s, row in zip(touching, rows) if row is not None]
+            rows = [row for row in rows if row is not None]
+            structure, local = _local_structure(u.vars, present, plan.orders[tau])
+        else:
+            structure = (scopes, order, plan._sized(u.vars, tau)[0])
+        groups.setdefault(structure, []).append((rank, local, rows))
+    out = []
     for structure, members in groups.items():
-        widest = max(plan.fold_entries(u.vars, tau) for tau, _, _ in members)
+        widest = max(plan.fold_entries(u.vars, plan.components[r]) for r, _, _ in members)
         step = max(1, STATE_LIMIT // widest)
         for start in range(0, len(members), step):
             chunk = members[start:start + step]
-            stacks = [np.stack([tables[i].values for _, tables, _ in chunk])
+            stacks = [_gather([rows[i] for _, _, rows in chunk])
                       for i in range(len(structure[0]))]
             bd, total = _fold_stack(structure, stacks, len(chunk))
-            for (tau, _, local), values in zip(chunk, total):
-                folded[tau] = (tuple(local[p] for p in bd), values)
-    return {tau: folded[tau] for tau in plan.components if tau in folded}
+            ids = np.array([local for _, local, _ in chunk], dtype=np.intp)
+            out.append((np.array([r for r, _, _ in chunk]), ids[:, list(bd)], total))
+    return out
 
 
 def _innovation_tables(u: Potential, plan: EliminationPlan,
@@ -397,15 +452,22 @@ def _innovation_tables(u: Potential, plan: EliminationPlan,
     and then split, so the result does not depend on how the folds were
     stacked.
     """
-    agg: dict[VarSet, np.ndarray] = {}
-    for tau, (scope, values) in _component_folds(u, plan).items():
-        d = plan.boundaries[tau]
-        embedded = np.broadcast_to(_aligned(values, scope, d), u.vars.sizes(d))
-        agg[d] = agg.get(d, 0.0) + embedded
-    tables = [InteractionTable(b, v) for b, v in sorted(_split(u.vars, list(agg.items())).items())]
-    out = [Innovation(t.scope, t) for t in tables if t.max_abs > null_tol]
-    assert is_normalized(Potential(u.vars, (i.table for i in out)))
-    return out
+    parts = []
+    for ranks, scopes, values in _component_folds(u, plan):
+        ds = [plan.boundaries[plan.components[r]] for r in ranks]
+        if all(len(d) == scopes.shape[1] for d in ds):
+            parts += _anchored_parts(u.vars, scopes, values, ranks)
+            continue
+        # a member without some of the plan's tables can fold onto part of
+        # a boundary; such folds are broadcast to the whole boundary
+        for k, d in enumerate(ds):
+            wide = _aligned(values[k], tuple(scopes[k].tolist()), d)
+            parts += _anchored_parts(u.vars, np.array([d]),
+                                     np.broadcast_to(wide, u.vars.sizes(d))[None], ranks[k:k + 1])
+    innovation = Potential._from_parts(u.vars, _split(_sum_parts(parts, zero_first=True)),
+                                       null_tol)
+    assert is_normalized(innovation)
+    return _Innovations(innovation)
 
 
 def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]:
@@ -420,7 +482,7 @@ def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]
     allv = u.vars.all_ids()
     if not set(a) <= set(allv):
         raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
-    u = _drop_null_tables(u, null_tol)
+    u = _drop_null(u, null_tol)
     return _innovation_tables(u, _checked_plan(hypergraph_of(u, null_tol), u.vars, a), null_tol)
 
 
@@ -448,49 +510,28 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     if not set(a) <= set(allv):
         raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
 
-    clean = [_drop_null_tables(m, null_tol) for m in fam]
+    clean = [_drop_null(m, null_tol) for m in fam]
     h = hypergraph_of(clean, null_tol)
     plan = _checked_plan(h, vars, a)
     h_restricted = h.restrict(a)
 
-    any_innovation_scopes: set[VarSet] = set()
-    parametric = True
-    # combined[scope][k] = member k's restricted table + innovation on scope
-    combined: dict[VarSet, list[np.ndarray]] = {}
-
-    def _add(scope: VarSet, k: int, values: np.ndarray) -> None:
-        per_member = combined.setdefault(scope, [None] * len(clean))
-        if per_member[k] is None:
-            per_member[k] = np.array(values)
-        else:
-            per_member[k] = per_member[k] + values
-
-    for k, m in enumerate(clean):
-        for t in restrict(m, a).tables:
-            _add(t.scope, k, t.values)
+    innovation_scopes: set[VarSet] = set()
+    marginals = []
+    for m in clean:
         member_innovations = _innovation_tables(m, plan, null_tol)
-        if member_innovations:
-            parametric = False
-        for innov in member_innovations:
-            any_innovation_scopes.add(innov.scope)
-            _add(innov.scope, k, innov.table.values)
+        innovation_scopes.update(i.scope for i in member_innovations)
+        # a scope's restricted table (rank 0) comes before its innovation (rank 1)
+        parts = restrict(m, a)._parts(0) + member_innovations.potential._parts(1)
+        marginals.append(Potential._from_parts(vars, _sum_parts(parts), null_tol))
 
-    summed = {scope: [None if vals is None else InteractionTable(scope, vals)
-                      for vals in per_member]
-              for scope, per_member in sorted(combined.items())}
-    marginals = [Potential(vars, (ts[k] for ts in summed.values()
-                                  if ts[k] is not None and ts[k].max_abs > null_tol))
-                 for k in range(len(clean))]
-
-    def _null_for_every_member(scope: VarSet) -> bool:
-        return all(t is None or t.max_abs <= null_tol for t in summed[scope])
-
-    removed = Hypergraph(e for e in h_restricted if _null_for_every_member(e))
+    # a scope disappears when its combined table is null for every member
+    present = hypergraph_of(marginals, null_tol)
+    removed = Hypergraph._of(e for e in h_restricted if e not in present)
     kept = h_restricted.difference(removed)
-    added = Hypergraph(s for s in any_innovation_scopes
-                       if s not in h_restricted and not _null_for_every_member(s))
+    added = Hypergraph._of(s for s in innovation_scopes
+                           if s not in h_restricted and s in present)
     marginal_hypergraph = kept.union(added)
-    assert marginal_hypergraph == hypergraph_of(marginals, null_tol)
+    assert marginal_hypergraph == present
 
     graphical = induced_graph(marginal_hypergraph, a) == subgraph(plan.graph, a)
     return MarginalReport(
@@ -501,6 +542,6 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
         removed=removed,
         kept=kept,
         graphically_collapsible=graphical,
-        parametrically_collapsible=parametric,
-        innovation_scopes=Hypergraph(any_innovation_scopes),
+        parametrically_collapsible=not innovation_scopes,
+        innovation_scopes=Hypergraph._of(innovation_scopes),
     )

@@ -11,18 +11,26 @@ marginalization, both come down to one primitive: an anchored Mobius
 (finite-difference) transform that splits a table over a scope D into its
 normalized pieces on all subsets of D.  That transform lives here.
 
-The transform runs once per group of like-shaped tables, not once per
-table: tables of one shape and one set of anchor positions are stacked
-along a leading axis, differenced together, and every sub-scope piece is
-sliced out of the stack.  Pieces still add onto each sub-scope in table
-order, then subset order, as a table-by-table loop would, so the sums do
-not depend on the grouping.  :func:`is_normalized` likewise takes one
-masked max per group.
+Storage is columnar.  A :class:`Potential` keeps its tables in groups, one
+per (shape, anchor positions).  A group holds its scopes as an integer
+array whose rows are in lexicographic order, one read-only stack of the
+values along a leading axis, and the max-abs entry of every table, taken
+by one reduction over the stack.  That vector is the group's finiteness
+check and what every null test reads (:func:`max_abs` serves arrays that
+are not tables yet).  The public constructor validates each
+:class:`InteractionTable` and then groups them; the engine builds its
+results as groups directly.  ``tables`` and ``table_for`` hand out
+read-only views of the stacks, built on each access.
 
-Each :class:`InteractionTable` computes its max-abs entry once; that value
-is both its finiteness check (a NaN or an inf makes it non-finite) and
-what every null-table test reads (:func:`max_abs` for arrays that are not
-tables yet).
+Every table operation runs once per group: the Mobius split differences a
+whole stack and slices each sub-scope piece out of it, :func:`is_normalized`
+takes one masked max (and remembers the answer), null filtering and
+:func:`restrict` are masks over the rows.  Rows that land on one scope are
+summed in a fixed order: by rank, which for a potential's own tables is
+their table order (the sorted order of scopes), the lowest-ranked row
+starting the sum.  A table-by-table loop adds in that same order (table
+order, then subset order), so results do not depend on the grouping, bit
+for bit.
 
 Table layout is normative for file serialization: entries are dense in
 assignment-major order with the last scope variable fastest, i.e. the
@@ -57,8 +65,8 @@ def max_abs(values: np.ndarray) -> float:
     return float(np.abs(values).max(initial=0.0))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -90,22 +98,51 @@ class InteractionTable:
         object.__setattr__(self, "max_abs", peak)
         object.__setattr__(self, "values", _readonly(vals))
 
+    @classmethod
+    def _view(cls, scope: VarSet, values: np.ndarray, peak: float) -> "InteractionTable":
+        """A table over a row of a potential's stack, which is checked already."""
+        t = object.__new__(cls)
+        t.__dict__.update(scope=scope, values=values, max_abs=peak)
+        return t
+
     def ravel(self) -> list[float]:
         """Entries in the normative serialization order."""
         return [float(x) for x in self.values.ravel(order="C")]
+
+
+class _Group:
+    """Like-shaped tables: ``zp`` holds the anchor position on each axis,
+    ``scopes`` the (B, r) scopes in lexicographic order, ``values`` the
+    (B, *shape) read-only stack and ``max_abs`` the max-abs entry of each
+    row."""
+
+    __slots__ = ("zp", "scopes", "values", "max_abs")
+
+    def __init__(self, zp: tuple[int, ...], scopes, values: np.ndarray, peak=None):
+        self.zp = zp
+        self.scopes = _readonly(scopes, np.intp)
+        self.values = _readonly(values)
+        self.max_abs = (np.abs(self.values).reshape(len(self.values), -1).max(axis=1)
+                        if peak is None else peak)
+
+    def take(self, keep: np.ndarray) -> "_Group":
+        """The rows where the boolean ``keep`` holds."""
+        if keep.all():
+            return self
+        return _Group(self.zp, self.scopes[keep], self.values[keep], self.max_abs[keep])
 
 
 class Potential:
     """A set of interaction tables over a shared variable registry.
 
     At most one table per scope; the empty scope is excluded (its constant
-    is absorbed by the density's normalizing constant).
+    is absorbed by the density's normalizing constant).  The tables are
+    stored as groups of like-shaped ones (see the module docstring).
     """
 
-    __slots__ = ("vars", "tables", "_by_scope")
+    __slots__ = ("vars", "_groups", "_index", "_normalized")
 
     def __init__(self, vars: Variables, tables: Iterable[InteractionTable] = ()):
-        self.vars = vars
         seen: dict[VarSet, InteractionTable] = {}
         n = len(vars)
         for t in tables:
@@ -120,22 +157,88 @@ class Potential:
             if t.scope in seen:
                 raise InvalidInputError(f"duplicate table for scope {t.scope}")
             seen[t.scope] = t
-        self.tables = tuple(seen[s] for s in sorted(seen))
-        self._by_scope = {t.scope: t for t in self.tables}
+        zero = vars.zero_indices
+        like: dict[tuple, list[InteractionTable]] = {}
+        for s in sorted(seen):
+            like.setdefault((seen[s].values.shape, tuple([zero[v] for v in s])), []).append(seen[s])
+        self._init(vars, [_Group(zp, [t.scope for t in ts], np.stack([t.values for t in ts]))
+                          for (_, zp), ts in like.items()])
+
+    def _init(self, vars: Variables, groups: Iterable[_Group], normalized=None) -> None:
+        self.vars = vars
+        self._groups = tuple(g for g in groups if len(g.scopes))
+        self._index = None
+        self._normalized = normalized
+
+    @classmethod
+    def _of(cls, vars: Variables, groups: Iterable[_Group], normalized=None) -> "Potential":
+        """A potential of groups the engine built: not re-validated."""
+        u = object.__new__(cls)
+        u._init(vars, groups, normalized)
+        return u
+
+    @classmethod
+    def _from_parts(cls, vars: Variables, parts, null_tol: float) -> "Potential":
+        """A potential of engine-made parts (see :func:`_sum_parts`), one
+        scope per row, dropping the rows null within ``null_tol``."""
+        groups = []
+        for zp, scopes, values, _ in parts:
+            g = _Group(zp, scopes, values)
+            finite = np.isfinite(g.max_abs)
+            if not finite.all():
+                bad = tuple(g.scopes[~finite][0].tolist())
+                raise InvalidInputError(f"non-finite entries in table for scope {bad}")
+            groups.append(g.take(g.max_abs > null_tol))
+        return cls._of(vars, groups)
 
     @classmethod
     def from_arrays(cls, vars: Variables, arrays: dict) -> "Potential":
         return cls(vars, (InteractionTable(varset(s), np.asarray(v, dtype=float))
                           for s, v in arrays.items()))
 
+    def _rows(self) -> dict[VarSet, tuple[_Group, int]]:
+        """Where each scope's table sits: its group and row."""
+        if self._index is None:
+            self._index = {s: (g, k) for g in self._groups
+                           for k, s in enumerate(map(tuple, g.scopes.tolist()))}
+        return self._index
+
+    def _parts(self, rank=None) -> list:
+        """The groups as (zp, scopes, values, rank) parts.  Every row gets
+        ``rank``, or by default its position in table order."""
+        if rank is None and self._groups:
+            # table order is the lexicographic order of the scopes, padded
+            # with -1 so that a prefix sorts first
+            ends = np.cumsum([len(g.scopes) for g in self._groups])
+            padded = np.full((ends[-1], max(len(g.zp) for g in self._groups)), -1)
+            for g, end in zip(self._groups, ends):
+                padded[end - len(g.scopes):end, :len(g.zp)] = g.scopes
+            order = np.empty(ends[-1], dtype=np.intp)
+            order[np.lexsort(padded.T[::-1])] = np.arange(ends[-1])
+            ranks = np.split(order, ends[:-1])
+        else:
+            ranks = [np.full(len(g.scopes), rank) for g in self._groups]
+        return [(g.zp, g.scopes, g.values, r) for g, r in zip(self._groups, ranks)]
+
+    @property
+    def tables(self) -> tuple[InteractionTable, ...]:
+        """The tables in scope order, as read-only views built on each access."""
+        return tuple(InteractionTable._view(s, g.values[k], float(g.max_abs[k]))
+                     for s, (g, k) in sorted(self._rows().items()))
+
     def scopes(self) -> list[VarSet]:
-        return [t.scope for t in self.tables]
+        return sorted(self._rows())
 
     def table_for(self, scope) -> InteractionTable | None:
-        return self._by_scope.get(varset(scope))
+        scope = varset(scope)
+        hit = self._rows().get(scope)
+        if hit is None:
+            return None
+        g, k = hit
+        return InteractionTable._view(scope, g.values[k], float(g.max_abs[k]))
 
     def __len__(self) -> int:
-        return len(self.tables)
+        return sum(len(g.scopes) for g in self._groups)
 
     def __repr__(self) -> str:
         return f"Potential(scopes={self.scopes()!r})"
@@ -175,13 +278,22 @@ class Hypergraph:
     empty set (used to record empty component boundaries).
     """
 
-    __slots__ = ("edges",)
+    __slots__ = ("edges", "_set")
 
     def __init__(self, edges: Iterable[Iterable[int]] = (), allow_empty: bool = False):
         canon = {varset(e) for e in edges}
         if not allow_empty and () in canon:
             raise InvalidInputError("empty hyperedge not permitted here")
+        self._set = frozenset(canon)
         self.edges = tuple(sorted(canon))
+
+    @classmethod
+    def _of(cls, canon: Iterable[VarSet]) -> "Hypergraph":
+        """Hypergraph of variable sets that are canonical already."""
+        h = object.__new__(cls)
+        h._set = frozenset(canon)
+        h.edges = tuple(sorted(h._set))
+        return h
 
     def __iter__(self) -> Iterator[VarSet]:
         return iter(self.edges)
@@ -190,7 +302,7 @@ class Hypergraph:
         return len(self.edges)
 
     def __contains__(self, e) -> bool:
-        return varset(e) in set(self.edges)
+        return varset(e) in self._set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -205,27 +317,68 @@ class Hypergraph:
 
     @property
     def has_empty(self) -> bool:
-        return () in set(self.edges)
+        return () in self._set
 
     def restrict(self, a) -> "Hypergraph":
         """Hyperedges that are subsets of ``a``."""
         a = set(varset(a))
-        return Hypergraph((e for e in self.edges if set(e) <= a), allow_empty=True)
+        return Hypergraph._of(e for e in self.edges if a.issuperset(e))
 
     def union(self, other: "Hypergraph") -> "Hypergraph":
-        return Hypergraph(chain(self.edges, other.edges), allow_empty=True)
+        return Hypergraph._of(self._set | other._set)
 
     def difference(self, other: "Hypergraph") -> "Hypergraph":
-        drop = set(other.edges)
-        return Hypergraph((e for e in self.edges if e not in drop), allow_empty=True)
+        return Hypergraph._of(self._set - other._set)
 
 
 # ---------------------------------------------------------------------------
-# The anchored Mobius transform and its sub-scope expansion.
+# Ordered sums of rows, and the anchored Mobius transform.
 # ---------------------------------------------------------------------------
 
-def _zero_positions(vars: Variables, scope: VarSet) -> tuple[int, ...]:
-    return tuple(vars.zero_index(v) for v in scope)
+def _anchored_parts(vars: Variables, scopes: np.ndarray, values: np.ndarray,
+                    rank: np.ndarray) -> list:
+    """Rows of like-sized scopes as (zp, scopes, values, rank) parts, one
+    per distinct anchor positions."""
+    zps = np.asarray(vars.zero_indices)[scopes]
+    if (zps == zps[0]).all():
+        return [(tuple(zps[0].tolist()), scopes, values, rank)]
+    rows: dict[tuple, list[int]] = {}
+    for k, zp in enumerate(map(tuple, zps.tolist())):
+        rows.setdefault(zp, []).append(k)
+    return [(zp, scopes[ks], values[ks], rank[ks]) for zp, ks in rows.items()]
+
+
+def _sum_parts(parts, zero_first: bool = False) -> list:
+    """Sum the rows that share a scope, in rank order.
+
+    A part is (zp, scopes, values, rank): anchor positions, a (B, r) scope
+    array, a (B, *shape) stack and a (B,) rank per row.  The lowest-ranked
+    row starts each sum (as ``0.0 +`` it when ``zero_first``, which turns
+    -0.0 into 0.0 as a sum started at zero does) and the others add on one
+    at a time.  Returns parts again: one row per scope, scopes in
+    lexicographic order within a part, each row ranked by its first term.
+    """
+    like: dict[tuple, list] = {}
+    for zp, scopes, values, rank in parts:
+        if len(rank):
+            like.setdefault((values.shape[1:], zp), []).append((scopes, values, rank))
+    out = []
+    for (_, zp), items in like.items():
+        scopes, values, rank = (np.concatenate(x) for x in zip(*items))
+        order = np.lexsort((rank, *scopes.T[::-1]))
+        scopes, values, rank = scopes[order], values[order], rank[order]
+        start = np.ones(len(rank), dtype=bool)
+        start[1:] = (scopes[1:] != scopes[:-1]).any(axis=1)
+        heads = np.flatnonzero(start)
+        total = values[heads] + 0.0 if zero_first else values[heads]
+        if len(heads) < len(rank):
+            seg = np.cumsum(start) - 1
+            pos = np.arange(len(rank)) - heads[seg]
+            for j in range(1, int(pos.max()) + 1):
+                at = np.flatnonzero(pos == j)
+                total[seg[at]] += values[at]
+        out.append((zp, scopes[heads], total, rank[heads]))
+    return out
 
 
 def _anchored_differences(stack: np.ndarray, zero_positions: Sequence[int]) -> np.ndarray:
@@ -266,42 +419,24 @@ def _off_anchor_counts(shape: tuple[int, ...], zero_positions: tuple[int, ...]) 
     return count
 
 
-def _like_shaped(vars: Variables, scoped: Sequence[tuple[VarSet, np.ndarray]]) -> dict:
-    """Positions in ``scoped`` grouped by (shape, anchor positions) of their
-    tables, in first-seen order."""
-    groups: dict[tuple, list[int]] = {}
-    for k, (scope, values) in enumerate(scoped):
-        groups.setdefault((values.shape, _zero_positions(vars, scope)), []).append(k)
-    return groups
+def _split(parts) -> list:
+    """Split every row of the (zp, scopes, values, rank) ``parts`` into its
+    normalized pieces on each non-empty subset of its scope (the constant
+    piece is dropped) and sum the pieces per sub-scope by the rank of their
+    row (:func:`_sum_parts`).
 
-
-def _split(vars: Variables,
-           scoped: Sequence[tuple[VarSet, np.ndarray]]) -> dict[VarSet, np.ndarray]:
-    """Split each (scope, values) table into normalized pieces on every
-    non-empty subset of its scope (the constant piece is dropped) and sum
-    the pieces per sub-scope.
-
-    Each group of like-shaped tables takes one transform and one masked
-    slice per subset pattern.  Pieces add onto a sub-scope in the order of
-    ``scoped``, then subset order, whatever the grouping.
+    Each part takes one transform and one masked slice per subset pattern.
     """
-    pieces: list = [()] * len(scoped)
-    for (shape, zp), members in _like_shaped(vars, scoped).items():
-        m = _anchored_differences(np.stack([scoped[k][1] for k in members]), zp)
-        count = _off_anchor_counts(shape, zp)
-        subs = [sub for r in range(1, len(shape) + 1) for sub in combinations(range(len(shape)), r)]
-        sliced = []
+    pieces = []
+    for zp, scopes, values, rank in parts:
+        m = _anchored_differences(values, zp)
+        count = _off_anchor_counts(values.shape[1:], zp)
+        subs = chain.from_iterable(combinations(range(len(zp)), k) for k in range(1, len(zp) + 1))
         for sub in subs:
             idx = tuple(slice(None) if ax in sub else z for ax, z in enumerate(zp))
-            sliced.append(np.where(count[idx] == len(sub), m[(slice(None),) + idx], 0.0))
-        for j, k in enumerate(members):
-            scope = scoped[k][0]
-            pieces[k] = [(tuple([scope[ax] for ax in sub]), s[j]) for sub, s in zip(subs, sliced)]
-    acc: dict[VarSet, np.ndarray] = {}
-    for per_table in pieces:
-        for sub_scope, piece in per_table:
-            acc[sub_scope] = acc[sub_scope] + piece if sub_scope in acc else piece
-    return acc
+            piece = np.where(count[idx] == len(sub), m[(slice(None),) + idx], 0.0)
+            pieces.append((tuple(zp[ax] for ax in sub), scopes[:, sub], piece, rank))
+    return _sum_parts(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -359,26 +494,26 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
 
     Each input table is split by the anchored Mobius transform into
     normalized pieces on its sub-scopes; pieces for the same scope coming
-    from different tables accumulate.  Tables that end up identically zero
-    (max-abs below ``null_tol``) are dropped.  The result induces the same
-    density as the input up to one multiplicative constant.
+    from different tables accumulate in table order.  Tables that end up
+    identically zero (max-abs below ``null_tol``) are dropped.  The result
+    induces the same density as the input up to one multiplicative constant.
     """
-    acc = _split(u0.vars, [(t.scope, t.values) for t in u0.tables])
-    tables = [InteractionTable(s, v) for s, v in acc.items()]
-    return Potential(u0.vars, (t for t in tables if t.max_abs > null_tol))
+    return Potential._from_parts(u0.vars, _split(u0._parts()), null_tol)
 
 
 def is_normalized(u: Potential, tol: float = NORMALIZED_TOL) -> bool:
     """True iff every entry at an assignment with some coordinate 0 is 0 (within ``tol``).
 
-    Like-shaped tables are stacked and checked by one masked max.
+    One masked max per group.  Potentials are immutable, so the answer at
+    the default ``tol`` is computed once and remembered.
     """
-    scoped = [(t.scope, t.values) for t in u.tables]
-    for (shape, zp), members in _like_shaped(u.vars, scoped).items():
-        on_anchor = _off_anchor_counts(shape, zp) < len(shape)
-        if max_abs(np.stack([scoped[k][1] for k in members])[:, on_anchor]) > tol:
-            return False
-    return True
+    if tol == NORMALIZED_TOL and u._normalized is not None:
+        return u._normalized
+    ok = all(max_abs(g.values[:, _off_anchor_counts(g.values.shape[1:], g.zp) < len(g.zp)]) <= tol
+             for g in u._groups)
+    if tol == NORMALIZED_TOL:
+        u._normalized = ok
+    return ok
 
 
 def require_normalized(u: Potential, tol: float = NORMALIZED_TOL) -> None:
@@ -387,14 +522,26 @@ def require_normalized(u: Potential, tol: float = NORMALIZED_TOL) -> None:
             "potential is not normalized; call normalize_potential first")
 
 
+def _subset_of(u: Potential, keep) -> Potential:
+    """The rows of ``u`` where ``keep(group)`` holds; a subset of a
+    normalized potential is normalized."""
+    return Potential._of(u.vars, (g.take(keep(g)) for g in u._groups), u._normalized or None)
+
+
+def _drop_null(u: Potential, null_tol: float = NULL_TOL) -> Potential:
+    """``u`` without its tables that are null within ``null_tol``."""
+    return _subset_of(u, lambda g: g.max_abs > null_tol)
+
+
 def restrict(u: Potential, a) -> Potential:
     """Keep exactly the tables whose scope is contained in ``a``."""
     a = varset(a)
-    extra = set(a) - set(u.vars.all_ids())
+    extra = [v for v in a if not 0 <= v < len(u.vars)]
     if extra:
-        raise InvalidInputError(f"ids {sorted(extra)} outside the registry")
-    inside = set(a)
-    return Potential(u.vars, (t for t in u.tables if set(t.scope) <= inside))
+        raise InvalidInputError(f"ids {extra} outside the registry")
+    inside = np.zeros(len(u.vars), dtype=bool)
+    inside[list(a)] = True
+    return _subset_of(u, lambda g: inside[g.scopes].all(axis=1))
 
 
 def hypergraph_of(fam, null_tol: float = NULL_TOL) -> Hypergraph:
@@ -409,12 +556,8 @@ def hypergraph_of(fam, null_tol: float = NULL_TOL) -> Hypergraph:
         members = fam.members
     else:
         members = tuple(fam)
-    scopes = set()
-    for m in members:
-        for t in m.tables:
-            if t.max_abs > null_tol:
-                scopes.add(t.scope)
-    return Hypergraph(scopes)
+    return Hypergraph._of(chain.from_iterable(
+        map(tuple, g.scopes[g.max_abs > null_tol].tolist()) for m in members for g in m._groups))
 
 
 def induced_graph(h: Hypergraph, vars_ids) -> Graph:
@@ -423,14 +566,13 @@ def induced_graph(h: Hypergraph, vars_ids) -> Graph:
     inside = set(vs)
     edges = set()
     for e in h:
-        if not set(e) <= inside:
+        if not inside.issuperset(e):
             raise InvalidInputError(f"hyperedge {set(e)} not contained in the vertex set")
-        edges |= set(combinations(e, 2))
-    return Graph(vs, frozenset(edges))
+        edges.update(combinations(e, 2))
+    return Graph._of(vs, frozenset(edges))
 
 
 def precedes(h1: Hypergraph, h2: Hypergraph) -> bool:
     """True iff every element of ``h1`` is contained in some element of ``h2``."""
     bigger = [set(e) for e in h2]
     return all(any(set(e1) <= e2 for e2 in bigger) for e1 in h1)
-

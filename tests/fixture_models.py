@@ -4,7 +4,8 @@ graph, and a 24-variable network for damage assessment of reinforced
 concrete beams (after Liu and Li 1994) together with Gaussian instances on
 its sparsity pattern.
 
-Run ``python -m margraph.fixtures OUTDIR`` to (re)write the fixture files.
+Run ``PYTHONPATH=src python tests/fixture_models.py OUTDIR`` from the
+root of a checkout to (re)write the fixture files.
 """
 
 from __future__ import annotations
@@ -13,16 +14,16 @@ import os
 
 import numpy as np
 
-from .gaussian import GaussianModel, innovation_matrix
-from .graphs import Graph, VarSet, Variables, varset
-from .model_io import (
+from margraph.gaussian import GaussianModel, innovation_matrix
+from margraph.graphs import Graph, VarSet, Variables, varset
+from margraph.model_io import (
     dump_json,
     family_model_dict,
     gaussian_model_dict,
     graph_model_dict,
     potential_model_dict,
 )
-from .potentials import InteractionTable, Potential, PotentialFamily
+from margraph.potentials import InteractionTable, Potential, PotentialFamily
 
 
 def _vars(n: int, prefix: str = "V") -> Variables:

@@ -186,6 +186,23 @@ def folded_component_by_loops(u: Potential, tau, bd) -> np.ndarray:
     return out
 
 
+def boundary_aggregate(u: Potential, components, d) -> InteractionTable:
+    """Sum of the folded component tables whose boundary is exactly ``d``,
+    each component folded on its own by ``component_potential``."""
+    d = varset(d)
+    parts = []
+    for tau in components:
+        ct = component_potential(u, tau)
+        if ct.scope == d:
+            parts.append(ct.values)
+    if not parts:
+        raise InvalidInputError(f"{set(d) or set()} is not the boundary of any given component")
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    return InteractionTable(d, total)
+
+
 def dense_component_potential(u: Potential, tau) -> InteractionTable:
     """Reference component fold: one dense energy grid over the component
     plus its boundary, summed out by a single log-sum-exp."""

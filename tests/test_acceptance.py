@@ -32,7 +32,9 @@ from margraph import (
     subgraph,
     varset,
 )
-from margraph.fixtures import (
+from margraph.potentials import InteractionTable, Potential
+
+from fixture_models import (
     cancelling_pair_coupling,
     chain_potential,
     chain_retained,
@@ -41,8 +43,6 @@ from margraph.fixtures import (
     random_precision_on,
     two_chain_graph,
 )
-from margraph.potentials import InteractionTable, Potential
-
 from helpers import (
     chain_innovation_closed_forms,
     random_graph,

@@ -5,6 +5,7 @@ against the brute-force oracle; the plan's size guard must refuse an
 oversized elimination before allocating anything.
 """
 
+import math
 import time
 import tracemalloc
 from itertools import combinations
@@ -32,7 +33,12 @@ from margraph import (
     varset,
 )
 from margraph import hypergraph_marginal
-from margraph.hypergraph_marginal import _component_folds, _fold, _innovation_tables
+from margraph.hypergraph_marginal import (
+    _component_folds,
+    _fold,
+    _innovation_tables,
+    _min_fill_order,
+)
 from margraph.potentials import NULL_TOL, _off_anchor_counts
 
 from helpers import (
@@ -74,6 +80,17 @@ def models(draw, max_vars: int = 12):
 
 def _plan(u: Potential, keep) -> EliminationPlan:
     return EliminationPlan(hypergraph_of(u), u.vars.all_ids(), keep)
+
+
+def _folds_by_component(u: Potential, plan: EliminationPlan) -> dict:
+    """The stacked folds of ``u`` as (scope, values) per component, in
+    ``plan.components`` order; no component may fold twice."""
+    folds = {}
+    for ranks, scopes, values in _component_folds(u, plan):
+        for r, scope, vals in zip(ranks, scopes.tolist(), values):
+            assert plan.components[r] not in folds
+            folds[plan.components[r]] = (tuple(scope), vals)
+    return {tau: folds[tau] for tau in plan.components if tau in folds}
 
 
 def _max_diff(a, b) -> float:
@@ -161,7 +178,7 @@ class TestStackedFolds:
         family, keep = case
         plan = EliminationPlan(hypergraph_of(family), family.vars.all_ids(), keep)
         for member in family:
-            folds = _component_folds(member, plan)
+            folds = _folds_by_component(member, plan)
             assert list(folds) == [tau for tau in plan.components if plan.boundaries[tau]]
             for tau, (scope, values) in folds.items():
                 ref = component_potential(member, tau, plan)
@@ -180,6 +197,23 @@ class TestStackedFolds:
             assert list(got) == list(ref)
             for scope, values in ref.items():
                 assert got[scope].tobytes() == values.tobytes()
+
+    def test_folds_of_one_boundary_sum_in_plan_order_across_stacks(self):
+        # five components hang off the retained vertex 0: leaves 1, 4, 7 and
+        # two-variable chains 2-3 and 5-6, so the sum onto (0,) interleaves
+        # two stacks and must still run in plan order
+        rng = np.random.default_rng(57)
+        scopes = [(0, 1), (0, 2), (2, 3), (0, 4), (0, 5), (5, 6), (0, 7)]
+        raw = [InteractionTable(s, rng.uniform(-3.0, 3.0, (2, 2)) * 10.0 ** rng.integers(-2, 3))
+               for s in scopes]
+        u = normalize_potential(Potential(binary_vars(8), raw))
+        plan = _plan(u, (0,))
+        assert [plan.boundaries[tau] for tau in plan.components] == [(0,)] * 5
+        assert len(_component_folds(u, plan)) == 2
+        got = {i.scope: i.table.values for i in _innovation_tables(u, plan, NULL_TOL)}
+        ref = innovations_by_components(u, plan, NULL_TOL)
+        assert list(got) == list(ref) == [(0,)]
+        assert got[(0,)].tobytes() == ref[(0,)].tobytes()
 
     def test_components_of_one_local_structure_share_one_fold(self, monkeypatch):
         # a chain keeping every third variable: the ten eliminated pairs
@@ -270,6 +304,21 @@ class TestPlan:
         assert plan.orders[(1, 2)] == (2, 1)
         assert plan.largest_factor(u.vars) == 8
 
+    @settings(max_examples=60, deadline=None)
+    @given(models())
+    def test_orders_shared_by_local_structure_match_direct_min_fill(self, model):
+        # one min-fill order per relabeled local structure maps back to the
+        # order a direct min-fill of each component gives
+        u, keep, _ = model
+        plan = _plan(u, keep)
+        for tau in plan.components:
+            order, factors = _min_fill_order(plan.touching(tau), tau)
+            assert plan.orders[tau] == order
+            assert plan.factors[tau] == factors
+            scopes = factors + [plan.boundaries[tau]]
+            assert plan.fold_entries(u.vars, tau) == max(
+                math.prod(u.vars.sizes(s)) for s in scopes)
+
     def test_untouched_variables_are_their_own_components(self):
         u = Potential(binary_vars(3), [InteractionTable((0, 1), np.array([[0.0, 0.0], [0.0, 1.0]]))])
         plan = _plan(u, (0,))
@@ -355,7 +404,7 @@ class TestResourceGuard:
             return fold_stack(structure, stacks, batch)
 
         monkeypatch.setattr(hypergraph_marginal, "_fold_stack", counting)
-        folds = _component_folds(u, plan)
+        folds = _folds_by_component(u, plan)
         assert batches == [8, 2]
         monkeypatch.undo()
         for tau, (scope, values) in folds.items():

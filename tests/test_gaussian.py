@@ -19,15 +19,15 @@ from margraph import (
     subgraph,
     varset,
 )
-from margraph.fixtures import (
+from margraph.gaussian import _scaled_tol
+
+from fixture_models import (
     damage_gaussian,
     damage_gaussian_tuned,
     damage_graph,
     damage_retained,
     random_precision_on,
 )
-from margraph.gaussian import _scaled_tol
-
 from helpers import edges_by_loops, innovation_by_neighbour_sum, pairwise_innovation, random_graph
 
 KEEP = damage_retained()

@@ -20,13 +20,13 @@ from margraph import (
     subgraph,
     varset,
 )
-from margraph.fixtures import (
+
+from fixture_models import (
     chain_retained,
     damage_graph,
     damage_retained,
     two_chain_graph,
 )
-
 from helpers import (
     induced_scope_graph,
     marginal_graph_by_boundaries,

@@ -3,19 +3,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margraph import (
+    GaussianModel,
     Graph,
+    Hypergraph,
     InvalidInputError,
     Variables,
     boundary,
     cliques,
     completed_edge_set,
     connectivity_components,
+    eliminate_vertex,
+    induced_graph,
     is_complete,
+    marginalize_graph,
+    pattern_graph,
     subgraph,
     varset,
 )
-from margraph.fixtures import ten_vertex_graph
 
+from fixture_models import ten_vertex_graph
 from helpers import brute_force_cliques, neighbor_scan, random_graph, reachability_components
 
 
@@ -59,6 +65,27 @@ class TestGraphType:
     def test_edge_outside_vertices_rejected(self):
         with pytest.raises(InvalidInputError):
             Graph(varset([0, 1]), frozenset({(0, 5)}))
+        with pytest.raises(InvalidInputError, match="outside the graph"):
+            Graph.from_edges([0, 1], [(0, 5)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(), st.data())
+    def test_engine_built_graphs_equal_fully_validated_ones(self, g, data):
+        # subgraph, the graph operators, induced_graph and the Gaussian
+        # pattern build their graphs unchecked; the checked constructor
+        # must accept each one as it is
+        a = data.draw(st.sets(st.sampled_from(g.vertices)))
+        prec = np.eye(len(g.vertices)) * (len(g.edges) + 1.0)
+        for x, y in g.edges:
+            prec[x, y] = prec[y, x] = data.draw(st.sampled_from([-0.5, 0.25]))
+        built = [subgraph(g, a), marginalize_graph(g, a), eliminate_vertex(g, g.vertices[0]),
+                 induced_graph(Hypergraph(cliques(g)), g.vertices),
+                 pattern_graph(GaussianModel(np.zeros(len(g.vertices)), prec))]
+        assert built[-1] == g and built[-2] == g
+        for h in built:
+            assert h == Graph(h.vertices, h.edges)
+            assert all(type(v) is int for e in h.edges for v in e)
+            assert all(type(v) is int for v in h.vertices)
 
 
 class TestBoundary:

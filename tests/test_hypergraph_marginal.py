@@ -8,7 +8,6 @@ from margraph import (
     NotNormalizedError,
     Potential,
     PotentialFamily,
-    boundary_aggregate,
     component_potential,
     energy_grid,
     hypergraph_of,
@@ -24,15 +23,16 @@ from margraph import (
     subgraph,
     varset,
 )
-from margraph.fixtures import (
+
+from fixture_models import (
     cancelling_pair_coupling,
     chain_potential,
     chain_retained,
     two_chain_graph,
 )
-
 from helpers import (
     binary_vars,
+    boundary_aggregate,
     chain_innovation_closed_forms,
     folded_component_by_loops,
     random_normalized_potential,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from margraph import Graph, ModelFormatError, Variables
-from margraph.fixtures import fixture_documents, two_chain_graph
 from margraph.model_io import (
     dump_json,
     graph_model_dict,
@@ -14,6 +13,8 @@ from margraph.model_io import (
     load_model,
     parse_model,
 )
+
+from fixture_models import fixture_documents, two_chain_graph
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 

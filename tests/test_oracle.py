@@ -14,12 +14,12 @@ from margraph import (
     normalized_potential_from_table,
     varset,
 )
-from margraph.fixtures import (
+
+from fixture_models import (
     monomial_potential,
     triangle_chain_normalized_terms,
     triangle_chain_raw_potential,
 )
-
 from helpers import binary_vars, random_normalized_potential
 
 THETAS = (0.3, -0.7, 1.1, 0.5, -0.2)

@@ -24,15 +24,14 @@ from margraph import (
     restrict,
     varset,
 )
-from margraph.fixtures import (
+from margraph.potentials import NORMALIZED_TOL, _split
+
+from fixture_models import (
     chain_retained,
     monomial_potential,
     triangle_chain_normalized_terms,
     triangle_chain_raw_potential,
 )
-
-from margraph.potentials import NORMALIZED_TOL, _split
-
 from helpers import (
     binary_vars,
     energy_by_loops,
@@ -105,6 +104,14 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             Hypergraph([()])
         assert Hypergraph([()], allow_empty=True).has_empty
+
+    def test_hypergraph_membership_and_set_operations(self):
+        h = Hypergraph([(2, 1), (0,), [3, 1, 2]])
+        assert (1, 2) in h and [2, 1] in h and (3, 2, 1) in h and (0,) in h
+        assert (0, 1) not in h and () not in h and not h.has_empty
+        assert h.restrict((0, 1, 2)) == Hypergraph([(0,), (1, 2)])
+        assert h.union(Hypergraph([()], allow_empty=True)).has_empty
+        assert h.difference(Hypergraph([(1, 2)])) == Hypergraph([(0,), (1, 2, 3)])
 
 
 class TestSerializationOrder:
@@ -246,14 +253,35 @@ def anchored_tables(draw, max_vars: int = 6):
     return variables, scoped
 
 
+def parts_of(variables: Variables, scoped) -> list:
+    """(scope, values) tables as the (zp, scopes, values, rank) parts the
+    stacked kernels take, grouped by shape and anchors, ranked by position."""
+    like = {}
+    for k, (scope, values) in enumerate(scoped):
+        zp = tuple(variables.zero_index(v) for v in scope)
+        like.setdefault((values.shape, zp), []).append((k, scope, values))
+    return [(zp, np.array([s for _, s, _ in rows]), np.stack([v for _, _, v in rows]),
+             np.array([k for k, _, _ in rows])) for (_, zp), rows in like.items()]
+
+
+def tables_of(parts) -> dict:
+    """Scope -> values of every row of ``parts``; no scope may repeat."""
+    out = {}
+    for _, scopes, values, _ in parts:
+        for scope, vals in zip(map(tuple, scopes.tolist()), values):
+            assert scope not in out
+            out[scope] = vals
+    return out
+
+
 class TestStackedKernels:
     @settings(max_examples=80, deadline=None)
     @given(anchored_tables())
     def test_split_matches_the_table_by_table_split_bit_for_bit(self, case):
         variables, scoped = case
-        got = _split(variables, scoped)
+        got = tables_of(_split(parts_of(variables, scoped)))
         ref = split_by_tables(variables, scoped)
-        assert list(got) == list(ref)
+        assert sorted(got) == sorted(ref)
         for scope, values in ref.items():
             assert got[scope].shape == values.shape
             assert got[scope].tobytes() == values.tobytes()
