@@ -12,19 +12,28 @@ All commands read a JSON model file, emit a JSON result document (or DOT
 for graph-valued results with ``--format dot``), and exit with 0 on
 success, 2 on validation errors, 3 on resource limits.  Output is
 byte-identical across repeated runs on identical inputs.
+
+One runner, :func:`_run`, does every step the commands share, in order:
+load the model, check its kind and resolve ``--keep``; for potential
+models, resolve the null tolerance, normalize (with a notice, or a refusal
+under ``--strict``) and marginalize; then write DOT of the graph the
+command's body returns, or the base document plus the body's own fields as
+JSON, to stdout or ``--output``.  :data:`_COMMANDS` names each command's
+body, the model kinds it takes and its options.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError, ModelFormatError, ResourceLimitError
 from .gaussian import _scaled_tol, gaussian_marginal_graph, innovation_matrix, marginal_precision
 from .graph_marginal import marginalize_graph
-from .graphs import Graph, Variables, subgraph
+from .graphs import Graph, VarSet, Variables
 from .hypergraph_marginal import MarginalReport, marginalize_hypergraph
 from .model_io import FORMAT_VERSION, ModelFile, dump_json, graph_to_dot, load_model
 from .oracle import joint_table, marginal_table, normalized_potential_from_table
@@ -33,88 +42,48 @@ from .potentials import (
     PotentialFamily,
     energy_grid,
     hypergraph_of,
-    induced_graph,
     is_normalized,
     normalize_potential,
 )
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
 
 
 def _labels(variables: Variables, ids) -> list[str]:
     return [variables.labels[i] for i in ids]
 
 
-def _edge_labels(variables: Variables, graph: Graph) -> list[list[str]]:
-    return [[variables.labels[a], variables.labels[b]] for a, b in graph.edge_list]
-
-
 def _hyperedge_labels(variables: Variables, h) -> list[list[str]]:
     return [_labels(variables, e) for e in h]
-
-
-def _parse_keep(model: ModelFile, raw: str):
-    labels = [s.strip() for s in raw.split(",") if s.strip()]
-    if not labels:
-        raise _CliError("error: subset must be non-empty")
-    try:
-        return model.variables.subset(labels)
-    except InvalidInputError as exc:
-        raise _CliError(f"error: {exc}") from None
-
-
-def _require_kind(model: ModelFile, kinds, command: str) -> None:
-    if model.kind not in kinds:
-        raise _CliError(
-            f"error: {command} needs a {' or '.join(kinds)} model, got '{model.kind}'")
-
-
-def _base_document(command: str, model: ModelFile, keep) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "model": {
-            "path": model.path,
-            "kind": model.kind,
-            "variables": list(model.variables.labels),
-        },
-        "keep": _labels(model.variables, keep),
-    }
 
 
 def _graph_payload(variables: Variables, graph: Graph) -> dict:
     return {
         "vertices": _labels(variables, graph.vertices),
-        "edges": _edge_labels(variables, graph),
+        "edges": [[variables.labels[a], variables.labels[b]] for a, b in graph.edge_list],
     }
 
 
-def _emit(args, document: dict | None, dot: str | None) -> None:
-    text = dot if dot is not None else dump_json(document)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class _Run(NamedTuple):
+    """What the runner hands a command body."""
+    args: argparse.Namespace
+    model: ModelFile
+    keep: VarSet
+    null_tol: float | None  # this and the next two are for potential models only
+    family: PotentialFamily | None  # normalized
+    report: MarginalReport | None
 
 
-def _normalized_family(model: ModelFile, strict: bool, null_tol: float) -> tuple[PotentialFamily, bool]:
-    family = model.family
-    if all(is_normalized(m) for m in family):
-        return family, False
-    if strict:
-        raise _CliError("error: input potential is not normalized (--strict)")
-    print("notice: input potential is not normalized; normalizing.", file=sys.stderr)
-    return PotentialFamily([normalize_potential(m, null_tol) for m in family]), True
+def _marginalize_graph(run: _Run) -> Graph | dict:
+    graph = marginalize_graph(run.model.graph, run.keep)
+    if run.args.format == "dot":
+        return graph
+    return {"marginal_graph": _graph_payload(run.model.variables, graph), "diagnostics": {}}
 
 
-def _report_payload(variables: Variables, report: MarginalReport,
-                    emit_potential: bool) -> dict:
-    payload = {
+def _marginalize_hypergraph(run: _Run) -> Graph | dict:
+    report, variables = run.report, run.model.variables
+    if run.args.format == "dot":
+        return report.marginal_graph()
+    fields = {
         "marginal_hypergraph": _hyperedge_labels(variables, report.marginal_hypergraph),
         "added": _hyperedge_labels(variables, report.added),
         "removed": _hyperedge_labels(variables, report.removed),
@@ -125,122 +94,62 @@ def _report_payload(variables: Variables, report: MarginalReport,
         },
         "marginal_graph": _graph_payload(variables, report.marginal_graph()),
     }
-    if emit_potential:
-        payload["marginal_potential"] = {"members": [
+    if run.args.emit_potential:
+        fields["marginal_potential"] = {"members": [
             {"interactions": [
                 {"scope": _labels(variables, t.scope), "table": t.ravel()}
                 for t in member.tables]}
             for member in report.marginal_family]}
-    return payload
+    return fields
 
 
-def _cmd_marginalize_graph(args) -> int:
-    model = load_model(args.model)
-    _require_kind(model, ("graph",), "marginalize-graph")
-    keep = _parse_keep(model, args.keep)
-    result = marginalize_graph(model.graph, keep)
-    if args.format == "dot":
-        _emit(args, None, graph_to_dot(result, model.variables))
-        return 0
-    doc = _base_document("marginalize-graph", model, keep)
-    doc["marginal_graph"] = _graph_payload(model.variables, result)
-    doc["diagnostics"] = {}
-    _emit(args, doc, None)
-    return 0
-
-
-def _cmd_marginalize_hypergraph(args) -> int:
-    model = load_model(args.model)
-    _require_kind(model, ("potential", "potential_family"), "marginalize-hypergraph")
-    keep = _parse_keep(model, args.keep)
-    null_tol = args.tolerance if args.tolerance is not None else NULL_TOL
-    family, renormalized = _normalized_family(model, args.strict, null_tol)
-    report = marginalize_hypergraph(family, keep, null_tol)
-    if args.format == "dot":
-        _emit(args, None, graph_to_dot(report.marginal_graph(), model.variables))
-        return 0
-    doc = _base_document("marginalize-hypergraph", model, keep)
-    doc.update(_report_payload(model.variables, report, args.emit_potential))
-    doc["diagnostics"] = {"null_tolerance": null_tol, "normalized_input": renormalized}
-    _emit(args, doc, None)
-    return 0
-
-
-def _cmd_marginalize_gaussian(args) -> int:
-    model = load_model(args.model)
-    _require_kind(model, ("gaussian",), "marginalize-gaussian")
-    keep = _parse_keep(model, args.keep)
-    marginal = marginal_precision(model.gaussian, keep)
-    gamma = innovation_matrix(model.gaussian, keep)
-    graph = gaussian_marginal_graph(model.gaussian, keep, args.tolerance)
-    if args.format == "dot":
-        _emit(args, None, graph_to_dot(graph, model.variables))
-        return 0
-    doc = _base_document("marginalize-gaussian", model, keep)
-    doc["marginal"] = {
-        "mean": [float(x) for x in marginal.mean],
-        "precision": [[float(x) for x in row] for row in marginal.precision],
+def _marginalize_gaussian(run: _Run) -> Graph | dict:
+    gaussian, keep, tol = run.model.gaussian, run.keep, run.args.tolerance
+    marginal = marginal_precision(gaussian, keep)
+    gamma = innovation_matrix(gaussian, keep)
+    graph = gaussian_marginal_graph(gaussian, keep, tol)
+    if run.args.format == "dot":
+        return graph
+    return {
+        "marginal": {"mean": [float(x) for x in marginal.mean],
+                     "precision": [[float(x) for x in row] for row in marginal.precision]},
+        "innovation_matrix": [[float(x) for x in row] for row in gamma],
+        "marginal_graph": _graph_payload(run.model.variables, graph),
+        "diagnostics": {"edge_tolerance": _scaled_tol(marginal.precision, tol)},
     }
-    doc["innovation_matrix"] = [[float(x) for x in row] for row in gamma]
-    doc["marginal_graph"] = _graph_payload(model.variables, graph)
-    doc["diagnostics"] = {"edge_tolerance": _scaled_tol(marginal.precision, args.tolerance)}
-    _emit(args, doc, None)
-    return 0
 
 
-def _cmd_check_collapsibility(args) -> int:
-    model = load_model(args.model)
-    _require_kind(model, ("potential", "potential_family"), "check-collapsibility")
-    keep = _parse_keep(model, args.keep)
-    null_tol = args.tolerance if args.tolerance is not None else NULL_TOL
-    family, renormalized = _normalized_family(model, args.strict, null_tol)
-    report = marginalize_hypergraph(family, keep, null_tol)
+def _check_collapsibility(run: _Run) -> dict:
+    report, variables = run.report, run.model.variables
     graphical_witness = None
     if not report.graphically_collapsible:
-        model_graph = induced_graph(hypergraph_of(family, null_tol),
-                                    model.variables.all_ids())
-        expected = set(subgraph(model_graph, keep).edges)
-        got = set(report.marginal_graph().edges)
-        gained = sorted(got - expected)
-        lost = sorted(expected - got)
+        expected, got = report.model_subgraph.edges, report.marginal_graph().edges
         # name the hyperedge responsible for the first differing edge
-        if gained:
-            pool, (x, y) = report.added, gained[0]
-        else:
-            pool, (x, y) = report.removed, lost[0]
+        pool, (x, y) = ((report.added, min(got - expected)) if got - expected
+                        else (report.removed, min(expected - got)))
         covering = sorted(e for e in pool if {x, y} <= set(e))
         offender = covering[0] if covering else (x, y)
-        graphical_witness = _labels(model.variables, offender)
+        graphical_witness = _labels(variables, offender)
     parametric_witness = None
     if not report.parametrically_collapsible:
-        parametric_witness = _labels(model.variables, report.innovation_scopes.edges[0])
-    doc = _base_document("check-collapsibility", model, keep)
-    doc["collapsible"] = {
-        "graphical": report.graphically_collapsible,
-        "parametric": report.parametrically_collapsible,
+        parametric_witness = _labels(variables, report.innovation_scopes.edges[0])
+    return {
+        "collapsible": {
+            "graphical": report.graphically_collapsible,
+            "parametric": report.parametrically_collapsible,
+        },
+        "witnesses": {"graphical": graphical_witness, "parametric": parametric_witness},
+        "added": _hyperedge_labels(variables, report.added),
+        "removed": _hyperedge_labels(variables, report.removed),
     }
-    doc["witnesses"] = {"graphical": graphical_witness, "parametric": parametric_witness}
-    doc["added"] = _hyperedge_labels(model.variables, report.added)
-    doc["removed"] = _hyperedge_labels(model.variables, report.removed)
-    doc["diagnostics"] = {"null_tolerance": null_tol, "normalized_input": renormalized}
-    _emit(args, doc, None)
-    return 0
 
 
-def _cmd_oracle_verify(args) -> int:
-    model = load_model(args.model)
-    _require_kind(model, ("potential", "potential_family"), "oracle-verify")
-    keep = _parse_keep(model, args.keep)
-    null_tol = args.tolerance if args.tolerance is not None else NULL_TOL
-    family, renormalized = _normalized_family(model, args.strict, null_tol)
-    report = marginalize_hypergraph(family, keep, null_tol)
-
-    checks = []
-    recovered = []
-    for k, member in enumerate(family):
-        joint = joint_table(member)
-        marg = marginal_table(joint, keep)
-        grid = energy_grid(report.marginal_family.members[k], keep)
+def _oracle_verify(run: _Run) -> dict:
+    keep, null_tol = run.keep, run.null_tol
+    checks, recovered = [], []
+    for k, member in enumerate(run.family):
+        marg = marginal_table(joint_table(member), keep)
+        grid = energy_grid(run.report.marginal_family.members[k], keep)
         dens = np.exp(-(grid - grid.min()))
         dens = dens / dens.sum()
         err = float(np.max(np.abs(dens - marg.probs) / marg.probs))
@@ -249,8 +158,7 @@ def _cmd_oracle_verify(args) -> int:
             "max_relative_error": err,
             "passed": bool(err <= 1e-9),
         })
-        rec = normalized_potential_from_table(marg, null_tol)
-        recovered.append(rec)
+        recovered.append(normalized_potential_from_table(marg, null_tol))
         norm = normalize_potential(member, null_tol)
         worst = 0.0
         for scope in {t.scope for t in norm.tables} | {t.scope for t in member.tables}:
@@ -267,24 +175,92 @@ def _cmd_oracle_verify(args) -> int:
     oracle_h = hypergraph_of(recovered, null_tol)
     checks.append({
         "name": "marginal hypergraph matches the oracle-recovered one",
-        "passed": bool(oracle_h == report.marginal_hypergraph),
+        "passed": bool(oracle_h == run.report.marginal_hypergraph),
     })
-
-    doc = _base_document("oracle-verify", model, keep)
-    doc["checks"] = checks
-    doc["passed"] = all(c["passed"] for c in checks)
-    doc["diagnostics"] = {"null_tolerance": null_tol, "normalized_input": renormalized}
-    _emit(args, doc, None)
-    return 0 if doc["passed"] else 2
+    return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def _add_common(p: argparse.ArgumentParser, tolerance_help: str | None = None) -> None:
-    p.add_argument("model", help="path to a JSON model file")
-    p.add_argument("--keep", required=True, metavar="LABELS",
-                   help="comma-separated labels of the retained set A")
-    p.add_argument("--output", metavar="PATH", help="write the result here instead of stdout")
-    if tolerance_help:
-        p.add_argument("--tolerance", type=float, default=None, help=tolerance_help)
+_POTENTIAL = ("potential", "potential_family")
+_NULL_TOL_HELP = "null-table tolerance (default 1e-9)"
+
+# name: (help, model kinds, body, help of --tolerance if the command takes it,
+#        the keys of _OPTIONS it takes, in the order they are declared)
+_COMMANDS = {
+    "marginalize-graph": (
+        "marginal graph of a graph model",
+        ("graph",), _marginalize_graph, None, ("--format",)),
+    "marginalize-hypergraph": (
+        "marginal potential, hypergraph and graph of a potential model",
+        _POTENTIAL, _marginalize_hypergraph, _NULL_TOL_HELP,
+        ("--emit-potential", "--strict", "--format")),
+    "marginalize-gaussian": (
+        "Schur-complement marginal of a Gaussian model",
+        ("gaussian",), _marginalize_gaussian,
+        "edge-detection tolerance (default 1e-9 x max entry)", ("--format",)),
+    "check-collapsibility": (
+        "graphical and parametric collapsibility verdicts",
+        _POTENTIAL, _check_collapsibility, _NULL_TOL_HELP, ("--strict",)),
+    "oracle-verify": (
+        "cross-check a potential model against brute-force enumeration",
+        _POTENTIAL, _oracle_verify, _NULL_TOL_HELP, ("--strict",)),
+}
+
+_OPTIONS = {
+    "--emit-potential": dict(action="store_true",
+                             help="include the marginal interaction tables in the result"),
+    "--strict": dict(action="store_true",
+                     help="reject non-normalized input instead of normalizing it"),
+    "--format": dict(choices=("json", "dot"), default="json"),
+}
+
+
+def _run(args) -> int:
+    _, kinds, body, _, _ = _COMMANDS[args.command]
+    model = load_model(args.model)
+    if model.kind not in kinds:
+        raise InvalidInputError(
+            f"{args.command} needs a {' or '.join(kinds)} model, got '{model.kind}'")
+    labels = [s.strip() for s in args.keep.split(",") if s.strip()]
+    if not labels:
+        raise InvalidInputError("subset must be non-empty")
+    keep = model.variables.subset(labels)
+
+    null_tol = family = report = diagnostics = None
+    if kinds == _POTENTIAL:
+        null_tol = args.tolerance if args.tolerance is not None else NULL_TOL
+        family, renormalized = model.family, False
+        if not all(is_normalized(m) for m in family):
+            if args.strict:
+                raise InvalidInputError("input potential is not normalized (--strict)")
+            print("notice: input potential is not normalized; normalizing.", file=sys.stderr)
+            family = PotentialFamily([normalize_potential(m, null_tol) for m in family])
+            renormalized = True
+        report = marginalize_hypergraph(family, keep, null_tol)
+        diagnostics = {"null_tolerance": null_tol, "normalized_input": renormalized}
+
+    # a body returns either the graph to draw or its document fields
+    result = body(_Run(args, model, keep, null_tol, family, report))
+    if isinstance(result, Graph):
+        text = graph_to_dot(result, model.variables)
+    else:
+        doc = {
+            "format_version": FORMAT_VERSION,
+            "command": args.command,
+            "model": {"path": model.path, "kind": model.kind,
+                      "variables": list(model.variables.labels)},
+            "keep": _labels(model.variables, keep),
+            **result,
+        }
+        if diagnostics is not None:
+            doc["diagnostics"] = diagnostics
+        text = dump_json(doc)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    # a failed oracle-verify is a validation error
+    return 0 if isinstance(result, Graph) or result.get("passed", True) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,53 +269,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Marginalize undirected graph, Gibbs-potential hypergraph, "
                     "and Gaussian precision-matrix models over a retained variable set.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("marginalize-graph", help="marginal graph of a graph model")
-    _add_common(p)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=_cmd_marginalize_graph)
-
-    p = sub.add_parser("marginalize-hypergraph",
-                       help="marginal potential, hypergraph and graph of a potential model")
-    _add_common(p, "null-table tolerance (default 1e-9)")
-    p.add_argument("--emit-potential", action="store_true",
-                   help="include the marginal interaction tables in the result")
-    p.add_argument("--strict", action="store_true",
-                   help="reject non-normalized input instead of normalizing it")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=_cmd_marginalize_hypergraph)
-
-    p = sub.add_parser("marginalize-gaussian",
-                       help="Schur-complement marginal of a Gaussian model")
-    _add_common(p, "edge-detection tolerance (default 1e-9 x max entry)")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=_cmd_marginalize_gaussian)
-
-    p = sub.add_parser("check-collapsibility",
-                       help="graphical and parametric collapsibility verdicts")
-    _add_common(p, "null-table tolerance (default 1e-9)")
-    p.add_argument("--strict", action="store_true",
-                   help="reject non-normalized input instead of normalizing it")
-    p.set_defaults(func=_cmd_check_collapsibility)
-
-    p = sub.add_parser("oracle-verify",
-                       help="cross-check a potential model against brute-force enumeration")
-    _add_common(p, "null-table tolerance (default 1e-9)")
-    p.add_argument("--strict", action="store_true",
-                   help="reject non-normalized input instead of normalizing it")
-    p.set_defaults(func=_cmd_oracle_verify)
-
+    for name, (summary, _, _, tolerance, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("model", help="path to a JSON model file")
+        p.add_argument("--keep", required=True, metavar="LABELS",
+                       help="comma-separated labels of the retained set A")
+        p.add_argument("--output", metavar="PATH",
+                       help="write the result here instead of stdout")
+        if tolerance:
+            p.add_argument("--tolerance", type=float, default=None, help=tolerance)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+        return _run(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -170,9 +170,6 @@ class Graph:
     def edge_list(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return _canonical_edge(a, b) in self.edges
-
     def neighbors(self, v: int) -> VarSet:
         if v not in set(self.vertices):
             raise InvalidInputError(f"unknown vertex id {v}")

@@ -95,6 +95,9 @@ class MarginalReport:
     ``marginal_hypergraph`` always equals (kept | added) where kept is the
     restriction of the original hypergraph to the retained set minus
     ``removed``.  ``retained`` echoes the id set the report is about.
+    ``model_subgraph`` is the subgraph of the model's graph on the retained
+    set; the model is graphically collapsible when it equals
+    :meth:`marginal_graph`.
     """
 
     retained: VarSet
@@ -106,6 +109,8 @@ class MarginalReport:
     graphically_collapsible: bool
     parametrically_collapsible: bool
     innovation_scopes: Hypergraph
+    model_subgraph: Graph
+    _marginal_graph: Graph
 
     @property
     def marginal_potential(self) -> Potential:
@@ -117,7 +122,8 @@ class MarginalReport:
         return self.marginal_family.members[0]
 
     def marginal_graph(self) -> Graph:
-        return induced_graph(self.marginal_hypergraph, self.retained)
+        """The graph the marginal hypergraph induces on the retained set."""
+        return self._marginal_graph
 
 
 def _min_fill_order(scopes, tau: VarSet) -> tuple[tuple[int, ...], list[VarSet]]:
@@ -533,7 +539,8 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     marginal_hypergraph = kept.union(added)
     assert marginal_hypergraph == present
 
-    graphical = induced_graph(marginal_hypergraph, a) == subgraph(plan.graph, a)
+    marginal_graph = induced_graph(marginal_hypergraph, a)
+    model_subgraph = subgraph(plan.graph, a)
     return MarginalReport(
         retained=a,
         marginal_family=PotentialFamily(marginals),
@@ -541,7 +548,9 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
         added=added,
         removed=removed,
         kept=kept,
-        graphically_collapsible=graphical,
+        graphically_collapsible=marginal_graph == model_subgraph,
         parametrically_collapsible=not innovation_scopes,
         innovation_scopes=Hypergraph._of(innovation_scopes),
+        model_subgraph=model_subgraph,
+        _marginal_graph=marginal_graph,
     )

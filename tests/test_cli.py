@@ -186,6 +186,16 @@ class TestCheckCollapsibility:
         assert doc["witnesses"]["graphical"] == ["V1", "V3"]
         assert doc["witnesses"]["parametric"] is not None
 
+    def test_lost_edge_witness(self, capsys):
+        # the family cancels the model edge V1-V3 on the marginal and adds
+        # only singletons, so the witness is the removed pair
+        doc = run_json(capsys, "check-collapsibility", fixture("chain_potential_cancelling.json"),
+                       "--keep", "V1,V3,V5")
+        assert doc["collapsible"]["graphical"] is False
+        assert doc["removed"] == [["V1", "V3"]]
+        assert all(len(e) == 1 for e in doc["added"])
+        assert doc["witnesses"]["graphical"] == ["V1", "V3"]
+
     def test_keep_everything_is_collapsible(self, capsys):
         doc = run_json(capsys, "check-collapsibility", fixture("chain_potential.json"),
                        "--keep", "V1,V2,V3,V4,V5,V6")
@@ -267,6 +277,40 @@ class TestEngineResourceLimit:
 
     def test_marginalize_hypergraph_split_too_large(self, capsys, tmp_path):
         self._exits_3_quickly_and_small(capsys, tmp_path, "marginalize-hypergraph", width=13)
+
+
+MARGINALIZE = ("marginalize-graph", "marginalize-hypergraph", "marginalize-gaussian")
+POTENTIAL = ("marginalize-hypergraph", "check-collapsibility", "oracle-verify")
+COMMAND_INPUTS = {
+    "marginalize-graph": ("two_chains_graph.json", "V1,V3,V5"),
+    "marginalize-hypergraph": ("chain_potential.json", "V1,V3,V5"),
+    "marginalize-gaussian": ("damage_gaussian.json", "X1,X2,X8"),
+    "check-collapsibility": ("chain_potential.json", "V1,V3,V5"),
+    "oracle-verify": ("chain_potential_cancelling.json", "V1,V3,V5"),
+}
+# flag: (its arguments, the commands that take it), as README's "Common flags" lists them
+FLAGS = {
+    "--format": (("--format", "dot"), MARGINALIZE),
+    "--strict": (("--strict",), POTENTIAL),
+    "--tolerance": (("--tolerance", "1e-9"), tuple(set(COMMAND_INPUTS) - {"marginalize-graph"})),
+    "--emit-potential": (("--emit-potential",), ("marginalize-hypergraph",)),
+}
+
+
+@pytest.mark.parametrize("flag", list(FLAGS))
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_option_surface(capsys, command, flag):
+    path, keep = COMMAND_INPUTS[command]
+    flag_args, takers = FLAGS[flag]
+    argv = [command, fixture(path), "--keep", keep, *flag_args]
+    if command in takers:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag_args)}" in capsys.readouterr().err
 
 
 class TestOutputContract:
