@@ -111,9 +111,8 @@ def _marginalize_gaussian(run: _Run) -> Graph | dict:
     if run.args.format == "dot":
         return graph
     return {
-        "marginal": {"mean": [float(x) for x in marginal.mean],
-                     "precision": [[float(x) for x in row] for row in marginal.precision]},
-        "innovation_matrix": [[float(x) for x in row] for row in gamma],
+        "marginal": {"mean": marginal.mean.tolist(), "precision": marginal.precision.tolist()},
+        "innovation_matrix": gamma.tolist(),
         "marginal_graph": _graph_payload(run.model.variables, graph),
         "diagnostics": {"edge_tolerance": _scaled_tol(marginal.precision, tol)},
     }

@@ -12,6 +12,7 @@ from margraph.model_io import dump_json
 
 HUGE = int("9" * 401)  # a JSON integer no float can hold
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+DAMAGE_KEEP = ",".join(f"X{k}" for k in (1, 2, 3, 4, 6, 8, 9, 10, 11, 12, 18, 19, 20, 21, 24))
 
 
 def fixture(name):
@@ -321,6 +322,25 @@ class TestOutputContract:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("name", ["damage_gaussian", "damage_gaussian_tuned"])
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_gaussian_stdout_matches_golden(self, name, fmt):
+        # tests/golden holds the stdout of
+        #   python -m margraph.cli marginalize-gaussian fixtures/NAME.json \
+        #       --keep DAMAGE_KEEP [--format dot]
+        # run from the repository root; these bytes pin the numerics across commits.
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+        argv = ["marginalize-gaussian", f"fixtures/{name}.json", "--keep", DAMAGE_KEEP]
+        if fmt == "dot":
+            argv += ["--format", "dot"]
+        out = subprocess.run([sys.executable, "-m", "margraph.cli", *argv], cwd=root, env=env,
+                             capture_output=True, check=True).stdout
+        with open(os.path.join(root, "tests", "golden", f"{name}.{fmt}"), "rb") as fh:
+            assert out == fh.read()
 
     def test_result_document_round_trips(self, capsys):
         code, out, _ = run(capsys, "marginalize-gaussian", fixture("damage_gaussian.json"),

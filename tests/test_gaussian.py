@@ -19,7 +19,7 @@ from margraph import (
     subgraph,
     varset,
 )
-from margraph.gaussian import _scaled_tol
+from margraph.gaussian import SOLVE_LEAF, STRIP_ROWS, SYMMETRY_TOL, _scaled_tol, _solve_lower
 
 from fixture_models import (
     damage_gaussian,
@@ -51,6 +51,47 @@ class TestModelValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             GaussianModel([0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["precision", "mean"])
+    def test_non_finite_reported_before_asymmetry(self, bad, where):
+        mean = np.zeros(4)
+        prec = 2.0 * np.eye(4)
+        prec[0, 3] = 0.5  # asymmetric: prec[3, 0] stays 0
+        if where == "mean":
+            mean[2] = bad
+        else:
+            prec[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            GaussianModel(mean, prec)
+
+    @pytest.mark.parametrize("n", [STRIP_ROWS + 1, 2 * STRIP_ROWS + 3])
+    @pytest.mark.parametrize("pair", ["last", "straddle", "corner"])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_asymmetry_found_in_every_strip(self, n, pair, upper):
+        i, j = {"last": (n - 2, n - 1), "straddle": (STRIP_ROWS - 1, STRIP_ROWS),
+                "corner": (0, n - 1)}[pair]
+        prec = 2.0 * np.eye(n)
+        prec[i, j] = prec[j, i] = 0.5
+        GaussianModel(np.zeros(n), prec.copy())
+        prec[(i, j) if upper else (j, i)] += 1e-6
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            GaussianModel(np.zeros(n), prec)
+
+    @pytest.mark.parametrize("diagonal", [0.5, 4.0])
+    def test_symmetry_tolerance_is_inclusive(self, diagonal):
+        # the tolerance scales with the largest |entry| once that exceeds 1
+        bound = SYMMETRY_TOL * max(1.0, diagonal)
+        prec = diagonal * np.eye(3)
+        prec[2, 0] = bound
+        GaussianModel(np.zeros(3), prec.copy())
+        prec[2, 0] = np.nextafter(bound, np.inf)
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            GaussianModel(np.zeros(3), prec)
+
+    def test_empty_model(self):
+        m = GaussianModel(np.zeros(0), np.zeros((0, 0)))
+        assert m.n == 0 and m.precision.shape == (0, 0)
 
 
 class TestMarginalPrecision:
@@ -123,6 +164,62 @@ class TestInnovationMatrix:
             a = varset(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
             lhs = m.precision[np.ix_(a, a)] - innovation_matrix(m, a)
             assert np.max(np.abs(lhs - marginal_precision(m, a).precision)) <= 1e-10
+
+
+def lower_triangular(rng, n, batch=()):
+    """Well-conditioned lower-triangular matrices: unit-scale diagonal and
+    small off-diagonal entries."""
+    low = np.tril(rng.normal(size=(*batch, n, n)), -1) / np.sqrt(n)
+    return low + np.eye(n) * rng.uniform(1.0, 2.0, size=(*batch, 1, n))
+
+
+def leaf_sizes(monkeypatch):
+    """Record the order of every matrix np.linalg.solve receives."""
+    sizes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: sizes.append(a.shape[-1]) or solve(a, b))
+    return sizes
+
+
+class TestBlockedSolve:
+    @pytest.mark.parametrize("n", [SOLVE_LEAF - 1, SOLVE_LEAF, SOLVE_LEAF + 1, 2 * SOLVE_LEAF + 1])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_matches_lu_solve(self, n, batch, monkeypatch):
+        rng = np.random.default_rng(n)
+        chol = lower_triangular(rng, n, batch)
+        b = rng.normal(size=(*batch, n, 7))
+        expected = np.linalg.solve(chol, b)
+        sizes = leaf_sizes(monkeypatch)
+        y = _solve_lower(chol, b.copy())
+        assert max(sizes) <= SOLVE_LEAF
+        if n <= SOLVE_LEAF:
+            assert np.array_equal(y, expected)  # one leaf: the plain solve, bit for bit
+        else:
+            assert len(sizes) > 1
+            assert np.max(np.abs(y - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_banded_chain_longer_than_two_leaves(self, monkeypatch):
+        # bandwidth-2 band keeping the even ids: the odd ids form one
+        # eliminated chain of 2 * SOLVE_LEAF + 5 variables, coupled to every
+        # retained variable
+        n = 2 * (2 * SOLVE_LEAF + 5)
+        rng = np.random.default_rng(151)
+        prec = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, min(n, i + 3)):
+                prec[i, j] = prec[j, i] = rng.uniform(0.1, 0.5) * rng.choice([-1.0, 1.0])
+        np.fill_diagonal(prec, np.abs(prec).sum(axis=1) + rng.uniform(0.5, 1.5, size=n))
+        a, z = list(range(0, n, 2)), list(range(1, n, 2))
+        schur = prec[np.ix_(a, z)] @ np.linalg.inv(prec[np.ix_(z, z)]) @ prec[np.ix_(z, a)]
+        m = GaussianModel(np.zeros(n), prec)
+        sizes = leaf_sizes(monkeypatch)
+        gamma = innovation_matrix(m, a)
+        assert sizes and max(sizes) <= SOLVE_LEAF
+        scale = np.max(np.abs(schur))
+        assert np.max(np.abs(gamma - schur)) <= 1e-12 * scale
+        block = marginal_precision(m, a).precision
+        assert np.max(np.abs(block - (prec[np.ix_(a, a)] - schur))) <= 1e-12 * scale
 
 
 class TestPairwiseInnovation:
