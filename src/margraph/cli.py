@@ -19,32 +19,23 @@ models, resolve the null tolerance, normalize (with a notice, or a refusal
 under ``--strict``) and marginalize; then write DOT of the graph the
 command's body returns, or the base document plus the body's own fields as
 JSON, to stdout or ``--output``.  :data:`_COMMANDS` names each command's
-body, the model kinds it takes and its options.
+body, the model kinds it takes and its options.  The engine modules are
+imported where a command needs them, so a process loads only its route.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInputError, ModelFormatError, ResourceLimitError
-from .gaussian import _scaled_tol, gaussian_marginal_graph, innovation_matrix, marginal_precision
-from .graph_marginal import marginalize_graph
 from .graphs import Graph, VarSet, Variables
-from .hypergraph_marginal import MarginalReport, marginalize_hypergraph
 from .model_io import FORMAT_VERSION, ModelFile, dump_json, graph_to_dot, load_model
-from .oracle import joint_table, marginal_table, normalized_potential_from_table
-from .potentials import (
-    NULL_TOL,
-    PotentialFamily,
-    energy_grid,
-    hypergraph_of,
-    is_normalized,
-    normalize_potential,
-)
+
+if TYPE_CHECKING:
+    from .hypergraph_marginal import MarginalReport
+    from .potentials import PotentialFamily
 
 
 def _labels(variables: Variables, ids) -> list[str]:
@@ -73,6 +64,8 @@ class _Run(NamedTuple):
 
 
 def _marginalize_graph(run: _Run) -> Graph | dict:
+    from .graph_marginal import marginalize_graph
+
     graph = marginalize_graph(run.model.graph, run.keep)
     if run.args.format == "dot":
         return graph
@@ -104,6 +97,9 @@ def _marginalize_hypergraph(run: _Run) -> Graph | dict:
 
 
 def _marginalize_gaussian(run: _Run) -> Graph | dict:
+    from .gaussian import (
+        _scaled_tol, gaussian_marginal_graph, innovation_matrix, marginal_precision)
+
     gaussian, keep, tol = run.model.gaussian, run.keep, run.args.tolerance
     marginal = marginal_precision(gaussian, keep)
     gamma = innovation_matrix(gaussian, keep)
@@ -144,6 +140,11 @@ def _check_collapsibility(run: _Run) -> dict:
 
 
 def _oracle_verify(run: _Run) -> dict:
+    import numpy as np
+
+    from .oracle import joint_table, marginal_table, normalized_potential_from_table
+    from .potentials import energy_grid, hypergraph_of, normalize_potential
+
     keep, null_tol = run.keep, run.null_tol
     checks, recovered = [], []
     for k, member in enumerate(run.family):
@@ -226,6 +227,9 @@ def _run(args) -> int:
 
     null_tol = family = report = diagnostics = None
     if kinds == _POTENTIAL:
+        from .hypergraph_marginal import marginalize_hypergraph
+        from .potentials import NULL_TOL, PotentialFamily, is_normalized, normalize_potential
+
         null_tol = args.tolerance if args.tolerance is not None else NULL_TOL
         family, renormalized = model.family, False
         if not all(is_normalized(m) for m in family):

@@ -10,15 +10,19 @@ order (last scope variable fastest); the precision matrix is a list of rows
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError, ModelFormatError
-from .gaussian import GaussianModel
 from .graphs import Graph, Variables
-from .potentials import InteractionTable, Potential, PotentialFamily
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .gaussian import GaussianModel
+    from .potentials import Potential, PotentialFamily
 
 FORMAT_VERSION = 1
 
@@ -35,12 +39,6 @@ class ModelFile:
     family: PotentialFamily | None = None
     gaussian: GaussianModel | None = None
     path: str | None = None
-
-    @property
-    def potential(self) -> Potential:
-        if self.family is None or len(self.family) != 1:
-            raise InvalidInputError("model does not hold a single potential")
-        return self.family.members[0]
 
 
 def _fail(context: str, message: str) -> ModelFormatError:
@@ -62,6 +60,8 @@ def _floats(values: list, context: str) -> np.ndarray:
     """``values``, numbers or rows of numbers, as a float array; the error
     names an integer too large for a float as ``context[i]`` or
     ``context[i][j]``."""
+    import numpy as np
+
     try:
         return np.array(values, dtype=float)
     except OverflowError:
@@ -88,7 +88,10 @@ def _parse_variables(data, context: str) -> Variables:
         dom = item.get("domain", [0, 1])
         if not isinstance(dom, list):
             raise _fail(f"{ctx}.domain", "expected a list of numbers")
-        domains.append(_floats(_numbers(dom, f"{ctx}.domain"), f"{ctx}.domain").tolist())
+        try:  # plain floats: variables and graphs need no numpy
+            domains.append([float(x) for x in _numbers(dom, f"{ctx}.domain")])
+        except OverflowError:  # _floats names the integer too large for a float
+            _floats(dom, f"{ctx}.domain")
     try:
         return Variables(labels, domains)
     except InvalidInputError as exc:
@@ -117,6 +120,8 @@ def _parse_graph(data, variables: Variables, context: str) -> Graph:
 
 
 def _parse_potential(data, variables: Variables, context: str) -> Potential:
+    from .potentials import InteractionTable, Potential
+
     if not isinstance(data, dict):
         raise _fail(context, "expected an object")
     interactions = data.get("interactions")
@@ -139,7 +144,7 @@ def _parse_potential(data, variables: Variables, context: str) -> Potential:
             raise _fail(f"{ctx}.table", "expected a flat list of numbers")
         flat = _numbers(item["table"], f"{ctx}.table")
         sizes = variables.sizes(scope)
-        expected = int(np.prod(sizes))
+        expected = math.prod(sizes)
         if len(flat) != expected:
             raise _fail(f"{ctx}.table",
                         f"expected {expected} values for scope {item['scope']}, got {len(flat)}")
@@ -151,6 +156,8 @@ def _parse_potential(data, variables: Variables, context: str) -> Potential:
 
 
 def _parse_gaussian(data, variables: Variables, context: str) -> GaussianModel:
+    from .gaussian import GaussianModel
+
     if not isinstance(data, dict):
         raise _fail(context, "expected an object")
     n = len(variables)
@@ -189,9 +196,13 @@ def parse_model(data, source: str = "model") -> ModelFile:
     if kind == "graph":
         model.graph = _parse_graph(data["graph"], variables, f"{source}.graph")
     elif kind == "potential":
+        from .potentials import PotentialFamily
+
         model.family = PotentialFamily([
             _parse_potential(data["potential"], variables, f"{source}.potential")])
     elif kind == "potential_family":
+        from .potentials import PotentialFamily
+
         payload = data["potential_family"]
         if not isinstance(payload, dict) or not isinstance(payload.get("members"), list) \
                 or not payload["members"]:
@@ -270,8 +281,55 @@ def gaussian_model_dict(variables: Variables, model: GaussianModel) -> dict:
     }
 
 
+class _FloatReprs(dict):
+    """The JSON text of each float looked up, formatted once per value; ±0.0
+    compare equal but print apart, so they are never stored."""
+
+    def __missing__(self, x: float) -> str:
+        text = ("NaN" if x != x else "Infinity" if x == math.inf
+                else "-Infinity" if x == -math.inf else float.__repr__(x))
+        if x:
+            self[x] = text
+        return text
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dump_json(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    """``json.dumps(document, indent=2) + "\\n"``, byte for byte, without the
+    stdlib's pure-Python indenting encoder: each list of plain floats is
+    joined in one pass, and a repeated float (a symmetric matrix repeats half
+    its entries) is formatted once.  Other leaves take the stdlib's encoding.
+    """
+    out: list[str] = []
+    _write(document, "\n", out, _FloatReprs())
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str], floats: _FloatReprs) -> None:
+    """Append ``value`` as indented JSON to ``out``; ``newline`` is a line
+    break plus the indentation of the line ``value`` starts on."""
+    inner = newline + "  "
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, float):
+        out.append(floats[value])
+    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {float}:
+        out += ("[", inner, ("," + inner).join(map(floats.__getitem__, value)), newline, "]")
+    elif isinstance(value, (list, tuple)) and value:
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _write(item, inner, out, floats)
+        out.append(newline + "]")
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        for i, (key, item) in enumerate(value.items()):
+            out.append(f"{',' if i else '{'}{inner}{_encode_str(key)}: ")
+            _write(item, inner, out, floats)
+        out.append(newline + "}")
+    else:  # None, bools, ints, empty containers, non-string keys, unsupported types
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
 def _dot_id(label: str) -> str:

@@ -314,6 +314,40 @@ def test_option_surface(capsys, command, flag):
         assert f"unrecognized arguments: {' '.join(flag_args)}" in capsys.readouterr().err
 
 
+# tests/golden/NAME holds the stdout of ``python -m margraph.cli ARGV`` run
+# from the repository root; these bytes pin the output across commits.  The
+# Gaussian files take DAMAGE_KEEP (see test_gaussian_stdout_matches_golden);
+# the others, the commands below, as README lists them.
+GOLDEN = {
+    "two_chains_graph.json": ["marginalize-graph", "fixtures/two_chains_graph.json",
+                              "--keep", "V1,V3,V5"],
+    "two_chains_graph.dot": ["marginalize-graph", "fixtures/two_chains_graph.json",
+                             "--keep", "V1,V3,V5", "--format", "dot"],
+    "chain_potential.json": ["marginalize-hypergraph", "fixtures/chain_potential.json",
+                             "--keep", "V1,V3,V5", "--emit-potential"],
+    "chain_potential.dot": ["marginalize-hypergraph", "fixtures/chain_potential.json",
+                            "--keep", "V1,V3,V5", "--emit-potential", "--format", "dot"],
+    "chain_potential_cancelling.check-collapsibility.json": [
+        "check-collapsibility", "fixtures/chain_potential_cancelling.json", "--keep", "V1,V3,V5"],
+    "chain_potential_cancelling.oracle-verify.json": [
+        "oracle-verify", "fixtures/chain_potential_cancelling.json", "--keep", "V1,V3,V5"],
+}
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _stdout(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "margraph.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, check=True).stdout
+
+
+def _golden(name):
+    with open(os.path.join(ROOT, "tests", "golden", name), "rb") as fh:
+        return fh.read()
+
+
 class TestOutputContract:
     def test_byte_identical_repeated_runs(self, capsys):
         args = ("marginalize-hypergraph", fixture("chain_potential_cancelling.json"),
@@ -326,21 +360,14 @@ class TestOutputContract:
     @pytest.mark.parametrize("name", ["damage_gaussian", "damage_gaussian_tuned"])
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_gaussian_stdout_matches_golden(self, name, fmt):
-        # tests/golden holds the stdout of
-        #   python -m margraph.cli marginalize-gaussian fixtures/NAME.json \
-        #       --keep DAMAGE_KEEP [--format dot]
-        # run from the repository root; these bytes pin the numerics across commits.
-        root = os.path.join(os.path.dirname(__file__), os.pardir)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
         argv = ["marginalize-gaussian", f"fixtures/{name}.json", "--keep", DAMAGE_KEEP]
         if fmt == "dot":
             argv += ["--format", "dot"]
-        out = subprocess.run([sys.executable, "-m", "margraph.cli", *argv], cwd=root, env=env,
-                             capture_output=True, check=True).stdout
-        with open(os.path.join(root, "tests", "golden", f"{name}.{fmt}"), "rb") as fh:
-            assert out == fh.read()
+        assert _stdout(argv) == _golden(f"{name}.{fmt}")
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_fixture_stdout_matches_golden(self, name):
+        assert _stdout(GOLDEN[name]) == _golden(name)
 
     def test_result_document_round_trips(self, capsys):
         code, out, _ = run(capsys, "marginalize-gaussian", fixture("damage_gaussian.json"),

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -475,12 +476,73 @@ class TestFactorCache:
         assert gamma[2, 3] != 0.0
 
 
-def test_cli_import_loads_no_scipy():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+def _run_fresh(code):
+    """Last stdout line of a fresh interpreter that runs ``code`` from the
+    repository root, decoded as JSON."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import margraph.cli, sys; "
-            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _modules_after(code):
+    """The margraph, numpy and scipy modules loaded after ``code`` runs."""
+    return set(_run_fresh(
+        code + "\nimport json, sys\n"
+        "print(json.dumps([k for k in sys.modules "
+        "if k.split('.')[0] in ('margraph', 'numpy', 'scipy')]))"))
+
+
+def test_cli_import_loads_no_scipy():
+    assert not {k for k in _modules_after("import margraph.cli") if k.startswith("scipy")}
+
+
+def test_package_import_loads_no_module():
+    assert _modules_after("import margraph") == {"margraph"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_marginalize_graph_loads_no_numpy(fmt):
+    loaded = _modules_after(
+        "import margraph.cli\n"
+        "margraph.cli.main(['marginalize-graph', 'fixtures/two_chains_graph.json',"
+        f" '--keep', 'V1,V3,V5', '--format', '{fmt}'])")
+    assert "margraph.graph_marginal" in loaded
+    assert not {k for k in loaded if k.split(".")[0] == "numpy"}
+
+
+def test_marginalize_gaussian_loads_only_its_route():
+    loaded = _modules_after(
+        "import margraph.cli\n"
+        "margraph.cli.main(['marginalize-gaussian', 'fixtures/damage_gaussian.json',"
+        " '--keep', 'X1,X2,X8'])")
+    assert "margraph.gaussian" in loaded
+    assert not loaded & {"margraph.potentials", "margraph.hypergraph_marginal",
+                         "margraph.oracle"}
+
+
+def test_lazy_exports_are_the_module_objects():
+    # a fresh process, so every name goes through the package's __getattr__
+    bad = _run_fresh(
+        "import importlib, inspect, json, margraph\n"
+        "bad = []\n"
+        "for module, names in margraph._EXPORTS.items():\n"
+        "    owner = importlib.import_module('margraph.' + module)\n"
+        "    for name in names:\n"
+        "        value = getattr(margraph, name)\n"
+        "        defined = inspect.isfunction(value) or type(value) is type\n"
+        "        if value is not getattr(owner, name) or (\n"
+        "                defined and value.__module__ != owner.__name__):\n"
+        "            bad.append(name)\n"
+        "bad += sorted(set(margraph.__all__) - set(dir(margraph)))\n"
+        "print(json.dumps(bad))")
+    assert bad == []
+    import margraph
+
+    assert margraph.__all__ == sorted(n for names in margraph._EXPORTS.values() for n in names)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        margraph.no_such_name  # noqa: B018
+    assert not hasattr(margraph, "_scaled_tol")

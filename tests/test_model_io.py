@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margraph import Graph, ModelFormatError, Variables
 from margraph.model_io import (
@@ -201,3 +202,50 @@ def test_dot_escapes_quotes_and_backslashes_in_labels():
     # every label back, and every quoted ID ends where it should
     quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
     assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == labels + labels[:2] + labels[1:]
+
+
+# Leaves for the writer: strings with escapes, ints past 64 bits, every kind
+# of float (a small pool makes repeats likely), and numpy floats.
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é\U0001f600')))
+_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, 2.2e-310, float("inf"), float("-inf"), float("nan")]))
+_LEAF = st.one_of(_TEXT, st.booleans(), st.none(), st.integers(-2 ** 100, 2 ** 100),
+                  _FLOAT, _FLOAT.map(np.float64))
+
+
+def _documents(leaf, keys=_TEXT):
+    return st.recursive(
+        leaf | st.lists(_FLOAT),
+        lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=3).map(tuple)
+                       | st.dictionaries(keys, inner, max_size=5)),
+        max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents(_LEAF))
+def test_dump_json_is_the_stdlib_text(doc):
+    assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents(_LEAF | st.sampled_from([object(), np.int64(3), np.bool_(True), {(1,): 0}]),
+                  keys=_TEXT | st.integers() | st.floats() | st.none() | st.booleans()))
+def test_dump_json_raises_where_the_stdlib_raises(doc):
+    try:
+        expected = json.dumps(doc, indent=2) + "\n"
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            dump_json(doc)
+    else:
+        assert dump_json(doc) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2 ** 1000, 2 ** 1000),
+                          st.floats(allow_nan=False, allow_infinity=False)).filter(bool),
+                min_size=1, max_size=6, unique_by=float))
+def test_domains_parse_as_numpy_reads_them(values):
+    domain = [0, *values]
+    model = parse_model({"format_version": 1, "variables": [{"label": "A", "domain": domain}],
+                         "graph": {"edges": []}})
+    assert model.variables.domains[0] == tuple(np.array(domain, dtype=float).tolist())
