@@ -32,10 +32,12 @@ tables and order coincide under that relabeling (and whose domain sizes
 agree) fold as stacks gathered from the potential's stacks, each stack
 holding at most ``STATE_LIMIT`` entries in its largest table.  The folds
 are summed per boundary, ranked by component in ``plan.components`` order,
-and split as stacks; the marginal of a member is its restriction plus its
-innovations, summed per scope in that order.  Every sum runs in the order
-a component-by-component loop would use, so results do not depend on the
-grouping, bit for bit.
+and split as stacks, one gather per sub-scope shape, into one columnar
+potential of innovations per member.  The marginal of a member is its
+restriction plus those innovations, summed per scope in that order, and the
+report's scope sets are set operations on the rows.  Every sum runs in the
+order a component-by-component loop would use, so results do not depend on
+the grouping, bit for bit.
 """
 
 from __future__ import annotations
@@ -74,18 +76,6 @@ class Innovation:
 
     scope: VarSet
     table: InteractionTable
-
-
-class _Innovations(list):
-    """A member's innovations in scope order, the list that
-    :func:`innovations` returns; ``potential`` holds the same tables as
-    stacks, which is what :func:`marginalize_hypergraph` sums."""
-
-    __slots__ = ("potential",)
-
-    def __init__(self, potential: Potential):
-        super().__init__(Innovation(t.scope, t) for t in potential.tables)
-        self.potential = potential
 
 
 @dataclass(frozen=True)
@@ -197,7 +187,7 @@ class EliminationPlan:
     """
 
     __slots__ = ("graph", "components", "boundaries", "incidence", "orders", "factors",
-                 "_local", "_sized_for", "_sizes")
+                 "_local", "_factors", "_sized_for", "_sizes")
 
     def __init__(self, h: Hypergraph, vertices, a):
         vertices = varset(vertices)
@@ -228,14 +218,15 @@ class EliminationPlan:
 
         ``_local[tau]`` keeps the hyperedges touching tau, their sorted
         union ``local``, the hyperedges and the order relabeled to positions
-        in ``local``, and the relabeled factor scopes followed by the
-        relabeled boundary.
+        in ``local``, and the index in ``_factors`` of its local structure's
+        relabeled factor scopes followed by its relabeled boundary.
         """
         self.components = tuple(tau for tau, _ in pairs)
         self.boundaries: dict[VarSet, VarSet] = dict(pairs)
         self.orders: dict[VarSet, tuple[int, ...]] = {}
         self.factors: dict[VarSet, list[VarSet]] = {}
         self._local: dict[VarSet, tuple] = {}
+        self._factors: list[tuple[VarSet, ...]] = []
         self._sized_for: Variables | None = None
         self._sizes: dict[VarSet, tuple[tuple[int, ...], int]] = {}
         found: dict[tuple, tuple] = {}
@@ -245,38 +236,42 @@ class EliminationPlan:
             at = {v: k for k, v in enumerate(local)}
             key = (tuple(tuple(at[v] for v in s) for s in touching), tuple(at[v] for v in tau))
             if key not in found:
-                found[key] = _min_fill_order(*key)
-            order, factors = found[key]
+                order, factors = _min_fill_order(*key)
+                boundary = tuple(p for p in range(len(local)) if p not in key[1])
+                self._factors.append(tuple(factors) + (boundary,))
+                found[key] = order, factors, len(self._factors) - 1
+            order, factors, k = found[key]
             self.orders[tau] = tuple(local[p] for p in order)
             self.factors[tau] = [tuple(local[p] for p in f) for f in factors]
-            inside = set(tau)
-            boundary = tuple(k for k, v in enumerate(local) if v not in inside)
-            self._local[tau] = (touching, local, key[0], order, tuple(factors) + (boundary,))
+            self._local[tau] = (touching, local, key[0], order, k)
 
     def touching(self, tau) -> tuple[VarSet, ...]:
         """Hyperedges that meet ``tau``, in lexicographic order."""
         return tuple(sorted(set(chain.from_iterable(self.incidence[v] for v in tau))))
 
-    def _sized(self, vars: Variables, tau: VarSet) -> tuple[tuple[int, ...], int]:
-        """Domain sizes at the local positions of ``tau`` and the entries of
-        the largest table its fold forms, computed once per component for
-        the registry in use (a :class:`Variables` is immutable)."""
+    def _sized(self, vars: Variables) -> dict[VarSet, tuple[tuple[int, ...], int]]:
+        """Per component, the domain sizes at its local positions and the
+        entries of the largest table its fold forms, for the registry in use
+        (a :class:`Variables` is immutable); the largest table is computed
+        once per local structure and sizes."""
         if self._sized_for is not vars:
-            self._sized_for, self._sizes = vars, {}
-        if tau not in self._sizes:
-            _, local, _, _, factors = self._local[tau]
-            sizes = vars.sizes(local)
-            self._sizes[tau] = sizes, max(math.prod(sizes[p] for p in f) for f in factors)
-        return self._sizes[tau]
+            self._sized_for, self._sizes, largest = vars, {}, {}
+            for tau, (_, local, _, _, k) in self._local.items():
+                sizes = vars.sizes(local)
+                if (k, sizes) not in largest:
+                    largest[k, sizes] = max(math.prod(sizes[p] for p in f)
+                                            for f in self._factors[k])
+                self._sizes[tau] = sizes, largest[k, sizes]
+        return self._sizes
 
     def fold_entries(self, vars: Variables, tau: VarSet) -> int:
         """Entries of the largest table the fold of component ``tau`` forms,
         its boundary table included."""
-        return self._sized(vars, tau)[1]
+        return self._sized(vars)[tau][1]
 
     def largest_factor(self, vars: Variables) -> int:
         """Entries of the largest table the folds form."""
-        return max((self.fold_entries(vars, tau) for tau in self.components), default=1)
+        return max((entries for _, entries in self._sized(vars).values()), default=1)
 
     def largest_split(self, vars: Variables) -> int:
         """Entries of the largest innovation split: a boundary d splits into
@@ -422,6 +417,7 @@ def _component_folds(u: Potential, plan: EliminationPlan) -> list:
     allocates more than the plan's guard allows one fold.
     """
     rows_of = u._rows()
+    sized = plan._sized(u.vars)
     groups: dict[tuple, list] = {}
     for rank, tau in enumerate(plan.components):
         if not plan.boundaries[tau]:
@@ -433,11 +429,11 @@ def _component_folds(u: Potential, plan: EliminationPlan) -> list:
             rows = [row for row in rows if row is not None]
             structure, local = _local_structure(u.vars, present, plan.orders[tau])
         else:
-            structure = (scopes, order, plan._sized(u.vars, tau)[0])
+            structure = (scopes, order, sized[tau][0])
         groups.setdefault(structure, []).append((rank, local, rows))
     out = []
     for structure, members in groups.items():
-        widest = max(plan.fold_entries(u.vars, plan.components[r]) for r, _, _ in members)
+        widest = max(sized[plan.components[r]][1] for r, _, _ in members)
         step = max(1, STATE_LIMIT // widest)
         for start in range(0, len(members), step):
             chunk = members[start:start + step]
@@ -449,10 +445,10 @@ def _component_folds(u: Potential, plan: EliminationPlan) -> list:
     return out
 
 
-def _innovation_tables(u: Potential, plan: EliminationPlan,
-                       null_tol: float) -> list[Innovation]:
+def _innovation_tables(u: Potential, plan: EliminationPlan, null_tol: float) -> Potential:
     """Innovations of ``u`` along ``plan`` (its boundaries may be wider than
-    what ``u`` alone induces, e.g. when the plan is built for a family).
+    what ``u`` alone induces, e.g. when the plan is built for a family), as
+    one potential: a table per innovation scope, kept in stacks.
 
     The folded tables are summed per boundary in ``plan.components`` order
     and then split, so the result does not depend on how the folds were
@@ -473,7 +469,7 @@ def _innovation_tables(u: Potential, plan: EliminationPlan,
     innovation = Potential._from_parts(u.vars, _split(_sum_parts(parts, zero_first=True)),
                                        null_tol)
     assert is_normalized(innovation)
-    return _Innovations(innovation)
+    return innovation
 
 
 def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]:
@@ -489,7 +485,8 @@ def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]
     if not set(a) <= set(allv):
         raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
     u = _drop_null(u, null_tol)
-    return _innovation_tables(u, _checked_plan(hypergraph_of(u, null_tol), u.vars, a), null_tol)
+    plan = _checked_plan(hypergraph_of(u, null_tol), u.vars, a)
+    return [Innovation(t.scope, t) for t in _innovation_tables(u, plan, null_tol).tables]
 
 
 def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport:
@@ -524,20 +521,20 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     innovation_scopes: set[VarSet] = set()
     marginals = []
     for m in clean:
-        member_innovations = _innovation_tables(m, plan, null_tol)
-        innovation_scopes.update(i.scope for i in member_innovations)
+        innovation = _innovation_tables(m, plan, null_tol)
+        for g in innovation._groups:
+            innovation_scopes.update(map(tuple, g.scopes.tolist()))
         # a scope's restricted table (rank 0) comes before its innovation (rank 1)
-        parts = restrict(m, a)._parts(0) + member_innovations.potential._parts(1)
+        parts = restrict(m, a)._parts(0) + innovation._parts(1)
         marginals.append(Potential._from_parts(vars, _sum_parts(parts), null_tol))
 
     # a scope disappears when its combined table is null for every member
-    present = hypergraph_of(marginals, null_tol)
-    removed = Hypergraph._of(e for e in h_restricted if e not in present)
-    kept = h_restricted.difference(removed)
-    added = Hypergraph._of(s for s in innovation_scopes
-                           if s not in h_restricted and s in present)
-    marginal_hypergraph = kept.union(added)
-    assert marginal_hypergraph == present
+    marginal_hypergraph = hypergraph_of(marginals, null_tol)
+    present = marginal_hypergraph._set
+    removed = Hypergraph._of(h_restricted._set - present)
+    kept = Hypergraph._of(h_restricted._set & present)
+    added = Hypergraph._of((innovation_scopes - h_restricted._set) & present)
+    assert kept._set | added._set == present
 
     marginal_graph = induced_graph(marginal_hypergraph, a)
     model_subgraph = subgraph(plan.graph, a)

@@ -23,12 +23,12 @@ results as groups directly.  ``tables`` and ``table_for`` hand out
 read-only views of the stacks, built on each access.
 
 Every table operation runs once per group: the Mobius split differences a
-whole stack and slices each sub-scope piece out of it, :func:`is_normalized`
-takes one masked max (and remembers the answer), null filtering and
-:func:`restrict` are masks over the rows.  Rows that land on one scope are
-summed in a fixed order: by rank, which for a potential's own tables is
-their table order (the sorted order of scopes), the lowest-ranked row
-starting the sum.  A table-by-table loop adds in that same order (table
+whole stack and takes one gather per sub-scope shape (not per subset),
+:func:`is_normalized` takes one masked max (and remembers the answer), null
+filtering and :func:`restrict` are masks over the rows.  Rows that land on
+one scope are summed in a fixed order: by rank, which for a potential's own
+tables is their table order (the sorted order of scopes), the lowest-ranked
+row starting the sum.  A table-by-table loop adds in that same order (table
 order, then subset order), so results do not depend on the grouping, bit
 for bit.
 
@@ -357,6 +357,8 @@ def _sum_parts(parts, zero_first: bool = False) -> list:
     -0.0 into 0.0 as a sum started at zero does) and the others add on one
     at a time.  Returns parts again: one row per scope, scopes in
     lexicographic order within a part, each row ranked by its first term.
+    A lone part already in that order comes back uncopied (unless
+    ``zero_first``).
     """
     like: dict[tuple, list] = {}
     for zp, scopes, values, rank in parts:
@@ -364,13 +366,16 @@ def _sum_parts(parts, zero_first: bool = False) -> list:
             like.setdefault((values.shape[1:], zp), []).append((scopes, values, rank))
     out = []
     for (_, zp), items in like.items():
-        scopes, values, rank = (np.concatenate(x) for x in zip(*items))
+        scopes, values, rank = (np.concatenate(x) if len(x) > 1 else x[0] for x in zip(*items))
         order = np.lexsort((rank, *scopes.T[::-1]))
-        scopes, values, rank = scopes[order], values[order], rank[order]
+        if (order[1:] < order[:-1]).any():  # a split of one row comes in order
+            scopes, values, rank = scopes[order], values[order], rank[order]
         start = np.ones(len(rank), dtype=bool)
         start[1:] = (scopes[1:] != scopes[:-1]).any(axis=1)
         heads = np.flatnonzero(start)
-        total = values[heads] + 0.0 if zero_first else values[heads]
+        total = values[heads] if len(heads) < len(rank) else values
+        if zero_first:
+            total = total + 0.0
         if len(heads) < len(rank):
             seg = np.cumsum(start) - 1
             pos = np.arange(len(rank)) - heads[seg]
@@ -403,14 +408,10 @@ def _anchored_differences(stack: np.ndarray, zero_positions: Sequence[int]) -> n
 
 @lru_cache(maxsize=256)
 def _off_anchor_counts(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> np.ndarray:
-    """Number of coordinates away from the anchor at each entry of a grid.
-
-    An entry has a coordinate at the anchor exactly when its count is below
-    the number of axes; pinning the axes outside a sub-scope C to the anchor
-    leaves a slice where the same holds with |C| in place of that number, so
-    one array serves the zero-coordinate masks of every sub-scope.
-    Read-only and cached, since a few shapes recur across many tables.
-    """
+    """Number of coordinates away from the anchor at each entry of a grid:
+    an entry has a coordinate at the anchor exactly when its count is below
+    the number of axes.  Read-only and cached, since a few shapes recur
+    across many tables."""
     count = np.zeros(shape, dtype=np.uint8)
     for ax, (n, z) in enumerate(zip(shape, zero_positions)):
         off = np.arange(n) != z
@@ -419,23 +420,60 @@ def _off_anchor_counts(shape: tuple[int, ...], zero_positions: tuple[int, ...]) 
     return count
 
 
+# Split plans of at most this many entries are cached; larger ones are built
+# on each call, so the cache holds at most 32 x 2^16 index entries (16 MiB).
+SPLIT_PLAN_CACHE_ENTRIES = 1 << 16
+
+
+def _build_split_plan(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> tuple:
+    """Where the pieces on the sub-scopes of a table sit in its transform:
+    per (sub-shape, sub-anchors), the sub-scopes' ``axes`` (one row each, in
+    subset order) and ``idx``, the flat position of every piece entry, shaped
+    (sub-scopes, *sub-shape).  Entries with a coordinate at the anchor point
+    one past the end of the table, where the caller puts a zero."""
+    like: dict[tuple, list] = {}
+    for k in range(1, len(shape) + 1):
+        for sub in combinations(range(len(shape)), k):
+            like.setdefault((tuple(shape[ax] for ax in sub),
+                             tuple(zero_positions[ax] for ax in sub)), []).append(sub)
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    anchor = int(np.dot(zero_positions, strides))
+    plan = []
+    for (sub_shape, sub_zp), subs in like.items():
+        axes = np.array(subs, dtype=np.intp)
+        # each piece entry's offset from the anchor along the sub-scope axes
+        off = np.indices(sub_shape).reshape(len(sub_shape), -1) - np.array(sub_zp)[:, None]
+        idx = anchor + strides[axes] @ off
+        idx[:, (off == 0).any(axis=0)] = math.prod(shape)
+        plan.append((sub_zp, _readonly(axes, np.intp),
+                     _readonly(idx.reshape((len(subs),) + sub_shape), np.intp)))
+    return tuple(plan)
+
+
+_cached_split_plan = lru_cache(maxsize=32)(_build_split_plan)
+
+
 def _split(parts) -> list:
     """Split every row of the (zp, scopes, values, rank) ``parts`` into its
     normalized pieces on each non-empty subset of its scope (the constant
     piece is dropped) and sum the pieces per sub-scope by the rank of their
     row (:func:`_sum_parts`).
 
-    Each part takes one transform and one masked slice per subset pattern.
+    Each part takes one transform and then one gather per group of
+    sub-scopes that share a sub-shape and sub-anchors, which yields one part
+    (:func:`_build_split_plan`; plans of at most ``SPLIT_PLAN_CACHE_ENTRIES``
+    entries, the split's own size, are cached).
     """
     pieces = []
     for zp, scopes, values, rank in parts:
-        m = _anchored_differences(values, zp)
-        count = _off_anchor_counts(values.shape[1:], zp)
-        subs = chain.from_iterable(combinations(range(len(zp)), k) for k in range(1, len(zp) + 1))
-        for sub in subs:
-            idx = tuple(slice(None) if ax in sub else z for ax, z in enumerate(zp))
-            piece = np.where(count[idx] == len(sub), m[(slice(None),) + idx], 0.0)
-            pieces.append((tuple(zp[ax] for ax in sub), scopes[:, sub], piece, rank))
+        shape = values.shape[1:]
+        small = math.prod(n + 1 for n in shape) - 1 <= SPLIT_PLAN_CACHE_ENTRIES
+        flat = np.zeros((len(values), math.prod(shape) + 1))  # the last column is the zero
+        flat[:, :-1] = _anchored_differences(values, zp).reshape(len(values), -1)
+        for sub_zp, axes, idx in (_cached_split_plan if small else _build_split_plan)(shape, zp):
+            pieces.append((sub_zp, scopes[:, axes].reshape(-1, axes.shape[1]),
+                           flat[:, idx].reshape((-1,) + idx.shape[1:]),
+                           np.repeat(rank, len(axes))))
     return _sum_parts(pieces)
 
 

@@ -1,8 +1,8 @@
 """Built-in example models used by the test suite and shipped as JSON
-fixtures: two small six-variable chain models, a ten-variable two-component
-graph, and a 24-variable network for damage assessment of reinforced
-concrete beams (after Liu and Li 1994) together with Gaussian instances on
-its sparsity pattern.
+fixtures: two small six-variable chain models, a 4 x 5 grid potential, a
+ten-variable two-component graph, and a 24-variable network for damage
+assessment of reinforced concrete beams (after Liu and Li 1994) together
+with Gaussian instances on its sparsity pattern.
 
 Run ``PYTHONPATH=src python tests/fixture_models.py OUTDIR`` from the
 root of a checkout to (re)write the fixture files.
@@ -104,6 +104,30 @@ def chain_potential(a12: float, a23: float, a45: float, a56: float,
     if a13 is not None:
         terms[(0, 2)] = a13
     return monomial_potential(variables, terms)
+
+
+def grid_potential(rows: int = 4, cols: int = 5, seed: int = 4520) -> Potential:
+    """Normalized binary potential on a rows x cols grid: a seeded random
+    single-variable term per vertex and pair term per grid edge, each zero
+    wherever a coordinate is 0."""
+    variables = _vars(rows * cols)
+    rng = np.random.default_rng(seed)
+    at = lambda r, c: r * cols + c  # noqa: E731
+    scopes = [(k,) for k in range(rows * cols)]
+    scopes += [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    scopes += [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    tables = []
+    for scope in sorted(scopes):
+        values = np.zeros((2,) * len(scope))
+        values[(1,) * len(scope)] = rng.uniform(0.25, 1.5) * rng.choice([-1.0, 1.0])
+        tables.append(InteractionTable(scope, values))
+    return Potential(variables, tables)
+
+
+def grid_retained(rows: int = 4, cols: int = 5) -> VarSet:
+    """The outer rows of the grid: the inner rows form one eliminated
+    component whose boundary is all 2 * cols retained variables."""
+    return tuple(range(cols)) + tuple(range((rows - 1) * cols, rows * cols))
 
 
 def cancelling_pair_coupling(a12: float, a23: float) -> float:
@@ -229,6 +253,7 @@ def fixture_documents() -> dict[str, dict]:
         "chain_potential.json": potential_model_dict(base),
         "chain_potential_chord.json": potential_model_dict(generic),
         "chain_potential_cancelling.json": family_model_dict(cancelling),
+        "grid_potential.json": potential_model_dict(grid_potential()),
         "damage_graph.json": graph_model_dict(dmg_vars, dmg_graph),
         "damage_gaussian.json": gaussian_model_dict(dmg_vars, damage_gaussian()),
         "damage_gaussian_tuned.json": gaussian_model_dict(dmg_vars, damage_gaussian_tuned()),

@@ -29,9 +29,15 @@ from margraph import (
     restrict,
     varset,
 )
-from margraph.hypergraph_marginal import _checked_plan, _component_folds, _innovation_tables
+from margraph.hypergraph_marginal import (
+    _checked_plan,
+    _component_folds,
+    _innovation_tables,
+    innovations,
+)
 from margraph.potentials import NORMALIZED_TOL, _drop_null, _sum_parts
 
+from fixture_models import grid_potential, grid_retained
 from helpers import (
     innovations_by_components,
     is_normalized_by_tables,
@@ -79,6 +85,32 @@ def columnar_potentials(draw, max_vars: int = 6):
         zp = tuple(variables.zero_index(v) for v in scope)
         tables.append(InteractionTable(scope, _table(rng, variables.sizes(scope), zp, kind)))
     return Potential(variables, tables)
+
+
+@st.composite
+def wide_potentials(draw):
+    """Stacks of 1-4 tables on 4-10 variables, with domains of 2-3 values
+    anchored anywhere, and a retained set that leaves 1-3 variables of the
+    first table to eliminate.  At most three variables are ternary, which
+    keeps a split below 4^3 * 3^7 entries."""
+    width = draw(st.integers(4, 10))
+    n = min(10, width + draw(st.integers(0, 2)))
+    sizes = [2] * n
+    for v in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        sizes[v] = 3
+    zeros = [draw(st.integers(0, size - 1)) for size in sizes]
+    variables = Variables([f"V{k}" for k in range(n)],
+                          [[float(i - z) for i in range(size)] for size, z in zip(sizes, zeros)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scopes = [varset(rng.choice(n, size=width, replace=False).tolist())
+              for _ in range(draw(st.integers(1, 4)))]
+    eliminated = set(rng.choice(scopes[0], size=draw(st.integers(1, 3)), replace=False).tolist())
+    tables = []
+    for scope in sorted(set(scopes)):
+        kind = draw(st.sampled_from(["raw", "raw", "at-null", "above-null", "nearly"]))
+        zp = tuple(variables.zero_index(v) for v in scope)
+        tables.append(InteractionTable(scope, _table(rng, variables.sizes(scope), zp, kind)))
+    return Potential(variables, tables), varset(set(range(n)) - eliminated)
 
 
 def _layout(u: Potential) -> list:
@@ -187,11 +219,39 @@ class TestOrderedSums:
                                               for k in range(4)]))
         plan = _checked_plan(hypergraph_of(u), v, (0, 2, 4))
         assert len(_component_folds(u, plan)) == 1
-        got = {i.scope: i.table.values for i in _innovation_tables(u, plan, NULL_TOL)}
+        got = {t.scope: t.values for t in _innovation_tables(u, plan, NULL_TOL).tables}
         ref = innovations_by_components(u, plan, NULL_TOL)
         assert list(got) == list(ref) and (0, 2) in got and (2, 4) in got
         for scope, values in ref.items():
             assert got[scope].tobytes() == values.tobytes()
+
+
+class TestWideScopes:
+    @settings(max_examples=30, deadline=None)
+    @given(wide_potentials())
+    def test_wide_splits_match_the_table_by_table_references(self, case):
+        # scopes of 4-10 variables split into up to 1 023 sub-scopes each
+        u, keep = case
+        ref = split_by_tables(u.vars, [(t.scope, t.values) for t in u.tables])
+        normal = normalize_potential(u)
+        _same_tables(normal, {s: v for s, v in ref.items() if np.max(np.abs(v)) > NULL_TOL})
+        clean = _drop_null(normal, NULL_TOL)
+        plan = EliminationPlan(hypergraph_of(clean), u.vars.all_ids(), keep)
+        ref = innovations_by_components(clean, plan, NULL_TOL)
+        got = innovations(normal, keep)
+        assert [i.scope for i in got] == list(ref)
+        for i in got:
+            assert i.table.values.tobytes() == ref[i.scope].tobytes()
+
+    def test_innovations_lists_the_innovation_potential(self):
+        u, keep = grid_potential(), grid_retained()
+        tables = _innovation_tables(u, _checked_plan(hypergraph_of(u), u.vars, keep),
+                                    NULL_TOL).tables
+        got = innovations(u, keep)
+        assert len(got) == len(tables) > 500
+        for i, t in zip(got, tables):
+            assert i.scope == t.scope
+            assert i.table.values.tobytes() == t.values.tobytes()
 
 
 class TestMarginalAgainstTables:

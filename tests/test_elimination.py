@@ -39,7 +39,12 @@ from margraph.hypergraph_marginal import (
     _innovation_tables,
     _min_fill_order,
 )
-from margraph.potentials import NULL_TOL, _off_anchor_counts
+from margraph.potentials import (
+    NULL_TOL,
+    SPLIT_PLAN_CACHE_ENTRIES,
+    _cached_split_plan,
+    _off_anchor_counts,
+)
 
 from helpers import (
     binary_vars,
@@ -192,7 +197,7 @@ class TestStackedFolds:
         family, keep = case
         plan = EliminationPlan(hypergraph_of(family), family.vars.all_ids(), keep)
         for member in family:
-            got = {i.scope: i.table.values for i in _innovation_tables(member, plan, NULL_TOL)}
+            got = {t.scope: t.values for t in _innovation_tables(member, plan, NULL_TOL).tables}
             ref = innovations_by_components(member, plan, NULL_TOL)
             assert list(got) == list(ref)
             for scope, values in ref.items():
@@ -210,7 +215,7 @@ class TestStackedFolds:
         plan = _plan(u, (0,))
         assert [plan.boundaries[tau] for tau in plan.components] == [(0,)] * 5
         assert len(_component_folds(u, plan)) == 2
-        got = {i.scope: i.table.values for i in _innovation_tables(u, plan, NULL_TOL)}
+        got = {t.scope: t.values for t in _innovation_tables(u, plan, NULL_TOL).tables}
         ref = innovations_by_components(u, plan, NULL_TOL)
         assert list(got) == list(ref) == [(0,)]
         assert got[(0,)].tobytes() == ref[(0,)].tobytes()
@@ -428,6 +433,15 @@ class TestResourceGuard:
         assert _plan(u, keep).largest_split(u.vars) == 3 ** 12 - 1 <= STATE_LIMIT
         rep = marginalize_hypergraph(u, keep)
         assert (1, 2) in rep.added
+
+    def test_a_split_plan_above_the_cache_budget_is_not_retained(self):
+        # a 12-variable binary boundary splits into 3^12 - 1 entries, a
+        # 10-variable one into 3^10 - 1; only the smaller plan is kept
+        assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 3 ** 12 - 1
+        for width, kept in ((12, 0), (10, 1)):
+            _cached_split_plan.cache_clear()
+            marginalize_hypergraph(_hub_potential(width), tuple(range(1, width + 1)))
+            assert _cached_split_plan.cache_info().currsize == kept
 
 
 @given(st.lists(st.integers(2, 4), min_size=1, max_size=5), st.data())
