@@ -32,12 +32,11 @@ tables and order coincide under that relabeling (and whose domain sizes
 agree) fold as stacks gathered from the potential's stacks, each stack
 holding at most ``STATE_LIMIT`` entries in its largest table.  The folds
 are summed per boundary, ranked by component in ``plan.components`` order,
-and split as stacks, one gather per sub-scope shape, into one columnar
-potential of innovations per member.  The marginal of a member is its
-restriction plus those innovations, summed per scope in that order, and the
-report's scope sets are set operations on the rows.  Every sum runs in the
-order a component-by-component loop would use, so results do not depend on
-the grouping, bit for bit.
+and split as stacks, one gather per sub-scope shape, into a columnar
+potential per member; its marginal is its restriction plus those
+innovations, summed per scope in that order.  Every sum runs in the order
+a component-by-component loop would use, so results do not depend on the
+grouping, bit for bit.
 """
 
 from __future__ import annotations
@@ -187,7 +186,7 @@ class EliminationPlan:
     """
 
     __slots__ = ("graph", "components", "boundaries", "incidence", "orders", "factors",
-                 "_local", "_factors", "_sized_for", "_sizes")
+                 "_local", "_sized_for", "_sizes")
 
     def __init__(self, h: Hypergraph, vertices, a):
         vertices = varset(vertices)
@@ -218,15 +217,14 @@ class EliminationPlan:
 
         ``_local[tau]`` keeps the hyperedges touching tau, their sorted
         union ``local``, the hyperedges and the order relabeled to positions
-        in ``local``, and the index in ``_factors`` of its local structure's
-        relabeled factor scopes followed by its relabeled boundary.
+        in ``local``, and the relabeled factor scopes followed by the
+        relabeled boundary.
         """
         self.components = tuple(tau for tau, _ in pairs)
         self.boundaries: dict[VarSet, VarSet] = dict(pairs)
         self.orders: dict[VarSet, tuple[int, ...]] = {}
         self.factors: dict[VarSet, list[VarSet]] = {}
         self._local: dict[VarSet, tuple] = {}
-        self._factors: list[tuple[VarSet, ...]] = []
         self._sized_for: Variables | None = None
         self._sizes: dict[VarSet, tuple[tuple[int, ...], int]] = {}
         found: dict[tuple, tuple] = {}
@@ -238,12 +236,11 @@ class EliminationPlan:
             if key not in found:
                 order, factors = _min_fill_order(*key)
                 boundary = tuple(p for p in range(len(local)) if p not in key[1])
-                self._factors.append(tuple(factors) + (boundary,))
-                found[key] = order, factors, len(self._factors) - 1
-            order, factors, k = found[key]
+                found[key] = order, tuple(factors) + (boundary,)
+            order, factors = found[key]
             self.orders[tau] = tuple(local[p] for p in order)
-            self.factors[tau] = [tuple(local[p] for p in f) for f in factors]
-            self._local[tau] = (touching, local, key[0], order, k)
+            self.factors[tau] = [tuple(local[p] for p in f) for f in factors[:-1]]
+            self._local[tau] = (touching, local, key[0], order, factors)
 
     def touching(self, tau) -> tuple[VarSet, ...]:
         """Hyperedges that meet ``tau``, in lexicographic order."""
@@ -251,17 +248,15 @@ class EliminationPlan:
 
     def _sized(self, vars: Variables) -> dict[VarSet, tuple[tuple[int, ...], int]]:
         """Per component, the domain sizes at its local positions and the
-        entries of the largest table its fold forms, for the registry in use
-        (a :class:`Variables` is immutable); the largest table is computed
-        once per local structure and sizes."""
+        entries of the largest table its fold forms (once per local structure
+        and sizes), for the registry in use (a :class:`Variables` is immutable)."""
         if self._sized_for is not vars:
             self._sized_for, self._sizes, largest = vars, {}, {}
-            for tau, (_, local, _, _, k) in self._local.items():
+            for tau, (_, local, _, _, factors) in self._local.items():
                 sizes = vars.sizes(local)
-                if (k, sizes) not in largest:
-                    largest[k, sizes] = max(math.prod(sizes[p] for p in f)
-                                            for f in self._factors[k])
-                self._sizes[tau] = sizes, largest[k, sizes]
+                if (factors, sizes) not in largest:
+                    largest[factors, sizes] = max(math.prod(sizes[p] for p in f) for f in factors)
+                self._sizes[tau] = sizes, largest[factors, sizes]
         return self._sizes
 
     def fold_entries(self, vars: Variables, tau: VarSet) -> int:
@@ -417,7 +412,6 @@ def _component_folds(u: Potential, plan: EliminationPlan) -> list:
     allocates more than the plan's guard allows one fold.
     """
     rows_of = u._rows()
-    sized = plan._sized(u.vars)
     groups: dict[tuple, list] = {}
     for rank, tau in enumerate(plan.components):
         if not plan.boundaries[tau]:
@@ -429,11 +423,11 @@ def _component_folds(u: Potential, plan: EliminationPlan) -> list:
             rows = [row for row in rows if row is not None]
             structure, local = _local_structure(u.vars, present, plan.orders[tau])
         else:
-            structure = (scopes, order, sized[tau][0])
+            structure = (scopes, order, plan._sized(u.vars)[tau][0])
         groups.setdefault(structure, []).append((rank, local, rows))
     out = []
     for structure, members in groups.items():
-        widest = max(sized[plan.components[r]][1] for r, _, _ in members)
+        widest = max(plan.fold_entries(u.vars, plan.components[r]) for r, _, _ in members)
         step = max(1, STATE_LIMIT // widest)
         for start in range(0, len(members), step):
             chunk = members[start:start + step]
@@ -522,8 +516,7 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     marginals = []
     for m in clean:
         innovation = _innovation_tables(m, plan, null_tol)
-        for g in innovation._groups:
-            innovation_scopes.update(map(tuple, g.scopes.tolist()))
+        innovation_scopes.update(*(map(tuple, g.scopes.tolist()) for g in innovation._groups))
         # a scope's restricted table (rank 0) comes before its innovation (rank 1)
         parts = restrict(m, a)._parts(0) + innovation._parts(1)
         marginals.append(Potential._from_parts(vars, _sum_parts(parts), null_tol))

@@ -357,8 +357,7 @@ def _sum_parts(parts, zero_first: bool = False) -> list:
     -0.0 into 0.0 as a sum started at zero does) and the others add on one
     at a time.  Returns parts again: one row per scope, scopes in
     lexicographic order within a part, each row ranked by its first term.
-    A lone part already in that order comes back uncopied (unless
-    ``zero_first``).
+    A lone part in that order comes back uncopied unless ``zero_first``.
     """
     like: dict[tuple, list] = {}
     for zp, scopes, values, rank in parts:
@@ -420,12 +419,13 @@ def _off_anchor_counts(shape: tuple[int, ...], zero_positions: tuple[int, ...]) 
     return count
 
 
-# Split plans of at most this many entries are cached; larger ones are built
-# on each call, so the cache holds at most 32 x 2^16 index entries (16 MiB).
+# Split plans of at most this many entries are cached, 32 at most (16 MiB of
+# indices); larger ones are built on each call.
 SPLIT_PLAN_CACHE_ENTRIES = 1 << 16
 
 
-def _build_split_plan(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> tuple:
+@lru_cache(maxsize=32)
+def _split_plan(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> tuple:
     """Where the pieces on the sub-scopes of a table sit in its transform:
     per (sub-shape, sub-anchors), the sub-scopes' ``axes`` (one row each, in
     subset order) and ``idx``, the flat position of every piece entry, shaped
@@ -450,9 +450,6 @@ def _build_split_plan(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -
     return tuple(plan)
 
 
-_cached_split_plan = lru_cache(maxsize=32)(_build_split_plan)
-
-
 def _split(parts) -> list:
     """Split every row of the (zp, scopes, values, rank) ``parts`` into its
     normalized pieces on each non-empty subset of its scope (the constant
@@ -460,9 +457,8 @@ def _split(parts) -> list:
     row (:func:`_sum_parts`).
 
     Each part takes one transform and then one gather per group of
-    sub-scopes that share a sub-shape and sub-anchors, which yields one part
-    (:func:`_build_split_plan`; plans of at most ``SPLIT_PLAN_CACHE_ENTRIES``
-    entries, the split's own size, are cached).
+    sub-scopes that share a sub-shape and sub-anchors (:func:`_split_plan`),
+    which yields one part.
     """
     pieces = []
     for zp, scopes, values, rank in parts:
@@ -470,10 +466,9 @@ def _split(parts) -> list:
         small = math.prod(n + 1 for n in shape) - 1 <= SPLIT_PLAN_CACHE_ENTRIES
         flat = np.zeros((len(values), math.prod(shape) + 1))  # the last column is the zero
         flat[:, :-1] = _anchored_differences(values, zp).reshape(len(values), -1)
-        for sub_zp, axes, idx in (_cached_split_plan if small else _build_split_plan)(shape, zp):
+        for sub_zp, axes, idx in (_split_plan if small else _split_plan.__wrapped__)(shape, zp):
             pieces.append((sub_zp, scopes[:, axes].reshape(-1, axes.shape[1]),
-                           flat[:, idx].reshape((-1,) + idx.shape[1:]),
-                           np.repeat(rank, len(axes))))
+                           flat[:, idx].reshape((-1,) + idx.shape[1:]), np.repeat(rank, len(axes))))
     return _sum_parts(pieces)
 
 

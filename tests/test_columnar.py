@@ -67,50 +67,38 @@ def _table(rng: np.random.Generator, shape, zp, kind: str) -> np.ndarray:
 
 
 @st.composite
-def columnar_potentials(draw, max_vars: int = 6):
-    """Potentials on domains of 2-4 values anchored anywhere, with raw
-    tables and normalized ones at and just above the null tolerance."""
-    n = draw(st.integers(1, max_vars))
-    sizes = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+def columnar_potentials(draw, max_vars: int = 6, width: tuple[int, int] | None = None):
+    """Potentials on domains anchored anywhere, with raw tables and
+    normalized ones at and just above the null tolerance: 0-10 tables on
+    scopes of 1-3 variables with domains of 2-4 values or, given a
+    ``width`` range, 1-4 tables on scopes of one width drawn from it, with
+    domains of 2 values but for at most three of 3 (which keeps a split
+    below 4^3 * 3^7 entries)."""
+    n = draw(st.integers(width[0] if width else 1, max_vars))
+    if width:
+        sizes = [2] * n
+        for v in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+            sizes[v] = 3
+    else:
+        sizes = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
     zeros = [draw(st.integers(0, size - 1)) for size in sizes]
     variables = Variables([f"V{k}" for k in range(n)],
                           [[float(i - z) for i in range(size)] for size, z in zip(sizes, zeros)])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    scopes = {varset(rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)),
-                                replace=False).tolist())
-              for _ in range(draw(st.integers(0, 10)))}
+    if width:
+        k = draw(st.integers(width[0], min(width[1], n)))
+        scopes = {varset(rng.choice(n, size=k, replace=False).tolist())
+                  for _ in range(draw(st.integers(1, 4)))}
+    else:
+        scopes = {varset(rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)),
+                                    replace=False).tolist())
+                  for _ in range(draw(st.integers(0, 10)))}
     tables = []
     for scope in sorted(scopes):
         kind = draw(st.sampled_from(["raw", "raw", "at-null", "above-null", "nearly"]))
         zp = tuple(variables.zero_index(v) for v in scope)
         tables.append(InteractionTable(scope, _table(rng, variables.sizes(scope), zp, kind)))
     return Potential(variables, tables)
-
-
-@st.composite
-def wide_potentials(draw):
-    """Stacks of 1-4 tables on 4-10 variables, with domains of 2-3 values
-    anchored anywhere, and a retained set that leaves 1-3 variables of the
-    first table to eliminate.  At most three variables are ternary, which
-    keeps a split below 4^3 * 3^7 entries."""
-    width = draw(st.integers(4, 10))
-    n = min(10, width + draw(st.integers(0, 2)))
-    sizes = [2] * n
-    for v in draw(st.sets(st.integers(0, n - 1), max_size=3)):
-        sizes[v] = 3
-    zeros = [draw(st.integers(0, size - 1)) for size in sizes]
-    variables = Variables([f"V{k}" for k in range(n)],
-                          [[float(i - z) for i in range(size)] for size, z in zip(sizes, zeros)])
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    scopes = [varset(rng.choice(n, size=width, replace=False).tolist())
-              for _ in range(draw(st.integers(1, 4)))]
-    eliminated = set(rng.choice(scopes[0], size=draw(st.integers(1, 3)), replace=False).tolist())
-    tables = []
-    for scope in sorted(set(scopes)):
-        kind = draw(st.sampled_from(["raw", "raw", "at-null", "above-null", "nearly"]))
-        zp = tuple(variables.zero_index(v) for v in scope)
-        tables.append(InteractionTable(scope, _table(rng, variables.sizes(scope), zp, kind)))
-    return Potential(variables, tables), varset(set(range(n)) - eliminated)
 
 
 def _layout(u: Potential) -> list:
@@ -228,10 +216,12 @@ class TestOrderedSums:
 
 class TestWideScopes:
     @settings(max_examples=30, deadline=None)
-    @given(wide_potentials())
-    def test_wide_splits_match_the_table_by_table_references(self, case):
-        # scopes of 4-10 variables split into up to 1 023 sub-scopes each
-        u, keep = case
+    @given(columnar_potentials(max_vars=10, width=(4, 10)), st.data())
+    def test_wide_splits_match_the_table_by_table_references(self, u, data):
+        # scopes of 4-10 variables split into up to 1 023 sub-scopes each;
+        # 1-3 variables of the first scope are eliminated
+        gone = data.draw(st.sets(st.sampled_from(u.tables[0].scope), min_size=1, max_size=3))
+        keep = varset(set(u.vars.all_ids()) - gone)
         ref = split_by_tables(u.vars, [(t.scope, t.values) for t in u.tables])
         normal = normalize_potential(u)
         _same_tables(normal, {s: v for s, v in ref.items() if np.max(np.abs(v)) > NULL_TOL})

@@ -42,8 +42,8 @@ from margraph.hypergraph_marginal import (
 from margraph.potentials import (
     NULL_TOL,
     SPLIT_PLAN_CACHE_ENTRIES,
-    _cached_split_plan,
     _off_anchor_counts,
+    _split_plan,
 )
 
 from helpers import (
@@ -439,9 +439,9 @@ class TestResourceGuard:
         # 10-variable one into 3^10 - 1; only the smaller plan is kept
         assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 3 ** 12 - 1
         for width, kept in ((12, 0), (10, 1)):
-            _cached_split_plan.cache_clear()
+            _split_plan.cache_clear()
             marginalize_hypergraph(_hub_potential(width), tuple(range(1, width + 1)))
-            assert _cached_split_plan.cache_info().currsize == kept
+            assert _split_plan.cache_info().currsize == kept
 
 
 @given(st.lists(st.integers(2, 4), min_size=1, max_size=5), st.data())
