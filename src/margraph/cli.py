@@ -8,6 +8,10 @@ Commands::
     margraph check-collapsibility MODEL --keep A,B,...
     margraph oracle-verify MODEL --keep A,B,...
 
+``--keep-label LABEL`` (repeatable) names one retained label verbatim, for
+labels that contain a comma or start or end with a space; it may stand in
+for ``--keep`` or add to it.
+
 All commands read a JSON model file, emit a JSON result document (or DOT
 for graph-valued results with ``--format dot``), and exit with 0 on
 success, 2 on validation errors, 3 on resource limits.  Output is
@@ -220,7 +224,8 @@ def _run(args) -> int:
     if model.kind not in kinds:
         raise InvalidInputError(
             f"{args.command} needs a {' or '.join(kinds)} model, got '{model.kind}'")
-    labels = [s.strip() for s in args.keep.split(",") if s.strip()]
+    # --keep splits on commas and strips spaces; --keep-label is verbatim
+    labels = [s.strip() for s in (args.keep or "").split(",") if s.strip()] + args.keep_label
     if not labels:
         raise InvalidInputError("subset must be non-empty")
     keep = model.variables.subset(labels)
@@ -275,8 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (summary, _, _, tolerance, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.add_argument("model", help="path to a JSON model file")
-        p.add_argument("--keep", required=True, metavar="LABELS",
+        p.add_argument("--keep", metavar="LABELS",
                        help="comma-separated labels of the retained set A")
+        p.add_argument("--keep-label", action="append", default=[], metavar="LABEL",
+                       help="one label of A, taken verbatim (for labels with commas or "
+                            "outer spaces); repeatable, and adds to --keep")
         p.add_argument("--output", metavar="PATH",
                        help="write the result here instead of stdout")
         if tolerance:
@@ -287,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.keep is None and not args.keep_label:
+        parser.error("one of --keep or --keep-label is required")
     try:
         return _run(args)
     except ResourceLimitError as exc:

@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from .components import component_labels
 from .errors import InvalidInputError
 from .graphs import Graph, VarSet, varset
 
@@ -120,35 +121,6 @@ def _split(m: GaussianModel, a) -> tuple[VarSet, VarSet]:
     return a, z
 
 
-def _components(nz: np.ndarray) -> list[np.ndarray]:
-    """Connectivity components of a symmetric non-zero pattern with a set
-    diagonal, as ascending index arrays ordered by smallest member.
-
-    Every row first points at its smallest neighbour.  Pointer jumping turns
-    that forest into root labels, and while trees remain, every vertex takes
-    the smallest label in its neighbourhood and jumps again.  Labels only
-    decrease and settle on the smallest member of each component.
-    """
-    label = nz.argmax(axis=1)
-    cols = None
-    while True:
-        jumped = label[label]
-        if not np.array_equal(jumped, label):
-            label = jumped
-            continue
-        if not label.any():  # one tree, rooted at 0, spans everything
-            break
-        if cols is None:
-            rows, cols = np.nonzero(nz)
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        smallest = np.minimum.reduceat(label[cols], starts)
-        if np.array_equal(smallest, label):
-            break
-        label = smallest
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-
-
 def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
     """Sorted retained set and its read-only innovation matrix, computed
     once per (model, retained set): the model keeps the last one.  The slot
@@ -166,7 +138,10 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
         pattern = p[rows] != 0
         touches = pattern[:, cols]
         stacks: dict[tuple[int, int], list] = {}
-        for tau in _components(pattern[:, rows]):
+        # components of the eliminated block's pattern, by smallest member
+        label = component_labels(len(rows), *np.nonzero(pattern[:, rows]))
+        order = np.argsort(label, kind="stable")
+        for tau in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
             d = np.flatnonzero(touches[tau].any(axis=0))
             stacks.setdefault((len(tau), len(d)), []).append((rows[tau], d))
         gamma = np.zeros(k * k)

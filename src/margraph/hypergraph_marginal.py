@@ -24,19 +24,26 @@ than ``STATE_LIMIT`` entries, prod(|dom v| + 1) - 1 for a boundary d.
 
 Models with many small components pay numpy's per-call cost per table
 unless the work is batched, so the route never leaves the columnar form of
-:mod:`margraph.potentials`.  The plan computes one min-fill order per local
-structure: the hyperedges touching a component, relabeled by position in
-the sorted union of their variables (relabeling keeps the order of ids, so
-smallest-id tie-breaking maps back exactly).  Components whose touching
-tables and order coincide under that relabeling (and whose domain sizes
-agree) fold as stacks gathered from the potential's stacks, each stack
+:mod:`margraph.potentials`, and the plan is built from arrays.  It holds the
+hyperedges as a padded (hyperedges x width) array; one label-flow pass of
+:func:`margraph.components.component_labels` finds the components and one
+sort finds every boundary.  Components share a local structure when their
+touching hyperedges, relabeled by position in the sorted union of the
+component and its boundary, coincide together with the component's own
+positions (relabeling keeps the order of ids, so smallest-id tie-breaking
+maps back exactly).  One sort of those relabeled rows, compared as bytes,
+groups the components by structure; min-fill then runs once per
+structure, in Python, and orders, factor scopes and sizes are read off by
+indexing.  Each structure hands the folds its components' hyperedge
+indices, so a family gathers every member's tables of one structure (and
+one set of domain sizes) into one stack and folds it once, each stack
 holding at most ``STATE_LIMIT`` entries in its largest table.  The folds
-are summed per boundary, ranked by component in ``plan.components`` order,
-and split as stacks, one gather per sub-scope shape, into a columnar
-potential per member; its marginal is its restriction plus those
-innovations, summed per scope in that order.  Every sum runs in the order
-a component-by-component loop would use, so results do not depend on the
-grouping, bit for bit.
+are summed per member and per boundary, ranked by component in
+``plan.components`` order, and split as stacks, one gather per sub-scope
+shape, into a columnar potential per member; its marginal is its
+restriction plus those innovations, summed per scope in that order.  Every
+sum runs in the order a component-by-component loop would use, so results
+do not depend on the grouping, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,12 +51,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, zip_longest
 
 import numpy as np
 
+from .components import component_labels
 from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
-from .graphs import Graph, VarSet, Variables, component_boundaries, subgraph, varset
+from .graphs import Graph, VarSet, Variables, varset
 from .potentials import (
     NULL_TOL,
     Hypergraph,
@@ -169,10 +177,9 @@ class EliminationPlan:
     Built once per call from a hypergraph of interaction scopes; a plan from
     a family's hypergraph serves every member.  It holds:
 
-    - ``graph``: the graph the hypergraph induces on ``vertices``;
-    - ``components``: the connectivity components of the eliminated set,
-      ordered by smallest member, and their ``boundaries`` in ``graph``;
-    - ``incidence``: the hyperedges containing each variable;
+    - ``components``: the connectivity components of the eliminated set in
+      the graph the hypergraph induces on ``vertices``, ordered by smallest
+      member, and their ``boundaries`` in that graph;
     - ``orders``: a greedy min-fill elimination order of each component,
       ties to the smallest id, computed once per local structure;
     - ``factors``: per component, the scope of every product factor its
@@ -181,12 +188,24 @@ class EliminationPlan:
       :meth:`largest_split` predicts the entries the innovation split of
       the widest boundary makes.
 
+    ``edges`` are the hyperedges, in lexicographic order, kept also as a
+    padded (hyperedges x width) array of vertex positions, -1 past the end
+    of each.  Components and boundaries are found at construction; the
+    grouping by local structure (see the module docstring), min-fill and
+    the sizes wait until an order or a size is asked for, so
+    :func:`boundary_hypergraph` pays for no more.  Each structure keeps, as
+    arrays with a row per component, the ranks of its components in
+    ``components``, the indices of their touching hyperedges (the rows the
+    folds gather) and their local variables.  A lone component skips the
+    batching: its boundary and structure are read in plain Python, where
+    numpy's per-call cost would outweigh the work.
+
     A member of a family touches a subset of the plan's hyperedges, so the
     tables its fold of a component forms lie within these factor scopes.
     """
 
-    __slots__ = ("graph", "components", "boundaries", "incidence", "orders", "factors",
-                 "_local", "_sized_for", "_sizes")
+    __slots__ = ("edges", "components", "boundaries", "_ids", "_rows", "_comp", "_width",
+                 "_pending", "_built", "_sized_for", "_sizes")
 
     def __init__(self, h: Hypergraph, vertices, a):
         vertices = varset(vertices)
@@ -194,85 +213,212 @@ class EliminationPlan:
         if not set(a) <= set(vertices):
             raise InvalidInputError(f"ids {sorted(set(a) - set(vertices))} outside the vertex set")
         self._index(h, vertices)
-        self._order(component_boundaries(self.graph, set(vertices) - set(a)))
+        n = len(vertices)
+        eliminated = np.ones(n, dtype=bool)
+        eliminated[np.searchsorted(self._ids, a)] = False
+        z = np.flatnonzero(eliminated)
+        # index among the eliminated vertices, -1 elsewhere and in the pad slot
+        at = np.full(n + 1, -1)
+        at[z] = np.arange(len(z))
+        inside = at[self._rows]
+        # each hyperedge joins its eliminated members to one of them
+        hub = inside.max(axis=1, initial=-1)
+        r, c = np.nonzero(inside >= 0)
+        label = component_labels(len(z), hub[r], inside[r, c])
+        root = label == np.arange(len(z))
+        comp = np.full(n + 1, -1)
+        comp[z] = (np.cumsum(root) - 1)[label]
+        self._partition(comp, int(root.sum()))
 
     @classmethod
     def _one_component(cls, h: Hypergraph, vertices, tau: VarSet) -> "EliminationPlan":
         """A plan that folds ``tau`` as one component, connected or not."""
         plan = cls.__new__(cls)
         plan._index(h, varset(vertices))
-        plan._order([(tau, varset(set(chain.from_iterable(plan.touching(tau))) - set(tau)))])
+        comp = np.full(len(plan._ids) + 1, -1)
+        comp[np.searchsorted(plan._ids, tau)] = 0
+        plan._partition(comp, 1)
         return plan
 
     def _index(self, h: Hypergraph, vertices: VarSet) -> None:
-        self.graph = induced_graph(h, vertices)
-        incidence: dict[int, list[VarSet]] = {v: [] for v in vertices}
-        for e in h:
-            for v in e:
-                incidence[v].append(e)
-        self.incidence = {v: tuple(es) for v, es in incidence.items()}
+        """The hyperedges as the padded array ``_rows`` of positions in ``vertices``."""
+        self.edges = edges = h.edges
+        self._ids = ids = np.array(vertices, dtype=np.intp)
+        pad = int(ids[0]) - 1 if len(ids) else -1  # below every id
+        # one row per member slot, one column per hyperedge
+        slots = list(zip_longest(*edges, fillvalue=pad))
+        slots = np.array(slots, dtype=np.intp).reshape(len(slots), len(edges))
+        blank = slots == pad
+        pos = np.searchsorted(ids, slots)
+        found = blank | (ids[np.minimum(pos, len(ids) - 1)] == slots) if len(ids) else blank
+        if not found.all():
+            e = edges[np.flatnonzero(~found.all(axis=0))[0]]
+            raise InvalidInputError(f"hyperedge {set(e)} not contained in the vertex set")
+        pos[blank] = -1
+        # column-major, so that reductions along a hyperedge run down columns
+        self._rows = pos.T
 
-    def _order(self, pairs) -> None:
-        """Components, boundaries and one min-fill order per local structure.
+    def _partition(self, comp: np.ndarray, count: int) -> None:
+        """Components and boundaries from ``comp``, the component of each
+        vertex position (-1 for the retained ones and the pad slot)."""
+        n, rows = len(self._ids), self._rows
+        member = comp[rows]
+        # the eliminated members of a hyperedge lie in one component
+        owner = member.max(axis=1, initial=-1)
+        touch = np.flatnonzero(owner >= 0)
+        self._comp, self._built, self._sized_for = comp, None, None
+        if count == 1:  # a lone component (see the class docstring)
+            tau = tuple(self._ids[comp[:n] >= 0].tolist())
+            inside = set(tau)
+            bd = varset(v for j in touch.tolist() for v in self.edges[j] if v not in inside)
+            self.components, self.boundaries = (tau,), {tau: bd}
+            self._width, self._pending = np.array([len(bd)]), (touch,)
+            return
+        # the boundary: members of a touching hyperedge outside its component
+        r, c = np.nonzero((member != owner[:, None]) & (rows >= 0))
+        bound = owner[r] * n + rows[r, c]
+        bound = bound[_distinct(bound)[0]]  # ascending
+        touch = touch[np.argsort(owner[touch], kind="stable")]
+        inner = np.flatnonzero(comp[:n] >= 0)
+        inner = inner[np.argsort(comp[inner], kind="stable")]
+        self._pending = (touch, owner[touch], inner, bound)
+        self._width = np.bincount(bound // n, minlength=count)
+        self.components = _cut(self._ids[inner].tolist(), np.bincount(comp[inner], minlength=count))
+        self.boundaries = dict(zip(self.components,
+                                   _cut(self._ids[bound % n].tolist(), self._width)))
 
-        ``_local[tau]`` keeps the hyperedges touching tau, their sorted
-        union ``local``, the hyperedges and the order relabeled to positions
-        in ``local``, and the relabeled factor scopes followed by the
-        relabeled boundary.
-        """
-        self.components = tuple(tau for tau, _ in pairs)
-        self.boundaries: dict[VarSet, VarSet] = dict(pairs)
-        self.orders: dict[VarSet, tuple[int, ...]] = {}
-        self.factors: dict[VarSet, list[VarSet]] = {}
-        self._local: dict[VarSet, tuple] = {}
-        self._sized_for: Variables | None = None
-        self._sizes: dict[VarSet, tuple[tuple[int, ...], int]] = {}
-        found: dict[tuple, tuple] = {}
-        for tau in self.components:
-            touching = self.touching(tau)
-            local = varset(chain(tau, *touching))
-            at = {v: k for k, v in enumerate(local)}
-            key = (tuple(tuple(at[v] for v in s) for s in touching), tuple(at[v] for v in tau))
-            if key not in found:
-                order, factors = _min_fill_order(*key)
-                boundary = tuple(p for p in range(len(local)) if p not in key[1])
-                found[key] = order, tuple(factors) + (boundary,)
-            order, factors = found[key]
-            self.orders[tau] = tuple(local[p] for p in order)
-            self.factors[tau] = [tuple(local[p] for p in f) for f in factors[:-1]]
-            self._local[tau] = (touching, local, key[0], order, factors)
+    @property
+    def _structures(self) -> list[tuple]:
+        """Per local structure: its relabeled scopes, its order, its factor
+        scopes followed by its boundary (all as local positions), and the
+        ranks, touching hyperedge indices and local ids of its components,
+        one row each."""
+        if self._built is None:
+            self._built = self._group(*self._pending)
+        return self._built
+
+    def _group(self, touch, owner=None, inner=None, bound=None) -> list[tuple]:
+        n, count, comp = len(self._ids), len(self.components), self._comp
+        if count == 1:  # a lone component is its own structure
+            [tau] = self.components
+            local = varset(tau + self.boundaries[tau])
+            at = {v: p for p, v in enumerate(local)}
+            scopes = tuple(tuple(at[v] for v in self.edges[j]) for j in touch.tolist())
+            return [_structure(scopes, tuple(at[v] for v in tau), len(local),
+                               np.zeros(1, dtype=np.intp), touch[None], np.array([local]))]
+        rows = self._rows[touch]
+        local = np.sort(np.concatenate((comp[inner] * n + inner, bound)))
+        size = np.bincount(local // n, minlength=count)
+        start = np.cumsum(size) - size
+        hyperedges = np.bincount(owner, minlength=count)
+        first = np.cumsum(hyperedges) - hyperedges
+        relabeled = np.where(rows >= 0, np.searchsorted(local, owner[:, None] * n + rows)
+                             - start[owner][:, None], -1)
+        built = []
+        shape = hyperedges * (n + 1) + size
+        kinds, kind = _distinct(shape)
+        for j, c in enumerate(kinds.tolist()):
+            cs = np.flatnonzero(kind == j)
+            k, width = int(hyperedges[c]), int(size[c])
+            edges = first[cs][:, None] + np.arange(k)
+            pos = local[start[cs][:, None] + np.arange(width)] % n
+            inside = comp[pos] >= 0
+            reps, which = _distinct(np.hstack((relabeled[edges].reshape(len(cs), -1), inside)))
+            for i, rep in enumerate(reps.tolist()):
+                scopes = tuple(tuple(p for p in row if p >= 0)
+                               for row in relabeled[edges[rep]].tolist())
+                at = which == i
+                built.append(_structure(scopes, tuple(np.flatnonzero(inside[rep]).tolist()), width,
+                                        cs[at], touch[edges[at]], self._ids[pos[at]]))
+        return built
+
+    @property
+    def orders(self) -> dict[VarSet, tuple[int, ...]]:
+        return {self.components[r]: tuple(row)
+                for _, order, _, ranks, _, local in self._structures
+                for r, row in zip(ranks.tolist(), local[:, list(order)].tolist())}
+
+    @property
+    def factors(self) -> dict[VarSet, list[VarSet]]:
+        return {self.components[r]: [tuple(row[p] for p in f) for f in factors[:-1]]
+                for _, _, factors, ranks, _, local in self._structures
+                for r, row in zip(ranks.tolist(), local.tolist())}
 
     def touching(self, tau) -> tuple[VarSet, ...]:
         """Hyperedges that meet ``tau``, in lexicographic order."""
-        return tuple(sorted(set(chain.from_iterable(self.incidence[v] for v in tau))))
+        hit = np.zeros(len(self._ids) + 1, dtype=bool)
+        hit[np.searchsorted(self._ids, varset(tau))] = True
+        return tuple(self.edges[j] for j in np.flatnonzero(hit[self._rows].any(axis=1)).tolist())
 
-    def _sized(self, vars: Variables) -> dict[VarSet, tuple[tuple[int, ...], int]]:
-        """Per component, the domain sizes at its local positions and the
-        entries of the largest table its fold forms (once per local structure
-        and sizes), for the registry in use (a :class:`Variables` is immutable)."""
+    def _sized(self, vars: Variables) -> tuple[list, list[int], int]:
+        """For the registry in use (a :class:`Variables` is immutable): per
+        structure, its components grouped by the domain sizes at their local
+        positions, as (sizes, rows of the structure, entries of the largest
+        table the fold forms); the fold entries of each component; and the
+        entries of the largest innovation split."""
         if self._sized_for is not vars:
-            self._sized_for, self._sizes, largest = vars, {}, {}
-            for tau, (_, local, _, _, factors) in self._local.items():
-                sizes = vars.sizes(local)
-                if (factors, sizes) not in largest:
-                    largest[factors, sizes] = max(math.prod(sizes[p] for p in f) for f in factors)
-                self._sizes[tau] = sizes, largest[factors, sizes]
+            dom = np.array([len(d) for d in vars.domains])
+            groups, fold, split = [], [1] * len(self.components), 0
+            for _, _, factors, ranks, _, local in self._structures:
+                sizes = dom[local]
+                reps, which = _distinct(sizes)
+                groups.append([])
+                for j, row in enumerate(sizes[reps].tolist()):
+                    at = np.flatnonzero(which == j)
+                    entries = max(math.prod(row[p] for p in f) for f in factors)
+                    split = max(split, math.prod(row[p] + 1 for p in factors[-1]) - 1)
+                    groups[-1].append((tuple(row), at, entries))
+                    for r in ranks[at].tolist():
+                        fold[r] = entries
+            self._sized_for, self._sizes = vars, (groups, fold, split)
         return self._sizes
 
     def fold_entries(self, vars: Variables, tau: VarSet) -> int:
         """Entries of the largest table the fold of component ``tau`` forms,
         its boundary table included."""
-        return self._sized(vars)[tau][1]
+        return self._sized(vars)[1][self.components.index(tau)]
 
     def largest_factor(self, vars: Variables) -> int:
         """Entries of the largest table the folds form."""
-        return max((entries for _, entries in self._sized(vars).values()), default=1)
+        return max(self._sized(vars)[1], default=1)
 
     def largest_split(self, vars: Variables) -> int:
         """Entries of the largest innovation split: a boundary d splits into
         pieces on its non-empty subsets, prod(|dom v| + 1) - 1 entries."""
-        return max((math.prod(n + 1 for n in vars.sizes(d)) - 1
-                    for d in set(self.boundaries.values())), default=0)
+        return self._sized(vars)[2]
+
+
+def _structure(scopes: tuple, tau: VarSet, width: int, ranks, edges, local) -> tuple:
+    """A local structure with its min-fill order, as :attr:`EliminationPlan._structures`
+    holds it; ``tau`` holds the positions of the component among ``width``."""
+    order, factors = _min_fill_order(scopes, tau)
+    boundary = tuple(p for p in range(width) if p not in tau)
+    return scopes, order, tuple(factors) + (boundary,), ranks, edges, local
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first of each distinct entry (row, if 2-d) of
+    ``keys``, in sorted order (ascending, if 1-d), and which of those each
+    entry equals.  Rows compare as raw bytes; one stable sort is far
+    cheaper than ``np.unique``, above all than ``np.unique(axis=0)``."""
+    if len(keys) == 1:
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    if keys.ndim == 2:
+        keys = np.ascontiguousarray(keys).view(
+            np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    which = np.empty(len(keys), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return order[new], which
+
+
+def _cut(flat: list, sizes: np.ndarray) -> tuple[VarSet, ...]:
+    """``flat`` cut into consecutive tuples of ``sizes``."""
+    ends = np.cumsum(sizes).tolist()
+    return tuple(tuple(flat[s:e]) for s, e in zip([0] + ends, ends))
 
 
 def _checked_plan(h: Hypergraph, vars: Variables, a) -> EliminationPlan:
@@ -334,7 +480,10 @@ def _fold_stack(structure: tuple, stacks, batch: int) -> tuple[VarSet, np.ndarra
             const -= math.log(sizes[v])
             continue
         scope = varset(chain.from_iterable(s for s, _ in bucket))
-        energy = sum(_aligned(values, s, scope) for s, values in bucket)
+        energy = 0  # as sum() starts, so -0.0 entries become 0.0
+        for s, values in bucket:
+            energy = energy + values.reshape(
+                (batch,) + tuple(sizes[x] if x in s else 1 for x in scope))
         ax = scope.index(v) + 1
         low = energy.min(axis=ax, keepdims=True)
         folded = low - np.log(np.exp(low - energy).sum(axis=ax, keepdims=True))
@@ -390,73 +539,137 @@ def component_potential(u: Potential, tau, plan: EliminationPlan | None = None) 
     return InteractionTable(*_fold(u.vars, tables, plan.orders[tau]))
 
 
-def _gather(rows) -> np.ndarray:
-    """Stack of the (group, row) tables ``rows`` of a potential."""
-    first = rows[0][0]
-    if all(g is first for g, _ in rows):
-        return first.values[[k for _, k in rows]]
-    return np.stack([g.values[k] for g, k in rows])
+def _locate(u: Potential, plan: EliminationPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The group index and row of the table of ``u`` on each hyperedge of
+    ``plan``, group -1 where ``u`` has none.  Every scope of ``u`` must be
+    a hyperedge of the plan."""
+    m, width = plan._rows.shape
+    group, row = np.full(m, -1), np.zeros(m, dtype=np.intp)
+    if not u._groups:
+        return group, row
+    padded = [plan._rows]
+    for g in u._groups:
+        scopes = np.full((len(g.scopes), width), -1)
+        scopes[:, :g.scopes.shape[1]] = np.searchsorted(plan._ids, g.scopes)
+        padded.append(scopes)
+    both = np.concatenate(padded)
+    # a stable sort puts each table right after its equal hyperedge
+    order = np.lexsort(both.T[::-1])
+    edge = np.empty(len(both), dtype=np.intp)
+    edge[order] = np.cumsum(order < m) - 1
+    for k, g in enumerate(u._groups):
+        at = edge[m:m + len(g.scopes)]
+        group[at], row[at] = k, np.arange(len(at))
+        m += len(at)
+    return group, row
 
 
-def _component_folds(u: Potential, plan: EliminationPlan) -> list:
-    """The folds of the components of ``plan`` with a non-empty boundary,
-    as stacks: a list of (ranks, scopes, values), where row i of the (B, k)
-    ``scopes`` array and of the (B, *shape) ``values`` stack hold the scope
-    and the -ln table of the fold of ``plan.components[ranks[i]]``.
+def _gather(sources: list, src: np.ndarray, row: np.ndarray) -> list[np.ndarray]:
+    """The stack of each column of the (B, k) ``src`` and ``row``: stack i
+    holds row ``row[j, i]`` of ``sources[src[j, i]]`` for every j.  A run
+    of rows with equal sources takes all the columns of one source in one
+    gather."""
+    cuts = (np.flatnonzero((src[1:] != src[:-1]).any(axis=1)) + 1).tolist()
+    runs = []
+    for start, end in zip([0] + cuts, cuts + [len(src)]):
+        first = src[start].tolist()
+        pieces = [None] * len(first)
+        for g in set(first):
+            cols = [i for i, x in enumerate(first) if x == g]
+            block = sources[g][row[start:end, cols].T]  # each column's stack contiguous
+            for k, i in enumerate(cols):
+                pieces[i] = block[k]
+        runs.append(pieces)
+    return runs[0] if len(runs) == 1 else [np.concatenate(col) for col in zip(*runs)]
 
-    Components of one local structure (:func:`_local_structure` of the
-    tables of ``u`` touching them, along the plan's order) fold as one
-    stack, gathered row by row from the stacks of ``u``; each fold equals
-    :func:`component_potential` on its component.  A stack holds at most
-    ``STATE_LIMIT`` entries in its largest table, so stacking never
-    allocates more than the plan's guard allows one fold.
+
+def _fold_rows(structure: tuple, widest: int, sources: list, member, rank, local, src, row,
+               out: list) -> None:
+    """Fold the components whose tables are rows ``row[i]`` of the stacks
+    ``sources[src[i]]``, for every i, and append each member's folds to
+    ``out[member]``: (ranks, scopes, values) as in :func:`_component_folds`.
+    ``member`` is ascending; ``local`` holds the ids of the local positions
+    of ``structure``.  A stack holds at most ``STATE_LIMIT`` entries in its
+    largest table, ``widest`` entries per fold."""
+    step = max(1, STATE_LIMIT // widest)
+    for start in range(0, len(rank), step):
+        c = slice(start, start + step)
+        stacks = _gather(sources, src[c], row[c])
+        bd, total = _fold_stack(structure, stacks, len(rank[c]))
+        ids = local[c][:, list(bd)]
+        cuts = np.searchsorted(member[c], np.arange(len(out) + 1)).tolist()
+        for m, (s, e) in enumerate(zip(cuts, cuts[1:])):
+            if s < e:
+                out[m].append((rank[c][s:e], ids[s:e], total[s:e]))
+
+
+def _component_folds(members, plan: EliminationPlan) -> list[list]:
+    """Per member of ``members`` (potentials on one registry), the folds of
+    the components of ``plan`` with a non-empty boundary, as stacks: a list
+    of (ranks, scopes, values), where row i of the (B, k) ``scopes`` array
+    and of the (B, *shape) ``values`` stack hold the scope and the -ln table
+    of the fold of ``plan.components[ranks[i]]``.
+
+    The components of one local structure and one set of domain sizes fold
+    as one stack across the family, gathered from the members' stacks by
+    the plan's hyperedge indices; each fold equals
+    :func:`component_potential` on its component.  A component a member
+    touches with only some of the plan's hyperedges folds with the others
+    of the same reduced structure.
     """
-    rows_of = u._rows()
-    groups: dict[tuple, list] = {}
-    for rank, tau in enumerate(plan.components):
-        if not plan.boundaries[tau]:
+    vars = members[0].vars
+    located = [_locate(u, plan) for u in members]
+    sources = [g.values for u in members for g in u._groups]
+    offset = np.cumsum([0] + [len(u._groups) for u in members])[:-1, None, None]
+    out: list[list] = [[] for _ in members]
+    reduced: dict[tuple, list] = {}
+    for (scopes, order, factors, ranks, edges, local), groups in zip(plan._structures,
+                                                                     plan._sized(vars)[0]):
+        if not factors[-1]:
             continue  # constant factor, absorbed by normalization
-        touching, local, scopes, order, _ = plan._local[tau]
-        rows = [rows_of.get(s) for s in touching]
-        if None in rows:  # a family member without some of the plan's hyperedges
-            present = [s for s, row in zip(touching, rows) if row is not None]
-            rows = [row for row in rows if row is not None]
-            structure, local = _local_structure(u.vars, present, plan.orders[tau])
-        else:
-            structure = (scopes, order, plan._sized(u.vars)[tau][0])
-        groups.setdefault(structure, []).append((rank, local, rows))
-    out = []
-    for structure, members in groups.items():
-        widest = max(plan.fold_entries(u.vars, plan.components[r]) for r, _, _ in members)
-        step = max(1, STATE_LIMIT // widest)
-        for start in range(0, len(members), step):
-            chunk = members[start:start + step]
-            stacks = [_gather([rows[i] for _, _, rows in chunk])
-                      for i in range(len(structure[0]))]
-            bd, total = _fold_stack(structure, stacks, len(chunk))
-            ids = np.array([local for _, local, _ in chunk], dtype=np.intp)
-            out.append((np.array([r for r, _, _ in chunk]), ids[:, list(bd)], total))
+        for sizes, at, entries in groups:
+            src = np.stack([group[edges[at]] for group, _ in located])
+            row = np.stack([rows[edges[at]] for _, rows in located])
+            whole = (src >= 0).all(axis=2)
+            m, b = np.nonzero(whole)
+            _fold_rows((scopes, order, sizes), entries, sources, m, ranks[at][b], local[at][b],
+                       (src + offset)[m, b], row[m, b], out)
+            for m, b in zip(*np.nonzero(~whole)):  # a member without some of the hyperedges
+                present = src[m, b] >= 0
+                structure, ids = _local_structure(
+                    vars, [plan.edges[j] for j in edges[at][b][present].tolist()],
+                    tuple(local[at][b][list(order)].tolist()))
+                reduced.setdefault(structure, []).append(
+                    (m, ranks[at][b], ids, src[m, b][present] + offset[m, 0, 0],
+                     row[m, b][present], entries))
+    for structure, items in reduced.items():
+        m, rank, ids, src, row, entries = zip(*sorted(items, key=lambda item: item[0]))
+        _fold_rows(structure, max(entries), sources, np.array(m), np.array(rank), np.array(ids),
+                   np.array(src, dtype=np.intp).reshape(len(m), -1),
+                   np.array(row, dtype=np.intp).reshape(len(m), -1), out)
     return out
 
 
-def _innovation_tables(u: Potential, plan: EliminationPlan, null_tol: float) -> Potential:
-    """Innovations of ``u`` along ``plan`` (its boundaries may be wider than
-    what ``u`` alone induces, e.g. when the plan is built for a family), as
-    one potential: a table per innovation scope, kept in stacks.
+def _innovation_tables(u: Potential, plan: EliminationPlan, null_tol: float,
+                       folds: list) -> Potential:
+    """Innovations of ``u`` from its ``folds`` along ``plan`` (its entry of
+    :func:`_component_folds`; the boundaries may be wider than what ``u``
+    alone induces, e.g. when the plan is built for a family), as one
+    potential: a table per innovation scope, kept in stacks.
 
     The folded tables are summed per boundary in ``plan.components`` order
     and then split, so the result does not depend on how the folds were
     stacked.
     """
     parts = []
-    for ranks, scopes, values in _component_folds(u, plan):
-        ds = [plan.boundaries[plan.components[r]] for r in ranks]
-        if all(len(d) == scopes.shape[1] for d in ds):
+    for ranks, scopes, values in folds:
+        if (plan._width[ranks] == scopes.shape[1]).all():
             parts += _anchored_parts(u.vars, scopes, values, ranks)
             continue
         # a member without some of the plan's tables can fold onto part of
         # a boundary; such folds are broadcast to the whole boundary
-        for k, d in enumerate(ds):
+        for k, r in enumerate(ranks.tolist()):
+            d = plan.boundaries[plan.components[r]]
             wide = _aligned(values[k], tuple(scopes[k].tolist()), d)
             parts += _anchored_parts(u.vars, np.array([d]),
                                      np.broadcast_to(wide, u.vars.sizes(d))[None], ranks[k:k + 1])
@@ -480,7 +693,19 @@ def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]
         raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
     u = _drop_null(u, null_tol)
     plan = _checked_plan(hypergraph_of(u, null_tol), u.vars, a)
-    return [Innovation(t.scope, t) for t in _innovation_tables(u, plan, null_tol).tables]
+    innovation = _innovation_tables(u, plan, null_tol, _component_folds([u], plan)[0])
+    return [Innovation(t.scope, t) for t in innovation.tables]
+
+
+def _model_subgraph(plan: EliminationPlan, a: VarSet) -> Graph:
+    """The subgraph on ``a`` of the graph the plan's hyperedges induce: the
+    pairs of retained variables that share a hyperedge."""
+    rows = plan._rows
+    retained = ((plan._comp[rows] < 0) & (rows >= 0)).sum(axis=1)
+    inside = set(a)
+    return Graph._of(a, frozenset(chain.from_iterable(
+        combinations([v for v in plan.edges[j] if v in inside], 2)
+        for j in np.flatnonzero(retained >= 2).tolist())))
 
 
 def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport:
@@ -514,8 +739,8 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
 
     innovation_scopes: set[VarSet] = set()
     marginals = []
-    for m in clean:
-        innovation = _innovation_tables(m, plan, null_tol)
+    for m, folds in zip(clean, _component_folds(clean, plan)):
+        innovation = _innovation_tables(m, plan, null_tol, folds)
         innovation_scopes.update(*(map(tuple, g.scopes.tolist()) for g in innovation._groups))
         # a scope's restricted table (rank 0) comes before its innovation (rank 1)
         parts = restrict(m, a)._parts(0) + innovation._parts(1)
@@ -530,7 +755,7 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     assert kept._set | added._set == present
 
     marginal_graph = induced_graph(marginal_hypergraph, a)
-    model_subgraph = subgraph(plan.graph, a)
+    model_subgraph = _model_subgraph(plan, a)
     return MarginalReport(
         retained=a,
         marginal_family=PotentialFamily(marginals),

@@ -7,7 +7,8 @@ meaningful evidence.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+import math
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -20,12 +21,15 @@ from margraph import (
     Variables,
     boundary,
     completed_edge_set,
+    component_boundaries,
     component_potential,
     connectivity_components,
     energy_grid,
+    induced_graph,
     subgraph,
     varset,
 )
+from margraph.hypergraph_marginal import _min_fill_order
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> Graph:
@@ -295,6 +299,57 @@ def innovations_by_components(u: Potential, plan, null_tol: float) -> dict:
         agg[d] = agg.get(d, 0.0) + np.broadcast_to(aligned, u.vars.sizes(d))
     acc = split_by_tables(u.vars, agg.items())
     return {b: v for b, v in sorted(acc.items()) if np.max(np.abs(v)) > null_tol}
+
+
+class ReferencePlan:
+    """The elimination plan computed component by component in plain
+    Python: the induced graph, an incidence map and a depth-first search
+    give the components and boundaries, and each component's hyperedges,
+    relabeled to positions in the sorted union of their variables, key one
+    min-fill order per local structure.  The reference for
+    :class:`margraph.EliminationPlan`, with the same attributes."""
+
+    def __init__(self, h, vertices, a):
+        vertices = varset(vertices)
+        graph = induced_graph(h, vertices)
+        incidence: dict[int, list] = {v: [] for v in vertices}
+        for e in h:
+            for v in e:
+                incidence[v].append(e)
+        self.incidence = {v: tuple(es) for v, es in incidence.items()}
+        pairs = component_boundaries(graph, set(vertices) - set(varset(a)))
+        self.components = tuple(tau for tau, _ in pairs)
+        self.boundaries = dict(pairs)
+        self.orders, self.factors, self._local = {}, {}, {}
+        found: dict[tuple, tuple] = {}
+        for tau in self.components:
+            touching = self.touching(tau)
+            local = varset(chain(tau, *touching))
+            at = {v: k for k, v in enumerate(local)}
+            key = (tuple(tuple(at[v] for v in s) for s in touching), tuple(at[v] for v in tau))
+            if key not in found:
+                order, factors = _min_fill_order(*key)
+                boundary = tuple(p for p in range(len(local)) if p not in key[1])
+                found[key] = order, tuple(factors) + (boundary,)
+            order, factors = found[key]
+            self.orders[tau] = tuple(local[p] for p in order)
+            self.factors[tau] = [tuple(local[p] for p in f) for f in factors[:-1]]
+            self._local[tau] = local, factors
+
+    def touching(self, tau) -> tuple:
+        return tuple(sorted(set(chain.from_iterable(self.incidence[v] for v in tau))))
+
+    def fold_entries(self, vars: Variables, tau) -> int:
+        local, factors = self._local[tau]
+        sizes = vars.sizes(local)
+        return max(math.prod(sizes[p] for p in f) for f in factors)
+
+    def largest_factor(self, vars: Variables) -> int:
+        return max((self.fold_entries(vars, tau) for tau in self.components), default=1)
+
+    def largest_split(self, vars: Variables) -> int:
+        return max((math.prod(n + 1 for n in vars.sizes(d)) - 1
+                    for d in set(self.boundaries.values())), default=0)
 
 
 # ---------------------------------------------------------------------------

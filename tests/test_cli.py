@@ -351,6 +351,44 @@ def _golden(name):
         return fh.read()
 
 
+class TestKeepLabel:
+    """``--keep-label`` names a retained label verbatim, in a new process."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "variables": [{"label": "A,B"}, {"label": " C "}, {"label": "D"}, {"label": "C"}],
+            "graph": {"edges": [["A,B", "D"], ["D", " C "], [" C ", "C"]]}}))
+        return str(path)
+
+    @staticmethod
+    def _cli(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "margraph.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    def test_labels_with_a_comma_or_outer_spaces_are_retained(self, model):
+        done = self._cli("marginalize-graph", model, "--keep-label", "A,B",
+                         "--keep-label", " C ")
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["keep"] == ["A,B", " C "]
+        assert doc["marginal_graph"] == {"vertices": ["A,B", " C "], "edges": [["A,B", " C "]]}
+        # --keep strips its labels, and the two add up
+        done = self._cli("marginalize-graph", model, "--keep", " C ", "--keep-label", " C ")
+        assert json.loads(done.stdout)["keep"] == [" C ", "C"]
+
+    def test_an_unknown_label_exits_2(self, model):
+        for argv in (["--keep-label", "A"], ["--keep-label", "C,D"], []):
+            done = self._cli("marginalize-graph", model, *argv)
+            assert done.returncode == 2 and done.stdout == ""
+            assert "error:" in done.stderr and "Traceback" not in done.stderr
+
+
 class TestOutputContract:
     def test_byte_identical_repeated_runs(self, capsys):
         args = ("marginalize-hypergraph", fixture("chain_potential_cancelling.json"),

@@ -206,8 +206,9 @@ class TestOrderedSums:
         u = normalize_potential(Potential(v, [InteractionTable((k, k + 1), rng.normal(size=(2, 2)))
                                               for k in range(4)]))
         plan = _checked_plan(hypergraph_of(u), v, (0, 2, 4))
-        assert len(_component_folds(u, plan)) == 1
-        got = {t.scope: t.values for t in _innovation_tables(u, plan, NULL_TOL).tables}
+        [folds] = _component_folds([u], plan)
+        assert len(folds) == 1
+        got = {t.scope: t.values for t in _innovation_tables(u, plan, NULL_TOL, folds).tables}
         ref = innovations_by_components(u, plan, NULL_TOL)
         assert list(got) == list(ref) and (0, 2) in got and (2, 4) in got
         for scope, values in ref.items():
@@ -235,8 +236,8 @@ class TestWideScopes:
 
     def test_innovations_lists_the_innovation_potential(self):
         u, keep = grid_potential(), grid_retained()
-        tables = _innovation_tables(u, _checked_plan(hypergraph_of(u), u.vars, keep),
-                                    NULL_TOL).tables
+        plan = _checked_plan(hypergraph_of(u), u.vars, keep)
+        tables = _innovation_tables(u, plan, NULL_TOL, _component_folds([u], plan)[0]).tables
         got = innovations(u, keep)
         assert len(got) == len(tables) > 500
         for i, t in zip(got, tables):

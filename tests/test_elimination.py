@@ -47,6 +47,7 @@ from margraph.potentials import (
 )
 
 from helpers import (
+    ReferencePlan,
     binary_vars,
     dense_component_potential,
     innovations_by_components,
@@ -87,15 +88,25 @@ def _plan(u: Potential, keep) -> EliminationPlan:
     return EliminationPlan(hypergraph_of(u), u.vars.all_ids(), keep)
 
 
-def _folds_by_component(u: Potential, plan: EliminationPlan) -> dict:
-    """The stacked folds of ``u`` as (scope, values) per component, in
-    ``plan.components`` order; no component may fold twice."""
-    folds = {}
-    for ranks, scopes, values in _component_folds(u, plan):
-        for r, scope, vals in zip(ranks, scopes.tolist(), values):
-            assert plan.components[r] not in folds
-            folds[plan.components[r]] = (tuple(scope), vals)
-    return {tau: folds[tau] for tau in plan.components if tau in folds}
+def _folds_by_component(members, plan: EliminationPlan) -> list[dict]:
+    """The stacked folds of each of ``members``, folded together, as
+    (scope, values) per component, in ``plan.components`` order; no
+    component may fold twice."""
+    out = []
+    for stacks in _component_folds(members, plan):
+        folds = {}
+        for ranks, scopes, values in stacks:
+            for r, scope, vals in zip(ranks, scopes.tolist(), values):
+                assert plan.components[r] not in folds
+                folds[plan.components[r]] = (tuple(scope), vals)
+        out.append({tau: folds[tau] for tau in plan.components if tau in folds})
+    return out
+
+
+def _innovations(members, plan: EliminationPlan) -> list[dict]:
+    """The innovation tables of each of ``members``, folded together."""
+    return [{t.scope: t.values for t in _innovation_tables(m, plan, NULL_TOL, folds).tables}
+            for m, folds in zip(members, _component_folds(members, plan))]
 
 
 def _max_diff(a, b) -> float:
@@ -176,14 +187,44 @@ def block_families(draw):
     return family, varset(keep)
 
 
+@st.composite
+def many_component_families(draw):
+    """The shapes of many small eliminated components: a chain keeping every
+    third variable or a random tree, each vertex with at most two children,
+    keeping the even depths; binary or ternary, with one to three members
+    on the same scopes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        scopes = [(k, k + 1) for k in range(n - 1)]
+        keep = range(0, n, 3)
+    else:
+        parent, slots, depth = [-1], [0, 0], [0]
+        for k in range(1, n):
+            at = int(rng.integers(len(slots)))
+            parent.append(slots[at])
+            depth.append(depth[parent[k]] + 1)
+            slots[at] = slots[-1]
+            slots.pop()
+            slots += [k, k]
+        scopes = sorted((parent[k], k) for k in range(1, n))
+        keep = [k for k in range(n) if depth[k] % 2 == 0]
+    domain = (-1.0, 0.0, 1.0) if draw(st.booleans()) else (0.0, 1.0)
+    variables = Variables([f"V{k}" for k in range(n)], [domain] * n)
+    scopes += [(k,) for k in range(n)]
+    family = PotentialFamily(normalize_potential(Potential(variables, [
+        InteractionTable(s, rng.uniform(-1.5, 1.5, size=variables.sizes(s))) for s in scopes]))
+        for _ in range(draw(st.integers(1, 3))))
+    return family, varset(keep)
+
+
 class TestStackedFolds:
     @settings(max_examples=60, deadline=None)
     @given(block_families())
     def test_stacked_folds_match_component_potential_bit_for_bit(self, case):
         family, keep = case
         plan = EliminationPlan(hypergraph_of(family), family.vars.all_ids(), keep)
-        for member in family:
-            folds = _folds_by_component(member, plan)
+        for member, folds in zip(family, _folds_by_component(family.members, plan)):
             assert list(folds) == [tau for tau in plan.components if plan.boundaries[tau]]
             for tau, (scope, values) in folds.items():
                 ref = component_potential(member, tau, plan)
@@ -196,8 +237,7 @@ class TestStackedFolds:
     def test_innovations_match_the_component_by_component_route_bit_for_bit(self, case):
         family, keep = case
         plan = EliminationPlan(hypergraph_of(family), family.vars.all_ids(), keep)
-        for member in family:
-            got = {t.scope: t.values for t in _innovation_tables(member, plan, NULL_TOL).tables}
+        for member, got in zip(family, _innovations(family.members, plan)):
             ref = innovations_by_components(member, plan, NULL_TOL)
             assert list(got) == list(ref)
             for scope, values in ref.items():
@@ -214,8 +254,8 @@ class TestStackedFolds:
         u = normalize_potential(Potential(binary_vars(8), raw))
         plan = _plan(u, (0,))
         assert [plan.boundaries[tau] for tau in plan.components] == [(0,)] * 5
-        assert len(_component_folds(u, plan)) == 2
-        got = {t.scope: t.values for t in _innovation_tables(u, plan, NULL_TOL).tables}
+        assert len(_component_folds([u], plan)[0]) == 2
+        [got] = _innovations([u], plan)
         ref = innovations_by_components(u, plan, NULL_TOL)
         assert list(got) == list(ref) == [(0,)]
         assert got[(0,)].tobytes() == ref[(0,)].tobytes()
@@ -238,8 +278,13 @@ class TestStackedFolds:
             return fold_stack(structure, stacks, batch)
 
         monkeypatch.setattr(hypergraph_marginal, "_fold_stack", counting)
-        _component_folds(u, plan)
+        _component_folds([u], plan)
         assert batches == [10]
+        # a family folds every member's copies of the structure in one stack
+        negated = Potential(u.vars, [InteractionTable(t.scope, -t.values) for t in u.tables])
+        batches.clear()
+        _component_folds([u, negated, u], plan)
+        assert batches == [30]
 
 
 class TestMarginalAgainstOracle:
@@ -298,7 +343,7 @@ class TestPlan:
         assert plan.orders[tau] == tau
         assert plan.largest_factor(u.vars) == 8
         assert plan.touching(tau) == tuple(t.scope for t in u.tables)
-        assert plan.incidence[3] == ((2, 3), (3, 4))
+        assert plan.touching((3,)) == ((2, 3), (3, 4))
 
     def test_min_fill_prefers_the_vertex_that_adds_no_edge(self):
         # 2 is a leaf of 1; eliminating 1 first would join 2 with 3 and 4
@@ -323,6 +368,24 @@ class TestPlan:
             scopes = factors + [plan.boundaries[tau]]
             assert plan.fold_entries(u.vars, tau) == max(
                 math.prod(u.vars.sizes(s)) for s in scopes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(models().map(lambda m: (PotentialFamily([m[0]]), m[1])),
+                     block_families(), many_component_families()))
+    def test_plan_matches_the_reference_plan(self, case):
+        family, keep = case
+        h, ids, vars = hypergraph_of(family), family.vars.all_ids(), family.vars
+        plan, ref = EliminationPlan(h, ids, keep), ReferencePlan(h, ids, keep)
+        assert plan.components == ref.components
+        assert list(plan.boundaries.items()) == list(ref.boundaries.items())
+        assert plan.orders == ref.orders
+        assert plan.factors == ref.factors
+        assert [plan.fold_entries(vars, tau) for tau in plan.components] == [
+            ref.fold_entries(vars, tau) for tau in ref.components]
+        assert plan.largest_factor(vars) == ref.largest_factor(vars)
+        assert plan.largest_split(vars) == ref.largest_split(vars)
+        for tau in plan.components:
+            assert plan.touching(tau) == ref.touching(tau)
 
     def test_untouched_variables_are_their_own_components(self):
         u = Potential(binary_vars(3), [InteractionTable((0, 1), np.array([[0.0, 0.0], [0.0, 1.0]]))])
@@ -396,6 +459,16 @@ class TestResourceGuard:
             tracemalloc.stop()
         assert [i.scope for i in out] == [(k,) for k in keep]
         assert peak < 5 * 8 * STATE_LIMIT
+        # a family stacks its members' folds together, within the same bound
+        negated = Potential(u.vars, [InteractionTable(t.scope, -t.values) for t in u.tables])
+        tracemalloc.start()
+        try:
+            folds = _component_folds([u, negated], plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [sum(len(r) for r, _, _ in f) for f in folds] == [6, 6]
+        assert peak < 5 * 8 * STATE_LIMIT
 
     def test_a_group_too_wide_for_one_stack_folds_in_chunks(self, monkeypatch):
         # ten components folding through 2^17 entries: eight fit one stack
@@ -409,7 +482,7 @@ class TestResourceGuard:
             return fold_stack(structure, stacks, batch)
 
         monkeypatch.setattr(hypergraph_marginal, "_fold_stack", counting)
-        folds = _folds_by_component(u, plan)
+        [folds] = _folds_by_component([u], plan)
         assert batches == [8, 2]
         monkeypatch.undo()
         for tau, (scope, values) in folds.items():

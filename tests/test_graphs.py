@@ -21,6 +21,8 @@ from margraph import (
     varset,
 )
 
+from margraph.components import component_labels
+
 from fixture_models import ten_vertex_graph
 from helpers import brute_force_cliques, neighbor_scan, random_graph, reachability_components
 
@@ -209,3 +211,20 @@ def test_operations_are_deterministic(g10):
     assert cliques(g10) == cliques(g10)
     assert connectivity_components(g10) == connectivity_components(g10)
     assert boundary(g10, (0, 2)) == boundary(g10, (2, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=14), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_numpy_component_finder_matches_connectivity_components(g, isolated, random):
+    # ``isolated`` vertices join after the graph's own; edges come in any
+    # order and either direction
+    n = len(g.vertices) + isolated
+    edges = [(b, a) if random.random() < 0.5 else (a, b) for a, b in g.edges]
+    random.shuffle(edges)
+    u = np.array([a for a, _ in edges], dtype=np.intp)
+    v = np.array([b for _, b in edges], dtype=np.intp)
+    expected = [0] * n
+    for part in connectivity_components(Graph.from_edges(range(n), g.edges)):
+        for x in part:
+            expected[x] = part[0]
+    assert component_labels(n, u, v).tolist() == expected
