@@ -21,8 +21,7 @@ _EXPORTS = {
                "component_boundaries", "connectivity_components", "is_complete", "subgraph",
                "varset"),
     "hypergraph_marginal": ("EliminationPlan", "Innovation", "MarginalReport",
-                            "boundary_hypergraph", "component_potential", "innovations",
-                            "marginalize_hypergraph"),
+                            "boundary_hypergraph", "innovations", "marginalize_hypergraph"),
     "oracle": ("DensityTable", "joint_table", "marginal_table",
                "normalized_potential_from_table"),
     "potentials": ("NULL_TOL", "Hypergraph", "InteractionTable", "Potential",

@@ -263,8 +263,11 @@ def _run(args) -> int:
             doc["diagnostics"] = diagnostics
         text = dump_json(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"{args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
     # a failed oracle-verify is a validation error

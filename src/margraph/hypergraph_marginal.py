@@ -22,25 +22,22 @@ The cost follows the width of the order, not the size of the component.
 The plan also refuses a boundary whose innovation split would make more
 than ``STATE_LIMIT`` entries, prod(|dom v| + 1) - 1 for a boundary d.
 
-Models with many small components pay numpy's per-call cost per table
-unless the work is batched, so the route never leaves the columnar form of
-:mod:`margraph.potentials`, and the plan is built from arrays.  It holds the
-hyperedges as a padded (hyperedges x width) array; one label-flow pass of
-:func:`margraph.components.component_labels` finds the components and one
-sort finds every boundary.  Components share a local structure when their
-touching hyperedges, relabeled by position in the sorted union of the
-component and its boundary, coincide together with the component's own
-positions (relabeling keeps the order of ids, so smallest-id tie-breaking
-maps back exactly).  One sort of those relabeled rows, compared as bytes,
-groups the components by structure; min-fill then runs once per
-structure, in Python, and orders, factor scopes and sizes are read off by
-indexing.  Each structure hands the folds its components' hyperedge
-indices, so a family gathers every member's tables of one structure (and
-one set of domain sizes) into one stack and folds it once, each stack
-holding at most ``STATE_LIMIT`` entries in its largest table.  The folds
-are summed per member and per boundary, ranked by component in
-``plan.components`` order, and split as stacks, one gather per sub-scope
-shape, into a columnar potential per member; its marginal is its
+The route stays columnar, since models with many small components would
+otherwise pay numpy's per-call cost per table.  One lexsort of every
+member's scope arrays (:func:`~margraph.potentials._scope_rows`) gives the
+plan its hyperedges, as a padded array in lexicographic order, and finds
+each member's table on each; tuples are made only of the rows a step
+reads.  One label-flow pass of :func:`margraph.components.component_labels`
+finds the components and one sort every boundary.  Components share a local
+structure when their touching hyperedges, relabeled by position in the
+sorted union of component and boundary, coincide together with the
+component's own positions (relabeling keeps the order of ids, so
+smallest-id tie-breaking maps back); one byte-wise sort groups them, and
+min-fill runs once per structure.  A family gathers every member's tables
+of one structure and one set of domain sizes into one stack and folds it
+once, with at most ``STATE_LIMIT`` entries in its largest table.  The folds
+are summed per member and per boundary in ``plan.components`` order and
+split as stacks into a columnar potential per member, whose marginal is its
 restriction plus those innovations, summed per scope in that order.  Every
 sum runs in the order a component-by-component loop would use, so results
 do not depend on the grouping, bit for bit.
@@ -50,8 +47,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, zip_longest
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -66,7 +64,9 @@ from .potentials import (
     PotentialFamily,
     _aligned,
     _anchored_parts,
+    _distinct,
     _drop_null,
+    _scope_rows,
     _split,
     _sum_parts,
     hypergraph_of,
@@ -164,63 +164,89 @@ def _min_fill_order(scopes, tau: VarSet) -> tuple[tuple[int, ...], list[VarSet]]
     return tuple(order), factors
 
 
-def _require_within_limit(entries: int) -> None:
-    if entries > STATE_LIMIT:
-        raise ResourceLimitError(
-            f"elimination needs {entries} table entries, "
-            f"above the limit of {STATE_LIMIT}")
-
-
 class EliminationPlan:
     """How marginalizing onto a retained set folds the eliminated variables.
 
-    Built once per call from a hypergraph of interaction scopes; a plan from
-    a family's hypergraph serves every member.  It holds:
+    Built once per call from the interaction scopes, so that a plan of a
+    family serves every member.  It holds:
 
     - ``components``: the connectivity components of the eliminated set in
-      the graph the hypergraph induces on ``vertices``, ordered by smallest
+      the graph the hyperedges induce on the vertices, ordered by smallest
       member, and their ``boundaries`` in that graph;
     - ``orders``: a greedy min-fill elimination order of each component,
       ties to the smallest id, computed once per local structure;
     - ``factors``: per component, the scope of every product factor its
-      fold forms along its order, from which :meth:`fold_entries` and
-      :meth:`largest_factor` predict the largest allocation;
-      :meth:`largest_split` predicts the entries the innovation split of
-      the widest boundary makes.
+      fold forms along its order, from which :meth:`largest_factor`
+      predicts the largest allocation; :meth:`largest_split` predicts the
+      entries the innovation split of the widest boundary makes.
 
-    ``edges`` are the hyperedges, in lexicographic order, kept also as a
-    padded (hyperedges x width) array of vertex positions, -1 past the end
-    of each.  Components and boundaries are found at construction; the
-    grouping by local structure (see the module docstring), min-fill and
-    the sizes wait until an order or a size is asked for, so
-    :func:`boundary_hypergraph` pays for no more.  Each structure keeps, as
-    arrays with a row per component, the ranks of its components in
-    ``components``, the indices of their touching hyperedges (the rows the
-    folds gather) and their local variables.  A lone component skips the
-    batching: its boundary and structure are read in plain Python, where
-    numpy's per-call cost would outweigh the work.
+    The hyperedges are ``_rows``, vertex positions padded with -1, in the
+    order of :func:`~margraph.potentials._scope_rows`.  The route builds
+    the plan from the members' scope arrays (:meth:`_of`), whose one sort
+    also finds each member's tables; ``EliminationPlan(h, vertices, a)``
+    feeds ``h.edges`` through the same helper.  ``edges`` makes tuples of
+    every row on each access; the route makes them of the rows a step
+    reads.  Components and boundaries are found at construction; the
+    grouping by local structure, min-fill and the sizes wait until an order
+    or a size is asked for, so :func:`boundary_hypergraph` pays for no
+    more.  Each structure keeps, with a row per component, the ranks of its
+    components in ``components``, the indices of their touching hyperedges
+    (the rows the folds gather) and their local variables.  A lone
+    component skips the batching: its boundary and structure are read in
+    plain Python, where numpy's per-call cost would outweigh the work.
 
     A member of a family touches a subset of the plan's hyperedges, so the
     tables its fold of a component forms lie within these factor scopes.
     """
 
-    __slots__ = ("edges", "components", "boundaries", "_ids", "_rows", "_comp", "_width",
+    __slots__ = ("components", "boundaries", "_ids", "_rows", "_tables", "_comp", "_width",
                  "_pending", "_built", "_sized_for", "_sizes")
 
     def __init__(self, h: Hypergraph, vertices, a):
         vertices = varset(vertices)
         a = varset(a)
-        if not set(a) <= set(vertices):
-            raise InvalidInputError(f"ids {sorted(set(a) - set(vertices))} outside the vertex set")
-        self._index(h, vertices)
-        n = len(vertices)
+        inside = set(vertices)
+        if not inside.issuperset(a):
+            raise InvalidInputError(f"ids {sorted(set(a) - inside)} outside the vertex set")
+        if not inside.issuperset(chain.from_iterable(h.edges)):
+            e = next(e for e in h.edges if not inside.issuperset(e))
+            raise InvalidInputError(f"hyperedge {set(e)} not contained in the vertex set")
+        ids = np.array(vertices, dtype=np.intp)
+        rows, _ = _scope_rows([np.searchsorted(ids, np.fromiter(
+            chain.from_iterable(e for e in h.edges if len(e) == w), np.intp).reshape(k, w))
+            for w, k in Counter(map(len, h.edges)).items()])
+        self._init(ids, rows, a, None)
+
+    @classmethod
+    def _of(cls, members, a: VarSet) -> "EliminationPlan":
+        """The plan of the scopes of ``members``, potentials on one registry.
+
+        ``_tables`` holds where each member's tables sit, as two (members x
+        hyperedges) arrays: the group of the table on each hyperedge,
+        counted across the members' groups in turn (-1 where the member has
+        none), and its row in that group.
+        """
+        groups = [(m, g) for m, u in enumerate(members) for g in u._groups]
+        rows, which = _scope_rows([g.scopes for _, g in groups])
+        src = np.full((len(members), len(rows)), -1, dtype=np.intp)
+        row = np.zeros_like(src)
+        for k, ((m, _), at) in enumerate(zip(groups, which)):
+            src[m, at], row[m, at] = k, np.arange(len(at))
+        plan = cls.__new__(cls)
+        plan._init(np.arange(len(members[0].vars)), rows, a, (src, row))
+        return plan
+
+    def _init(self, ids: np.ndarray, rows: np.ndarray, a: VarSet, tables) -> None:
+        """The constructor core, on the hyperedges ``rows`` in positions of ``ids``."""
+        self._ids, self._rows, self._tables = ids, rows, tables
+        n = len(ids)
         eliminated = np.ones(n, dtype=bool)
-        eliminated[np.searchsorted(self._ids, a)] = False
+        eliminated[np.searchsorted(ids, a)] = False
         z = np.flatnonzero(eliminated)
         # index among the eliminated vertices, -1 elsewhere and in the pad slot
         at = np.full(n + 1, -1)
         at[z] = np.arange(len(z))
-        inside = at[self._rows]
+        inside = at[rows]
         # each hyperedge joins its eliminated members to one of them
         hub = inside.max(axis=1, initial=-1)
         r, c = np.nonzero(inside >= 0)
@@ -230,33 +256,16 @@ class EliminationPlan:
         comp[z] = (np.cumsum(root) - 1)[label]
         self._partition(comp, int(root.sum()))
 
-    @classmethod
-    def _one_component(cls, h: Hypergraph, vertices, tau: VarSet) -> "EliminationPlan":
-        """A plan that folds ``tau`` as one component, connected or not."""
-        plan = cls.__new__(cls)
-        plan._index(h, varset(vertices))
-        comp = np.full(len(plan._ids) + 1, -1)
-        comp[np.searchsorted(plan._ids, tau)] = 0
-        plan._partition(comp, 1)
-        return plan
+    @property
+    def edges(self) -> tuple[VarSet, ...]:
+        """The hyperedges, in lexicographic order."""
+        return tuple(self._scopes(slice(None)))
 
-    def _index(self, h: Hypergraph, vertices: VarSet) -> None:
-        """The hyperedges as the padded array ``_rows`` of positions in ``vertices``."""
-        self.edges = edges = h.edges
-        self._ids = ids = np.array(vertices, dtype=np.intp)
-        pad = int(ids[0]) - 1 if len(ids) else -1  # below every id
-        # one row per member slot, one column per hyperedge
-        slots = list(zip_longest(*edges, fillvalue=pad))
-        slots = np.array(slots, dtype=np.intp).reshape(len(slots), len(edges))
-        blank = slots == pad
-        pos = np.searchsorted(ids, slots)
-        found = blank | (ids[np.minimum(pos, len(ids) - 1)] == slots) if len(ids) else blank
-        if not found.all():
-            e = edges[np.flatnonzero(~found.all(axis=0))[0]]
-            raise InvalidInputError(f"hyperedge {set(e)} not contained in the vertex set")
-        pos[blank] = -1
-        # column-major, so that reductions along a hyperedge run down columns
-        self._rows = pos.T
+    def _scopes(self, j) -> list[VarSet]:
+        """The hyperedges at indices ``j``, as tuples of ids."""
+        rows = self._rows[j]
+        return [tuple(r[:k]) for r, k in zip(self._ids[rows].tolist(),
+                                              (rows >= 0).sum(axis=1).tolist())]
 
     def _partition(self, comp: np.ndarray, count: int) -> None:
         """Components and boundaries from ``comp``, the component of each
@@ -269,10 +278,10 @@ class EliminationPlan:
         self._comp, self._built, self._sized_for = comp, None, None
         if count == 1:  # a lone component (see the class docstring)
             tau = tuple(self._ids[comp[:n] >= 0].tolist())
-            inside = set(tau)
-            bd = varset(v for j in touch.tolist() for v in self.edges[j] if v not in inside)
+            scopes = self._scopes(touch)
+            bd = varset(set(chain.from_iterable(scopes)).difference(tau))
             self.components, self.boundaries = (tau,), {tau: bd}
-            self._width, self._pending = np.array([len(bd)]), (touch,)
+            self._width, self._pending = np.array([len(bd)]), (touch, scopes)
             return
         # the boundary: members of a touching hyperedge outside its component
         r, c = np.nonzero((member != owner[:, None]) & (rows >= 0))
@@ -294,18 +303,16 @@ class EliminationPlan:
         ranks, touching hyperedge indices and local ids of its components,
         one row each."""
         if self._built is None:
-            self._built = self._group(*self._pending)
+            self._built = (self._lone if len(self.components) == 1 else self._group)(*self._pending)
         return self._built
 
-    def _group(self, touch, owner=None, inner=None, bound=None) -> list[tuple]:
+    def _lone(self, touch, scopes) -> list[tuple]:
+        scopes, tau, local = _relabeled(scopes, self.components[0])
+        return [_structure(scopes, tau, len(local), np.zeros(1, dtype=np.intp), touch[None],
+                           np.array([local]))]
+
+    def _group(self, touch, owner, inner, bound) -> list[tuple]:
         n, count, comp = len(self._ids), len(self.components), self._comp
-        if count == 1:  # a lone component is its own structure
-            [tau] = self.components
-            local = varset(tau + self.boundaries[tau])
-            at = {v: p for p, v in enumerate(local)}
-            scopes = tuple(tuple(at[v] for v in self.edges[j]) for j in touch.tolist())
-            return [_structure(scopes, tuple(at[v] for v in tau), len(local),
-                               np.zeros(1, dtype=np.intp), touch[None], np.array([local]))]
         rows = self._rows[touch]
         local = np.sort(np.concatenate((comp[inner] * n + inner, bound)))
         size = np.bincount(local // n, minlength=count)
@@ -344,43 +351,30 @@ class EliminationPlan:
                 for _, _, factors, ranks, _, local in self._structures
                 for r, row in zip(ranks.tolist(), local.tolist())}
 
-    def touching(self, tau) -> tuple[VarSet, ...]:
-        """Hyperedges that meet ``tau``, in lexicographic order."""
-        hit = np.zeros(len(self._ids) + 1, dtype=bool)
-        hit[np.searchsorted(self._ids, varset(tau))] = True
-        return tuple(self.edges[j] for j in np.flatnonzero(hit[self._rows].any(axis=1)).tolist())
-
-    def _sized(self, vars: Variables) -> tuple[list, list[int], int]:
+    def _sized(self, vars: Variables) -> tuple[list, int, int]:
         """For the registry in use (a :class:`Variables` is immutable): per
         structure, its components grouped by the domain sizes at their local
         positions, as (sizes, rows of the structure, entries of the largest
-        table the fold forms); the fold entries of each component; and the
-        entries of the largest innovation split."""
+        table the fold forms); the largest of those entries; and the entries
+        of the largest innovation split."""
         if self._sized_for is not vars:
             dom = np.array([len(d) for d in vars.domains])
-            groups, fold, split = [], [1] * len(self.components), 0
-            for _, _, factors, ranks, _, local in self._structures:
+            groups, largest, split = [], 1, 0
+            for _, _, factors, _, _, local in self._structures:
                 sizes = dom[local]
                 reps, which = _distinct(sizes)
                 groups.append([])
                 for j, row in enumerate(sizes[reps].tolist()):
-                    at = np.flatnonzero(which == j)
                     entries = max(math.prod(row[p] for p in f) for f in factors)
+                    largest = max(largest, entries)
                     split = max(split, math.prod(row[p] + 1 for p in factors[-1]) - 1)
-                    groups[-1].append((tuple(row), at, entries))
-                    for r in ranks[at].tolist():
-                        fold[r] = entries
-            self._sized_for, self._sizes = vars, (groups, fold, split)
+                    groups[-1].append((tuple(row), np.flatnonzero(which == j), entries))
+            self._sized_for, self._sizes = vars, (groups, largest, split)
         return self._sizes
-
-    def fold_entries(self, vars: Variables, tau: VarSet) -> int:
-        """Entries of the largest table the fold of component ``tau`` forms,
-        its boundary table included."""
-        return self._sized(vars)[1][self.components.index(tau)]
 
     def largest_factor(self, vars: Variables) -> int:
         """Entries of the largest table the folds form."""
-        return max(self._sized(vars)[1], default=1)
+        return self._sized(vars)[1]
 
     def largest_split(self, vars: Variables) -> int:
         """Entries of the largest innovation split: a boundary d splits into
@@ -396,35 +390,28 @@ def _structure(scopes: tuple, tau: VarSet, width: int, ranks, edges, local) -> t
     return scopes, order, tuple(factors) + (boundary,), ranks, edges, local
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the first of each distinct entry (row, if 2-d) of
-    ``keys``, in sorted order (ascending, if 1-d), and which of those each
-    entry equals.  Rows compare as raw bytes; one stable sort is far
-    cheaper than ``np.unique``, above all than ``np.unique(axis=0)``."""
-    if len(keys) == 1:
-        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    if keys.ndim == 2:
-        keys = np.ascontiguousarray(keys).view(
-            np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    which = np.empty(len(keys), dtype=np.intp)
-    which[order] = np.cumsum(new) - 1
-    return order[new], which
-
-
 def _cut(flat: list, sizes: np.ndarray) -> tuple[VarSet, ...]:
     """``flat`` cut into consecutive tuples of ``sizes``."""
     ends = np.cumsum(sizes).tolist()
     return tuple(tuple(flat[s:e]) for s, e in zip([0] + ends, ends))
 
 
-def _checked_plan(h: Hypergraph, vars: Variables, a) -> EliminationPlan:
-    plan = EliminationPlan(h, vars.all_ids(), a)
-    _require_within_limit(max(plan.largest_factor(vars), plan.largest_split(vars)))
-    return plan
+def _checked_plan(members, a, null_tol: float) -> tuple[list, VarSet, EliminationPlan]:
+    """``members`` (normalized, on one registry) without their null tables,
+    ``a`` as a checked id set, and the plan of those tables, refused when
+    its largest table would exceed ``STATE_LIMIT`` entries."""
+    for m in members:
+        require_normalized(m)
+    a, allv = varset(a), members[0].vars.all_ids()
+    if not set(a) <= set(allv):
+        raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
+    clean = [_drop_null(m, null_tol) for m in members]
+    plan, vars = EliminationPlan._of(clean, a), members[0].vars
+    entries = max(plan.largest_factor(vars), plan.largest_split(vars))
+    if entries > STATE_LIMIT:
+        raise ResourceLimitError(
+            f"elimination needs {entries} table entries, above the limit of {STATE_LIMIT}")
+    return clean, a, plan
 
 
 def boundary_hypergraph(h: Hypergraph, vars_ids, a) -> Hypergraph:
@@ -439,20 +426,17 @@ def boundary_hypergraph(h: Hypergraph, vars_ids, a) -> Hypergraph:
     return Hypergraph(EliminationPlan(h, vars_ids, a).boundaries.values(), allow_empty=True)
 
 
-def _local_structure(vars: Variables, scopes, order) -> tuple[tuple, VarSet]:
-    """What a fold of tables on ``scopes`` along ``order`` computes, up to
-    the variables' names: the scopes and the order relabeled to positions
-    in the sorted union of ``order`` and the scopes, plus the domain sizes
-    at those positions.  Also returns that union, to map positions back.
+def _relabeled(scopes, order) -> tuple[tuple, tuple, VarSet]:
+    """``scopes`` and ``order`` relabeled to positions in ``local``, the
+    sorted union of ``order`` and the scopes, and ``local`` itself.
 
     The relabeling keeps the order of ids, so a fold of the relabeled
-    structure does the same arithmetic as a fold of the original.
+    structure (with the domain sizes at those positions) does the same
+    arithmetic as a fold of the original.
     """
     local = varset(chain(order, *scopes))
     at = {v: k for k, v in enumerate(local)}
-    structure = (tuple(tuple(at[v] for v in s) for s in scopes),
-                 tuple(at[v] for v in order), vars.sizes(local))
-    return structure, local
+    return tuple(tuple(at[v] for v in s) for s in scopes), tuple(at[v] for v in order), local
 
 
 def _fold_stack(structure: tuple, stacks, batch: int) -> tuple[VarSet, np.ndarray]:
@@ -493,75 +477,6 @@ def _fold_stack(structure: tuple, stacks, batch: int) -> tuple[VarSet, np.ndarra
     for s, values in rest:
         total += _aligned(values, s, bd)
     return bd, total
-
-
-def _fold(vars: Variables, tables, order) -> tuple[VarSet, np.ndarray]:
-    """Sum the variables of ``order`` out of exp(-sum of ``tables``), one at
-    a time and in log space (bucket elimination).
-
-    Returns the scope left over and -ln of the sum on it.
-    """
-    structure, local = _local_structure(vars, [t.scope for t in tables], order)
-    bd, total = _fold_stack(structure, [t.values[None] for t in tables], 1)
-    return tuple(local[p] for p in bd), total[0]
-
-
-def component_potential(u: Potential, tau, plan: EliminationPlan | None = None) -> InteractionTable:
-    """Fold the variables ``tau`` into a table over their boundary.
-
-    The entry at a boundary assignment b is
-    -ln sum_t exp(-sum of the interactions touching tau at (b, t)),
-    the sum running over the joint assignments t of tau, and the boundary
-    is every variable outside tau that shares an interaction with it.  The
-    sum is never formed over all of tau at once: its variables are
-    eliminated one at a time along ``plan``'s order for the component tau
-    (without a plan, a min-fill order of the interactions touching tau),
-    each step combining only the factors that contain the variable.  A
-    variable no interaction touches contributes -ln(its domain size), so a
-    component touched by no interaction yields the constant -ln(number of
-    component assignments) on the empty scope.
-
-    With a plan, tau must be one of its components and every scope of ``u``
-    one of the hyperedges it was built from; the plan's size is the
-    caller's to check.  Without one, a fold whose largest table would
-    exceed ``STATE_LIMIT`` entries raises :class:`ResourceLimitError`.
-    """
-    tau = varset(tau)
-    if not tau:
-        raise InvalidInputError("component must be non-empty")
-    n = len(u.vars)
-    if tau[0] < 0 or tau[-1] >= n:
-        raise InvalidInputError(f"ids {[v for v in tau if not 0 <= v < n]} outside the registry")
-    if plan is None:
-        plan = EliminationPlan._one_component(Hypergraph._of(u.scopes()), u.vars.all_ids(), tau)
-        _require_within_limit(plan.fold_entries(u.vars, tau))
-    tables = [t for s in plan.touching(tau) if (t := u.table_for(s)) is not None]
-    return InteractionTable(*_fold(u.vars, tables, plan.orders[tau]))
-
-
-def _locate(u: Potential, plan: EliminationPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The group index and row of the table of ``u`` on each hyperedge of
-    ``plan``, group -1 where ``u`` has none.  Every scope of ``u`` must be
-    a hyperedge of the plan."""
-    m, width = plan._rows.shape
-    group, row = np.full(m, -1), np.zeros(m, dtype=np.intp)
-    if not u._groups:
-        return group, row
-    padded = [plan._rows]
-    for g in u._groups:
-        scopes = np.full((len(g.scopes), width), -1)
-        scopes[:, :g.scopes.shape[1]] = np.searchsorted(plan._ids, g.scopes)
-        padded.append(scopes)
-    both = np.concatenate(padded)
-    # a stable sort puts each table right after its equal hyperedge
-    order = np.lexsort(both.T[::-1])
-    edge = np.empty(len(both), dtype=np.intp)
-    edge[order] = np.cumsum(order < m) - 1
-    for k, g in enumerate(u._groups):
-        at = edge[m:m + len(g.scopes)]
-        group[at], row[at] = k, np.arange(len(at))
-        m += len(at)
-    return group, row
 
 
 def _gather(sources: list, src: np.ndarray, row: np.ndarray) -> list[np.ndarray]:
@@ -612,15 +527,15 @@ def _component_folds(members, plan: EliminationPlan) -> list[list]:
 
     The components of one local structure and one set of domain sizes fold
     as one stack across the family, gathered from the members' stacks by
-    the plan's hyperedge indices; each fold equals
-    :func:`component_potential` on its component.  A component a member
-    touches with only some of the plan's hyperedges folds with the others
-    of the same reduced structure.
+    the plan's hyperedge indices; each fold equals a fold of its component
+    on its own, table by table.  A component a member touches with only
+    some of the plan's hyperedges folds with the others of the same reduced
+    structure.  The plan must be built from ``members``
+    (:meth:`EliminationPlan._of`).
     """
     vars = members[0].vars
-    located = [_locate(u, plan) for u in members]
+    tables, rows = plan._tables
     sources = [g.values for u in members for g in u._groups]
-    offset = np.cumsum([0] + [len(u._groups) for u in members])[:-1, None, None]
     out: list[list] = [[] for _ in members]
     reduced: dict[tuple, list] = {}
     for (scopes, order, factors, ranks, edges, local), groups in zip(plan._structures,
@@ -628,20 +543,17 @@ def _component_folds(members, plan: EliminationPlan) -> list[list]:
         if not factors[-1]:
             continue  # constant factor, absorbed by normalization
         for sizes, at, entries in groups:
-            src = np.stack([group[edges[at]] for group, _ in located])
-            row = np.stack([rows[edges[at]] for _, rows in located])
+            src, row = tables[:, edges[at]], rows[:, edges[at]]
             whole = (src >= 0).all(axis=2)
             m, b = np.nonzero(whole)
             _fold_rows((scopes, order, sizes), entries, sources, m, ranks[at][b], local[at][b],
-                       (src + offset)[m, b], row[m, b], out)
+                       src[m, b], row[m, b], out)
             for m, b in zip(*np.nonzero(~whole)):  # a member without some of the hyperedges
                 present = src[m, b] >= 0
-                structure, ids = _local_structure(
-                    vars, [plan.edges[j] for j in edges[at][b][present].tolist()],
-                    tuple(local[at][b][list(order)].tolist()))
-                reduced.setdefault(structure, []).append(
-                    (m, ranks[at][b], ids, src[m, b][present] + offset[m, 0, 0],
-                     row[m, b][present], entries))
+                *structure, ids = _relabeled(plan._scopes(edges[at][b][present]),
+                                             tuple(local[at][b][list(order)].tolist()))
+                reduced.setdefault((*structure, vars.sizes(ids)), []).append(
+                    (m, ranks[at][b], ids, src[m, b][present], row[m, b][present], entries))
     for structure, items in reduced.items():
         m, rank, ids, src, row, entries = zip(*sorted(items, key=lambda item: item[0]))
         _fold_rows(structure, max(entries), sources, np.array(m), np.array(rank), np.array(ids),
@@ -686,26 +598,22 @@ def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]
     eliminated components; each is normalized by construction.  ``u`` must
     be normalized.
     """
-    require_normalized(u)
-    a = varset(a)
-    allv = u.vars.all_ids()
-    if not set(a) <= set(allv):
-        raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
-    u = _drop_null(u, null_tol)
-    plan = _checked_plan(hypergraph_of(u, null_tol), u.vars, a)
+    [u], _, plan = _checked_plan([u], a, null_tol)
     innovation = _innovation_tables(u, plan, null_tol, _component_folds([u], plan)[0])
     return [Innovation(t.scope, t) for t in innovation.tables]
 
 
-def _model_subgraph(plan: EliminationPlan, a: VarSet) -> Graph:
-    """The subgraph on ``a`` of the graph the plan's hyperedges induce: the
-    pairs of retained variables that share a hyperedge."""
+def _retained(plan: EliminationPlan, a: VarSet) -> tuple[frozenset, Graph]:
+    """The hyperedges of the plan within ``a``, and the subgraph on ``a`` of
+    the graph they all induce: the pairs of retained variables that share a
+    hyperedge."""
     rows = plan._rows
-    retained = ((plan._comp[rows] < 0) & (rows >= 0)).sum(axis=1)
+    held = rows >= 0
+    retained = ((plan._comp[rows] < 0) & held).sum(axis=1)
     inside = set(a)
-    return Graph._of(a, frozenset(chain.from_iterable(
-        combinations([v for v in plan.edges[j] if v in inside], 2)
-        for j in np.flatnonzero(retained >= 2).tolist())))
+    return frozenset(plan._scopes(retained == held.sum(axis=1))), Graph._of(
+        a, frozenset(chain.from_iterable(combinations([v for v in s if v in inside], 2)
+                                         for s in plan._scopes(retained >= 2))))
 
 
 def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport:
@@ -724,18 +632,9 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     """
     if isinstance(fam, Potential):
         fam = PotentialFamily([fam])
-    for m in fam:
-        require_normalized(m)
     vars = fam.vars
-    allv = vars.all_ids()
-    a = varset(a)
-    if not set(a) <= set(allv):
-        raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
-
-    clean = [_drop_null(m, null_tol) for m in fam]
-    h = hypergraph_of(clean, null_tol)
-    plan = _checked_plan(h, vars, a)
-    h_restricted = h.restrict(a)
+    clean, a, plan = _checked_plan(fam.members, a, null_tol)
+    restricted, model_subgraph = _retained(plan, a)
 
     innovation_scopes: set[VarSet] = set()
     marginals = []
@@ -749,13 +648,12 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     # a scope disappears when its combined table is null for every member
     marginal_hypergraph = hypergraph_of(marginals, null_tol)
     present = marginal_hypergraph._set
-    removed = Hypergraph._of(h_restricted._set - present)
-    kept = Hypergraph._of(h_restricted._set & present)
-    added = Hypergraph._of((innovation_scopes - h_restricted._set) & present)
+    removed = Hypergraph._of(restricted - present)
+    kept = Hypergraph._of(restricted & present)
+    added = Hypergraph._of((innovation_scopes - restricted) & present)
     assert kept._set | added._set == present
 
     marginal_graph = induced_graph(marginal_hypergraph, a)
-    model_subgraph = _model_subgraph(plan, a)
     return MarginalReport(
         retained=a,
         marginal_family=PotentialFamily(marginals),

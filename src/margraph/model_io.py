@@ -221,7 +221,7 @@ def load_model(path) -> ModelFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # unreadable, not UTF-8, too deep
         raise ModelFormatError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None

@@ -22,14 +22,13 @@ from margraph import (
     boundary,
     completed_edge_set,
     component_boundaries,
-    component_potential,
     connectivity_components,
     energy_grid,
     induced_graph,
     subgraph,
     varset,
 )
-from margraph.hypergraph_marginal import _min_fill_order
+from margraph.hypergraph_marginal import _fold_stack, _min_fill_order, _relabeled
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> Graph:
@@ -188,6 +187,34 @@ def folded_component_by_loops(u: Potential, tau, bd) -> np.ndarray:
             total += np.exp(-e)
         out[b_idx] = -np.log(total)
     return out
+
+
+def fold_tables(vars: Variables, tables, order) -> tuple[tuple[int, ...], np.ndarray]:
+    """Sum the variables of ``order`` out of exp(-sum of ``tables``), one at
+    a time and in log space, by the library's bucket elimination on a batch
+    of one.  Returns the scope left over and -ln of the sum on it."""
+    scopes, order, local = _relabeled([t.scope for t in tables], order)
+    bd, total = _fold_stack((scopes, order, vars.sizes(local)), [t.values[None] for t in tables], 1)
+    return tuple(local[p] for p in bd), total[0]
+
+
+def component_potential(u: Potential, tau, plan=None) -> InteractionTable:
+    """Reference component fold: the tables of ``u`` that touch ``tau``,
+    one by one in scope order, folded along ``plan``'s order for the
+    component tau or, without a plan, along a min-fill order of their
+    scopes.  The entry at a boundary assignment b is
+    -ln sum_t exp(-sum of those tables at (b, t)), over the joint
+    assignments t of tau; a variable no table touches contributes -ln(its
+    domain size)."""
+    tau = varset(tau)
+    if not tau:
+        raise InvalidInputError("component must be non-empty")
+    n = len(u.vars)
+    if tau[0] < 0 or tau[-1] >= n:
+        raise InvalidInputError(f"ids {[v for v in tau if not 0 <= v < n]} outside the registry")
+    tables = [t for t in u.tables if set(t.scope) & set(tau)]
+    order = plan.orders[tau] if plan else _min_fill_order([t.scope for t in tables], tau)[0]
+    return InteractionTable(*fold_tables(u.vars, tables, order))
 
 
 def boundary_aggregate(u: Potential, components, d) -> InteractionTable:

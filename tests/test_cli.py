@@ -424,6 +424,32 @@ class TestOutputContract:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["marginal_graph"]["edges"] == [["V1", "V3"]]
 
+    @staticmethod
+    def _cli(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "margraph.cli", *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True)
+
+    def test_unwritable_output_path_exits_2(self, tmp_path):
+        target = str(tmp_path / "missing" / "x.json")
+        done = self._cli("marginalize-graph", "fixtures/two_chains_graph.json",
+                         "--keep", "V1,V3", "--output", target)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith(f"error: {target}: ")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                             ids=["not-utf8", "too-deep"])
+    def test_undecodable_model_file_exits_2(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        done = self._cli("marginalize-graph", str(path), "--keep", "V1")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith(f"error: {path}: ")
+        assert "Traceback" not in done.stderr
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

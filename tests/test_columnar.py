@@ -205,7 +205,7 @@ class TestOrderedSums:
         rng = np.random.default_rng(5)
         u = normalize_potential(Potential(v, [InteractionTable((k, k + 1), rng.normal(size=(2, 2)))
                                               for k in range(4)]))
-        plan = _checked_plan(hypergraph_of(u), v, (0, 2, 4))
+        [u], _, plan = _checked_plan([u], (0, 2, 4), NULL_TOL)
         [folds] = _component_folds([u], plan)
         assert len(folds) == 1
         got = {t.scope: t.values for t in _innovation_tables(u, plan, NULL_TOL, folds).tables}
@@ -236,7 +236,7 @@ class TestWideScopes:
 
     def test_innovations_lists_the_innovation_potential(self):
         u, keep = grid_potential(), grid_retained()
-        plan = _checked_plan(hypergraph_of(u), u.vars, keep)
+        [u], _, plan = _checked_plan([u], keep, NULL_TOL)
         tables = _innovation_tables(u, plan, NULL_TOL, _component_folds([u], plan)[0]).tables
         got = innovations(u, keep)
         assert len(got) == len(tables) > 500

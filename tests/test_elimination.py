@@ -22,7 +22,6 @@ from margraph import (
     PotentialFamily,
     ResourceLimitError,
     Variables,
-    component_potential,
     energy_grid,
     hypergraph_of,
     innovations,
@@ -35,7 +34,6 @@ from margraph import (
 from margraph import hypergraph_marginal
 from margraph.hypergraph_marginal import (
     _component_folds,
-    _fold,
     _innovation_tables,
     _min_fill_order,
 )
@@ -43,13 +41,16 @@ from margraph.potentials import (
     NULL_TOL,
     SPLIT_PLAN_CACHE_ENTRIES,
     _off_anchor_counts,
+    _scope_rows,
     _split_plan,
 )
 
 from helpers import (
     ReferencePlan,
     binary_vars,
+    component_potential,
     dense_component_potential,
+    fold_tables,
     innovations_by_components,
     zero_coord_mask,
 )
@@ -85,7 +86,7 @@ def models(draw, max_vars: int = 12):
 
 
 def _plan(u: Potential, keep) -> EliminationPlan:
-    return EliminationPlan(hypergraph_of(u), u.vars.all_ids(), keep)
+    return EliminationPlan._of([u], varset(keep))
 
 
 def _folds_by_component(members, plan: EliminationPlan) -> list[dict]:
@@ -143,8 +144,8 @@ class TestFoldAgainstDenseReference:
             tables = [t for t in u.tables if set(t.scope) & set(tau)]
             shuffled = list(plan.orders[tau])
             random.shuffle(shuffled)
-            scope, values = _fold(u.vars, tables, plan.orders[tau])
-            scope2, values2 = _fold(u.vars, tables, shuffled)
+            scope, values = fold_tables(u.vars, tables, plan.orders[tau])
+            scope2, values2 = fold_tables(u.vars, tables, shuffled)
             assert scope == scope2
             assert _max_diff(values, values2) <= FOLD_TOL
 
@@ -218,12 +219,17 @@ def many_component_families(draw):
     return family, varset(keep)
 
 
+# one-member models, families of repeated blocks and many small components
+plan_cases = st.one_of(models().map(lambda m: (PotentialFamily([m[0]]), m[1])),
+                       block_families(), many_component_families())
+
+
 class TestStackedFolds:
     @settings(max_examples=60, deadline=None)
     @given(block_families())
     def test_stacked_folds_match_component_potential_bit_for_bit(self, case):
         family, keep = case
-        plan = EliminationPlan(hypergraph_of(family), family.vars.all_ids(), keep)
+        plan = EliminationPlan._of(family.members, keep)
         for member, folds in zip(family, _folds_by_component(family.members, plan)):
             assert list(folds) == [tau for tau in plan.components if plan.boundaries[tau]]
             for tau, (scope, values) in folds.items():
@@ -236,7 +242,7 @@ class TestStackedFolds:
     @given(block_families())
     def test_innovations_match_the_component_by_component_route_bit_for_bit(self, case):
         family, keep = case
-        plan = EliminationPlan(hypergraph_of(family), family.vars.all_ids(), keep)
+        plan = EliminationPlan._of(family.members, keep)
         for member, got in zip(family, _innovations(family.members, plan)):
             ref = innovations_by_components(member, plan, NULL_TOL)
             assert list(got) == list(ref)
@@ -283,7 +289,8 @@ class TestStackedFolds:
         # a family folds every member's copies of the structure in one stack
         negated = Potential(u.vars, [InteractionTable(t.scope, -t.values) for t in u.tables])
         batches.clear()
-        _component_folds([u, negated, u], plan)
+        family = [u, negated, u]
+        _component_folds(family, EliminationPlan._of(family, varset(range(0, n, 3))))
         assert batches == [30]
 
 
@@ -342,8 +349,7 @@ class TestPlan:
         # every vertex of the path has fill 1; ties go to the smallest id
         assert plan.orders[tau] == tau
         assert plan.largest_factor(u.vars) == 8
-        assert plan.touching(tau) == tuple(t.scope for t in u.tables)
-        assert plan.touching((3,)) == ((2, 3), (3, 4))
+        assert plan.edges == tuple(t.scope for t in u.tables)
 
     def test_min_fill_prefers_the_vertex_that_adds_no_edge(self):
         # 2 is a leaf of 1; eliminating 1 first would join 2 with 3 and 4
@@ -361,31 +367,62 @@ class TestPlan:
         # order a direct min-fill of each component gives
         u, keep, _ = model
         plan = _plan(u, keep)
+        largest = 1
         for tau in plan.components:
-            order, factors = _min_fill_order(plan.touching(tau), tau)
+            order, factors = _min_fill_order([e for e in plan.edges if set(e) & set(tau)], tau)
             assert plan.orders[tau] == order
             assert plan.factors[tau] == factors
             scopes = factors + [plan.boundaries[tau]]
-            assert plan.fold_entries(u.vars, tau) == max(
-                math.prod(u.vars.sizes(s)) for s in scopes)
+            largest = max(largest, *(math.prod(u.vars.sizes(s)) for s in scopes))
+        assert plan.largest_factor(u.vars) == largest
 
     @settings(max_examples=80, deadline=None)
-    @given(st.one_of(models().map(lambda m: (PotentialFamily([m[0]]), m[1])),
-                     block_families(), many_component_families()))
+    @given(plan_cases)
     def test_plan_matches_the_reference_plan(self, case):
         family, keep = case
         h, ids, vars = hypergraph_of(family), family.vars.all_ids(), family.vars
         plan, ref = EliminationPlan(h, ids, keep), ReferencePlan(h, ids, keep)
+        assert plan.edges == h.edges
         assert plan.components == ref.components
         assert list(plan.boundaries.items()) == list(ref.boundaries.items())
         assert plan.orders == ref.orders
         assert plan.factors == ref.factors
-        assert [plan.fold_entries(vars, tau) for tau in plan.components] == [
-            ref.fold_entries(vars, tau) for tau in ref.components]
         assert plan.largest_factor(vars) == ref.largest_factor(vars)
         assert plan.largest_split(vars) == ref.largest_split(vars)
-        for tau in plan.components:
-            assert plan.touching(tau) == ref.touching(tau)
+
+    @settings(max_examples=80, deadline=None)
+    @given(plan_cases)
+    def test_plan_of_the_scope_arrays_matches_the_plan_of_the_hypergraph(self, case):
+        family, keep = case
+        vars = family.vars
+        plan = EliminationPlan._of(family.members, keep)
+        ref = EliminationPlan(hypergraph_of(family), vars.all_ids(), keep)
+        assert plan.edges == ref.edges
+        assert plan.components == ref.components
+        assert list(plan.boundaries.items()) == list(ref.boundaries.items())
+        assert plan.orders == ref.orders
+        assert plan.factors == ref.factors
+        assert plan.largest_factor(vars) == ref.largest_factor(vars)
+        assert plan.largest_split(vars) == ref.largest_split(vars)
+
+    @settings(max_examples=80, deadline=None)
+    @given(plan_cases)
+    def test_scope_rows_match_the_sorted_hyperedges_and_a_table_search(self, case):
+        family, keep = case
+        groups = [g for u in family for g in u._groups]
+        rows, which = _scope_rows([g.scopes for g in groups])
+        edges = sorted(hypergraph_of(family).edges)
+        assert [tuple(x for x in row if x >= 0) for row in rows.tolist()] == edges
+        for g, at in zip(groups, which):
+            assert [edges[j] for j in at.tolist()] == list(map(tuple, g.scopes.tolist()))
+        # the plan's lookup finds each member's table on each hyperedge
+        src, row = EliminationPlan._of(family.members, keep)._tables
+        for m, u in enumerate(family):
+            for j, e in enumerate(edges):
+                t = u.table_for(e)
+                assert (src[m, j] >= 0) == (t is not None)
+                if t is not None:
+                    assert groups[src[m, j]].values[row[m, j]].tobytes() == t.values.tobytes()
 
     def test_untouched_variables_are_their_own_components(self):
         u = Potential(binary_vars(3), [InteractionTable((0, 1), np.array([[0.0, 0.0], [0.0, 1.0]]))])
@@ -437,7 +474,6 @@ class TestResourceGuard:
         assert _plan(u, keep).largest_factor(u.vars) > STATE_LIMIT
         _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
         _refused_quickly_and_small(lambda: innovations(u, keep))
-        _refused_quickly_and_small(lambda: component_potential(u, (0,)))
 
     def test_hub_within_the_limit_still_folds(self):
         u = _hub_potential(5)
@@ -461,6 +497,7 @@ class TestResourceGuard:
         assert peak < 5 * 8 * STATE_LIMIT
         # a family stacks its members' folds together, within the same bound
         negated = Potential(u.vars, [InteractionTable(t.scope, -t.values) for t in u.tables])
+        plan = EliminationPlan._of([u, negated], varset(keep))
         tracemalloc.start()
         try:
             folds = _component_folds([u, negated], plan)

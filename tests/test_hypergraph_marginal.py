@@ -8,7 +8,6 @@ from margraph import (
     NotNormalizedError,
     Potential,
     PotentialFamily,
-    component_potential,
     energy_grid,
     hypergraph_of,
     induced_graph,
@@ -34,6 +33,7 @@ from helpers import (
     binary_vars,
     boundary_aggregate,
     chain_innovation_closed_forms,
+    component_potential,
     folded_component_by_loops,
     random_normalized_potential,
 )

@@ -1,18 +1,25 @@
+import contextlib
+import io
 import json
+import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from margraph import Graph, ModelFormatError, Variables
+from margraph.cli import main
 from margraph.model_io import (
     dump_json,
+    family_model_dict,
     graph_model_dict,
     graph_to_dot,
     load_model,
     parse_model,
+    potential_model_dict,
 )
 
 from fixture_models import fixture_documents, two_chain_graph
@@ -249,3 +256,87 @@ def test_domains_parse_as_numpy_reads_them(values):
     model = parse_model({"format_version": 1, "variables": [{"label": "A", "domain": domain}],
                          "graph": {"edges": []}})
     assert model.variables.domains[0] == tuple(np.array(domain, dtype=float).tolist())
+
+
+# Labels with commas, outer spaces, quotes, backslashes and non-ASCII text,
+# and finite domains whose anchor 0.0 is never the first value.
+_LABEL = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6),
+    st.sampled_from([",", "a,b", " a ", "  ", '"', 'q"u"o', "\\", "b\\\\", "é", "Δ, λ ",
+                     "日本"]))
+_VALUE = st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 5e-324, 1e-300])
+
+
+@st.composite
+def _labelled_models(draw):
+    """A potential-family document over 1-4 variables with arbitrary labels
+    and domains, and a non-empty retained subset of its labels."""
+    labels = draw(st.lists(_LABEL, min_size=1, max_size=4, unique=True))
+    domains = []
+    for _ in labels:
+        others = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+                               min_size=1, max_size=3, unique=True))
+        at = draw(st.integers(1, len(others)))
+        domains.append(others[:at] + [0.0] + others[at:])
+    members = []
+    for _ in range(draw(st.integers(1, 2))):
+        scopes = draw(st.lists(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=3,
+                                        unique=True).map(sorted),
+                               max_size=4, unique_by=tuple))
+        members.append({"interactions": [
+            {"scope": [labels[v] for v in s],
+             "table": draw(st.lists(_VALUE, min_size=math.prod(len(domains[v]) for v in s),
+                                    max_size=math.prod(len(domains[v]) for v in s)))}
+            for s in scopes]})
+    doc = {"format_version": 1,
+           "variables": [{"label": l, "domain": d} for l, d in zip(labels, domains)],
+           "potential_family": {"members": members}}
+    return doc, draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_labelled_models())
+def test_arbitrary_labels_and_domains_round_trip_bit_for_bit(case):
+    doc, _ = case
+    model = parse_model(doc)
+    n = len(model.variables)
+    graph = Graph.from_edges(range(n), [(a, b) for a in range(n) for b in range(a + 1, n)])
+    for write in (lambda: family_model_dict(model.family),
+                  lambda: potential_model_dict(model.family.members[0]),
+                  lambda: graph_model_dict(model.variables, graph)):
+        again = parse_model(json.loads(dump_json(write())))
+        assert again.variables.labels == model.variables.labels
+        assert [_bits(d) for d in again.variables.domains] == [
+            _bits(d) for d in model.variables.domains]
+        if again.graph is not None:
+            assert again.graph.edge_list == graph.edge_list
+            continue
+        for got, want in zip(again.family, model.family):
+            assert [t.scope for t in got.tables] == [t.scope for t in want.tables]
+            assert [t.values.tobytes() for t in got.tables] == [
+                t.values.tobytes() for t in want.tables]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_labelled_models())
+def test_arbitrary_labels_and_domains_marginalize_through_the_cli(case):
+    doc, keep = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_json(doc))
+        for fmt in ("json", "dot"):
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["marginalize-hypergraph", path, "--format", fmt]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + [x for label in keep for x in ("--keep-label", label)])
+            assert code == 0, err.getvalue()
+            if fmt == "json":
+                labels = [v["label"] for v in doc["variables"]]
+                assert json.loads(out.getvalue())["keep"] == [l for l in labels if l in keep]
+            else:
+                assert out.getvalue().startswith("graph marginal {")

@@ -385,6 +385,16 @@ class TestBoundaryHypergraph:
         bh = boundary_hypergraph(h, range(3), (0, 1))  # vertex 2 has no neighbors
         assert bh.has_empty and bh == Hypergraph([()], allow_empty=True)
 
+    def test_vertex_ids_with_gaps_and_hyperedges_outside_them(self):
+        # positions in the vertex set differ from the ids
+        h = Hypergraph([(2, 5), (5, 7), (7,), (7, 9)])
+        assert boundary_hypergraph(h, (2, 5, 7, 9, 11, 13), (2, 9, 11)) == Hypergraph(
+            [(2, 9), ()], allow_empty=True)
+        with pytest.raises(InvalidInputError, match="not contained in the vertex set"):
+            boundary_hypergraph(Hypergraph([(2, 5), (5, 8)]), (2, 5, 7), (2,))
+        with pytest.raises(InvalidInputError, match="outside the vertex set"):
+            boundary_hypergraph(h, (2, 5, 7, 9), (3,))
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
