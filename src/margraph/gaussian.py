@@ -20,6 +20,8 @@ split L into [[L11, 0], [L21, L22]] and P_tau,d into rows [B1; B2], solve
 L11 Y1 = B1, then L22 Y2 = B2 - L21 Y1, recursively.  A diagonal block of at
 most SOLVE_LEAF rows goes to ``np.linalg.solve`` as a whole, so components
 that small are solved exactly as a plain ``np.linalg.solve(L, P_tau,d)``.
+The marginal model skips the constructor's symmetry scan and Cholesky, since
+a Schur complement of the proved-SPD P is SPD; only finiteness is tested.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ class GaussianModel:
         if prec.shape != (n, n):
             raise InvalidInputError(
                 f"precision must be {n}x{n} to match the mean, got {prec.shape}")
-        # the largest |entry| is NaN or inf exactly when some entry is not finite
-        largest = float(np.max(np.abs(prec), initial=0.0))
+        # NaN propagates from both reductions: not finite exactly when some entry is not
+        largest = float(max(np.max(prec, initial=0.0), -np.min(prec, initial=0.0)))
         if not np.all(np.isfinite(mean)) or not math.isfinite(largest):
             raise InvalidInputError("non-finite entries in the Gaussian model")
         if _asymmetry(prec) > SYMMETRY_TOL * max(1.0, largest):
@@ -74,6 +76,17 @@ class GaussianModel:
         self.precision = prec
         # (retained set, read-only innovation matrix) of the last split
         self._innovation = None
+
+    @classmethod
+    def _of(cls, mean: np.ndarray, precision: np.ndarray) -> "GaussianModel":
+        """A model derived from a checked one: only finiteness is tested."""
+        if not np.all(np.isfinite(precision)):
+            raise InvalidInputError("non-finite entries in the Gaussian model")
+        mean.setflags(write=False)
+        precision.setflags(write=False)
+        m = object.__new__(cls)
+        m.mean, m.precision, m._innovation = mean, precision, None
+        return m
 
     @property
     def n(self) -> int:
@@ -171,9 +184,11 @@ def _marginal_block(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
 
 
 def marginal_precision(m: GaussianModel, a) -> GaussianModel:
-    """Marginal model on ``a``: restricted mean, Schur-complement precision."""
+    """Marginal model on ``a``: restricted mean, Schur-complement precision,
+    not re-checked (see the module docstring): a re-check at the block's scale,
+    not P's, would refuse the asymmetry of some models the constructor accepted."""
     a, block = _marginal_block(m, a)
-    return GaussianModel(m.mean[list(a)], block)
+    return GaussianModel._of(m.mean[list(a)], block)
 
 
 def innovation_matrix(m: GaussianModel, a) -> np.ndarray:

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margraph.cli import main
+from margraph.gaussian import SYMMETRY_TOL
 from margraph.model_io import dump_json
 
 HUGE = int("9" * 401)  # a JSON integer no float can hold
@@ -177,6 +183,23 @@ class TestMarginalizeGaussian:
         path.write_text(dump_json(doc))
         code, out, err = run(capsys, "marginalize-gaussian", str(path), "--keep", "A")
         assert code == 2 and "positive definite" in err
+
+    def test_asymmetry_accepted_at_the_models_scale_exits_0(self, capsys, tmp_path):
+        # P's symmetry tolerance scales with its largest entry, 1e6, so the
+        # 1e-9 asymmetry of (B, C) passes; the retained block keeps it
+        doc = {
+            "format_version": 1,
+            "variables": [{"label": "A"}, {"label": "B"}, {"label": "C"}],
+            "gaussian": {"mean": [0.0, 1.0, 2.0],
+                         "precision": [[1e6, 0.0, 0.0], [0.0, 1.0, 0.5],
+                                       [0.0, 0.5 + 1e-9, 1.0]]},
+        }
+        path = tmp_path / "scaled.json"
+        path.write_text(dump_json(doc))
+        out = run_json(capsys, "marginalize-gaussian", str(path), "--keep", "B,C")
+        assert out["marginal"]["precision"] == [[1.0, 0.5], [0.5 + 1e-9, 1.0]]
+        assert out["innovation_matrix"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert out["marginal_graph"]["edges"] == [["B", "C"]]
 
 
 class TestCheckCollapsibility:
@@ -490,3 +513,65 @@ class TestOutputContract:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert f"{field}: integer too large for a float" in done.stderr
+
+
+@st.composite
+def _gaussian_argv(draw):
+    """A marginalize-gaussian document, drawn to hit every exit: ragged or
+    non-square rows, indefinite matrices, asymmetry on either side of the
+    tolerance, 400-digit integers, and empty or unknown --keep labels.
+    Returns the document and the --keep argument."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = rng.normal(size=(n, n))
+    prec = b @ b.T + draw(st.sampled_from([1.0, 1e-3, -1.0, -10.0])) * np.eye(n)
+    prec *= 10.0 ** draw(st.integers(-5, 5))
+    rows = prec.tolist()
+    mean = rng.normal(size=n).tolist()
+    flaw = draw(st.sampled_from(["none", "asymmetric", "ragged", "rows", "columns", "huge"]))
+    if flaw == "asymmetric" and n > 1:
+        # just inside or just outside the constructor's tolerance
+        bound = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(prec))))
+        rows[n - 1][0] += bound * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    elif flaw == "ragged":
+        rows[draw(st.integers(0, n - 1))].append(1.0)
+    elif flaw == "rows":
+        rows = rows[:-1] if draw(st.booleans()) else rows + [rows[0]]
+    elif flaw == "columns":
+        rows = [row + [0.0] for row in rows]
+    elif flaw == "huge":
+        big = int("9" * 400) * draw(st.sampled_from([1, -1]))
+        if draw(st.booleans()):
+            mean[draw(st.integers(0, n - 1))] = big
+        else:
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = big
+    labels = [f"X{k}" for k in range(n)]
+    keep = draw(st.one_of(
+        st.sets(st.sampled_from(labels), min_size=1).map(",".join),
+        st.sampled_from(["", " , ", "Y", "X0,Y", "X99"])))
+    doc = {"format_version": 1, "variables": [{"label": v} for v in labels],
+           "gaussian": {"mean": mean, "precision": rows}}
+    return doc, keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gaussian_argv(), st.sampled_from(["json", "dot"]))
+def test_marginalize_gaussian_exits_0_2_or_3(case, fmt):
+    doc, keep = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["marginalize-gaussian", path, "--keep", keep, "--format", fmt])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == "" and "error:" in err.getvalue()
+    elif fmt == "json":
+        # the writer emits no NaN or Infinity token
+        json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(token))

@@ -56,15 +56,18 @@ class TestModelValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["precision", "mean"])
     def test_non_finite_reported_before_asymmetry(self, bad, where):
-        mean = np.zeros(4)
-        prec = 2.0 * np.eye(4)
-        prec[0, 3] = 0.5  # asymmetric: prec[3, 0] stays 0
-        if where == "mean":
-            mean[2] = bad
-        else:
-            prec[1, 2] = bad
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            GaussianModel(mean, prec)
+        # the precision's largest |entry| is read from its max and its min,
+        # so the bad value is placed where the reductions start, run and end
+        for mean_cell, prec_cell in ((0, (0, 0)), (2, (1, 2)), (3, (3, 3))):
+            mean = np.zeros(4)
+            prec = 2.0 * np.eye(4)
+            prec[0, 3] = 0.5  # asymmetric: prec[3, 0] stays 0
+            if where == "mean":
+                mean[mean_cell] = bad
+            else:
+                prec[prec_cell] = bad
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                GaussianModel(mean, prec)
 
     @pytest.mark.parametrize("n", [STRIP_ROWS + 1, 2 * STRIP_ROWS + 3])
     @pytest.mark.parametrize("pair", ["last", "straddle", "corner"])
@@ -125,7 +128,33 @@ class TestMarginalPrecision:
             n = int(rng.integers(3, 20))
             m = GaussianModel(np.zeros(n), random_spd(rng, n))
             a = varset(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
-            marginal_precision(m, a)  # constructor re-checks SPD
+            mp = marginal_precision(m, a)
+            np.linalg.cholesky(mp.precision)
+            GaussianModel(mp.mean, mp.precision)
+
+    def test_asymmetry_accepted_at_the_models_scale_is_kept(self):
+        # P's tolerance scales with its largest entry, 1e6; the retained
+        # block's entries are at most 1, so a re-check at the block's scale
+        # would refuse the 1e-9 asymmetry that P was accepted with
+        prec = np.array([[1e6, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5 + 1e-9, 1.0]])
+        m = GaussianModel(np.arange(3.0), prec.copy())
+        mp = marginal_precision(m, (1, 2))
+        assert np.array_equal(mp.precision, prec[1:, 1:])
+        assert np.array_equal(mp.mean, [1.0, 2.0])
+        assert np.array_equal(innovation_matrix(m, (1, 2)), np.zeros((2, 2)))
+        assert gaussian_marginal_graph(m, (1, 2)).edges == {(1, 2)}
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            GaussianModel(mp.mean, mp.precision)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unchecked_constructor_still_tests_finiteness(self, bad):
+        # the Schur complement's entries are bounded by P's largest diagonal
+        # entry, so only rounding at the edge of the float range could reach
+        # this; the JSON writer must never see the value
+        block = np.eye(2)
+        block[1, 0] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            GaussianModel._of(np.zeros(2), block)
 
     def test_empty_retained_set_rejected(self):
         m = GaussianModel(np.zeros(3), np.eye(3))
@@ -412,6 +441,49 @@ class TestComponentWiseInnovation:
         mp = marginal_precision(m, a).precision
         got = gaussian_marginal_graph(m, a, tol)
         assert got.edges == edges_by_loops(mp, a, _scaled_tol(mp, tol))
+
+
+@st.composite
+def asymmetric_models(draw):
+    """A ``block_models()`` model scaled by a power of ten, with one
+    off-diagonal pair made asymmetric by the largest amount the constructor
+    accepts, SYMMETRY_TOL * max(1, max|P|); the pair may join two retained,
+    two eliminated or one of each.  Returns the model and the retained set."""
+    m, a, _ = draw(block_models())
+    prec = m.precision * 10.0 ** draw(st.integers(-3, 8))
+    n = m.n
+    i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+    bound = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(prec))))
+    # the largest value whose difference from prec[i, j] rounds to at most bound
+    value = prec[i, j] + bound
+    while abs(value - prec[i, j]) > bound:
+        value = np.nextafter(value, prec[i, j])
+    prec[j, i] = value
+    return GaussianModel(np.arange(float(n)), prec), a
+
+
+class TestUncheckedMarginal:
+    """``marginal_precision`` builds its result without the constructor's
+    symmetry scan and factorization."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(block_models().map(lambda case: case[:2]), asymmetric_models()))
+    def test_result_is_what_the_constructor_would_build(self, case):
+        m, a = case
+        mp = marginal_precision(m, a)
+        block = m.precision[np.ix_(a, a)] - innovation_matrix(m, a)
+        assert mp.precision.tobytes() == block.tobytes()
+        assert mp.mean.tobytes() == m.mean[list(a)].tobytes()
+        assert not mp.mean.flags.writeable and not mp.precision.flags.writeable
+        np.linalg.cholesky(mp.precision)
+        symmetric = np.array_equal(m.precision, m.precision.T)
+        try:
+            checked = GaussianModel(m.mean[list(a)], block)
+        except InvalidInputError:
+            assert not symmetric  # only P's asymmetry, rescaled, can be refused
+            return
+        assert checked.precision.tobytes() == mp.precision.tobytes()
+        assert checked.mean.tobytes() == mp.mean.tobytes()
 
 
 class TestFactorCache:
