@@ -200,21 +200,17 @@ def innovation_matrix(m: GaussianModel, a) -> np.ndarray:
     return np.array(_gamma(m, a)[1])
 
 
-def _scaled_tol(matrix: np.ndarray, tol: float | None,
-                magnitude: np.ndarray | None = None) -> float:
-    """``tol``, or by default 1e-9 times the largest |entry| of ``matrix``.
-    ``magnitude`` is ``np.abs(matrix)``, when the caller already has it."""
+def _scaled_tol(matrix: np.ndarray, tol: float | None) -> float:
+    """``tol``, or by default 1e-9 times the largest |entry| of ``matrix``,
+    taken without an |entry| temporary as the constructor takes it."""
     if tol is not None:
         return tol
-    if magnitude is None:
-        magnitude = np.abs(matrix)
-    return 1e-9 * float(np.max(magnitude, initial=0.0))
+    return 1e-9 * float(max(np.max(matrix, initial=0.0), -np.min(matrix, initial=0.0)))
 
 
 def _edges_above(matrix: np.ndarray, ids, tol: float | None) -> frozenset:
     """Pairs (ids[i], ids[j]), i < j, whose |entry| exceeds ``_scaled_tol(matrix, tol)``."""
-    magnitude = np.abs(matrix)
-    rows, cols = np.nonzero(magnitude > _scaled_tol(matrix, tol, magnitude))
+    rows, cols = np.nonzero(np.abs(matrix) > _scaled_tol(matrix, tol))
     upper = rows < cols
     ids = np.asarray(ids, dtype=int)
     return frozenset(zip(ids[rows[upper]].tolist(), ids[cols[upper]].tolist()))

@@ -205,16 +205,16 @@ class EliminationPlan:
     def __init__(self, h: Hypergraph, vertices, a):
         vertices = varset(vertices)
         a = varset(a)
-        inside = set(vertices)
+        inside, edges = set(vertices), h.edges
         if not inside.issuperset(a):
             raise InvalidInputError(f"ids {sorted(set(a) - inside)} outside the vertex set")
-        if not inside.issuperset(chain.from_iterable(h.edges)):
-            e = next(e for e in h.edges if not inside.issuperset(e))
+        if not inside.issuperset(chain.from_iterable(edges)):
+            e = next(e for e in edges if not inside.issuperset(e))
             raise InvalidInputError(f"hyperedge {set(e)} not contained in the vertex set")
         ids = np.array(vertices, dtype=np.intp)
         rows, _ = _scope_rows([np.searchsorted(ids, np.fromiter(
-            chain.from_iterable(e for e in h.edges if len(e) == w), np.intp).reshape(k, w))
-            for w, k in Counter(map(len, h.edges)).items()])
+            chain.from_iterable(e for e in edges if len(e) == w), np.intp).reshape(k, w))
+            for w, k in Counter(map(len, edges)).items()])
         self._init(ids, rows, a, None)
 
     @classmethod
@@ -603,19 +603,6 @@ def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]
     return [Innovation(t.scope, t) for t in innovation.tables]
 
 
-def _retained(plan: EliminationPlan, a: VarSet) -> tuple[frozenset, Graph]:
-    """The hyperedges of the plan within ``a``, and the subgraph on ``a`` of
-    the graph they all induce: the pairs of retained variables that share a
-    hyperedge."""
-    rows = plan._rows
-    held = rows >= 0
-    retained = ((plan._comp[rows] < 0) & held).sum(axis=1)
-    inside = set(a)
-    return frozenset(plan._scopes(retained == held.sum(axis=1))), Graph._of(
-        a, frozenset(chain.from_iterable(combinations([v for v in s if v in inside], 2)
-                                         for s in plan._scopes(retained >= 2))))
-
-
 def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport:
     """Marginalize a family of normalized potentials onto ``a``.
 
@@ -634,36 +621,37 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
         fam = PotentialFamily([fam])
     vars = fam.vars
     clean, a, plan = _checked_plan(fam.members, a, null_tol)
-    restricted, model_subgraph = _retained(plan, a)
+    # the model's graph on ``a`` joins the retained variables of each hyperedge
+    rows, inside = plan._rows, set(a)
+    shared = ((plan._comp[rows] < 0) & (rows >= 0)).sum(axis=1) >= 2
+    model_subgraph = induced_graph(Hypergraph._of(
+        tuple(v for v in e if v in inside) for e in plan._scopes(shared)), a)
 
-    innovation_scopes: set[VarSet] = set()
-    marginals = []
-    for m, folds in zip(clean, _component_folds(clean, plan)):
+    restrictions, innovation_potentials, marginals = [restrict(m, a) for m in clean], [], []
+    for m, r, folds in zip(clean, restrictions, _component_folds(clean, plan)):
         innovation = _innovation_tables(m, plan, null_tol, folds)
-        innovation_scopes.update(*(map(tuple, g.scopes.tolist()) for g in innovation._groups))
+        innovation_potentials.append(innovation)
         # a scope's restricted table (rank 0) comes before its innovation (rank 1)
-        parts = restrict(m, a)._parts(0) + innovation._parts(1)
+        parts = r._parts(0) + innovation._parts(1)
         marginals.append(Potential._from_parts(vars, _sum_parts(parts), null_tol))
 
     # a scope disappears when its combined table is null for every member
     marginal_hypergraph = hypergraph_of(marginals, null_tol)
-    present = marginal_hypergraph._set
-    removed = Hypergraph._of(restricted - present)
-    kept = Hypergraph._of(restricted & present)
-    added = Hypergraph._of((innovation_scopes - restricted) & present)
-    assert kept._set | added._set == present
+    innovation_scopes = hypergraph_of(innovation_potentials, null_tol)
+    present, restricted = marginal_hypergraph._set, hypergraph_of(restrictions, null_tol)._set
+    assert present <= restricted | innovation_scopes._set
 
     marginal_graph = induced_graph(marginal_hypergraph, a)
     return MarginalReport(
         retained=a,
         marginal_family=PotentialFamily(marginals),
         marginal_hypergraph=marginal_hypergraph,
-        added=added,
-        removed=removed,
-        kept=kept,
+        added=Hypergraph._of(present - restricted),
+        removed=Hypergraph._of(restricted - present),
+        kept=Hypergraph._of(restricted & present),
         graphically_collapsible=marginal_graph == model_subgraph,
         parametrically_collapsible=not innovation_scopes,
-        innovation_scopes=Hypergraph._of(innovation_scopes),
+        innovation_scopes=innovation_scopes,
         model_subgraph=model_subgraph,
         _marginal_graph=marginal_graph,
     )

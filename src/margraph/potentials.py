@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NotNormalizedError
+from .errors import STATE_LIMIT, InvalidInputError, NotNormalizedError, ResourceLimitError
 from .graphs import Graph, VarSet, Variables, varset
 
 # A table is treated as identically zero iff its max-abs entry is below
@@ -297,34 +297,36 @@ class PotentialFamily:
 
 
 class Hypergraph:
-    """A set of variable subsets, kept in lexicographic order.
+    """A set of variable subsets, iterated in lexicographic order.
 
+    Only the set is kept; ``edges`` (and iteration) sort it on each access.
     Hyperedges must be non-empty unless the caller explicitly permits the
     empty set (used to record empty component boundaries).
     """
 
-    __slots__ = ("edges", "_set")
+    __slots__ = ("_set",)
 
     def __init__(self, edges: Iterable[Iterable[int]] = (), allow_empty: bool = False):
-        canon = {varset(e) for e in edges}
-        if not allow_empty and () in canon:
+        self._set = frozenset(varset(e) for e in edges)
+        if not allow_empty and () in self._set:
             raise InvalidInputError("empty hyperedge not permitted here")
-        self._set = frozenset(canon)
-        self.edges = tuple(sorted(canon))
 
     @classmethod
     def _of(cls, canon: Iterable[VarSet]) -> "Hypergraph":
         """Hypergraph of variable sets that are canonical already."""
         h = object.__new__(cls)
         h._set = frozenset(canon)
-        h.edges = tuple(sorted(h._set))
         return h
+
+    @property
+    def edges(self) -> tuple[VarSet, ...]:
+        return tuple(sorted(self._set))
 
     def __iter__(self) -> Iterator[VarSet]:
         return iter(self.edges)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self._set)
 
     def __contains__(self, e) -> bool:
         return varset(e) in self._set
@@ -332,10 +334,10 @@ class Hypergraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.edges == other.edges
+        return self._set == other._set
 
     def __hash__(self) -> int:
-        return hash(self.edges)
+        return hash(self._set)
 
     def __repr__(self) -> str:
         return f"Hypergraph({[set(e) or set() for e in self.edges]!r})"
@@ -347,7 +349,7 @@ class Hypergraph:
     def restrict(self, a) -> "Hypergraph":
         """Hyperedges that are subsets of ``a``."""
         a = set(varset(a))
-        return Hypergraph._of(e for e in self.edges if a.issuperset(e))
+        return Hypergraph._of(e for e in self._set if a.issuperset(e))
 
     def union(self, other: "Hypergraph") -> "Hypergraph":
         return Hypergraph._of(self._set | other._set)
@@ -555,7 +557,14 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
     from different tables accumulate in table order.  Tables that end up
     identically zero (max-abs below ``null_tol``) are dropped.  The result
     induces the same density as the input up to one multiplicative constant.
+    A table over d splits into prod(|dom v| + 1) - 1 entries; more than
+    ``STATE_LIMIT`` is refused before anything is allocated.
     """
+    entries = max((math.prod(n + 1 for n in g.values.shape[1:]) - 1 for g in u0._groups),
+                  default=0)
+    if entries > STATE_LIMIT:
+        raise ResourceLimitError(
+            f"normalization needs {entries} table entries, above the limit of {STATE_LIMIT}")
     return Potential._from_parts(u0.vars, _split(u0._parts()), null_tol)
 
 
@@ -617,12 +626,10 @@ def induced_graph(h: Hypergraph, vars_ids) -> Graph:
     """Graph on ``vars_ids`` joining every pair that shares a hyperedge."""
     vs = varset(vars_ids)
     inside = set(vs)
-    edges = set()
-    for e in h:
-        if not inside.issuperset(e):
-            raise InvalidInputError(f"hyperedge {set(e)} not contained in the vertex set")
-        edges.update(combinations(e, 2))
-    return Graph._of(vs, frozenset(edges))
+    if not inside.issuperset(chain.from_iterable(h._set)):
+        e = min(e for e in h._set if not inside.issuperset(e))
+        raise InvalidInputError(f"hyperedge {set(e)} not contained in the vertex set")
+    return Graph._of(vs, frozenset(chain.from_iterable(combinations(e, 2) for e in h._set)))
 
 
 def precedes(h1: Hypergraph, h2: Hypergraph) -> bool:

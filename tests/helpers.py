@@ -28,7 +28,14 @@ from margraph import (
     subgraph,
     varset,
 )
-from margraph.hypergraph_marginal import _fold_stack, _min_fill_order, _relabeled
+from margraph.hypergraph_marginal import (
+    _checked_plan,
+    _component_folds,
+    _fold_stack,
+    _innovation_tables,
+    _min_fill_order,
+    _relabeled,
+)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> Graph:
@@ -326,6 +333,31 @@ def innovations_by_components(u: Potential, plan, null_tol: float) -> dict:
         agg[d] = agg.get(d, 0.0) + np.broadcast_to(aligned, u.vars.sizes(d))
     acc = split_by_tables(u.vars, agg.items())
     return {b: v for b, v in sorted(acc.items()) if np.max(np.abs(v)) > null_tol}
+
+
+def report_sets_by_set_algebra(family, a, marginals, null_tol: float) -> dict:
+    """The five scope sets and the two edge sets of a ``marginalize_hypergraph``
+    report, as plain sets of tuples: the hyperedges of the members'
+    non-null tables, the scopes of each member's innovations along the
+    family's plan and the non-null scopes of ``marginals`` (the report's
+    marginal potentials), combined by set algebra."""
+    clean, a, plan = _checked_plan(family.members, a, null_tol)
+    inside = set(a)
+    edges = {t.scope for m in clean for t in m.tables}
+    restricted = {e for e in edges if inside.issuperset(e)}
+    innovation_scopes = set()
+    for m, folds in zip(clean, _component_folds(clean, plan)):
+        innovation_scopes.update(t.scope for t in _innovation_tables(m, plan, null_tol, folds).tables)
+    present = {t.scope for m in marginals for t in m.tables if t.max_abs > null_tol}
+    return {
+        "marginal_hypergraph": present,
+        "added": (innovation_scopes - restricted) & present,
+        "removed": restricted - present,
+        "kept": restricted & present,
+        "innovation_scopes": innovation_scopes,
+        "model_subgraph": {p for e in edges for p in combinations([v for v in e if v in inside], 2)},
+        "marginal_graph": {p for s in present for p in combinations(s, 2)},
+    }
 
 
 class ReferencePlan:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margraph.cli import main
+from margraph.errors import STATE_LIMIT
 from margraph.gaussian import SYMMETRY_TOL
 from margraph.model_io import dump_json
 
@@ -302,6 +303,20 @@ class TestEngineResourceLimit:
     def test_marginalize_hypergraph_split_too_large(self, capsys, tmp_path):
         self._exits_3_quickly_and_small(capsys, tmp_path, "marginalize-hypergraph", width=13)
 
+    def test_normalization_split_too_large(self, capsys, tmp_path):
+        # one table over 13 binary variables splits into 3^13 - 1 entries
+        labels = [f"A{k}" for k in range(13)]
+        doc = {"format_version": 1, "variables": [{"label": lbl} for lbl in labels],
+               "potential": {"interactions": [
+                   {"scope": labels, "table": np.linspace(0.1, 1.0, 2 ** 13).tolist()}]}}
+        path = tmp_path / "wide.json"
+        path.write_text(dump_json(doc))
+        code, out, err = run(capsys, "marginalize-hypergraph", str(path), "--keep", "A0")
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"error: normalization needs {3 ** 13 - 1} table entries, "
+            f"above the limit of {STATE_LIMIT}"]
+
 
 MARGINALIZE = ("marginalize-graph", "marginalize-hypergraph", "marginalize-gaussian")
 POTENTIAL = ("marginalize-hypergraph", "check-collapsibility", "oracle-verify")
@@ -353,6 +368,9 @@ GOLDEN = {
                             "--keep", "V1,V3,V5", "--emit-potential", "--format", "dot"],
     "grid_potential.json": ["marginalize-hypergraph", "fixtures/grid_potential.json",
                             "--keep", "V1,V2,V3,V4,V5,V16,V17,V18,V19,V20", "--emit-potential"],
+    "chain_potential_cancelling.json": ["marginalize-hypergraph",
+                                        "fixtures/chain_potential_cancelling.json",
+                                        "--keep", "V1,V3,V5", "--emit-potential"],
     "chain_potential_cancelling.check-collapsibility.json": [
         "check-collapsibility", "fixtures/chain_potential_cancelling.json", "--keep", "V1,V3,V5"],
     "chain_potential_cancelling.oracle-verify.json": [

@@ -52,6 +52,7 @@ from helpers import (
     dense_component_potential,
     fold_tables,
     innovations_by_components,
+    report_sets_by_set_algebra,
     zero_coord_mask,
 )
 
@@ -222,6 +223,19 @@ def many_component_families(draw):
 # one-member models, families of repeated blocks and many small components
 plan_cases = st.one_of(models().map(lambda m: (PotentialFamily([m[0]]), m[1])),
                        block_families(), many_component_families())
+
+
+@st.composite
+def null_table_families(draw):
+    """A plan case with a copy of its first member added, and with each
+    table of each member zeroed or scaled below ``NULL_TOL`` at random, so
+    that members differ in which of their tables are null."""
+    family, keep = draw(plan_cases)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return PotentialFamily(
+        Potential(family.vars, [InteractionTable(t.scope, t.values * rng.choice(
+            (0.0, 1e-12, 1.0), p=(0.15, 0.15, 0.7))) for t in m.tables])
+        for m in family.members + family.members[:1]), keep
 
 
 class TestStackedFolds:
@@ -423,6 +437,20 @@ class TestPlan:
                 assert (src[m, j] >= 0) == (t is not None)
                 if t is not None:
                     assert groups[src[m, j]].values[row[m, j]].tobytes() == t.values.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(plan_cases, null_table_families()))
+    def test_report_sets_match_the_set_algebra(self, case):
+        family, keep = case
+        rep = marginalize_hypergraph(family, keep)
+        ref = report_sets_by_set_algebra(family, keep, rep.marginal_family, NULL_TOL)
+        for name in ("marginal_hypergraph", "added", "removed", "kept", "innovation_scopes"):
+            assert getattr(rep, name).edges == tuple(sorted(ref[name])), name
+        for graph, name in ((rep.model_subgraph, "model_subgraph"),
+                            (rep.marginal_graph(), "marginal_graph")):
+            assert graph.vertices == varset(keep) and graph.edges == ref[name], name
+        assert rep.graphically_collapsible == (ref["model_subgraph"] == ref["marginal_graph"])
+        assert rep.parametrically_collapsible == (not ref["innovation_scopes"])
 
     def test_untouched_variables_are_their_own_components(self):
         u = Potential(binary_vars(3), [InteractionTable((0, 1), np.array([[0.0, 0.0], [0.0, 1.0]]))])

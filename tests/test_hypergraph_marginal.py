@@ -27,6 +27,8 @@ from fixture_models import (
     cancelling_pair_coupling,
     chain_potential,
     chain_retained,
+    grid_potential,
+    grid_retained,
     two_chain_graph,
 )
 from helpers import (
@@ -165,6 +167,17 @@ class TestMarginalizeHypergraph:
         assert len(rep.removed) == 0 and len(rep.kept) == 0
         assert not rep.graphically_collapsible
         assert not rep.parametrically_collapsible
+
+    def test_a_grid_call_sorts_no_hypergraph(self, monkeypatch):
+        # the report's scope sets stay sets; only a reader of edges sorts
+        reads = []
+        edges = Hypergraph.edges
+        monkeypatch.setattr(Hypergraph, "edges",
+                            property(lambda h: reads.append(len(h)) or edges.fget(h)))
+        rep = marginalize_hypergraph(grid_potential(), grid_retained())
+        assert reads == []
+        assert len(rep.marginal_hypergraph) > 800 and list(rep.added) == list(rep.added.edges)
+        assert len(reads) == 2
 
     def test_base_model_agrees_with_graph_operator(self, base):
         _, g = two_chain_graph()

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margraph import (
+    STATE_LIMIT,
     Graph,
     Hypergraph,
     InteractionTable,
     InvalidInputError,
     Potential,
     PotentialFamily,
+    ResourceLimitError,
     Variables,
     boundary_hypergraph,
     energy,
@@ -114,6 +116,49 @@ class TestTypes:
         assert h.difference(Hypergraph([(1, 2)])) == Hypergraph([(0,), (1, 2, 3)])
 
 
+def _sorted_scopes(edges) -> tuple:
+    """The reference a hypergraph is checked against: its canonical scopes
+    as one sorted tuple."""
+    return tuple(sorted({tuple(sorted(set(e))) for e in edges}))
+
+
+def _agrees(h: Hypergraph, ref: tuple, probes) -> None:
+    assert h.edges == ref and tuple(h) == ref
+    assert len(h) == len(ref)
+    assert h == Hypergraph._of(reversed(ref)) and hash(h) == hash(Hypergraph._of(ref))
+    assert h != Hypergraph._of(ref + ((99,),))
+    assert all((p in h) == (varset(p) in ref) and (p[::-1] in h) == (varset(p) in ref)
+               for p in probes)
+    assert h.has_empty == (() in ref)
+
+
+scope_lists = st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=10)
+
+
+class TestHypergraphSet:
+    """A hypergraph keeps one frozenset; it must act as the sorted tuple of
+    its canonical scopes would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scope_lists, scope_lists, st.lists(st.integers(0, 5), max_size=6))
+    def test_matches_the_sorted_tuple_reference(self, xs, ys, a):
+        if any(not e for e in xs):
+            with pytest.raises(InvalidInputError):
+                Hypergraph(xs)
+        else:
+            _agrees(Hypergraph(xs), _sorted_scopes(xs), xs + ys)
+        h, k = Hypergraph(xs, allow_empty=True), Hypergraph(ys, allow_empty=True)
+        hr, kr = _sorted_scopes(xs), _sorted_scopes(ys)
+        probes = xs + ys + [a]
+        _agrees(h, hr, probes)
+        _agrees(k, kr, probes)
+        _agrees(Hypergraph._of(varset(e) for e in xs), hr, probes)
+        _agrees(h.union(k), _sorted_scopes(hr + kr), probes)
+        _agrees(h.difference(k), tuple(e for e in hr if e not in kr), probes)
+        _agrees(h.restrict(a), tuple(e for e in hr if set(e) <= set(a)), probes)
+        assert (h == k) == (hr == kr)
+
+
 class TestSerializationOrder:
     def test_last_scope_variable_fastest(self):
         # normative file order: assignment-major, last scope variable fastest
@@ -203,6 +248,16 @@ class TestNormalize:
             u0 = Potential(u.vars, tables)
             assert precedes(hypergraph_of(normalize_potential(u0)),
                             Hypergraph(t.scope for t in u0.tables))
+
+    def test_split_above_the_state_limit_is_refused(self):
+        # one binary table over n variables splits into 3^n - 1 entries
+        rng = np.random.default_rng(71)
+        wide = Potential(binary_vars(13), [InteractionTable(range(13), rng.uniform(size=(2,) * 13))])
+        with pytest.raises(ResourceLimitError, match=f"{3 ** 13 - 1} table entries"):
+            normalize_potential(wide)
+        fits = Potential(binary_vars(12), [InteractionTable(range(12), rng.uniform(size=(2,) * 12))])
+        assert 3 ** 12 - 1 <= STATE_LIMIT
+        assert is_normalized(normalize_potential(fits))
 
 
 class TestIsNormalized:
