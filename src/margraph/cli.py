@@ -10,7 +10,8 @@ Commands::
 
 ``--keep-label LABEL`` (repeatable) names one retained label verbatim, for
 labels that contain a comma or start or end with a space; it may stand in
-for ``--keep`` or add to it.
+for ``--keep`` or add to it.  A label that starts with ``-`` needs the
+``--keep-label=LABEL`` form, or argparse reads it as an option.
 
 All commands read a JSON model file, emit a JSON result document (or DOT
 for graph-valued results with ``--format dot``), and exit with 0 on

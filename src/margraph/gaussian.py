@@ -20,8 +20,13 @@ split L into [[L11, 0], [L21, L22]] and P_tau,d into rows [B1; B2], solve
 L11 Y1 = B1, then L22 Y2 = B2 - L21 Y1, recursively.  A diagonal block of at
 most SOLVE_LEAF rows goes to ``np.linalg.solve`` as a whole, so components
 that small are solved exactly as a plain ``np.linalg.solve(L, P_tau,d)``.
-The marginal model skips the constructor's symmetry scan and Cholesky, since
-a Schur complement of the proved-SPD P is SPD; only finiteness is tested.
+
+The constructor proves P positive definite from its lower triangle, as
+``np.linalg.cholesky`` would, one component of its pattern at a time: those of
+equal size and bandwidth b (member order, at least BLOCK_FLOOR) as one stack, b
+rows at a time.  From n (2 BLOCK_FLOOR + 1) non-zeros on, P is factored whole.
+The marginal model skips the symmetry scan and this proof, since a Schur
+complement of the proved-SPD P is SPD; only finiteness is tested.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ SOLVE_LEAF = 128
 # Rows per strip of the constructor's symmetry scan.  At n = 1600 strips of
 # 32 to 128 rows take 5.3-6.5 ms against 22 ms for max|P - P^T|.
 STRIP_ROWS = 64
+# Least rows per block of the constructor's banded Cholesky; 16-32 are fastest.
+BLOCK_FLOOR = 32
 
 
 class GaussianModel:
@@ -67,7 +74,7 @@ class GaussianModel:
         if _asymmetry(prec) > SYMMETRY_TOL * max(1.0, largest):
             raise InvalidInputError("precision matrix is not symmetric")
         try:
-            np.linalg.cholesky(prec)
+            _prove_positive_definite(prec)
         except np.linalg.LinAlgError:
             raise InvalidInputError("precision matrix is not positive definite") from None
         mean.setflags(write=False)
@@ -109,6 +116,42 @@ def _asymmetry(prec: np.ndarray) -> float:
     return worst
 
 
+def _components(label: np.ndarray) -> list[np.ndarray]:
+    """Ascending members of each component of a ``component_labels`` labelling."""
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if len(label) else []
+
+
+def _prove_positive_definite(prec: np.ndarray) -> None:
+    """Raise ``np.linalg.LinAlgError`` unless P is PD (see the module docstring)."""
+    n = prec.shape[0]
+    mask, count = np.empty((n, n), dtype=bool), 0
+    for s in range(0, n, STRIP_ROWS):
+        e = s + STRIP_ROWS
+        count += np.count_nonzero(np.not_equal(prec[s:e], 0.0, out=mask[s:e]))
+        if count >= n * (2 * BLOCK_FLOOR + 1):  # denser than any band of that half-width
+            np.linalg.cholesky(prec)
+            return
+    rows, cols = divmod(np.flatnonzero(mask), n)
+    rows, cols = rows[rows > cols], cols[rows > cols]  # the lower triangle's pattern
+    label = component_labels(n, rows, cols)
+    # each component's bandwidth in its member order, at its smallest member
+    at = np.argsort(np.argsort(label, kind="stable"))  # position in that order
+    band = np.full(n, BLOCK_FLOOR)
+    np.maximum.at(band, label[rows], at[rows] - at[cols])
+    stacks: dict[tuple[int, int], list] = {}
+    for tau in _components(label):
+        stacks.setdefault((len(tau), int(band[tau[0]])), []).append(tau)
+    for (size, step), group in stacks.items():
+        stack, carry = np.array(group), 0.0
+        for s in range(0, size, step):
+            block, below = stack[:, s:s + step], stack[:, s + step:s + 2 * step]
+            chol = np.linalg.cholesky(prec[block[:, :, None], block[:, None, :]] - carry)
+            if below.size:  # block k + 1 less X^T X, where L_k X = C^T for its coupling C
+                x = _solve_lower(chol, prec[below[:, None, :], block[:, :, None]])
+                carry = np.matmul(x.transpose(0, 2, 1), x)
+
+
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Overwrite ``b`` with Y solving chol Y = b, for lower-triangular
     ``chol``; both may carry the same leading stack axes.  Returns ``b``."""
@@ -143,36 +186,32 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
     if cached is not None and cached[0] == a:
         return cached
     k = len(a)
-    if not z:
-        gamma = np.zeros((k, k))
-    else:
-        p = m.precision
-        rows, cols = np.asarray(z), np.asarray(a)
-        pattern = p[rows] != 0
-        touches = pattern[:, cols]
-        stacks: dict[tuple[int, int], list] = {}
-        # components of the eliminated block's pattern, by smallest member
-        label = component_labels(len(rows), *np.nonzero(pattern[:, rows]))
-        order = np.argsort(label, kind="stable")
-        for tau in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-            d = np.flatnonzero(touches[tau].any(axis=0))
-            stacks.setdefault((len(tau), len(d)), []).append((rows[tau], d))
-        gamma = np.zeros(k * k)
-        for (_, width), members in stacks.items():
-            taus = np.array([tau for tau, _ in members])
-            ds = np.array([d for _, d in members])
-            try:
-                chol = np.linalg.cholesky(p[taus[:, :, None], taus[:, None, :]])
-            except np.linalg.LinAlgError:
-                raise InvalidInputError(
-                    "eliminated precision block is not positive definite; "
-                    "corrupted input") from None
-            if width:
-                y = _solve_lower(chol, p[taus[:, :, None], cols[ds][:, None, :]])
-                terms = np.matmul(y.transpose(0, 2, 1), y).ravel()
-                del chol, y  # up to |z| x |a| each: free them before the scatter
-                np.add.at(gamma, (ds[:, :, None] * k + ds[:, None, :]).ravel(), terms)
-        gamma = gamma.reshape(k, k)
+    p = m.precision
+    rows, cols = np.asarray(z, dtype=np.intp), np.asarray(a)
+    pattern = p[rows] != 0
+    touches = pattern[:, cols]
+    stacks: dict[tuple[int, int], list] = {}
+    # components of the eliminated block's pattern, by smallest member
+    edges = divmod(np.flatnonzero(pattern[:, rows]), len(rows))
+    for tau in _components(component_labels(len(rows), *edges)):
+        d = np.flatnonzero(touches[tau].any(axis=0))
+        stacks.setdefault((len(tau), len(d)), []).append((rows[tau], d))
+    gamma = np.zeros(k * k)
+    for (_, width), members in stacks.items():
+        taus = np.array([tau for tau, _ in members])
+        ds = np.array([d for _, d in members])
+        try:
+            chol = np.linalg.cholesky(p[taus[:, :, None], taus[:, None, :]])
+        except np.linalg.LinAlgError:
+            raise InvalidInputError(
+                "eliminated precision block is not positive definite; "
+                "corrupted input") from None
+        if width:
+            y = _solve_lower(chol, p[taus[:, :, None], cols[ds][:, None, :]])
+            terms = np.matmul(y.transpose(0, 2, 1), y).ravel()
+            del chol, y  # up to |z| x |a| each: free them before the scatter
+            np.add.at(gamma, (ds[:, :, None] * k + ds[:, None, :]).ravel(), terms)
+    gamma = gamma.reshape(k, k)
     gamma.setflags(write=False)
     m._innovation = (a, gamma)
     return m._innovation
@@ -210,7 +249,7 @@ def _scaled_tol(matrix: np.ndarray, tol: float | None) -> float:
 
 def _edges_above(matrix: np.ndarray, ids, tol: float | None) -> frozenset:
     """Pairs (ids[i], ids[j]), i < j, whose |entry| exceeds ``_scaled_tol(matrix, tol)``."""
-    rows, cols = np.nonzero(np.abs(matrix) > _scaled_tol(matrix, tol))
+    rows, cols = divmod(np.flatnonzero(np.abs(matrix) > _scaled_tol(matrix, tol)), len(ids))
     upper = rows < cols
     ids = np.asarray(ids, dtype=int)
     return frozenset(zip(ids[rows[upper]].tolist(), ids[cols[upper]].tolist()))

@@ -429,6 +429,19 @@ class TestKeepLabel:
             assert done.returncode == 2 and done.stdout == ""
             assert "error:" in done.stderr and "Traceback" not in done.stderr
 
+    def test_a_label_starting_with_a_dash_needs_the_equals_form(self, tmp_path):
+        path = tmp_path / "dash.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "variables": [{"label": "-:"}, {"label": "y"}],
+            "graph": {"edges": [["-:", "y"]]}}))
+        done = self._cli("marginalize-graph", str(path), "--keep-label", "-:")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("usage:") and "expected one argument" in done.stderr
+        assert "Traceback" not in done.stderr
+        done = self._cli("marginalize-graph", str(path), "--keep-label=-:")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["keep"] == ["-:"]
+
 
 class TestOutputContract:
     def test_byte_identical_repeated_runs(self, capsys):

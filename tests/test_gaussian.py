@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from margraph import (
     GaussianModel,
@@ -20,7 +20,14 @@ from margraph import (
     subgraph,
     varset,
 )
-from margraph.gaussian import SOLVE_LEAF, STRIP_ROWS, SYMMETRY_TOL, _scaled_tol, _solve_lower
+from margraph.gaussian import (
+    BLOCK_FLOOR,
+    SOLVE_LEAF,
+    STRIP_ROWS,
+    SYMMETRY_TOL,
+    _scaled_tol,
+    _solve_lower,
+)
 
 from fixture_models import (
     damage_gaussian,
@@ -196,20 +203,118 @@ class TestInnovationMatrix:
             assert np.max(np.abs(lhs - marginal_precision(m, a).precision)) <= 1e-10
 
 
+@st.composite
+def edge_precisions(draw):
+    """A symmetric matrix whose smallest eigenvalue is +-1 % of its largest
+    |eigenvalue|: a band of half-width 1-80 with holes over n = BLOCK_FLOOR,
+    2 BLOCK_FLOOR or 3 BLOCK_FLOOR + 1, or a random sparse, permuted-band or
+    dense pattern.  Optionally a few entries of one triangle are moved by up
+    to half the symmetry tolerance, so the two triangles' patterns differ."""
+    kind = draw(st.sampled_from(["band", "permuted band", "sparse", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind.endswith("band"):
+        n = draw(st.sampled_from([BLOCK_FLOOR, 2 * BLOCK_FLOOR, 3 * BLOCK_FLOOR + 1]))
+        offset = np.subtract.outer(np.arange(n), np.arange(n))
+        keep = (offset <= draw(st.integers(1, 80))) & (rng.random((n, n)) < 0.8)
+    else:
+        n = draw(st.integers(1, 3 * BLOCK_FLOOR + 1))
+        keep = rng.random((n, n)) < (1.0 if kind == "dense" else 2.0 / n)
+    low = np.tril(rng.normal(size=(n, n)) * keep, -1)
+    prec = low + low.T + np.diag(rng.uniform(0.5, 2.0, size=n))
+    if kind == "permuted band":
+        at = rng.permutation(n)
+        prec = prec[np.ix_(at, at)]
+    eig = np.linalg.eigvalsh(prec)
+    prec += (draw(st.sampled_from([-0.01, 0.01])) * np.max(np.abs(eig)) - eig[0]) * np.eye(n)
+    if n > 1 and draw(st.booleans()):
+        bound = 0.5 * SYMMETRY_TOL * max(1.0, float(np.max(np.abs(prec))))
+        for _ in range(draw(st.integers(1, 5))):
+            i, j = rng.choice(n, size=2, replace=False)
+            prec[i, j] = prec[j, i] + bound * rng.choice([-1.0, 1.0])
+    return prec
+
+
+def refusal(prec):
+    """None if ``GaussianModel`` accepts ``prec``, else its message."""
+    try:
+        GaussianModel(np.zeros(len(prec)), prec)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+def cholesky_refusal(prec):
+    """What the constructor said when it factored all of P at once."""
+    try:
+        np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError:
+        return "precision matrix is not positive definite"
+    return None
+
+
+def matrix_sizes(monkeypatch, name):
+    """Record the order of every matrix ``np.linalg.<name>`` receives."""
+    sizes = []
+    call = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name,
+                        lambda a, *rest: sizes.append(a.shape[-1]) or call(a, *rest))
+    return sizes
+
+
+class TestPositiveDefiniteProof:
+    """The constructor proves P positive definite one component of its lower
+    triangle's pattern at a time, and decides as np.linalg.cholesky(P)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_precisions())
+    @example(np.zeros((0, 0)))
+    @example(-np.ones((1, 1)))
+    def test_accepts_exactly_what_cholesky_accepts(self, prec):
+        assert refusal(prec) == cholesky_refusal(prec)
+
+    def test_a_dense_model_is_factored_once(self, monkeypatch):
+        n = 3 * BLOCK_FLOOR  # more non-zeros than any band of half-width BLOCK_FLOOR
+        a = np.random.default_rng(3).normal(size=(n, n))
+        prec = a @ a.T / n + np.eye(n)
+        sizes = matrix_sizes(monkeypatch, "cholesky")
+        GaussianModel(np.zeros(n), prec)
+        assert sizes == [n]
+
+    @pytest.mark.parametrize("width", [2, BLOCK_FLOOR + 8])
+    @pytest.mark.parametrize("far", [0.4, 0.75])
+    def test_a_banded_model_is_factored_block_by_block(self, width, far, monkeypatch):
+        # a weak chain makes one component; the diagonal at ``width`` sets
+        # the bandwidth and decides definiteness (PD at 0.4, not at 0.75)
+        n = 4 * BLOCK_FLOOR
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        prec = np.eye(n) + 0.05 * (offset == 1) + far * (offset == width)
+        expected = cholesky_refusal(prec)
+        assert (expected is None) == (far == 0.4)
+        sizes = matrix_sizes(monkeypatch, "cholesky")
+        assert refusal(prec) == expected
+        block = max(width, BLOCK_FLOOR)
+        assert max(sizes) <= block
+        if expected is None:
+            assert sizes == [min(block, n - s) for s in range(0, n, block)]
+
+    def test_a_component_is_banded_in_its_own_member_order(self, monkeypatch):
+        # the even ids form one chain with a second coupling BLOCK_FLOOR + 8
+        # ranks (twice as many ids) apart; the odd ids are isolated
+        n, width = 4 * BLOCK_FLOOR, BLOCK_FLOOR + 8
+        prec = np.eye(n)
+        even = np.arange(0, n, 2)
+        for d, value in ((1, 0.05), (width, 0.4)):
+            prec[even[d:], even[:-d]] = prec[even[:-d], even[d:]] = value
+        sizes = matrix_sizes(monkeypatch, "cholesky")
+        GaussianModel(np.zeros(n), prec)
+        assert sizes == [width, n // 2 - width, 1]
+
+
 def lower_triangular(rng, n, batch=()):
     """Well-conditioned lower-triangular matrices: unit-scale diagonal and
     small off-diagonal entries."""
     low = np.tril(rng.normal(size=(*batch, n, n)), -1) / np.sqrt(n)
     return low + np.eye(n) * rng.uniform(1.0, 2.0, size=(*batch, 1, n))
-
-
-def leaf_sizes(monkeypatch):
-    """Record the order of every matrix np.linalg.solve receives."""
-    sizes = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda a, b: sizes.append(a.shape[-1]) or solve(a, b))
-    return sizes
 
 
 class TestBlockedSolve:
@@ -220,7 +325,7 @@ class TestBlockedSolve:
         chol = lower_triangular(rng, n, batch)
         b = rng.normal(size=(*batch, n, 7))
         expected = np.linalg.solve(chol, b)
-        sizes = leaf_sizes(monkeypatch)
+        sizes = matrix_sizes(monkeypatch, "solve")
         y = _solve_lower(chol, b.copy())
         assert max(sizes) <= SOLVE_LEAF
         if n <= SOLVE_LEAF:
@@ -243,7 +348,7 @@ class TestBlockedSolve:
         a, z = list(range(0, n, 2)), list(range(1, n, 2))
         schur = prec[np.ix_(a, z)] @ np.linalg.inv(prec[np.ix_(z, z)]) @ prec[np.ix_(z, a)]
         m = GaussianModel(np.zeros(n), prec)
-        sizes = leaf_sizes(monkeypatch)
+        sizes = matrix_sizes(monkeypatch, "solve")
         gamma = innovation_matrix(m, a)
         assert sizes and max(sizes) <= SOLVE_LEAF
         scale = np.max(np.abs(schur))

@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from margraph import Graph, ModelFormatError, Variables
 from margraph.cli import main
@@ -321,8 +321,20 @@ def test_arbitrary_labels_and_domains_round_trip_bit_for_bit(case):
                 t.values.tobytes() for t in want.tables]
 
 
+def _model_over(label):
+    """A one-table model over ``label`` and "b", keeping ``label``."""
+    return ({"format_version": 1,
+             "variables": [{"label": label, "domain": [1.0, 0.0]},
+                           {"label": "b", "domain": [2.0, 0.0]}],
+             "potential_family": {"members": [{"interactions": [
+                 {"scope": [label, "b"], "table": [0.5, -1.0, 0.25, 2.0]}]}]}},
+            [label])
+
+
 @settings(max_examples=50, deadline=None)
 @given(_labelled_models())
+@example(_model_over("-:"))  # labels starting with "-" need --keep-label=LABEL
+@example(_model_over("--k"))
 def test_arbitrary_labels_and_domains_marginalize_through_the_cli(case):
     doc, keep = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -333,7 +345,7 @@ def test_arbitrary_labels_and_domains_marginalize_through_the_cli(case):
             out, err = io.StringIO(), io.StringIO()
             argv = ["marginalize-hypergraph", path, "--format", fmt]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv + [x for label in keep for x in ("--keep-label", label)])
+                code = main(argv + [f"--keep-label={label}" for label in keep])
             assert code == 0, err.getvalue()
             if fmt == "json":
                 labels = [v["label"] for v in doc["variables"]]
