@@ -20,8 +20,8 @@ _EXPORTS = {
     "graphs": ("Graph", "Variables", "VarSet", "boundary", "cliques", "completed_edge_set",
                "component_boundaries", "connectivity_components", "is_complete", "subgraph",
                "varset"),
-    "hypergraph_marginal": ("EliminationPlan", "Innovation", "MarginalReport",
-                            "boundary_hypergraph", "innovations", "marginalize_hypergraph"),
+    "hypergraph_marginal": ("Innovation", "MarginalReport", "boundary_hypergraph", "innovations",
+                            "marginalize_hypergraph"),
     "oracle": ("DensityTable", "joint_table", "marginal_table",
                "normalized_potential_from_table"),
     "potentials": ("NULL_TOL", "Hypergraph", "InteractionTable", "Potential",

@@ -248,8 +248,11 @@ def _scaled_tol(matrix: np.ndarray, tol: float | None) -> float:
 
 
 def _edges_above(matrix: np.ndarray, ids, tol: float | None) -> frozenset:
-    """Pairs (ids[i], ids[j]), i < j, whose |entry| exceeds ``_scaled_tol(matrix, tol)``."""
-    rows, cols = divmod(np.flatnonzero(np.abs(matrix) > _scaled_tol(matrix, tol)), len(ids))
+    """Pairs (ids[i], ids[j]), i < j, whose |entry| exceeds ``_scaled_tol(matrix, tol)``;
+    the default cut is read off the same |entry| array the test compares."""
+    above = np.abs(matrix)  # replaced by the mask, so it is freed before the index arrays
+    above = above > (1e-9 * float(above.max(initial=0.0)) if tol is None else tol)
+    rows, cols = divmod(np.flatnonzero(above), len(ids))
     upper = rows < cols
     ids = np.asarray(ids, dtype=int)
     return frozenset(zip(ids[rows[upper]].tolist(), ids[cols[upper]].tolist()))

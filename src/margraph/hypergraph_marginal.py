@@ -10,10 +10,11 @@ the original to A plus the innovations; reading off which scopes survive
 that appear, disappear, or persist, and settles graphical and parametric
 collapsibility.
 
-One :class:`EliminationPlan` per call fixes the components, their
-boundaries, an elimination order inside each component and the size of the
-largest table the folds will form; a plan above ``STATE_LIMIT`` entries is
-refused before any table is allocated.  A component is folded by
+One :class:`EliminationPlan` per call, built whole from the members'
+scopes, fixes the components, their boundaries, an elimination order inside
+each component and the size of the largest table the folds will form; a
+plan above ``STATE_LIMIT`` entries is refused before any table is
+allocated.  A component is folded by
 sum-product variable elimination in log space (Koller & Friedman,
 *Probabilistic Graphical Models*, ch. 9): eliminating a variable combines
 only the factors that contain it and replaces them by their log-sum over
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -55,7 +55,7 @@ import numpy as np
 
 from .components import component_labels
 from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
-from .graphs import Graph, VarSet, Variables, varset
+from .graphs import Graph, VarSet, Variables, component_boundaries, varset
 from .potentials import (
     NULL_TOL,
     Hypergraph,
@@ -167,83 +167,53 @@ def _min_fill_order(scopes, tau: VarSet) -> tuple[tuple[int, ...], list[VarSet]]
 class EliminationPlan:
     """How marginalizing onto a retained set folds the eliminated variables.
 
-    Built once per call from the interaction scopes, so that a plan of a
-    family serves every member.  It holds:
+    Built once per call, eagerly, from the scope arrays of ``members``
+    (potentials on one registry), so that a plan of a family serves every
+    member.  It holds:
 
     - ``components``: the connectivity components of the eliminated set in
-      the graph the hyperedges induce on the vertices, ordered by smallest
+      the graph the hyperedges induce on the variables, ordered by smallest
       member, and their ``boundaries`` in that graph;
-    - ``orders``: a greedy min-fill elimination order of each component,
-      ties to the smallest id, computed once per local structure;
-    - ``factors``: per component, the scope of every product factor its
-      fold forms along its order, from which :meth:`largest_factor`
-      predicts the largest allocation; :meth:`largest_split` predicts the
-      entries the innovation split of the widest boundary makes.
+    - ``_structures``: per local structure, its relabeled hyperedges, a
+      greedy min-fill elimination order (ties to the smallest id) and the
+      scope of every product factor the fold forms along it, computed once
+      per structure; with a row per component, the ranks of its components
+      in ``components``, the indices of their touching hyperedges (the
+      rows the folds gather) and their local variables;
+    - ``largest_factor``, the entries of the largest table the folds form,
+      and ``largest_split``, the entries the innovation split of the widest
+      boundary makes: a boundary d splits into pieces on its non-empty
+      subsets, prod(|dom v| + 1) - 1 entries.
 
-    The hyperedges are ``_rows``, vertex positions padded with -1, in the
-    order of :func:`~margraph.potentials._scope_rows`.  The route builds
-    the plan from the members' scope arrays (:meth:`_of`), whose one sort
-    also finds each member's tables; ``EliminationPlan(h, vertices, a)``
-    feeds ``h.edges`` through the same helper.  ``edges`` makes tuples of
-    every row on each access; the route makes them of the rows a step
-    reads.  Components and boundaries are found at construction; the
-    grouping by local structure, min-fill and the sizes wait until an order
-    or a size is asked for, so :func:`boundary_hypergraph` pays for no
-    more.  Each structure keeps, with a row per component, the ranks of its
-    components in ``components``, the indices of their touching hyperedges
-    (the rows the folds gather) and their local variables.  A lone
-    component skips the batching: its boundary and structure are read in
-    plain Python, where numpy's per-call cost would outweigh the work.
+    The hyperedges are ``_rows``, variable ids padded with -1, in the order
+    of :func:`~margraph.potentials._scope_rows`, whose one sort also finds
+    each member's tables: ``_tables`` holds two (members x hyperedges)
+    arrays, the group of the table on each hyperedge, counted across the
+    members' groups in turn (-1 where the member has none), and its row in
+    that group.  A lone component skips the batching: its boundary and
+    structure are read in plain Python, where numpy's per-call cost would
+    outweigh the work.
 
     A member of a family touches a subset of the plan's hyperedges, so the
     tables its fold of a component forms lie within these factor scopes.
     """
 
-    __slots__ = ("components", "boundaries", "_ids", "_rows", "_tables", "_comp", "_width",
-                 "_pending", "_built", "_sized_for", "_sizes")
+    __slots__ = ("components", "boundaries", "largest_factor", "largest_split", "_rows",
+                 "_tables", "_comp", "_width", "_structures", "_sizes")
 
-    def __init__(self, h: Hypergraph, vertices, a):
-        vertices = varset(vertices)
-        a = varset(a)
-        inside, edges = set(vertices), h.edges
-        if not inside.issuperset(a):
-            raise InvalidInputError(f"ids {sorted(set(a) - inside)} outside the vertex set")
-        if not inside.issuperset(chain.from_iterable(edges)):
-            e = next(e for e in edges if not inside.issuperset(e))
-            raise InvalidInputError(f"hyperedge {set(e)} not contained in the vertex set")
-        ids = np.array(vertices, dtype=np.intp)
-        rows, _ = _scope_rows([np.searchsorted(ids, np.fromiter(
-            chain.from_iterable(e for e in edges if len(e) == w), np.intp).reshape(k, w))
-            for w, k in Counter(map(len, edges)).items()])
-        self._init(ids, rows, a, None)
-
-    @classmethod
-    def _of(cls, members, a: VarSet) -> "EliminationPlan":
-        """The plan of the scopes of ``members``, potentials on one registry.
-
-        ``_tables`` holds where each member's tables sit, as two (members x
-        hyperedges) arrays: the group of the table on each hyperedge,
-        counted across the members' groups in turn (-1 where the member has
-        none), and its row in that group.
-        """
+    def __init__(self, members, a: VarSet):
         groups = [(m, g) for m, u in enumerate(members) for g in u._groups]
         rows, which = _scope_rows([g.scopes for _, g in groups])
         src = np.full((len(members), len(rows)), -1, dtype=np.intp)
         row = np.zeros_like(src)
         for k, ((m, _), at) in enumerate(zip(groups, which)):
             src[m, at], row[m, at] = k, np.arange(len(at))
-        plan = cls.__new__(cls)
-        plan._init(np.arange(len(members[0].vars)), rows, a, (src, row))
-        return plan
-
-    def _init(self, ids: np.ndarray, rows: np.ndarray, a: VarSet, tables) -> None:
-        """The constructor core, on the hyperedges ``rows`` in positions of ``ids``."""
-        self._ids, self._rows, self._tables = ids, rows, tables
-        n = len(ids)
+        self._rows, self._tables = rows, (src, row)
+        n = len(members[0].vars)
         eliminated = np.ones(n, dtype=bool)
-        eliminated[np.searchsorted(ids, a)] = False
+        eliminated[list(a)] = False
         z = np.flatnonzero(eliminated)
-        # index among the eliminated vertices, -1 elsewhere and in the pad slot
+        # index among the eliminated variables, -1 elsewhere and in the pad slot
         at = np.full(n + 1, -1)
         at[z] = np.arange(len(z))
         inside = at[rows]
@@ -252,59 +222,38 @@ class EliminationPlan:
         r, c = np.nonzero(inside >= 0)
         label = component_labels(len(z), hub[r], inside[r, c])
         root = label == np.arange(len(z))
+        count = int(root.sum())
         comp = np.full(n + 1, -1)
         comp[z] = (np.cumsum(root) - 1)[label]
-        self._partition(comp, int(root.sum()))
-
-    @property
-    def edges(self) -> tuple[VarSet, ...]:
-        """The hyperedges, in lexicographic order."""
-        return tuple(self._scopes(slice(None)))
-
-    def _scopes(self, j) -> list[VarSet]:
-        """The hyperedges at indices ``j``, as tuples of ids."""
-        rows = self._rows[j]
-        return [tuple(r[:k]) for r, k in zip(self._ids[rows].tolist(),
-                                              (rows >= 0).sum(axis=1).tolist())]
-
-    def _partition(self, comp: np.ndarray, count: int) -> None:
-        """Components and boundaries from ``comp``, the component of each
-        vertex position (-1 for the retained ones and the pad slot)."""
-        n, rows = len(self._ids), self._rows
+        self._comp = comp
         member = comp[rows]
         # the eliminated members of a hyperedge lie in one component
         owner = member.max(axis=1, initial=-1)
         touch = np.flatnonzero(owner >= 0)
-        self._comp, self._built, self._sized_for = comp, None, None
         if count == 1:  # a lone component (see the class docstring)
-            tau = tuple(self._ids[comp[:n] >= 0].tolist())
+            tau = tuple(z.tolist())
             scopes = self._scopes(touch)
             bd = varset(set(chain.from_iterable(scopes)).difference(tau))
             self.components, self.boundaries = (tau,), {tau: bd}
-            self._width, self._pending = np.array([len(bd)]), (touch, scopes)
-            return
-        # the boundary: members of a touching hyperedge outside its component
-        r, c = np.nonzero((member != owner[:, None]) & (rows >= 0))
-        bound = owner[r] * n + rows[r, c]
-        bound = bound[_distinct(bound)[0]]  # ascending
-        touch = touch[np.argsort(owner[touch], kind="stable")]
-        inner = np.flatnonzero(comp[:n] >= 0)
-        inner = inner[np.argsort(comp[inner], kind="stable")]
-        self._pending = (touch, owner[touch], inner, bound)
-        self._width = np.bincount(bound // n, minlength=count)
-        self.components = _cut(self._ids[inner].tolist(), np.bincount(comp[inner], minlength=count))
-        self.boundaries = dict(zip(self.components,
-                                   _cut(self._ids[bound % n].tolist(), self._width)))
+            self._width = np.array([len(bd)])
+            self._structures = self._lone(touch, scopes)
+        else:
+            # the boundary: members of a touching hyperedge outside its component
+            r, c = np.nonzero((member != owner[:, None]) & (rows >= 0))
+            bound = owner[r] * n + rows[r, c]
+            bound = bound[_distinct(bound)[0]]  # ascending
+            touch = touch[np.argsort(owner[touch], kind="stable")]
+            inner = z[np.argsort(comp[z], kind="stable")]
+            self._width = np.bincount(bound // n, minlength=count)
+            self.components = _cut(inner.tolist(), np.bincount(comp[inner], minlength=count))
+            self.boundaries = dict(zip(self.components, _cut((bound % n).tolist(), self._width)))
+            self._structures = self._group(touch, owner[touch], inner, bound)
+        self._sizes, self.largest_factor, self.largest_split = self._sized(members[0].vars)
 
-    @property
-    def _structures(self) -> list[tuple]:
-        """Per local structure: its relabeled scopes, its order, its factor
-        scopes followed by its boundary (all as local positions), and the
-        ranks, touching hyperedge indices and local ids of its components,
-        one row each."""
-        if self._built is None:
-            self._built = (self._lone if len(self.components) == 1 else self._group)(*self._pending)
-        return self._built
+    def _scopes(self, j) -> list[VarSet]:
+        """The hyperedges at indices ``j``, as tuples of ids."""
+        rows = self._rows[j]
+        return [tuple(r[:k]) for r, k in zip(rows.tolist(), (rows >= 0).sum(axis=1).tolist())]
 
     def _lone(self, touch, scopes) -> list[tuple]:
         scopes, tau, local = _relabeled(scopes, self.components[0])
@@ -312,7 +261,7 @@ class EliminationPlan:
                            np.array([local]))]
 
     def _group(self, touch, owner, inner, bound) -> list[tuple]:
-        n, count, comp = len(self._ids), len(self.components), self._comp
+        n, count, comp = len(self._comp) - 1, len(self.components), self._comp
         rows = self._rows[touch]
         local = np.sort(np.concatenate((comp[inner] * n + inner, bound)))
         size = np.bincount(local // n, minlength=count)
@@ -336,50 +285,26 @@ class EliminationPlan:
                                for row in relabeled[edges[rep]].tolist())
                 at = which == i
                 built.append(_structure(scopes, tuple(np.flatnonzero(inside[rep]).tolist()), width,
-                                        cs[at], touch[edges[at]], self._ids[pos[at]]))
+                                        cs[at], touch[edges[at]], pos[at]))
         return built
 
-    @property
-    def orders(self) -> dict[VarSet, tuple[int, ...]]:
-        return {self.components[r]: tuple(row)
-                for _, order, _, ranks, _, local in self._structures
-                for r, row in zip(ranks.tolist(), local[:, list(order)].tolist())}
-
-    @property
-    def factors(self) -> dict[VarSet, list[VarSet]]:
-        return {self.components[r]: [tuple(row[p] for p in f) for f in factors[:-1]]
-                for _, _, factors, ranks, _, local in self._structures
-                for r, row in zip(ranks.tolist(), local.tolist())}
-
     def _sized(self, vars: Variables) -> tuple[list, int, int]:
-        """For the registry in use (a :class:`Variables` is immutable): per
-        structure, its components grouped by the domain sizes at their local
-        positions, as (sizes, rows of the structure, entries of the largest
-        table the fold forms); the largest of those entries; and the entries
-        of the largest innovation split."""
-        if self._sized_for is not vars:
-            dom = np.array([len(d) for d in vars.domains])
-            groups, largest, split = [], 1, 0
-            for _, _, factors, _, _, local in self._structures:
-                sizes = dom[local]
-                reps, which = _distinct(sizes)
-                groups.append([])
-                for j, row in enumerate(sizes[reps].tolist()):
-                    entries = max(math.prod(row[p] for p in f) for f in factors)
-                    largest = max(largest, entries)
-                    split = max(split, math.prod(row[p] + 1 for p in factors[-1]) - 1)
-                    groups[-1].append((tuple(row), np.flatnonzero(which == j), entries))
-            self._sized_for, self._sizes = vars, (groups, largest, split)
-        return self._sizes
-
-    def largest_factor(self, vars: Variables) -> int:
-        """Entries of the largest table the folds form."""
-        return self._sized(vars)[1]
-
-    def largest_split(self, vars: Variables) -> int:
-        """Entries of the largest innovation split: a boundary d splits into
-        pieces on its non-empty subsets, prod(|dom v| + 1) - 1 entries."""
-        return self._sized(vars)[2]
+        """Per structure, its components grouped by the domain sizes at their
+        local positions, as (sizes, rows of the structure, entries of the
+        largest table the fold forms); the largest of those entries; and the
+        entries of the largest innovation split."""
+        dom = np.array([len(d) for d in vars.domains])
+        groups, largest, split = [], 1, 0
+        for _, _, factors, _, _, local in self._structures:
+            sizes = dom[local]
+            reps, which = _distinct(sizes)
+            groups.append([])
+            for j, row in enumerate(sizes[reps].tolist()):
+                entries = max(math.prod(row[p] for p in f) for f in factors)
+                largest = max(largest, entries)
+                split = max(split, math.prod(row[p] + 1 for p in factors[-1]) - 1)
+                groups[-1].append((tuple(row), np.flatnonzero(which == j), entries))
+        return groups, largest, split
 
 
 def _structure(scopes: tuple, tau: VarSet, width: int, ranks, edges, local) -> tuple:
@@ -406,8 +331,8 @@ def _checked_plan(members, a, null_tol: float) -> tuple[list, VarSet, Eliminatio
     if not set(a) <= set(allv):
         raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
     clean = [_drop_null(m, null_tol) for m in members]
-    plan, vars = EliminationPlan._of(clean, a), members[0].vars
-    entries = max(plan.largest_factor(vars), plan.largest_split(vars))
+    plan = EliminationPlan(clean, a)
+    entries = max(plan.largest_factor, plan.largest_split)
     if entries > STATE_LIMIT:
         raise ResourceLimitError(
             f"elimination needs {entries} table entries, above the limit of {STATE_LIMIT}")
@@ -423,7 +348,11 @@ def boundary_hypergraph(h: Hypergraph, vars_ids, a) -> Hypergraph:
     no neighbors in ``a`` contributes the empty set, which is kept so
     callers can see it (it only ever feeds the normalizing constant).
     """
-    return Hypergraph(EliminationPlan(h, vars_ids, a).boundaries.values(), allow_empty=True)
+    vertices, a = varset(vars_ids), varset(a)
+    if not set(vertices).issuperset(a):
+        raise InvalidInputError(f"ids {sorted(set(a) - set(vertices))} outside the vertex set")
+    pairs = component_boundaries(induced_graph(h, vertices), set(vertices).difference(a))
+    return Hypergraph((d for _, d in pairs), allow_empty=True)
 
 
 def _relabeled(scopes, order) -> tuple[tuple, tuple, VarSet]:
@@ -530,8 +459,7 @@ def _component_folds(members, plan: EliminationPlan) -> list[list]:
     the plan's hyperedge indices; each fold equals a fold of its component
     on its own, table by table.  A component a member touches with only
     some of the plan's hyperedges folds with the others of the same reduced
-    structure.  The plan must be built from ``members``
-    (:meth:`EliminationPlan._of`).
+    structure.  The plan must be built from ``members``.
     """
     vars = members[0].vars
     tables, rows = plan._tables
@@ -539,7 +467,7 @@ def _component_folds(members, plan: EliminationPlan) -> list[list]:
     out: list[list] = [[] for _ in members]
     reduced: dict[tuple, list] = {}
     for (scopes, order, factors, ranks, edges, local), groups in zip(plan._structures,
-                                                                     plan._sized(vars)[0]):
+                                                                     plan._sizes):
         if not factors[-1]:
             continue  # constant factor, absorbed by normalization
         for sizes, at, entries in groups:

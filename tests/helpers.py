@@ -220,7 +220,7 @@ def component_potential(u: Potential, tau, plan=None) -> InteractionTable:
     if tau[0] < 0 or tau[-1] >= n:
         raise InvalidInputError(f"ids {[v for v in tau if not 0 <= v < n]} outside the registry")
     tables = [t for t in u.tables if set(t.scope) & set(tau)]
-    order = plan.orders[tau] if plan else _min_fill_order([t.scope for t in tables], tau)[0]
+    order = orders(plan)[tau] if plan else _min_fill_order([t.scope for t in tables], tau)[0]
     return InteractionTable(*fold_tables(u.vars, tables, order))
 
 
@@ -360,13 +360,41 @@ def report_sets_by_set_algebra(family, a, marginals, null_tol: float) -> dict:
     }
 
 
+def edges(plan) -> tuple:
+    """The hyperedges of an :class:`~margraph.hypergraph_marginal.EliminationPlan`,
+    in lexicographic order."""
+    return tuple(plan._scopes(slice(None)))
+
+
+def orders(plan) -> dict:
+    """The elimination order of each component of ``plan``, an
+    :class:`~margraph.hypergraph_marginal.EliminationPlan` or a
+    :class:`ReferencePlan`."""
+    if isinstance(plan, ReferencePlan):
+        return plan.orders
+    return {plan.components[r]: tuple(row)
+            for _, order, _, ranks, _, local in plan._structures
+            for r, row in zip(ranks.tolist(), local[:, list(order)].tolist())}
+
+
+def factors(plan) -> dict:
+    """Per component of an :class:`~margraph.hypergraph_marginal.EliminationPlan`,
+    the scope of every product factor its fold forms along its order."""
+    return {plan.components[r]: [tuple(row[p] for p in f) for f in fs[:-1]]
+            for _, _, fs, ranks, _, local in plan._structures
+            for r, row in zip(ranks.tolist(), local.tolist())}
+
+
 class ReferencePlan:
-    """The elimination plan computed component by component in plain
-    Python: the induced graph, an incidence map and a depth-first search
-    give the components and boundaries, and each component's hyperedges,
-    relabeled to positions in the sorted union of their variables, key one
-    min-fill order per local structure.  The reference for
-    :class:`margraph.EliminationPlan`, with the same attributes."""
+    """The elimination plan of the hypergraph ``h`` on ``vertices``,
+    computed component by component in plain Python: the induced graph, an
+    incidence map and a depth-first search give the components and
+    boundaries, and each component's hyperedges, relabeled to positions in
+    the sorted union of their variables, key one min-fill order per local
+    structure.  The reference for
+    :class:`~margraph.hypergraph_marginal.EliminationPlan`: ``orders`` and
+    ``factors`` hold what the functions of those names read from a plan,
+    and ``largest_factor`` and ``largest_split`` take the registry."""
 
     def __init__(self, h, vertices, a):
         vertices = varset(vertices)

@@ -248,6 +248,14 @@ class TestOracleVerify:
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
 
+    def test_grid_passes_without_the_null_drop(self, capsys):
+        # the grid's 1023 innovations include many near-null ones; with
+        # --tolerance 0 none is dropped, and every check passes
+        doc = run_json(capsys, "oracle-verify", fixture("grid_potential.json"),
+                       "--keep", "V1,V2,V3,V4,V5,V16,V17,V18,V19,V20", "--tolerance", "0")
+        assert doc["passed"] is True
+        assert all(c["passed"] for c in doc["checks"])
+
     def test_resource_limit_exits_3(self, capsys, tmp_path):
         doc = {
             "format_version": 1,
@@ -546,6 +554,22 @@ class TestOutputContract:
         assert f"{field}: integer too large for a float" in done.stderr
 
 
+def _main_on(doc, command, *argv):
+    """Exit code, stdout and stderr of ``main`` in process, on ``doc``
+    written to a model file."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([command, path, *argv])
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @st.composite
 def _gaussian_argv(draw):
     """A marginalize-gaussian document, drawn to hit every exit: ragged or
@@ -589,20 +613,87 @@ def _gaussian_argv(draw):
 @given(_gaussian_argv(), st.sampled_from(["json", "dot"]))
 def test_marginalize_gaussian_exits_0_2_or_3(case, fmt):
     doc, keep = case
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "model.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(["marginalize-gaussian", path, "--keep", keep, "--format", fmt])
-            except SystemExit as exc:
-                code = exc.code
-    assert code in (0, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    code, out, err = _main_on(doc, "marginalize-gaussian", "--keep", keep, "--format", fmt)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
     if code != 0:
-        assert out.getvalue() == "" and "error:" in err.getvalue()
+        assert out == "" and "error:" in err
     elif fmt == "json":
         # the writer emits no NaN or Infinity token
-        json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(token))
+        json.loads(out, parse_constant=lambda token: pytest.fail(token))
+
+
+@st.composite
+def _potential_argv(draw):
+    """A potential document for the three potential commands, drawn to hit
+    every exit: ragged or wrongly sized tables, duplicate scopes, scopes
+    naming unknown labels, repeated or non-numeric domain values, 400-digit
+    integers, empty interactions and empty or unknown --keep labels.  At most
+    six variables, so oracle-verify enumerates few states.  Returns the
+    document and the --keep argument."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = [f"X{k}" for k in range(n)]
+    domains = [[0.0, 1.0] if draw(st.booleans()) else [-1.0, 0.0, 2.5] for _ in labels]
+    interactions = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        scope = sorted(rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False))
+        size = int(np.prod([len(domains[v]) for v in scope]))
+        interactions.append({"scope": [labels[v] for v in scope],
+                             "table": (rng.normal(size=size) * draw(st.sampled_from(
+                                 [0.0, 1e-12, 1.0, 30.0]))).tolist()})
+    flaw = draw(st.sampled_from(["none", "none", "ragged", "size", "duplicate", "repeated label",
+                                 "unknown label", "repeated value", "text value", "huge table",
+                                 "huge domain", "empty"]))
+    if interactions and flaw in ("ragged", "size", "duplicate", "repeated label", "unknown label",
+                                 "huge table"):
+        t = interactions[draw(st.integers(0, len(interactions) - 1))]
+        big = int("9" * 400) * draw(st.sampled_from([1, -1]))
+        if flaw == "ragged":
+            t["table"] = [t["table"][:1], t["table"][1:]]
+        elif flaw == "size":
+            t["table"] = t["table"][:-1] if draw(st.booleans()) else t["table"] + [0.0]
+        elif flaw == "duplicate":
+            interactions.append(dict(t))
+        elif flaw == "repeated label":
+            t["scope"] = t["scope"] + t["scope"][:1]
+        elif flaw == "unknown label":
+            t["scope"] = t["scope"][:-1] + ["Y"]
+        else:
+            t["table"][draw(st.integers(0, len(t["table"]) - 1))] = big
+    elif flaw in ("repeated value", "text value", "huge domain"):
+        domain = domains[draw(st.integers(0, n - 1))]
+        domain.append({"repeated value": domain[-1], "text value": "x",
+                       "huge domain": int("9" * 400) * draw(st.sampled_from([1, -1]))}[flaw])
+    elif flaw == "empty":
+        interactions = []
+    variables = [{"label": v, "domain": d} for v, d in zip(labels, domains)]
+    payload = {"interactions": interactions}
+    if draw(st.booleans()):
+        payload = {"potential_family": {"members": [payload, {"interactions": interactions[::2]}]}}
+    else:
+        payload = {"potential": payload}
+    keep = draw(st.one_of(
+        st.sets(st.sampled_from(labels), min_size=1).map(",".join),
+        st.sampled_from(["", " , ", "Y", "X0,Y", "X99"])))
+    return {"format_version": 1, "variables": variables, **payload}, keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(_potential_argv(), st.sampled_from([
+    ["marginalize-hypergraph"], ["marginalize-hypergraph", "--emit-potential"],
+    ["marginalize-hypergraph", "--format", "dot"], ["marginalize-hypergraph", "--strict"],
+    ["check-collapsibility"], ["oracle-verify"]]))
+def test_potential_commands_exit_0_2_or_3(case, command):
+    doc, keep = case
+    code, out, err = _main_on(doc, command[0], "--keep", keep, *command[1:])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if command[0] == "oracle-verify" and code == 2 and out:
+        # checks that failed: the document says so, and nothing else is wrong
+        assert json.loads(out)["passed"] is False
+    elif code != 0:
+        assert out == "" and "error:" in err
+    elif "dot" not in command:
+        # the writer emits no NaN or Infinity token
+        json.loads(out, parse_constant=lambda token: pytest.fail(token))

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from margraph import (
     NULL_TOL,
-    EliminationPlan,
     InteractionTable,
     InvalidInputError,
     Potential,
@@ -39,6 +38,7 @@ from margraph.potentials import NORMALIZED_TOL, _drop_null, _sum_parts
 
 from fixture_models import grid_potential, grid_retained
 from helpers import (
+    ReferencePlan,
     innovations_by_components,
     is_normalized_by_tables,
     normalized_pieces,
@@ -154,7 +154,7 @@ def _marginal_by_tables(family: PotentialFamily, keep) -> tuple[list[dict], set,
     component-by-component innovations, summed per scope in that order and
     null-filtered; then the family-wide removed, kept and added scopes."""
     clean = [Potential(m.vars, [t for t in m.tables if t.max_abs > NULL_TOL]) for m in family]
-    plan = EliminationPlan(hypergraph_of(clean), family.vars.all_ids(), keep)
+    plan = ReferencePlan(hypergraph_of(clean), family.vars.all_ids(), keep)
     present, innovation_scopes, marginals = set(), set(), []
     for m in clean:
         combined = {t.scope: np.array(t.values) for t in m.tables if set(t.scope) <= set(keep)}
@@ -227,7 +227,7 @@ class TestWideScopes:
         normal = normalize_potential(u)
         _same_tables(normal, {s: v for s, v in ref.items() if np.max(np.abs(v)) > NULL_TOL})
         clean = _drop_null(normal, NULL_TOL)
-        plan = EliminationPlan(hypergraph_of(clean), u.vars.all_ids(), keep)
+        plan = ReferencePlan(hypergraph_of(clean), u.vars.all_ids(), keep)
         ref = innovations_by_components(clean, plan, NULL_TOL)
         got = innovations(normal, keep)
         assert [i.scope for i in got] == list(ref)

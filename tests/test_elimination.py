@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from margraph import (
     STATE_LIMIT,
-    EliminationPlan,
     InteractionTable,
     Potential,
     PotentialFamily,
@@ -33,6 +32,7 @@ from margraph import (
 )
 from margraph import hypergraph_marginal
 from margraph.hypergraph_marginal import (
+    EliminationPlan,
     _component_folds,
     _innovation_tables,
     _min_fill_order,
@@ -50,8 +50,11 @@ from helpers import (
     binary_vars,
     component_potential,
     dense_component_potential,
+    edges,
+    factors,
     fold_tables,
     innovations_by_components,
+    orders,
     report_sets_by_set_algebra,
     zero_coord_mask,
 )
@@ -87,7 +90,7 @@ def models(draw, max_vars: int = 12):
 
 
 def _plan(u: Potential, keep) -> EliminationPlan:
-    return EliminationPlan._of([u], varset(keep))
+    return EliminationPlan([u], varset(keep))
 
 
 def _folds_by_component(members, plan: EliminationPlan) -> list[dict]:
@@ -143,9 +146,9 @@ class TestFoldAgainstDenseReference:
         plan = _plan(u, keep)
         for tau in plan.components:
             tables = [t for t in u.tables if set(t.scope) & set(tau)]
-            shuffled = list(plan.orders[tau])
+            shuffled = list(orders(plan)[tau])
             random.shuffle(shuffled)
-            scope, values = fold_tables(u.vars, tables, plan.orders[tau])
+            scope, values = fold_tables(u.vars, tables, orders(plan)[tau])
             scope2, values2 = fold_tables(u.vars, tables, shuffled)
             assert scope == scope2
             assert _max_diff(values, values2) <= FOLD_TOL
@@ -243,7 +246,7 @@ class TestStackedFolds:
     @given(block_families())
     def test_stacked_folds_match_component_potential_bit_for_bit(self, case):
         family, keep = case
-        plan = EliminationPlan._of(family.members, keep)
+        plan = EliminationPlan(family.members, keep)
         for member, folds in zip(family, _folds_by_component(family.members, plan)):
             assert list(folds) == [tau for tau in plan.components if plan.boundaries[tau]]
             for tau, (scope, values) in folds.items():
@@ -256,7 +259,7 @@ class TestStackedFolds:
     @given(block_families())
     def test_innovations_match_the_component_by_component_route_bit_for_bit(self, case):
         family, keep = case
-        plan = EliminationPlan._of(family.members, keep)
+        plan = EliminationPlan(family.members, keep)
         for member, got in zip(family, _innovations(family.members, plan)):
             ref = innovations_by_components(member, plan, NULL_TOL)
             assert list(got) == list(ref)
@@ -304,7 +307,7 @@ class TestStackedFolds:
         negated = Potential(u.vars, [InteractionTable(t.scope, -t.values) for t in u.tables])
         batches.clear()
         family = [u, negated, u]
-        _component_folds(family, EliminationPlan._of(family, varset(range(0, n, 3))))
+        _component_folds(family, EliminationPlan(family, varset(range(0, n, 3))))
         assert batches == [30]
 
 
@@ -361,9 +364,9 @@ class TestPlan:
         assert plan.components == (tau,)
         assert plan.boundaries[tau] == (0, n - 1)
         # every vertex of the path has fill 1; ties go to the smallest id
-        assert plan.orders[tau] == tau
-        assert plan.largest_factor(u.vars) == 8
-        assert plan.edges == tuple(t.scope for t in u.tables)
+        assert orders(plan)[tau] == tau
+        assert plan.largest_factor == 8
+        assert edges(plan) == tuple(t.scope for t in u.tables)
 
     def test_min_fill_prefers_the_vertex_that_adds_no_edge(self):
         # 2 is a leaf of 1; eliminating 1 first would join 2 with 3 and 4
@@ -371,8 +374,8 @@ class TestPlan:
         u = Potential(binary_vars(5), [InteractionTable(s, np.array([[0.0, 0.0], [0.0, 0.3]]))
                                        for s in scopes])
         plan = _plan(u, (0, 3, 4))
-        assert plan.orders[(1, 2)] == (2, 1)
-        assert plan.largest_factor(u.vars) == 8
+        assert orders(plan)[(1, 2)] == (2, 1)
+        assert plan.largest_factor == 8
 
     @settings(max_examples=60, deadline=None)
     @given(models())
@@ -383,41 +386,26 @@ class TestPlan:
         plan = _plan(u, keep)
         largest = 1
         for tau in plan.components:
-            order, factors = _min_fill_order([e for e in plan.edges if set(e) & set(tau)], tau)
-            assert plan.orders[tau] == order
-            assert plan.factors[tau] == factors
-            scopes = factors + [plan.boundaries[tau]]
+            order, formed = _min_fill_order([e for e in edges(plan) if set(e) & set(tau)], tau)
+            assert orders(plan)[tau] == order
+            assert factors(plan)[tau] == formed
+            scopes = formed + [plan.boundaries[tau]]
             largest = max(largest, *(math.prod(u.vars.sizes(s)) for s in scopes))
-        assert plan.largest_factor(u.vars) == largest
+        assert plan.largest_factor == largest
 
     @settings(max_examples=80, deadline=None)
     @given(plan_cases)
     def test_plan_matches_the_reference_plan(self, case):
         family, keep = case
-        h, ids, vars = hypergraph_of(family), family.vars.all_ids(), family.vars
-        plan, ref = EliminationPlan(h, ids, keep), ReferencePlan(h, ids, keep)
-        assert plan.edges == h.edges
+        h, vars = hypergraph_of(family), family.vars
+        plan, ref = EliminationPlan(family.members, keep), ReferencePlan(h, vars.all_ids(), keep)
+        assert edges(plan) == h.edges
         assert plan.components == ref.components
         assert list(plan.boundaries.items()) == list(ref.boundaries.items())
-        assert plan.orders == ref.orders
-        assert plan.factors == ref.factors
-        assert plan.largest_factor(vars) == ref.largest_factor(vars)
-        assert plan.largest_split(vars) == ref.largest_split(vars)
-
-    @settings(max_examples=80, deadline=None)
-    @given(plan_cases)
-    def test_plan_of_the_scope_arrays_matches_the_plan_of_the_hypergraph(self, case):
-        family, keep = case
-        vars = family.vars
-        plan = EliminationPlan._of(family.members, keep)
-        ref = EliminationPlan(hypergraph_of(family), vars.all_ids(), keep)
-        assert plan.edges == ref.edges
-        assert plan.components == ref.components
-        assert list(plan.boundaries.items()) == list(ref.boundaries.items())
-        assert plan.orders == ref.orders
-        assert plan.factors == ref.factors
-        assert plan.largest_factor(vars) == ref.largest_factor(vars)
-        assert plan.largest_split(vars) == ref.largest_split(vars)
+        assert orders(plan) == ref.orders
+        assert factors(plan) == ref.factors
+        assert plan.largest_factor == ref.largest_factor(vars)
+        assert plan.largest_split == ref.largest_split(vars)
 
     @settings(max_examples=80, deadline=None)
     @given(plan_cases)
@@ -430,7 +418,7 @@ class TestPlan:
         for g, at in zip(groups, which):
             assert [edges[j] for j in at.tolist()] == list(map(tuple, g.scopes.tolist()))
         # the plan's lookup finds each member's table on each hyperedge
-        src, row = EliminationPlan._of(family.members, keep)._tables
+        src, row = EliminationPlan(family.members, keep)._tables
         for m, u in enumerate(family):
             for j, e in enumerate(edges):
                 t = u.table_for(e)
@@ -499,7 +487,7 @@ class TestResourceGuard:
     def test_hub_next_to_21_retained_variables_is_refused(self):
         u = _hub_potential(21)
         keep = tuple(range(1, 22))
-        assert _plan(u, keep).largest_factor(u.vars) > STATE_LIMIT
+        assert _plan(u, keep).largest_factor > STATE_LIMIT
         _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
         _refused_quickly_and_small(lambda: innovations(u, keep))
 
@@ -514,7 +502,7 @@ class TestResourceGuard:
         u, keep = _cliques(6)
         plan = _plan(u, keep)
         assert len(plan.components) == 6
-        assert plan.largest_factor(u.vars) == STATE_LIMIT
+        assert plan.largest_factor == STATE_LIMIT
         tracemalloc.start()
         try:
             out = innovations(u, keep)
@@ -525,7 +513,7 @@ class TestResourceGuard:
         assert peak < 5 * 8 * STATE_LIMIT
         # a family stacks its members' folds together, within the same bound
         negated = Potential(u.vars, [InteractionTable(t.scope, -t.values) for t in u.tables])
-        plan = EliminationPlan._of([u, negated], varset(keep))
+        plan = EliminationPlan([u, negated], varset(keep))
         tracemalloc.start()
         try:
             folds = _component_folds([u, negated], plan)
@@ -560,15 +548,15 @@ class TestResourceGuard:
         u = _hub_potential(13)
         keep = tuple(range(1, 14))
         plan = _plan(u, keep)
-        assert plan.largest_factor(u.vars) == 2 ** 14
-        assert plan.largest_split(u.vars) == 3 ** 13 - 1 > STATE_LIMIT
+        assert plan.largest_factor == 2 ** 14
+        assert plan.largest_split == 3 ** 13 - 1 > STATE_LIMIT
         _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
         _refused_quickly_and_small(lambda: innovations(u, keep))
 
     def test_split_of_a_12_variable_boundary_still_folds(self):
         u = _hub_potential(12)
         keep = tuple(range(1, 13))
-        assert _plan(u, keep).largest_split(u.vars) == 3 ** 12 - 1 <= STATE_LIMIT
+        assert _plan(u, keep).largest_split == 3 ** 12 - 1 <= STATE_LIMIT
         rep = marginalize_hypergraph(u, keep)
         assert (1, 2) in rep.added
 

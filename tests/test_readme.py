@@ -17,3 +17,15 @@ def test_library_example():
     assert "# [(0, 2)]" in example
     assert names["report"].parametrically_collapsible is False
     assert re.search(r"report\.parametrically_collapsible +# False", example)
+
+
+def test_key_names_are_public():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    listing = re.search(r"\nKey functions: (.*?)\n\n", text, re.S).group(1)
+    names = re.findall(r"`(\w+)`", listing)
+    assert "marginalize_hypergraph" in names and "normalized_potential_from_table" in names
+    import margraph
+    for name in names:
+        assert getattr(margraph, name) is not None, name
+        assert name in margraph.__all__, name
