@@ -1,4 +1,5 @@
-"""Connectivity components of an edge list, for the routes that use numpy.
+"""Connectivity components and a bandwidth-reducing order of an edge list,
+for the routes that use numpy.
 
 The graph operator keeps :func:`margraph.graphs.connectivity_components`, a
 search in plain Python, so that a process which only marginalizes graphs
@@ -10,22 +11,28 @@ from __future__ import annotations
 import numpy as np
 
 
-def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The smallest member of the connectivity component of each vertex
-    0..n-1 of the undirected graph with an edge (u[k], v[k]) for every k.
-
-    The edges, taken both ways and with a loop at every vertex, are sorted
-    into rows (CSR).  Every vertex first points at its smallest neighbour.
-    Pointer jumping turns that forest into root labels, and while trees
-    remain, every vertex takes the smallest label in its neighbourhood and
-    jumps again.  Labels only decrease and settle on the smallest member of
-    each component.
-    """
+def adjacency(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, cols)``: vertex i of the undirected graph on 0..n-1 with the
+    edges (u[k], v[k]) has neighbours ``cols[starts[i]:starts[i + 1]]``, i too."""
     loops = np.arange(n)
     rows = np.concatenate((u, v, loops))
     by_row = np.argsort(rows, kind="stable")
     cols = np.concatenate((v, u, loops))[by_row]
-    starts = np.searchsorted(rows[by_row], loops)  # every row holds its loop
+    return np.searchsorted(rows[by_row], np.arange(n + 1)), cols
+
+
+def component_labels(adj: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The smallest member of the connectivity component of each vertex of
+    an :func:`adjacency`.
+
+    Every vertex first points at its smallest neighbour.  Pointer jumping
+    turns that forest into root labels, and while trees remain, every
+    vertex takes the smallest label in its neighbourhood and jumps again.
+    Labels only decrease and settle on the smallest member of each
+    component.
+    """
+    starts, cols = adj
+    starts = starts[:-1]  # every row holds its loop
     label = np.minimum.reduceat(cols, starts)
     while True:
         jumped = label[label]
@@ -38,3 +45,33 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if not (smallest != label).any():
             return label
         label = smallest
+
+
+def reverse_cuthill_mckee(adj: tuple[np.ndarray, np.ndarray], label: np.ndarray,
+                          roots: np.ndarray) -> np.ndarray:
+    """The members of the components labelled ``roots``, by label, each in
+    reverse Cuthill-McKee order from its member of least degree and id.
+    All components advance one breadth-first level at a time; a level's new
+    vertices are ordered by the rank of their first parent, degree and id,
+    as a queue would take them."""
+    starts, cols = adj
+    n, degree = len(label), np.diff(starts)
+    seen = ~np.isin(label, roots)
+    big = (n + 1) * n * n  # above every key below
+    least = np.full(n, big)  # degree * n + id of each component's start
+    np.minimum.at(least, label[~seen], (degree * n + np.arange(n))[~seen])
+    levels, claim = [least[roots] % n], np.full(n, big)
+    while True:
+        frontier, count = levels[-1], degree[levels[-1]]
+        seen[frontier] = True
+        reach = np.repeat(starts[frontier] - np.cumsum(count) + count, count)
+        reach += np.arange(len(reach))  # the rows of the frontier, end to end
+        fresh = ~seen[cols[reach]]
+        if not fresh.any():
+            order = np.concatenate(levels)[::-1]
+            return order[np.argsort(label[order], kind="stable")]
+        # (parent's rank, degree, id) as one key; a vertex keeps its first parent's
+        new = cols[reach[fresh]]
+        key = (np.repeat(np.arange(len(frontier)) * (n + 1), count)[fresh] + degree[new]) * n + new
+        np.minimum.at(claim, new, key)
+        levels.append(np.sort(key[claim[new] == key]) % n)

@@ -53,7 +53,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .components import component_labels
+from .components import adjacency, component_labels
 from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
 from .graphs import Graph, VarSet, Variables, component_boundaries, varset
 from .potentials import (
@@ -220,7 +220,7 @@ class EliminationPlan:
         # each hyperedge joins its eliminated members to one of them
         hub = inside.max(axis=1, initial=-1)
         r, c = np.nonzero(inside >= 0)
-        label = component_labels(len(z), hub[r], inside[r, c])
+        label = component_labels(adjacency(len(z), hub[r], inside[r, c]))
         root = label == np.arange(len(z))
         count = int(root.sum())
         comp = np.full(n + 1, -1)

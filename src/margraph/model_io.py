@@ -127,7 +127,7 @@ def _parse_potential(data, variables: Variables, context: str) -> Potential:
     interactions = data.get("interactions")
     if not isinstance(interactions, list):
         raise _fail(f"{context}.interactions", "expected a list")
-    tables = []
+    tables, seen = [], {}  # seen: scope -> index of the entry that gave it
     for k, item in enumerate(interactions):
         ctx = f"{context}.interactions[{k}]"
         if not isinstance(item, dict) or "scope" not in item or "table" not in item:
@@ -140,6 +140,11 @@ def _parse_potential(data, variables: Variables, context: str) -> Potential:
             raise _fail(f"{ctx}.scope", str(exc)) from None
         if len(scope) != len(item["scope"]):
             raise _fail(f"{ctx}.scope", "repeated labels in scope")
+        if scope in seen:
+            j = seen[scope]
+            raise _fail(f"{ctx}.scope", f"duplicate table for scope {item['scope']}: "
+                                        f"interactions[{j}] has {interactions[j]['scope']}")
+        seen[scope] = k
         if not isinstance(item["table"], list):
             raise _fail(f"{ctx}.table", "expected a flat list of numbers")
         flat = _numbers(item["table"], f"{ctx}.table")

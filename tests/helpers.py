@@ -8,6 +8,7 @@ meaningful evidence.
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -119,6 +120,35 @@ def reachability_components(g: Graph) -> list[tuple[int, ...]]:
         seen |= {pos[v] for v in members}
         parts.append(varset(members))
     return sorted(parts, key=lambda p: p[0])
+
+
+def reverse_cuthill_mckee_by_queue(g: Graph, components) -> tuple[list[int], list[list[int]]]:
+    """Reverse Cuthill-McKee order of each of ``components`` of ``g``, by
+    ascending smallest member, with a plain queue: start at the member of
+    least degree (least id on ties); each vertex taken from the queue
+    appends its unvisited neighbours by (degree, id).  Returns the orders
+    concatenated and the size of every component's breadth-first levels."""
+    nbrs = {v: neighbor_scan(g, v) for v in g.vertices}
+
+    def key(v):
+        return len(nbrs[v]), v
+
+    out, levels = [], []
+    for comp in sorted(components, key=min):
+        start = min(comp, key=key)
+        depth, queue, order = {start: 0}, deque([start]), []
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in sorted((w for w in nbrs[v] if w not in depth), key=key):
+                depth[w] = depth[v] + 1
+                queue.append(w)
+        out.extend(reversed(order))
+        widths = [0] * (depth[order[-1]] + 1)
+        for v in order:
+            widths[depth[v]] += 1
+        levels.append(widths)
+    return out, levels
 
 
 def marginal_graph_by_boundaries(g: Graph, a) -> Graph:

@@ -139,6 +139,19 @@ class TestMarginalizeHypergraph:
                              "--keep", "A", "--strict")
         assert code == 2 and "not normalized" in err
 
+    def test_duplicate_scope_names_its_labels_and_entries(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(dump_json({
+            "format_version": 1,
+            "variables": [{"label": "A"}, {"label": "B"}],
+            "potential": {"interactions": [
+                {"scope": ["A", "B"], "table": [0.0, 0.0, 0.0, 1.0]},
+                {"scope": ["B", "A"], "table": [0.0, 0.0, 0.0, 2.0]}]}}))
+        code, out, err = run(capsys, "marginalize-hypergraph", str(path), "--keep", "A")
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}.potential.interactions[1].scope: duplicate table for "
+                       "scope ['B', 'A']: interactions[0] has ['A', 'B']\n")
+
 
 class TestMarginalizeGaussian:
     def test_damage_innovation_entry(self, capsys):
@@ -570,12 +583,27 @@ def _main_on(doc, command, *argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _keep_argv(draw, labels) -> list:
+    """--keep, or one to three --keep-label values, each in the two-word or
+    the ``=`` form: the model's labels, or other text (empty, a comma, outer
+    spaces, a leading dash)."""
+    if draw(st.booleans()):
+        return ["--keep", draw(st.one_of(
+            st.sets(st.sampled_from(labels), min_size=1).map(",".join),
+            st.sampled_from(["", " , ", "Y", "X0,Y", "X99"])))]
+    argv = []
+    for label in draw(st.lists(st.sampled_from(labels) | st.text(max_size=4), min_size=1,
+                               max_size=3)):
+        argv += [f"--keep-label={label}"] if draw(st.booleans()) else ["--keep-label", label]
+    return argv
+
+
 @st.composite
 def _gaussian_argv(draw):
     """A marginalize-gaussian document, drawn to hit every exit: ragged or
     non-square rows, indefinite matrices, asymmetry on either side of the
-    tolerance, 400-digit integers, and empty or unknown --keep labels.
-    Returns the document and the --keep argument."""
+    tolerance, 400-digit integers, and empty or unknown retained labels.
+    Returns the document and the arguments naming the retained set."""
     n = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     b = rng.normal(size=(n, n))
@@ -601,19 +629,16 @@ def _gaussian_argv(draw):
         else:
             rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = big
     labels = [f"X{k}" for k in range(n)]
-    keep = draw(st.one_of(
-        st.sets(st.sampled_from(labels), min_size=1).map(",".join),
-        st.sampled_from(["", " , ", "Y", "X0,Y", "X99"])))
     doc = {"format_version": 1, "variables": [{"label": v} for v in labels],
            "gaussian": {"mean": mean, "precision": rows}}
-    return doc, keep
+    return doc, _keep_argv(draw, labels)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_gaussian_argv(), st.sampled_from(["json", "dot"]))
 def test_marginalize_gaussian_exits_0_2_or_3(case, fmt):
     doc, keep = case
-    code, out, err = _main_on(doc, "marginalize-gaussian", "--keep", keep, "--format", fmt)
+    code, out, err = _main_on(doc, "marginalize-gaussian", *keep, "--format", fmt)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     if code != 0:
@@ -628,9 +653,9 @@ def _potential_argv(draw):
     """A potential document for the three potential commands, drawn to hit
     every exit: ragged or wrongly sized tables, duplicate scopes, scopes
     naming unknown labels, repeated or non-numeric domain values, 400-digit
-    integers, empty interactions and empty or unknown --keep labels.  At most
-    six variables, so oracle-verify enumerates few states.  Returns the
-    document and the --keep argument."""
+    integers, empty interactions and empty or unknown retained labels.  At
+    most six variables, so oracle-verify enumerates few states.  Returns the
+    document and the arguments naming the retained set."""
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     labels = [f"X{k}" for k in range(n)]
@@ -673,10 +698,7 @@ def _potential_argv(draw):
         payload = {"potential_family": {"members": [payload, {"interactions": interactions[::2]}]}}
     else:
         payload = {"potential": payload}
-    keep = draw(st.one_of(
-        st.sets(st.sampled_from(labels), min_size=1).map(",".join),
-        st.sampled_from(["", " , ", "Y", "X0,Y", "X99"])))
-    return {"format_version": 1, "variables": variables, **payload}, keep
+    return {"format_version": 1, "variables": variables, **payload}, _keep_argv(draw, labels)
 
 
 @settings(max_examples=150, deadline=None)
@@ -686,7 +708,7 @@ def _potential_argv(draw):
     ["check-collapsibility"], ["oracle-verify"]]))
 def test_potential_commands_exit_0_2_or_3(case, command):
     doc, keep = case
-    code, out, err = _main_on(doc, command[0], "--keep", keep, *command[1:])
+    code, out, err = _main_on(doc, command[0], *keep, *command[1:])
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     if command[0] == "oracle-verify" and code == 2 and out:
@@ -697,3 +719,43 @@ def test_potential_commands_exit_0_2_or_3(case, command):
     elif "dot" not in command:
         # the writer emits no NaN or Infinity token
         json.loads(out, parse_constant=lambda token: pytest.fail(token))
+
+
+@st.composite
+def _graph_argv(draw):
+    """A marginalize-graph document, drawn to hit every exit: labels of any
+    text, repeated or non-string labels, loops, edges that are not pairs or
+    name an unknown label, and a missing edge list.  Returns the document
+    and the arguments naming the retained set."""
+    labels = draw(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True))
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels)).map(list)
+    edges = draw(st.lists(pairs, max_size=8))
+    variables = [{"label": v} for v in labels]
+    flaw = draw(st.sampled_from(["none", "none", "unknown label", "not a pair",
+                                 "repeated label", "text label", "no edge list"]))
+    if flaw == "unknown label" and edges:
+        edges[0][1] = "".join(labels) + "?"
+    elif flaw == "not a pair" and edges:
+        edges[0] = edges[0][:draw(st.sampled_from([0, 1]))] or "A"
+    elif flaw == "repeated label":
+        variables.append({"label": labels[0]})
+    elif flaw == "text label":
+        variables[0]["label"] = draw(st.sampled_from([1, None, ["A"]]))
+    graph = {} if flaw == "no edge list" else {"edges": edges}
+    doc = {"format_version": 1, "variables": variables, "graph": graph}
+    return doc, _keep_argv(draw, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_argv(), st.sampled_from(["json", "dot"]))
+def test_marginalize_graph_exits_0_2_or_3(case, fmt):
+    doc, keep = case
+    code, out, err = _main_on(doc, "marginalize-graph", *keep, "--format", fmt)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "" and "error:" in err
+    elif fmt == "json":
+        assert json.loads(out)["marginal_graph"]["vertices"] == json.loads(out)["keep"]
+    else:
+        assert out.startswith("graph ")

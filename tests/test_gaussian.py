@@ -5,10 +5,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from margraph import (
     GaussianModel,
+    Graph,
     InvalidInputError,
     boundary,
     connectivity_components,
@@ -20,11 +21,13 @@ from margraph import (
     subgraph,
     varset,
 )
+from margraph.components import adjacency, component_labels, reverse_cuthill_mckee
 from margraph.gaussian import (
     BLOCK_FLOOR,
     SOLVE_LEAF,
     STRIP_ROWS,
     SYMMETRY_TOL,
+    _prove_positive_definite,
     _scaled_tol,
     _solve_lower,
 )
@@ -36,7 +39,13 @@ from fixture_models import (
     damage_retained,
     random_precision_on,
 )
-from helpers import edges_by_loops, innovation_by_neighbour_sum, pairwise_innovation, random_graph
+from helpers import (
+    edges_by_loops,
+    innovation_by_neighbour_sum,
+    pairwise_innovation,
+    random_graph,
+    reverse_cuthill_mckee_by_queue,
+)
 
 KEEP = damage_retained()
 X = {f"X{k}": k - 1 for k in range(1, 25)}  # label -> id
@@ -203,25 +212,40 @@ class TestInnovationMatrix:
             assert np.max(np.abs(lhs - marginal_precision(m, a).precision)) <= 1e-10
 
 
+KINDS = ("band", "permuted band", "sparse", "permuted sparse", "dense")
+
+
 @st.composite
-def edge_precisions(draw):
+def edge_precisions(draw, kinds=KINDS):
     """A symmetric matrix whose smallest eigenvalue is +-1 % of its largest
     |eigenvalue|: a band of half-width 1-80 with holes over n = BLOCK_FLOOR,
-    2 BLOCK_FLOOR or 3 BLOCK_FLOOR + 1, or a random sparse, permuted-band or
-    dense pattern.  Optionally a few entries of one triangle are moved by up
-    to half the symmetry tolerance, so the two triangles' patterns differ."""
-    kind = draw(st.sampled_from(["band", "permuted band", "sparse", "dense"]))
+    2 BLOCK_FLOOR or 3 BLOCK_FLOOR + 1, a random sparse pattern over up to
+    5 BLOCK_FLOOR ids, a dense one over up to 3 BLOCK_FLOOR + 1, or 1-3 copies
+    of one band of half-width 1-4 with many holes over 2 BLOCK_FLOOR + 1 to
+    3 BLOCK_FLOOR + 1 members.  The "permuted" kinds shuffle the ids.
+    Optionally a few entries of one triangle are moved by up to half the
+    symmetry tolerance, so the two triangles' patterns differ."""
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind.endswith("band"):
         n = draw(st.sampled_from([BLOCK_FLOOR, 2 * BLOCK_FLOOR, 3 * BLOCK_FLOOR + 1]))
         offset = np.subtract.outer(np.arange(n), np.arange(n))
         keep = (offset <= draw(st.integers(1, 80))) & (rng.random((n, n)) < 0.8)
+    elif kind == "permuted sparse":
+        m = draw(st.integers(2 * BLOCK_FLOOR + 1, 3 * BLOCK_FLOOR + 1))
+        offset = np.subtract.outer(np.arange(m), np.arange(m))
+        one = (offset <= draw(st.integers(1, 4))) & (rng.random((m, m)) < 0.6)
+        keep = np.kron(np.eye(draw(st.integers(1, 3)), dtype=bool), one)
+        n = len(keep)
+    elif kind == "sparse":  # wide in member order from about 2.5 BLOCK_FLOOR on
+        n = draw(st.integers(1, 5 * BLOCK_FLOOR))
+        keep = rng.random((n, n)) < 2.0 / n
     else:
         n = draw(st.integers(1, 3 * BLOCK_FLOOR + 1))
-        keep = rng.random((n, n)) < (1.0 if kind == "dense" else 2.0 / n)
+        keep = np.ones((n, n), dtype=bool)
     low = np.tril(rng.normal(size=(n, n)) * keep, -1)
     prec = low + low.T + np.diag(rng.uniform(0.5, 2.0, size=n))
-    if kind == "permuted band":
+    if kind.startswith("permuted"):
         at = rng.permutation(n)
         prec = prec[np.ix_(at, at)]
     eig = np.linalg.eigvalsh(prec)
@@ -308,6 +332,83 @@ class TestPositiveDefiniteProof:
         sizes = matrix_sizes(monkeypatch, "cholesky")
         GaussianModel(np.zeros(n), prec)
         assert sizes == [width, n // 2 - width, 1]
+
+
+    @pytest.mark.parametrize("far", [0.4, 0.75])
+    def test_a_shuffled_band_is_factored_in_its_reordered_blocks(self, far, monkeypatch):
+        # a chain of half-width 2 (PD at 0.4, not at 0.75) under a random id
+        # permutation: wide in member order, bandwidth 2 once reordered
+        n = 4 * BLOCK_FLOOR
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        at = np.random.default_rng(17).permutation(n)
+        prec = (np.eye(n) + 0.05 * (offset == 1) + far * (offset == 2))[np.ix_(at, at)]
+        expected = cholesky_refusal(prec)
+        assert (expected is None) == (far == 0.4)
+        sizes = matrix_sizes(monkeypatch, "cholesky")
+        assert refusal(prec) == expected
+        assert max(sizes) <= BLOCK_FLOOR
+        if expected is None:
+            assert sizes == [BLOCK_FLOOR] * 4
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_only_the_lower_triangle_is_read(self, shuffled):
+        # P's upper triangle, 50 times its mirror image, would make it indefinite
+        n = 4 * BLOCK_FLOOR
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        at = np.random.default_rng(5).permutation(n) if shuffled else np.arange(n)
+        prec = (np.eye(n) + 0.2 * (offset == 1) + 0.2 * (offset == 2))[np.ix_(at, at)]
+        prec += 49 * np.triu(prec, 1)
+        np.linalg.cholesky(prec)
+        _prove_positive_definite(prec)
+
+    @pytest.mark.parametrize("kind", ["permuted band", "sparse", "permuted sparse"])
+    def test_every_shuffled_or_sparse_kind_reaches_the_reorder(self, kind, monkeypatch):
+        # a dense pattern, and a band above half-width 2 BLOCK_FLOOR with 80 %
+        # of its entries, are factored whole; narrower bands keep member order
+        calls = []
+        order = reverse_cuthill_mckee
+        monkeypatch.setattr("margraph.gaussian.reverse_cuthill_mckee",
+                            lambda *args: calls.append(1) or order(*args))
+
+        def reordered(prec):
+            calls.clear()
+            refusal(prec)
+            return bool(calls)
+
+        find(edge_precisions([kind]), reordered,
+             settings=settings(database=None, derandomize=True, max_examples=100))
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A graph on 1-60 vertices with 0.5-3 edges per vertex on average, so
+    often disconnected, and about two thirds of its components."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = np.nonzero(np.tril(rng.random((n, n)) < draw(st.floats(0.5, 3.0)) / n, -1))
+    g = Graph.from_edges(range(n), zip(rows.tolist(), cols.tolist()))
+    return g, [c for c in connectivity_components(g) if rng.random() < 0.7]
+
+
+class TestReverseCuthillMcKee:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graphs())
+    def test_matches_a_queue_search(self, case):
+        g, chosen = case
+        adj = adjacency(len(g.vertices), *np.array(g.edge_list, dtype=np.intp).reshape(-1, 2).T)
+        roots = np.array(sorted(min(c) for c in chosen), dtype=np.intp)
+        order = reverse_cuthill_mckee(adj, component_labels(adj), roots).tolist()
+        expected, levels = reverse_cuthill_mckee_by_queue(g, chosen)
+        assert order == expected
+        for comp, widths in zip(sorted(chosen, key=min), levels):
+            part, order = order[:len(comp)], order[len(comp):]
+            assert sorted(part) == list(comp)
+            # an edge joins one level or two adjacent ones, which bounds the
+            # bandwidth (the member order's may be narrower on a few graphs)
+            at = {x: k for k, x in enumerate(part)}
+            band = max((abs(at[a] - at[b]) for a, b in g.edges if a in at), default=0)
+            assert band <= max(map(sum, zip(widths, widths[1:] + [0]))) - 1
+        assert order == []
 
 
 def lower_triangular(rng, n, batch=()):

@@ -21,7 +21,7 @@ from margraph import (
     varset,
 )
 
-from margraph.components import component_labels
+from margraph.components import adjacency, component_labels
 
 from fixture_models import ten_vertex_graph
 from helpers import brute_force_cliques, neighbor_scan, random_graph, reachability_components
@@ -227,4 +227,4 @@ def test_numpy_component_finder_matches_connectivity_components(g, isolated, ran
     for part in connectivity_components(Graph.from_edges(range(n), g.edges)):
         for x in part:
             expected[x] = part[0]
-    assert component_labels(n, u, v).tolist() == expected
+    assert component_labels(adjacency(n, u, v)).tolist() == expected
