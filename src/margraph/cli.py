@@ -275,6 +275,14 @@ def _run(args) -> int:
     return 0 if isinstance(result, Graph) or result.get("passed", True) else 2
 
 
+def _tolerance(text: str) -> float:
+    """A finite ``--tolerance`` of at least 0: JSON has no NaN or Infinity."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="margraph",
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH",
                        help="write the result here instead of stdout")
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=None, help=tolerance)
+            p.add_argument("--tolerance", type=_tolerance, default=None, help=tolerance)
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
     return parser

@@ -22,13 +22,13 @@ most SOLVE_LEAF rows goes to ``np.linalg.solve`` as a whole, so components
 that small are solved exactly as a plain ``np.linalg.solve(L, P_tau,d)``.
 
 The constructor proves P positive definite from its lower triangle, as
-``np.linalg.cholesky`` would, one component of its pattern at a time: those of
-equal size and bandwidth b (at least BLOCK_FLOOR) as one stack, b rows at a
-time.  A component keeps its member order unless its bandwidth there is above
-2 BLOCK_FLOOR; such a wide one takes the reverse Cuthill-McKee order (Cuthill
-& McKee 1969; George & Liu 1981), which brings the ~1040-member component of a
-random sparse n = 1600 pattern from bandwidth ~1000 to ~140, with each block's
-members ascending.  From n (2 BLOCK_FLOOR + 1) non-zeros on, P is factored whole.
+``np.linalg.cholesky`` would, by one block Cholesky along one order: the
+components of its pattern, each in member order or, if its bandwidth there is
+above 2 BLOCK_FLOOR, in reverse Cuthill-McKee order (Cuthill & McKee 1969; George
+& Liu 1981), which takes a random sparse n = 1600 from bandwidth ~1000 to ~140.
+As in envelope methods, a block ends where the couplings of the rows up to it
+end, so it couples only to the next, and it carries a Schur term only if a
+coupling crosses its cut.  From n (2 BLOCK_FLOOR + 1) non-zeros on, P is factored whole.
 The marginal model skips the symmetry scan and this proof, since a Schur
 complement of the proved-SPD P is SPD; only finiteness is tested.
 """
@@ -53,7 +53,7 @@ SOLVE_LEAF = 128
 # Rows per strip of the constructor's symmetry scan.  At n = 1600 strips of
 # 32 to 128 rows take 5.3-6.5 ms against 22 ms for max|P - P^T|.
 STRIP_ROWS = 64
-# Least rows per block of the constructor's banded Cholesky; 16-32 are fastest.
+# Least rows per block of the constructor's block Cholesky; 16-32 are fastest.
 # Only components wider than twice this are reordered: chains with a chord 40-80
 # ranks away proved 0.9-3.3 ms faster at n = 128-1600 in member order.
 BLOCK_FLOOR = 32
@@ -129,14 +129,6 @@ def _components(label: np.ndarray) -> list[np.ndarray]:
     return [order[s:e] for s, e in zip([0, *cut], [*cut, len(label)])] if len(label) else []
 
 
-def _bandwidths(order: np.ndarray, label: np.ndarray, rows, cols) -> np.ndarray:
-    """Each component's bandwidth in ``order``, at least BLOCK_FLOOR, at its label."""
-    at = np.argsort(order)  # position in order
-    band = np.full(len(order), BLOCK_FLOOR)
-    np.maximum.at(band, label[rows], np.abs(at[rows] - at[cols]))
-    return band
-
-
 def _prove_positive_definite(prec: np.ndarray) -> None:
     """Raise ``np.linalg.LinAlgError`` unless P is PD (see the module docstring)."""
     n = prec.shape[0]
@@ -151,32 +143,30 @@ def _prove_positive_definite(prec: np.ndarray) -> None:
     rows, cols = rows[rows > cols], cols[rows > cols]  # the lower triangle's pattern
     adj = adjacency(n, rows, cols)
     label = component_labels(adj)
-    order = np.argsort(label, kind="stable")
-    first = np.flatnonzero(np.diff(label[order], prepend=-1))  # where each component starts
-    band = _bandwidths(order, label, rows, cols)
-    wide = band > 2 * BLOCK_FLOOR  # at the label of each component to reorder
+    order = np.argsort(label, kind="stable")  # by component, members ascending
+    at = np.argsort(order)  # position in order
+    band = np.zeros(n, dtype=np.intp)  # each component's bandwidth, at its label
+    np.maximum.at(band, label[rows], at[rows] - at[cols])
+    wide = band > 2 * BLOCK_FLOOR
     if wide.any():
         order[wide[label[order]]] = reverse_cuthill_mckee(adj, label, np.flatnonzero(wide))
-        band = _bandwidths(order, label, rows, cols)
-    root = label[order[first]]
-    keys = zip(np.diff(first, append=n).tolist(), band[root].tolist(), wide[root].tolist())
-    stacks: dict[tuple[int, int, bool], list] = {}
-    for key, start in zip(keys, first.tolist()):
-        stacks.setdefault(key, []).append(start)
-    for (size, step, reordered), starts in stacks.items():
-        stack, carry = order[np.add.outer(starts, np.arange(size))], 0.0
-        if reordered:  # ascending within each block, so a block's lower triangle is P's
-            for s in range(0, size, step):
-                stack[:, s:s + step].sort(axis=1)
-        for s in range(0, size, step):
-            block, below = stack[:, s:s + step], stack[:, s + step:s + 2 * step]
-            chol = np.linalg.cholesky(prec[block[:, :, None], block[:, None, :]] - carry)
-            if below.size:  # block k + 1 less X^T X, where L_k X = C^T for its coupling C
-                # C^T read from P's lower triangle; in member order i > j already
-                i, j = below[:, None, :], block[:, :, None]
-                ct = prec[np.maximum(i, j), np.minimum(i, j)] if reordered else prec[i, j]
-                x = _solve_lower(chol, ct)
-                carry = np.matmul(x.transpose(0, 2, 1), x)
+        at = np.argsort(order)
+    # reach[p]: the farthest position that a position up to p couples to
+    reach = np.arange(n)
+    np.maximum.at(reach, np.minimum(at[rows], at[cols]), np.maximum(at[rows], at[cols]))
+    reach = np.maximum.accumulate(reach).tolist()
+    e = min(n, BLOCK_FLOOR)
+    block, carry = np.sort(order[:e]), 0.0  # ascending, so its lower triangle is P's
+    while len(block):
+        chol = np.linalg.cholesky(prec[block[:, None], block] - carry)
+        # the next block holds every coupling of this one and of those before it
+        cut = min(n, max(e + BLOCK_FLOOR, reach[e - 1] + 1))
+        below, carry = np.sort(order[e:cut]), 0.0
+        if reach[e - 1] >= e:  # less X^T X, where L X = C^T for the coupling C
+            i, j = below[None, :], block[:, None]
+            x = _solve_lower(chol, prec[np.maximum(i, j), np.minimum(i, j)])
+            carry = x.T @ x
+        block, e = below, cut
 
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:

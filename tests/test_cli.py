@@ -373,6 +373,19 @@ def test_option_surface(capsys, command, flag):
         assert f"unrecognized arguments: {' '.join(flag_args)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize("command", sorted(FLAGS["--tolerance"][1]))
+def test_a_non_finite_or_negative_tolerance_exits_2(capsys, command, value):
+    # NaN and infinities would reach the document as tokens no JSON parser
+    # accepts; a negative cut would keep every entry
+    path, keep = COMMAND_INPUTS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture(path), "--keep", keep, f"--tolerance={value}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument --tolerance: expected a finite number >= 0, got '{value}'" in err
+
+
 # tests/golden/NAME holds the stdout of ``python -m margraph.cli ARGV`` run
 # from the repository root; these bytes pin the output across commits.  The
 # Gaussian files take DAMAGE_KEEP (see test_gaussian_stdout_matches_golden);
@@ -598,12 +611,23 @@ def _keep_argv(draw, labels) -> list:
     return argv
 
 
+def _tolerance_argv(draw) -> list:
+    """No --tolerance, or one in the two-word or the ``=`` form: any float's
+    text (NaN, infinities and negatives included) or a few plain values."""
+    if draw(st.booleans()):
+        return []
+    value = draw(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-9", "0.5"])
+                 | st.floats().map(repr))
+    return [f"--tolerance={value}"] if draw(st.booleans()) else ["--tolerance", value]
+
+
 @st.composite
 def _gaussian_argv(draw):
     """A marginalize-gaussian document, drawn to hit every exit: ragged or
     non-square rows, indefinite matrices, asymmetry on either side of the
-    tolerance, 400-digit integers, and empty or unknown retained labels.
-    Returns the document and the arguments naming the retained set."""
+    tolerance, 400-digit integers, empty or unknown retained labels, and
+    any --tolerance.  Returns the document and the arguments naming the
+    retained set and the tolerance."""
     n = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     b = rng.normal(size=(n, n))
@@ -631,7 +655,7 @@ def _gaussian_argv(draw):
     labels = [f"X{k}" for k in range(n)]
     doc = {"format_version": 1, "variables": [{"label": v} for v in labels],
            "gaussian": {"mean": mean, "precision": rows}}
-    return doc, _keep_argv(draw, labels)
+    return doc, _keep_argv(draw, labels) + _tolerance_argv(draw)
 
 
 @settings(max_examples=150, deadline=None)
@@ -653,9 +677,10 @@ def _potential_argv(draw):
     """A potential document for the three potential commands, drawn to hit
     every exit: ragged or wrongly sized tables, duplicate scopes, scopes
     naming unknown labels, repeated or non-numeric domain values, 400-digit
-    integers, empty interactions and empty or unknown retained labels.  At
-    most six variables, so oracle-verify enumerates few states.  Returns the
-    document and the arguments naming the retained set."""
+    integers, empty interactions, empty or unknown retained labels, and any
+    --tolerance.  At most six variables, so oracle-verify enumerates few
+    states.  Returns the document and the arguments naming the retained set
+    and the tolerance."""
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     labels = [f"X{k}" for k in range(n)]
@@ -698,7 +723,8 @@ def _potential_argv(draw):
         payload = {"potential_family": {"members": [payload, {"interactions": interactions[::2]}]}}
     else:
         payload = {"potential": payload}
-    return {"format_version": 1, "variables": variables, **payload}, _keep_argv(draw, labels)
+    doc = {"format_version": 1, "variables": variables, **payload}
+    return doc, _keep_argv(draw, labels) + _tolerance_argv(draw)
 
 
 @settings(max_examples=150, deadline=None)

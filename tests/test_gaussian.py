@@ -286,8 +286,11 @@ def matrix_sizes(monkeypatch, name):
 
 
 class TestPositiveDefiniteProof:
-    """The constructor proves P positive definite one component of its lower
-    triangle's pattern at a time, and decides as np.linalg.cholesky(P)."""
+    """The constructor proves P positive definite in blocks along one order
+    of its lower triangle's pattern, each component in member order or, if
+    wide there, in reverse Cuthill-McKee order; a block ends where the
+    couplings of the blocks up to it end, so it couples only to the next one.
+    It decides as np.linalg.cholesky(P)."""
 
     @settings(max_examples=300, deadline=None)
     @given(edge_precisions())
@@ -319,20 +322,63 @@ class TestPositiveDefiniteProof:
         block = max(width, BLOCK_FLOOR)
         assert max(sizes) <= block
         if expected is None:
-            assert sizes == [min(block, n - s) for s in range(0, n, block)]
+            # position p couples up to p + width, so after the first
+            # BLOCK_FLOOR rows each cut lies max(width, BLOCK_FLOOR) past the
+            # one before, up to n: at 32, 64, 96 and 128 for width 2, and at
+            # 32, 72, 112 and 128 for width 40, blocks [32, 40, 40, 16]
+            assert sizes == ([BLOCK_FLOOR] * 4 if width == 2 else
+                             [BLOCK_FLOOR, width, width, n - BLOCK_FLOOR - 2 * width])
 
-    def test_a_component_is_banded_in_its_own_member_order(self, monkeypatch):
-        # the even ids form one chain with a second coupling BLOCK_FLOOR + 8
-        # ranks (twice as many ids) apart; the odd ids are isolated
-        n, width = 4 * BLOCK_FLOOR, BLOCK_FLOOR + 8
+    @pytest.mark.parametrize("far", [0.4, 0.75])
+    def test_only_a_wide_component_is_reordered(self, far, monkeypatch):
+        # the even ids form a chain with a second coupling BLOCK_FLOOR + 8
+        # ranks apart: narrow in member order, though twice as wide in ids;
+        # the odd ids form a shuffled path, wide in member order
+        n, width = 6 * BLOCK_FLOOR, BLOCK_FLOOR + 8
         prec = np.eye(n)
-        even = np.arange(0, n, 2)
-        for d, value in ((1, 0.05), (width, 0.4)):
+        even, odd = np.arange(0, n, 2), np.random.default_rng(23).permutation(np.arange(1, n, 2))
+        for d, value in ((1, 0.05), (width, far)):
             prec[even[d:], even[:-d]] = prec[even[:-d], even[d:]] = value
-        sizes = matrix_sizes(monkeypatch, "cholesky")
-        GaussianModel(np.zeros(n), prec)
-        assert sizes == [width, n // 2 - width, 1]
+        prec[odd[1:], odd[:-1]] = prec[odd[:-1], odd[1:]] = 0.3
+        reordered = []
+        order = reverse_cuthill_mckee
+        monkeypatch.setattr("margraph.gaussian.reverse_cuthill_mckee",
+                            lambda *args: reordered.append(order(*args)) or reordered[-1])
+        assert refusal(prec) == cholesky_refusal(prec)
+        assert (cholesky_refusal(prec) is None) == (far == 0.4)
+        assert len(reordered) == 1 and sorted(reordered[0].tolist()) == list(range(1, n, 2))
 
+    @pytest.mark.parametrize("value", [0.5, 2.0])
+    def test_a_coupling_to_the_row_after_a_cut_is_carried(self, value, monkeypatch):
+        # pairs (s - 1, s) across each cut s of the identity's blocks: PD at
+        # 0.5, not at 2.0, though every block alone is the identity
+        n = 4 * BLOCK_FLOOR
+        prec = np.eye(n)
+        for s in range(BLOCK_FLOOR, n, BLOCK_FLOOR):
+            prec[s, s - 1] = prec[s - 1, s] = value
+        expected = cholesky_refusal(prec)
+        assert (expected is None) == (value == 0.5)
+        sizes, solved = matrix_sizes(monkeypatch, "cholesky"), matrix_sizes(monkeypatch, "solve")
+        assert refusal(prec) == expected
+        if expected is None:
+            assert sizes == [BLOCK_FLOOR] * 4 and solved == [BLOCK_FLOOR] * 3
+
+    @pytest.mark.parametrize("indefinite", [False, True])
+    def test_blocks_with_no_coupling_across_a_cut_carry_nothing(self, indefinite, monkeypatch):
+        # 2 BLOCK_FLOOR independent pairs (k, k + 2 BLOCK_FLOOR): no block
+        # couples to the next, so no solve is made
+        n = 4 * BLOCK_FLOOR
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        prec = np.eye(n) + 0.5 * (offset == n // 2)
+        if indefinite:
+            prec[n - 1, n // 2 - 1] = prec[n // 2 - 1, n - 1] = 2.0
+        expected = cholesky_refusal(prec)
+        assert (expected is None) != indefinite
+        sizes, solved = matrix_sizes(monkeypatch, "cholesky"), matrix_sizes(monkeypatch, "solve")
+        assert refusal(prec) == expected
+        assert solved == []
+        if not indefinite:
+            assert sizes == [BLOCK_FLOOR] * 4
 
     @pytest.mark.parametrize("far", [0.4, 0.75])
     def test_a_shuffled_band_is_factored_in_its_reordered_blocks(self, far, monkeypatch):
