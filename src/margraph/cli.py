@@ -102,13 +102,13 @@ def _marginalize_hypergraph(run: _Run) -> Graph | dict:
 
 
 def _marginalize_gaussian(run: _Run) -> Graph | dict:
-    from .gaussian import _edges_above, _scaled_tol, innovation_matrix, marginal_precision
+    from .gaussian import (_scaled_tol, gaussian_marginal_graph, innovation_matrix,
+                           marginal_precision)
 
     gaussian, keep, tol = run.model.gaussian, run.keep, run.args.tolerance
     marginal = marginal_precision(gaussian, keep)
     gamma = innovation_matrix(gaussian, keep)
-    # gaussian_marginal_graph's edges, read off the block already built
-    graph = Graph._of(keep, _edges_above(marginal.precision, keep, tol))
+    graph = gaussian_marginal_graph(gaussian, keep, tol)
     if run.args.format == "dot":
         return graph
     return {

@@ -28,9 +28,11 @@ above 2 BLOCK_FLOOR, in reverse Cuthill-McKee order (Cuthill & McKee 1969; Georg
 & Liu 1981), which takes a random sparse n = 1600 from bandwidth ~1000 to ~140.
 As in envelope methods, a block ends where the couplings of the rows up to it
 end, so it couples only to the next, and it carries a Schur term only if a
-coupling crosses its cut.  From n (2 BLOCK_FLOOR + 1) non-zeros on, P is factored whole.
-The marginal model skips the symmetry scan and this proof, since a Schur
-complement of the proved-SPD P is SPD; only finiteness is tested.
+coupling crosses its cut.  From n (2 BLOCK_FLOOR + 1) non-zeros on, P is factored whole;
+below that the model keeps the pattern it found, which the symmetry test, the innovation
+matrix and ``pattern_graph`` read instead of P: the symbolic structure is found once, as
+in sparse direct solvers.  A marginal model skips the symmetry test and this proof, since
+a Schur complement of the proved-SPD P is SPD; only finiteness is tested.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ BLOCK_FLOOR = 32
 class GaussianModel:
     """Mean vector plus symmetric positive-definite precision matrix."""
 
-    __slots__ = ("mean", "precision", "_innovation")
+    __slots__ = ("mean", "precision", "_innovation", "_pattern")
 
     def __init__(self, mean, precision):
         mean = np.asarray(mean, dtype=float)
@@ -77,17 +79,20 @@ class GaussianModel:
         largest = float(max(np.max(prec, initial=0.0), -np.min(prec, initial=0.0)))
         if not np.all(np.isfinite(mean)) or not math.isfinite(largest):
             raise InvalidInputError("non-finite entries in the Gaussian model")
-        if _asymmetry(prec) > SYMMETRY_TOL * max(1.0, largest):
+        pattern = _nonzeros(prec, n * (2 * BLOCK_FLOOR + 1))  # None: denser than any band
+        if _asymmetry(prec, pattern) > SYMMETRY_TOL * max(1.0, largest):
             raise InvalidInputError("precision matrix is not symmetric")
         try:
-            _prove_positive_definite(prec)
+            if pattern is None:
+                np.linalg.cholesky(prec)
+            else:
+                _prove_positive_definite(prec, pattern)
         except np.linalg.LinAlgError:
             raise InvalidInputError("precision matrix is not positive definite") from None
         mean.setflags(write=False)
         prec.setflags(write=False)
-        self.mean = mean
-        self.precision = prec
-        # (retained set, read-only innovation matrix) of the last split
+        self.mean, self.precision, self._pattern = mean, prec, pattern
+        # (retained set, innovation matrix, marginal block) of the last split, read-only
         self._innovation = None
 
     @classmethod
@@ -98,7 +103,7 @@ class GaussianModel:
         mean.setflags(write=False)
         precision.setflags(write=False)
         m = object.__new__(cls)
-        m.mean, m.precision, m._innovation = mean, precision, None
+        m.mean, m.precision, m._innovation, m._pattern = mean, precision, None, None
         return m
 
     @property
@@ -109,12 +114,32 @@ class GaussianModel:
         return f"GaussianModel(n={self.n})"
 
 
-def _asymmetry(prec: np.ndarray) -> float:
-    """Largest |prec[i, j] - prec[j, i]| of a finite square matrix.
+def _nonzeros(prec: np.ndarray, limit: float = math.inf) -> np.ndarray | None:
+    """Row-major flat indices of a square matrix's off-diagonal non-zeros, both
+    triangles; None once ``limit`` entries, the diagonal's included, are non-zero."""
+    n = prec.shape[0]
+    mask, count = np.empty((n, n), dtype=bool), 0
+    for s in range(0, n, STRIP_ROWS):
+        e = s + STRIP_ROWS
+        count += np.count_nonzero(np.not_equal(prec[s:e], 0.0, out=mask[s:e]))
+        if count >= limit:
+            return None
+    mask.flat[::n + 1] = False
+    return np.flatnonzero(mask)
 
-    Each strip of rows is compared with the same strip of columns, from the
-    diagonal on, so no transposed copy of the matrix is built.
-    """
+
+def _pattern(m: GaussianModel) -> np.ndarray:
+    """P's ``_nonzeros``: the constructor's, else (dense P, or a marginal) found anew."""
+    return _nonzeros(m.precision) if m._pattern is None else m._pattern
+
+
+def _asymmetry(prec: np.ndarray, pattern: np.ndarray | None = None) -> float:
+    """Largest |prec[i, j] - prec[j, i]| of a finite square matrix, over its
+    ``pattern`` (a pair zero in both triangles adds 0) or else by strips: each
+    strip of rows against the same strip of columns, so P^T is never built."""
+    if pattern is not None:
+        rows, cols = divmod(pattern, prec.shape[0])
+        return float(np.max(np.abs(prec[rows, cols] - prec[cols, rows]), initial=0.0))
     worst = 0.0
     for s in range(0, prec.shape[0], STRIP_ROWS):
         e = s + STRIP_ROWS
@@ -129,17 +154,11 @@ def _components(label: np.ndarray) -> list[np.ndarray]:
     return [order[s:e] for s, e in zip([0, *cut], [*cut, len(label)])] if len(label) else []
 
 
-def _prove_positive_definite(prec: np.ndarray) -> None:
-    """Raise ``np.linalg.LinAlgError`` unless P is PD (see the module docstring)."""
+def _prove_positive_definite(prec: np.ndarray, pattern: np.ndarray) -> None:
+    """Raise ``np.linalg.LinAlgError`` unless P, whose ``_nonzeros`` are
+    ``pattern``, is PD (see the module docstring)."""
     n = prec.shape[0]
-    mask, count = np.empty((n, n), dtype=bool), 0
-    for s in range(0, n, STRIP_ROWS):
-        e = s + STRIP_ROWS
-        count += np.count_nonzero(np.not_equal(prec[s:e], 0.0, out=mask[s:e]))
-        if count >= n * (2 * BLOCK_FLOOR + 1):  # denser than any band of that half-width
-            np.linalg.cholesky(prec)
-            return
-    rows, cols = divmod(np.flatnonzero(mask), n)
+    rows, cols = divmod(pattern, n)
     rows, cols = rows[rows > cols], cols[rows > cols]  # the lower triangle's pattern
     adj = adjacency(n, rows, cols)
     label = component_labels(adj)
@@ -184,35 +203,40 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _split(m: GaussianModel, a) -> tuple[VarSet, VarSet]:
+def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
+    """Sorted retained set, innovation matrix Γ and marginal block P_aa - Γ, both
+    read-only, computed once per (model, retained set): the model keeps the last
+    ones, in a slot replaced whole, so concurrent callers at worst compute them twice."""
     a = varset(a)
     if not a:
         raise InvalidInputError("retained set must be non-empty")
     if not set(a) <= set(range(m.n)):
         raise InvalidInputError(f"ids {sorted(set(a) - set(range(m.n)))} outside the model")
-    z = varset(set(range(m.n)) - set(a))
-    return a, z
-
-
-def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
-    """Sorted retained set and its read-only innovation matrix, computed
-    once per (model, retained set): the model keeps the last one.  The slot
-    is replaced whole, so concurrent callers at worst compute it twice."""
-    a, z = _split(m, a)
     cached = m._innovation
     if cached is not None and cached[0] == a:
         return cached
-    k = len(a)
-    p = m.precision
-    rows, cols = np.asarray(z, dtype=np.intp), np.asarray(a)
-    pattern = p[rows] != 0
-    touches = pattern[:, cols]
-    stacks: dict[tuple[int, int], list] = {}
+    k, n, p, cols = len(a), m.n, m.precision, np.asarray(a)
+    eliminated = np.ones(n, dtype=bool)
+    eliminated[cols] = False
+    rows, at = np.flatnonzero(eliminated), np.empty(n, dtype=np.intp)
+    at[rows], at[cols] = np.arange(len(rows)), np.arange(k)  # position in z or in a
+    pattern = _pattern(m)
+    per_row = np.diff(np.searchsorted(pattern, np.arange(n + 1) * n))
+    # the pattern's entries in the rows of z: row by position in z, column by id
+    i = np.repeat(np.arange(len(rows)), per_row[rows])
+    j = pattern[np.repeat(eliminated, per_row)] - np.repeat(rows * n, per_row[rows])
+    inner = np.flatnonzero(eliminated[j])  # the entries in the columns of z too
     # components of the eliminated block's pattern, by smallest member
-    edges = divmod(np.flatnonzero(pattern[:, rows]), len(rows))
-    for tau in _components(component_labels(adjacency(len(rows), *edges))):
-        d = np.flatnonzero(touches[tau].any(axis=0))
-        stacks.setdefault((len(tau), len(d)), []).append((rows[tau], d))
+    label = component_labels(adjacency(len(rows), i[inner], at[j[inner]]))
+    roots = np.flatnonzero(label == np.arange(len(rows)))
+    touches = np.zeros((len(roots), n), dtype=bool)  # component x column
+    touches[np.searchsorted(roots, label)[i], j] = True
+    owner, ds = divmod(np.flatnonzero(touches), n)  # ascending; 2-d nonzero costs 10x
+    owner, ds = owner[~eliminated[ds]], at[ds[~eliminated[ds]]]  # boundaries, by position in a
+    cut = np.searchsorted(owner, np.arange(len(roots) + 1)).tolist()
+    stacks: dict[tuple[int, int], list] = {}
+    for tau, s, e in zip(_components(label), cut, cut[1:]):
+        stacks.setdefault((len(tau), e - s), []).append((rows[tau], ds[s:e]))
     gamma = np.zeros(k * k)
     for (_, width), members in stacks.items():
         taus = np.array([tau for tau, _ in members])
@@ -229,21 +253,18 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
             del chol, y  # up to |z| x |a| each: free them before the scatter
             np.add.at(gamma, (ds[:, :, None] * k + ds[:, None, :]).ravel(), terms)
     gamma = gamma.reshape(k, k)
+    block = p[np.ix_(a, a)] - gamma
     gamma.setflags(write=False)
-    m._innovation = (a, gamma)
+    block.setflags(write=False)
+    m._innovation = (a, gamma, block)
     return m._innovation
 
 
-def _marginal_block(m: GaussianModel, a) -> tuple[VarSet, np.ndarray]:
-    a, gamma = _gamma(m, a)
-    return a, m.precision[np.ix_(a, a)] - gamma
-
-
 def marginal_precision(m: GaussianModel, a) -> GaussianModel:
-    """Marginal model on ``a``: restricted mean, Schur-complement precision,
-    not re-checked (see the module docstring): a re-check at the block's scale,
-    not P's, would refuse the asymmetry of some models the constructor accepted."""
-    a, block = _marginal_block(m, a)
+    """Marginal model on ``a``: restricted mean, the Schur complement the model keeps
+    as precision, not re-checked (see the module docstring): at the block's scale, not
+    P's, a re-check would refuse the asymmetry of some models the constructor accepted."""
+    a, _, block = _gamma(m, a)
     return GaussianModel._of(m.mean[list(a)], block)
 
 
@@ -257,34 +278,42 @@ def innovation_matrix(m: GaussianModel, a) -> np.ndarray:
 
 
 def _scaled_tol(matrix: np.ndarray, tol: float | None) -> float:
-    """``tol``, or by default 1e-9 times the largest |entry| of ``matrix``,
-    taken without an |entry| temporary as the constructor takes it."""
-    if tol is not None:
-        return tol
-    return 1e-9 * float(max(np.max(matrix, initial=0.0), -np.min(matrix, initial=0.0)))
+    """``tol``, refused if NaN, infinite or negative, or by default 1e-9 times the
+    largest |entry| of ``matrix``, taken without an |entry| temporary as the
+    constructor takes it."""
+    if tol is None:
+        return 1e-9 * float(max(np.max(matrix, initial=0.0), -np.min(matrix, initial=0.0)))
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
-def _edges_above(matrix: np.ndarray, ids, tol: float | None) -> frozenset:
-    """Pairs (ids[i], ids[j]), i < j, whose |entry| exceeds ``_scaled_tol(matrix, tol)``;
-    the default cut is read off the same |entry| array the test compares."""
-    above = np.abs(matrix)  # replaced by the mask, so it is freed before the index arrays
-    above = above > (1e-9 * float(above.max(initial=0.0)) if tol is None else tol)
-    rows, cols = divmod(np.flatnonzero(above), len(ids))
+def _upper_edges(ids: tuple, flat: np.ndarray) -> Graph:
+    """Graph on ``ids`` with an edge (ids[i], ids[j]) for each i < j whose
+    row-major flat index i len(ids) + j is in ``flat``."""
+    rows, cols = divmod(flat, len(ids))
     upper = rows < cols
-    ids = np.asarray(ids, dtype=int)
-    return frozenset(zip(ids[rows[upper]].tolist(), ids[cols[upper]].tolist()))
+    at = np.asarray(ids, dtype=int)
+    return Graph._of(ids, frozenset(zip(at[rows[upper]].tolist(), at[cols[upper]].tolist())))
 
 
 def pattern_graph(m: GaussianModel, tol: float | None = None) -> Graph:
-    """Graph with an edge wherever the precision has a non-null off-diagonal."""
-    return Graph._of(tuple(range(m.n)), _edges_above(m.precision, range(m.n), tol))
+    """Graph with an edge wherever the precision's upper triangle has an |entry|
+    above ``tol`` (finite, >= 0; by default 1e-9 times P's largest |entry|)."""
+    pattern, p = _pattern(m), m.precision
+    values = np.take(p, pattern)  # with the diagonal, these hold P's largest |entry|
+    tol = max(_scaled_tol(values, tol), _scaled_tol(p.diagonal(), tol))
+    return _upper_edges(tuple(range(m.n)), pattern[np.abs(values) > tol])
 
 
 def gaussian_marginal_graph(m: GaussianModel, a, tol: float | None = None) -> Graph:
     """Edges of the marginal model: non-null marginal precision entries.
 
-    ``tol`` defaults to 1e-9 times the largest absolute entry of the
-    marginal precision (scale-free zero test).
+    ``tol`` (finite, >= 0) defaults to 1e-9 times the largest absolute
+    entry of the marginal precision (scale-free zero test).
     """
-    a, mp = _marginal_block(m, a)
-    return Graph._of(a, _edges_above(mp, a, tol))
+    a, _, block = _gamma(m, a)
+    above = np.abs(block)  # replaced by the mask, so it is freed before the index arrays
+    cut = 1e-9 * float(above.max(initial=0.0)) if tol is None else _scaled_tol(above, tol)
+    above = above > cut
+    return _upper_edges(a, np.flatnonzero(above))

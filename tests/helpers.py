@@ -29,6 +29,8 @@ from margraph import (
     subgraph,
     varset,
 )
+from margraph.components import adjacency, component_labels
+from margraph.gaussian import _components, _solve_lower
 from margraph.hypergraph_marginal import (
     _checked_plan,
     _component_folds,
@@ -489,6 +491,34 @@ def innovation_by_neighbour_sum(m: GaussianModel, a) -> np.ndarray:
                     if p[i, r] != 0.0 and p[s, j] != 0.0:
                         out[ki, kj] += rho[rk, sk] * p[i, r] * p[s, j]
     return out
+
+
+def innovation_by_dense_scan(m: GaussianModel, a) -> np.ndarray:
+    """The innovation matrix as the library built it before the model kept
+    P's pattern: the eliminated rows' pattern read off P densely, boundaries
+    by one ``.any`` per component.  The stacks, solves and scatter are the
+    library's, so the two must agree bit for bit."""
+    a = varset(a)
+    k, p = len(a), m.precision
+    rows = np.asarray(varset(set(range(m.n)) - set(a)), dtype=np.intp)
+    cols = np.asarray(a)
+    pattern = p[rows] != 0
+    touches = pattern[:, cols]
+    stacks: dict[tuple[int, int], list] = {}
+    edges = divmod(np.flatnonzero(pattern[:, rows]), len(rows))
+    for tau in _components(component_labels(adjacency(len(rows), *edges))):
+        d = np.flatnonzero(touches[tau].any(axis=0))
+        stacks.setdefault((len(tau), len(d)), []).append((rows[tau], d))
+    gamma = np.zeros(k * k)
+    for (_, width), members in stacks.items():
+        taus = np.array([tau for tau, _ in members])
+        ds = np.array([d for _, d in members])
+        chol = np.linalg.cholesky(p[taus[:, :, None], taus[:, None, :]])
+        if width:
+            y = _solve_lower(chol, p[taus[:, :, None], cols[ds][:, None, :]])
+            terms = np.matmul(y.transpose(0, 2, 1), y).ravel()
+            np.add.at(gamma, (ds[:, :, None] * k + ds[:, None, :]).ravel(), terms)
+    return gamma.reshape(k, k)
 
 
 def pairwise_innovation(m: GaussianModel, a, i: int, j: int) -> float:

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, find, given, settings, strategies as st
+from hypothesis import assume, example, find, given, settings, strategies as st
 
 from margraph import (
     GaussianModel,
@@ -27,6 +27,8 @@ from margraph.gaussian import (
     SOLVE_LEAF,
     STRIP_ROWS,
     SYMMETRY_TOL,
+    _asymmetry,
+    _nonzeros,
     _prove_positive_definite,
     _scaled_tol,
     _solve_lower,
@@ -41,6 +43,7 @@ from fixture_models import (
 )
 from helpers import (
     edges_by_loops,
+    innovation_by_dense_scan,
     innovation_by_neighbour_sum,
     pairwise_innovation,
     random_graph,
@@ -216,32 +219,32 @@ KINDS = ("band", "permuted band", "sparse", "permuted sparse", "dense")
 
 
 @st.composite
-def edge_precisions(draw, kinds=KINDS):
+def edge_precisions(draw, kinds=KINDS, floor=BLOCK_FLOOR):
     """A symmetric matrix whose smallest eigenvalue is +-1 % of its largest
-    |eigenvalue|: a band of half-width 1-80 with holes over n = BLOCK_FLOOR,
-    2 BLOCK_FLOOR or 3 BLOCK_FLOOR + 1, a random sparse pattern over up to
-    5 BLOCK_FLOOR ids, a dense one over up to 3 BLOCK_FLOOR + 1, or 1-3 copies
-    of one band of half-width 1-4 with many holes over 2 BLOCK_FLOOR + 1 to
-    3 BLOCK_FLOOR + 1 members.  The "permuted" kinds shuffle the ids.
+    |eigenvalue|: a band of half-width 1-80 with holes over n = floor,
+    2 floor or 3 floor + 1, a random sparse pattern over up to 5 floor ids,
+    a dense one over up to 3 floor + 1, or 1-3 copies of one band of
+    half-width 1-4 with many holes over 2 floor + 1 to 3 floor + 1 members;
+    ``floor`` is BLOCK_FLOOR by default.  The "permuted" kinds shuffle the ids.
     Optionally a few entries of one triangle are moved by up to half the
     symmetry tolerance, so the two triangles' patterns differ."""
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind.endswith("band"):
-        n = draw(st.sampled_from([BLOCK_FLOOR, 2 * BLOCK_FLOOR, 3 * BLOCK_FLOOR + 1]))
+        n = draw(st.sampled_from([floor, 2 * floor, 3 * floor + 1]))
         offset = np.subtract.outer(np.arange(n), np.arange(n))
         keep = (offset <= draw(st.integers(1, 80))) & (rng.random((n, n)) < 0.8)
     elif kind == "permuted sparse":
-        m = draw(st.integers(2 * BLOCK_FLOOR + 1, 3 * BLOCK_FLOOR + 1))
+        m = draw(st.integers(2 * floor + 1, 3 * floor + 1))
         offset = np.subtract.outer(np.arange(m), np.arange(m))
         one = (offset <= draw(st.integers(1, 4))) & (rng.random((m, m)) < 0.6)
         keep = np.kron(np.eye(draw(st.integers(1, 3)), dtype=bool), one)
         n = len(keep)
-    elif kind == "sparse":  # wide in member order from about 2.5 BLOCK_FLOOR on
-        n = draw(st.integers(1, 5 * BLOCK_FLOOR))
+    elif kind == "sparse":  # wide in member order from about 2.5 floor on
+        n = draw(st.integers(1, 5 * floor))
         keep = rng.random((n, n)) < 2.0 / n
     else:
-        n = draw(st.integers(1, 3 * BLOCK_FLOOR + 1))
+        n = draw(st.integers(1, 3 * floor + 1))
         keep = np.ones((n, n), dtype=bool)
     low = np.tril(rng.normal(size=(n, n)) * keep, -1)
     prec = low + low.T + np.diag(rng.uniform(0.5, 2.0, size=n))
@@ -405,7 +408,10 @@ class TestPositiveDefiniteProof:
         prec = (np.eye(n) + 0.2 * (offset == 1) + 0.2 * (offset == 2))[np.ix_(at, at)]
         prec += 49 * np.triu(prec, 1)
         np.linalg.cholesky(prec)
-        _prove_positive_definite(prec)
+        pattern = _nonzeros(prec)  # what the constructor passes: both triangles
+        rows, cols = divmod(pattern, n)
+        assert (rows < cols).any() and (rows > cols).any()
+        _prove_positive_definite(prec, pattern)
 
     @pytest.mark.parametrize("kind", ["permuted band", "sparse", "permuted sparse"])
     def test_every_shuffled_or_sparse_kind_reaches_the_reorder(self, kind, monkeypatch):
@@ -423,6 +429,53 @@ class TestPositiveDefiniteProof:
 
         find(edge_precisions([kind]), reordered,
              settings=settings(database=None, derandomize=True, max_examples=100))
+
+
+class TestKeptPattern:
+    """A sparse model keeps the list of P's off-diagonal non-zeros that its
+    constructor found; the symmetry test, the innovation matrix and
+    ``pattern_graph`` read that list instead of scanning P again."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_precisions(), st.data())
+    def test_the_listed_asymmetry_is_the_strip_scans(self, prec, data):
+        # the constructor takes P's asymmetry from its non-zeros' list; a
+        # pair zeroed in one triangle is listed once, by the other
+        n = len(prec)
+        for _ in range(data.draw(st.integers(0, 3)) if n > 1 else 0):
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            prec[i, j] = data.draw(st.sampled_from([0.0, -0.0]))
+        assert _asymmetry(prec, _nonzeros(prec)) == _asymmetry(prec)
+
+    def test_a_pair_zero_in_one_triangle_is_found(self):
+        prec = 2.0 * np.eye(STRIP_ROWS + 3)
+        prec[STRIP_ROWS + 1, 2] = 1e-3  # prec[2, STRIP_ROWS + 1] stays 0
+        assert _asymmetry(prec, _nonzeros(prec)) == _asymmetry(prec) == 1e-3
+
+    def test_the_default_tolerance_counts_the_diagonal(self):
+        # P's largest |entry| is on its diagonal, and 1e-4 is below 1e-9 x 1e6
+        prec = np.diag([1e6, 1.0, 1.0])
+        prec[1, 2] = prec[2, 1] = 1e-4
+        m = GaussianModel(np.zeros(3), prec)
+        assert not pattern_graph(m).edges
+        assert pattern_graph(m, 0.0).edges == {(1, 2)}
+
+    def test_the_kept_pattern_is_read_and_not_found_again(self, monkeypatch):
+        n = 4 * BLOCK_FLOOR
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        prec = np.eye(n) + 0.2 * (offset == 1) + 0.1 * (offset == 3)
+        m = GaussianModel(np.zeros(n), prec)
+        assert np.array_equal(m._pattern, np.flatnonzero((prec != 0) & (offset != 0)))
+
+        def scan(*args):
+            raise AssertionError("P scanned again")
+
+        monkeypatch.setattr("margraph.gaussian._nonzeros", scan)
+        a = list(range(0, n, 4))
+        assert pattern_graph(m, 0.0).edges == edges_by_loops(prec, range(n), 0.0)
+        assert innovation_matrix(m, a).tobytes() == innovation_by_dense_scan(m, a).tobytes()
+        block = prec[np.ix_(a, a)] - innovation_by_dense_scan(m, a)
+        assert marginal_precision(m, a).precision.tobytes() == block.tobytes()
 
 
 @st.composite
@@ -559,6 +612,15 @@ class TestGaussianMarginalGraph:
         graph_route = marginalize_graph(pattern_graph(m), KEEP)
         assert (X["X2"], X["X4"]) in graph_route.edges
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_a_non_finite_or_negative_tolerance_is_refused(self, tol):
+        # as the CLI's --tolerance is; a negative one made every pair an edge
+        m = damage_gaussian()
+        with pytest.raises(InvalidInputError, match="finite number >= 0"):
+            pattern_graph(m, tol)
+        with pytest.raises(InvalidInputError, match="finite number >= 0"):
+            gaussian_marginal_graph(m, KEEP, tol)
+
     def test_diagonal_precision_gives_edgeless_graph(self):
         m = GaussianModel(np.zeros(4), np.diag([1.0, 2.0, 3.0, 4.0]))
         assert not gaussian_marginal_graph(m, (0, 2)).edges
@@ -596,32 +658,6 @@ def split_models(draw, quantized: bool = False):
         prec = b @ b.T / n + np.eye(n)
     keep = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
     return GaussianModel(np.zeros(n), prec), varset(keep)
-
-
-class TestAgainstReferences:
-    @settings(max_examples=80, deadline=None)
-    @given(split_models())
-    def test_innovation_matrix_matches_neighbour_sum(self, split):
-        m, a = split
-        gamma = innovation_matrix(m, a)
-        assert np.array_equal(gamma, gamma.T)
-        assert np.max(np.abs(gamma - innovation_by_neighbour_sum(m, a))) <= 1e-10
-
-    @settings(max_examples=80, deadline=None)
-    @given(split_models(quantized=True), st.sampled_from([None, 0.0, 0.25, 0.5]))
-    def test_pattern_graph_matches_double_loop(self, split, tol):
-        m, _ = split
-        expected = edges_by_loops(m.precision, range(m.n), _scaled_tol(m.precision, tol))
-        assert pattern_graph(m, tol).edges == expected
-
-    @settings(max_examples=80, deadline=None)
-    @given(split_models(quantized=True), st.sampled_from([None, 0.0, 0.25, 0.5]))
-    def test_marginal_graph_matches_double_loop(self, split, tol):
-        m, a = split
-        mp = marginal_precision(m, a).precision
-        got = gaussian_marginal_graph(m, a, tol)
-        assert got.vertices == a
-        assert got.edges == edges_by_loops(mp, a, _scaled_tol(mp, tol))
 
 
 @st.composite
@@ -670,6 +706,95 @@ def block_models(draw):
     return GaussianModel(np.zeros(n), prec), varset(new_id[:r].tolist()), boundaries
 
 
+@st.composite
+def asymmetric_models(draw):
+    """A ``block_models()`` model scaled by a power of ten, with one
+    off-diagonal pair made asymmetric by the largest amount the constructor
+    accepts, SYMMETRY_TOL * max(1, max|P|); the pair may join two retained,
+    two eliminated or one of each.  Returns the model and the retained set."""
+    m, a, _ = draw(block_models())
+    prec = m.precision * 10.0 ** draw(st.integers(-3, 8))
+    n = m.n
+    i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+    bound = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(prec))))
+    # the largest value whose difference from prec[i, j] rounds to at most bound
+    value = prec[i, j] + bound
+    while abs(value - prec[i, j]) > bound:
+        value = np.nextafter(value, prec[i, j])
+    prec[j, i] = value
+    return GaussianModel(np.arange(float(n)), prec), a
+
+
+class TestAgainstReferences:
+    @settings(max_examples=80, deadline=None)
+    @given(split_models())
+    def test_innovation_matrix_matches_neighbour_sum(self, split):
+        m, a = split
+        gamma = innovation_matrix(m, a)
+        assert np.array_equal(gamma, gamma.T)
+        assert np.max(np.abs(gamma - innovation_by_neighbour_sum(m, a))) <= 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(split_models(), block_models().map(lambda case: case[:2]), asymmetric_models())
+    def test_innovation_matrix_is_the_dense_scans_bit_for_bit(self, split, blocks, asymmetric):
+        for m, a in (split, blocks, asymmetric):
+            assert innovation_matrix(m, a).tobytes() == innovation_by_dense_scan(m, a).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(edge_precisions(("band", "permuted band", "sparse", "dense"), floor=SOLVE_LEAF),
+           st.data())
+    def test_chains_longer_than_a_leaf_match_the_dense_scan_bit_for_bit(self, prec, data):
+        # a few retained ids, so an eliminated component outgrows SOLVE_LEAF
+        # and its solve recurses; a dense draw keeps no pattern
+        assume(refusal(prec) is None)
+        n = len(prec)
+        a = varset(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
+        z = [v for v in range(n) if v not in a]
+        label = component_labels(adjacency(len(z), *np.nonzero(prec[np.ix_(z, z)])))
+        assume(np.bincount(label, minlength=1).max() > SOLVE_LEAF)
+        m = GaussianModel(np.zeros(n), prec)
+        assert innovation_matrix(m, a).tobytes() == innovation_by_dense_scan(m, a).tobytes()
+        block = prec[np.ix_(a, a)] - innovation_by_dense_scan(m, a)
+        assert marginal_precision(m, a).precision.tobytes() == block.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        st.tuples(split_models(quantized=True), st.sampled_from([None, 0.0, 0.25, 0.5])),
+        # one triangle's entry of the asymmetric pair may be 0: the upper one is read
+        st.tuples(asymmetric_models(), st.just(0.0))))
+    def test_pattern_graph_matches_double_loop(self, case):
+        (m, _), tol = case
+        expected = edges_by_loops(m.precision, range(m.n), _scaled_tol(m.precision, tol))
+        assert pattern_graph(m, tol).edges == expected
+
+    @pytest.mark.parametrize("tol", [None, 0.0, 0.25])
+    def test_pattern_graph_of_models_that_keep_no_pattern(self, tol):
+        # 80 % of the entries are non-zero, so P is factored whole and its
+        # pattern is found again on each call, as it is for a marginal
+        n = 3 * BLOCK_FLOOR
+        rng = np.random.default_rng(19)
+        values = np.round(rng.normal(size=(n, n)) * 4.0) / 4.0  # ties with tol 0.25
+        low = np.tril(values * (rng.random((n, n)) < 0.8), -1)
+        prec = low + low.T
+        np.fill_diagonal(prec, np.abs(prec).sum(axis=1) + 0.5)
+        m = GaussianModel(np.zeros(n), prec)
+        marginal = marginal_precision(m, range(0, n, 3))
+        assert m._pattern is None and marginal._pattern is None
+        for model in (m, marginal):
+            p = model.precision
+            assert pattern_graph(model, tol).edges == edges_by_loops(
+                p, range(model.n), _scaled_tol(p, tol))
+
+    @settings(max_examples=80, deadline=None)
+    @given(split_models(quantized=True), st.sampled_from([None, 0.0, 0.25, 0.5]))
+    def test_marginal_graph_matches_double_loop(self, split, tol):
+        m, a = split
+        mp = marginal_precision(m, a).precision
+        got = gaussian_marginal_graph(m, a, tol)
+        assert got.vertices == a
+        assert got.edges == edges_by_loops(mp, a, _scaled_tol(mp, tol))
+
+
 class TestComponentWiseInnovation:
     @settings(max_examples=80, deadline=None)
     @given(block_models())
@@ -693,25 +818,6 @@ class TestComponentWiseInnovation:
         mp = marginal_precision(m, a).precision
         got = gaussian_marginal_graph(m, a, tol)
         assert got.edges == edges_by_loops(mp, a, _scaled_tol(mp, tol))
-
-
-@st.composite
-def asymmetric_models(draw):
-    """A ``block_models()`` model scaled by a power of ten, with one
-    off-diagonal pair made asymmetric by the largest amount the constructor
-    accepts, SYMMETRY_TOL * max(1, max|P|); the pair may join two retained,
-    two eliminated or one of each.  Returns the model and the retained set."""
-    m, a, _ = draw(block_models())
-    prec = m.precision * 10.0 ** draw(st.integers(-3, 8))
-    n = m.n
-    i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
-    bound = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(prec))))
-    # the largest value whose difference from prec[i, j] rounds to at most bound
-    value = prec[i, j] + bound
-    while abs(value - prec[i, j]) > bound:
-        value = np.nextafter(value, prec[i, j])
-    prec[j, i] = value
-    return GaussianModel(np.arange(float(n)), prec), a
 
 
 class TestUncheckedMarginal:
@@ -753,6 +859,12 @@ class TestFactorCache:
         assert np.array_equal(innovation_matrix(m, other),
                               innovation_matrix(damage_gaussian(), other))
         assert np.array_equal(innovation_matrix(m, KEEP), gamma)
+
+    def test_the_marginal_precision_is_the_kept_block(self):
+        m = damage_gaussian()
+        first, again = marginal_precision(m, KEEP), marginal_precision(m, KEEP)
+        assert first.precision is again.precision
+        assert not first.precision.flags.writeable
 
     def test_mutating_a_returned_matrix_leaves_the_cache_alone(self):
         m = damage_gaussian()
