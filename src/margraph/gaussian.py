@@ -22,17 +22,24 @@ most SOLVE_LEAF rows goes to ``np.linalg.solve`` as a whole, so components
 that small are solved exactly as a plain ``np.linalg.solve(L, P_tau,d)``.
 
 The constructor proves P positive definite from its lower triangle, as
-``np.linalg.cholesky`` would, by one block Cholesky along one order: the
-components of its pattern, each in member order or, if its bandwidth there is
-above 2 BLOCK_FLOOR, in reverse Cuthill-McKee order (Cuthill & McKee 1969; George
-& Liu 1981), which takes a random sparse n = 1600 from bandwidth ~1000 to ~140.
-As in envelope methods, a block ends where the couplings of the rows up to it
-end, so it couples only to the next, and it carries a Schur term only if a
-coupling crosses its cut.  From n (2 BLOCK_FLOOR + 1) non-zeros on, P is factored whole;
-below that the model keeps the pattern it found, which the symmetry test, the innovation
-matrix and ``pattern_graph`` read instead of P: the symbolic structure is found once, as
-in sparse direct solvers.  A marginal model skips the symmetry test and this proof, since
-a Schur complement of the proved-SPD P is SPD; only finiteness is tested.
+``np.linalg.cholesky`` would.  It first eliminates leaves in rounds: a vertex of
+degree <= 1 makes no fill (Rose, Tarjan & Lueker 1976), so p_vv must be positive and
+p_uv^2 / p_vv leaves its neighbour's diagonal; of two joined leaves one goes a round.
+The rounds stop at the first that takes fewer than BLOCK_FLOOR vertices and fewer
+than half of those left: chains and bands skip them, binary trees go whole.  The rest
+(460-500 of a random sparse n = 1600) is factored by one block Cholesky along one
+order: the components of its pattern, each in member order or, if its bandwidth
+there is above 2 BLOCK_FLOOR, in reverse Cuthill-McKee order (Cuthill & McKee 1969;
+George & Liu 1981), which takes those ~480 from bandwidth ~450 to ~70.  A block ends
+where the couplings of the rows up to it end, as in envelope methods, so it couples
+only to the next.  Bordered by the rows R of the next that it couples to, it is built
+from the diagonal and the lower triangle's list, not gathered from P; the trailing
+factor L22 of [[A, C^T], [C, P_RR]] gives R's Schur block L22 L22^T without a solve.
+P is factored whole at n <= BLOCK_FLOOR (one block) and from n (2 BLOCK_FLOOR + 1)
+non-zeros on.  Below that count the model keeps the pattern it found, which the
+finiteness and symmetry tests, Γ and ``pattern_graph`` read instead of P (sparse direct
+solvers too find the symbolic structure once).  A marginal model skips those tests and
+this proof, as a Schur complement of the proved-SPD P is SPD; ``_gamma`` tests finiteness.
 """
 
 from __future__ import annotations
@@ -55,7 +62,9 @@ SOLVE_LEAF = 128
 # Rows per strip of the constructor's symmetry scan.  At n = 1600 strips of
 # 32 to 128 rows take 5.3-6.5 ms against 22 ms for max|P - P^T|.
 STRIP_ROWS = 64
-# Least rows per block of the constructor's block Cholesky; 16-32 are fastest.
+# Least rows per block of the constructor's block Cholesky, and of a leaf round that
+# takes less than half of what is left.  With bordered blocks 16-64 read level on
+# the random sparse n = 800-1600, and 64 about 20 % faster than 32 on banded ones.
 # Only components wider than twice this are reordered: chains with a chord 40-80
 # ranks away proved 0.9-3.3 ms faster at n = 128-1600 in member order.
 BLOCK_FLOOR = 32
@@ -75,15 +84,16 @@ class GaussianModel:
         if prec.shape != (n, n):
             raise InvalidInputError(
                 f"precision must be {n}x{n} to match the mean, got {prec.shape}")
-        # NaN propagates from both reductions: not finite exactly when some entry is not
-        largest = float(max(np.max(prec, initial=0.0), -np.min(prec, initial=0.0)))
+        pattern = _nonzeros(prec, n * (2 * BLOCK_FLOOR + 1))  # None: denser than any band
+        # the listed values or the diagonal hold NaN and the infinities, and NaN propagates
+        parts = (prec,) if pattern is None else (np.take(prec, pattern), prec.diagonal())
+        largest = float(np.max([(np.max(x, initial=0.0), -np.min(x, initial=0.0)) for x in parts]))
         if not np.all(np.isfinite(mean)) or not math.isfinite(largest):
             raise InvalidInputError("non-finite entries in the Gaussian model")
-        pattern = _nonzeros(prec, n * (2 * BLOCK_FLOOR + 1))  # None: denser than any band
         if _asymmetry(prec, pattern) > SYMMETRY_TOL * max(1.0, largest):
             raise InvalidInputError("precision matrix is not symmetric")
         try:
-            if pattern is None:
+            if pattern is None or n <= BLOCK_FLOOR:  # denser than any band, or one block
                 np.linalg.cholesky(prec)
             else:
                 _prove_positive_definite(prec, pattern)
@@ -97,9 +107,7 @@ class GaussianModel:
 
     @classmethod
     def _of(cls, mean: np.ndarray, precision: np.ndarray) -> "GaussianModel":
-        """A model derived from a checked one: only finiteness is tested."""
-        if not np.all(np.isfinite(precision)):
-            raise InvalidInputError("non-finite entries in the Gaussian model")
+        """A model derived from a checked one, whose caller has tested finiteness."""
         mean.setflags(write=False)
         precision.setflags(write=False)
         m = object.__new__(cls)
@@ -159,33 +167,62 @@ def _prove_positive_definite(prec: np.ndarray, pattern: np.ndarray) -> None:
     ``pattern``, is PD (see the module docstring)."""
     n = prec.shape[0]
     rows, cols = divmod(pattern, n)
-    rows, cols = rows[rows > cols], cols[rows > cols]  # the lower triangle's pattern
-    adj = adjacency(n, rows, cols)
+    u, v = rows[rows > cols], cols[rows > cols]  # the lower triangle's pattern
+    w, diag, left = prec[u, v], prec.diagonal().copy(), np.arange(n)
+    while len(left):  # eliminate the leaves, which make no fill, a round at a time
+        leaf = np.zeros(n, dtype=bool)
+        leaf[left] = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n))[left] <= 1
+        leaf[u[leaf[u] & leaf[v]]] = False  # of two joined leaves, the smaller id goes first
+        if np.count_nonzero(leaf) < min(BLOCK_FLOOR, len(left) / 2):
+            break
+        if not (diag[leaf] > 0.0).all():
+            raise np.linalg.LinAlgError("not positive definite")
+        gone = leaf[u] | leaf[v]
+        x, y = np.where(leaf[u], (u, v), (v, u))[:, gone]  # each gone edge's leaf, neighbour
+        diag -= np.bincount(y, w[gone] ** 2 / diag[x], minlength=n)
+        u, v, w, left = u[~gone], v[~gone], w[~gone], left[~leaf[left]]
+    if not len(left):
+        return
+    m, (u, v) = len(left), np.searchsorted(left, (u, v))  # by rank among those left
+    adj = adjacency(m, u, v)
     label = component_labels(adj)
     order = np.argsort(label, kind="stable")  # by component, members ascending
     at = np.argsort(order)  # position in order
-    band = np.zeros(n, dtype=np.intp)  # each component's bandwidth, at its label
-    np.maximum.at(band, label[rows], at[rows] - at[cols])
+    band = np.zeros(m, dtype=np.intp)  # each component's bandwidth, at its label
+    np.maximum.at(band, label[u], at[u] - at[v])
     wide = band > 2 * BLOCK_FLOOR
     if wide.any():
         order[wide[label[order]]] = reverse_cuthill_mckee(adj, label, np.flatnonzero(wide))
         at = np.argsort(order)
-    # reach[p]: the farthest position that a position up to p couples to
-    reach = np.arange(n)
-    np.maximum.at(reach, np.minimum(at[rows], at[cols]), np.maximum(at[rows], at[cols]))
+    lo, hi = np.minimum(at[u], at[v]), np.maximum(at[u], at[v])  # each coupling's positions
+    reach = np.arange(m)  # reach[p]: the farthest position that one up to p couples to
+    np.maximum.at(reach, lo, hi)
     reach = np.maximum.accumulate(reach).tolist()
-    e = min(n, BLOCK_FLOOR)
-    block, carry = np.sort(order[:e]), 0.0  # ascending, so its lower triangle is P's
-    while len(block):
-        chol = np.linalg.cholesky(prec[block[:, None], block] - carry)
-        # the next block holds every coupling of this one and of those before it
-        cut = min(n, max(e + BLOCK_FLOOR, reach[e - 1] + 1))
-        below, carry = np.sort(order[e:cut]), 0.0
-        if reach[e - 1] >= e:  # less X^T X, where L X = C^T for the coupling C
-            i, j = below[None, :], block[:, None]
-            x = _solve_lower(chol, prec[np.maximum(i, j), np.minimum(i, j)])
-            carry = x.T @ x
-        block, e = below, cut
+    ends = [min(m, BLOCK_FLOOR)]  # the next block holds every coupling of those before it
+    while ends[-1] < m:
+        ends.append(min(m, max(ends[-1] + BLOCK_FLOOR, reach[ends[-1] - 1] + 1)))
+    by = np.argsort(lo)
+    lo, hi, w = lo[by], hi[by], w[by]
+    coupled = np.zeros(m, dtype=bool)  # the rows that a coupling across a cut reaches
+    coupled[hi[hi >= np.repeat(ends, np.diff([0, *ends]))[lo]]] = True
+    diag, slot = diag[left[order]], np.full(m, -1)  # by position; each position's row in k
+    s, carry, held = 0, np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
+    for e, cut in zip(ends, [*ends[1:], m]):
+        # the block, bordered by the rows of the next block that it couples to, built
+        # from the updated diagonal and the lower triangle's list, not gathered from P
+        near = np.flatnonzero(coupled[e:cut]) + e
+        pick = np.concatenate((np.arange(s, e), near))
+        slot[pick] = np.arange(len(pick))
+        i, j = np.searchsorted(lo, (s, cut))  # the couplings from the block and the next
+        r, c = slot[hi[i:j]], slot[lo[i:j]]
+        inside = (r >= 0) & (c >= 0)
+        k = np.zeros((len(pick), len(pick)))
+        k[r[inside], c[inside]] = w[i:j][inside]  # r > c: the lower triangle
+        k.flat[::len(pick) + 1] = diag[pick]
+        k[held[:, None], held] = carry  # the Schur block of the rows the last block held
+        tail = np.linalg.cholesky(k)[e - s:, e - s:]  # L22 L22^T is near's Schur block
+        slot[pick] = -1
+        carry, held, s = tail @ tail.T, near - e, e
 
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,6 +291,8 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
             np.add.at(gamma, (ds[:, :, None] * k + ds[:, None, :]).ravel(), terms)
     gamma = gamma.reshape(k, k)
     block = p[np.ix_(a, a)] - gamma
+    if not np.all(np.isfinite(block)):  # only rounding at the float range's edge reaches this
+        raise InvalidInputError("non-finite entries in the Gaussian model")
     gamma.setflags(write=False)
     block.setflags(write=False)
     m._innovation = (a, gamma, block)

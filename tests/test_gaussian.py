@@ -166,14 +166,18 @@ class TestMarginalPrecision:
             GaussianModel(mp.mean, mp.precision)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_unchecked_constructor_still_tests_finiteness(self, bad):
+    def test_the_kept_block_is_tested_for_finiteness(self, bad):
         # the Schur complement's entries are bounded by P's largest diagonal
         # entry, so only rounding at the edge of the float range could reach
-        # this; the JSON writer must never see the value
-        block = np.eye(2)
-        block[1, 0] = bad
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            GaussianModel._of(np.zeros(2), block)
+        # this; the JSON writer must never see the value.  An unchecked model
+        # whose retained block holds the value stands in for that rounding.
+        prec = np.eye(3)
+        prec[1, 0] = bad
+        m = GaussianModel._of(np.zeros(3), prec)
+        for call in (marginal_precision, innovation_matrix, gaussian_marginal_graph):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                call(m, (0, 1))
+        assert m._innovation is None
 
     def test_empty_retained_set_rejected(self):
         m = GaussianModel(np.zeros(3), np.eye(3))
@@ -215,7 +219,7 @@ class TestInnovationMatrix:
             assert np.max(np.abs(lhs - marginal_precision(m, a).precision)) <= 1e-10
 
 
-KINDS = ("band", "permuted band", "sparse", "permuted sparse", "dense")
+KINDS = ("band", "permuted band", "sparse", "permuted sparse", "dense", "forest")
 
 
 @st.composite
@@ -223,9 +227,12 @@ def edge_precisions(draw, kinds=KINDS, floor=BLOCK_FLOOR):
     """A symmetric matrix whose smallest eigenvalue is +-1 % of its largest
     |eigenvalue|: a band of half-width 1-80 with holes over n = floor,
     2 floor or 3 floor + 1, a random sparse pattern over up to 5 floor ids,
-    a dense one over up to 3 floor + 1, or 1-3 copies of one band of
-    half-width 1-4 with many holes over 2 floor + 1 to 3 floor + 1 members;
-    ``floor`` is BLOCK_FLOOR by default.  The "permuted" kinds shuffle the ids.
+    a dense one over up to 3 floor + 1, 1-3 copies of one band of
+    half-width 1-4 with many holes over 2 floor + 1 to 3 floor + 1 members,
+    or a forest over 3 floor to 5 floor ids: a ring of 3 to 2 floor ids
+    with random trees hanging off it and others apart, so fewer edges than
+    ids, and a 2-core that no leaf round removes; ``floor`` is BLOCK_FLOOR
+    by default.  The "permuted" kinds shuffle the ids.
     Optionally a few entries of one triangle are moved by up to half the
     symmetry tolerance, so the two triangles' patterns differ."""
     kind = draw(st.sampled_from(kinds))
@@ -243,6 +250,14 @@ def edge_precisions(draw, kinds=KINDS, floor=BLOCK_FLOOR):
     elif kind == "sparse":  # wide in member order from about 2.5 floor on
         n = draw(st.integers(1, 5 * floor))
         keep = rng.random((n, n)) < 2.0 / n
+    elif kind == "forest":
+        n, ring = draw(st.integers(3 * floor, 5 * floor)), draw(st.integers(3, 2 * floor))
+        parent = (rng.random(n) * np.arange(n)).astype(int)  # a random smaller id
+        child = np.flatnonzero(rng.random(n) < 0.9)
+        child = child[child > ring]  # roots: the ids up to ring and a tenth of the others
+        keep = np.zeros((n, n), dtype=bool)
+        keep[child, parent[child]] = keep[np.arange(ring), np.arange(1, ring + 1) % ring] = True
+        keep |= keep.T
     else:
         n = draw(st.integers(1, 3 * floor + 1))
         keep = np.ones((n, n), dtype=bool)
@@ -289,11 +304,15 @@ def matrix_sizes(monkeypatch, name):
 
 
 class TestPositiveDefiniteProof:
-    """The constructor proves P positive definite in blocks along one order
-    of its lower triangle's pattern, each component in member order or, if
-    wide there, in reverse Cuthill-McKee order; a block ends where the
-    couplings of the blocks up to it end, so it couples only to the next one.
-    It decides as np.linalg.cholesky(P)."""
+    """The constructor proves P positive definite from its lower triangle.
+    It eliminates leaves in rounds while a round removes BLOCK_FLOOR
+    vertices or half of those left, then factors the rest in blocks along
+    one order of their pattern, each component in member order or, if wide
+    there, in reverse Cuthill-McKee order.  A block ends where the couplings
+    of the blocks up to it end, so it couples only to the next one, and it is
+    factored bordered by the next block's rows that it couples to, so no
+    solve is made.  A P of at most BLOCK_FLOOR ids is one block, factored
+    whole.  It decides as np.linalg.cholesky(P)."""
 
     @settings(max_examples=300, deadline=None)
     @given(edge_precisions())
@@ -310,6 +329,14 @@ class TestPositiveDefiniteProof:
         GaussianModel(np.zeros(n), prec)
         assert sizes == [n]
 
+    def test_a_model_of_one_block_is_factored_whole(self, monkeypatch):
+        # a star of BLOCK_FLOOR ids, whose leaves one round would take
+        prec = np.eye(BLOCK_FLOOR)
+        prec[0, 1:] = prec[1:, 0] = 0.1
+        sizes = matrix_sizes(monkeypatch, "cholesky")
+        assert refusal(prec) is None
+        assert sizes == [BLOCK_FLOOR]
+
     @pytest.mark.parametrize("width", [2, BLOCK_FLOOR + 8])
     @pytest.mark.parametrize("far", [0.4, 0.75])
     def test_a_banded_model_is_factored_block_by_block(self, width, far, monkeypatch):
@@ -320,17 +347,19 @@ class TestPositiveDefiniteProof:
         prec = np.eye(n) + 0.05 * (offset == 1) + far * (offset == width)
         expected = cholesky_refusal(prec)
         assert (expected is None) == (far == 0.4)
-        sizes = matrix_sizes(monkeypatch, "cholesky")
+        sizes, solved = matrix_sizes(monkeypatch, "cholesky"), matrix_sizes(monkeypatch, "solve")
         assert refusal(prec) == expected
         block = max(width, BLOCK_FLOOR)
-        assert max(sizes) <= block
+        assert max(sizes) <= 2 * block and solved == []  # a block and the rows it couples to
         if expected is None:
             # position p couples up to p + width, so after the first
             # BLOCK_FLOOR rows each cut lies max(width, BLOCK_FLOOR) past the
             # one before, up to n: at 32, 64, 96 and 128 for width 2, and at
-            # 32, 72, 112 and 128 for width 40, blocks [32, 40, 40, 16]
-            assert sizes == ([BLOCK_FLOOR] * 4 if width == 2 else
-                             [BLOCK_FLOOR, width, width, n - BLOCK_FLOOR - 2 * width])
+            # 32, 72, 112 and 128 for width 40, blocks [32, 40, 40, 16]; each
+            # is bordered by the rows of the next that it reaches: 2 for
+            # width 2, and 33 (32 and 40-71), 40 and 16 for width 40
+            assert sizes == ([BLOCK_FLOOR + 2] * 3 + [BLOCK_FLOOR] if width == 2 else
+                             [BLOCK_FLOOR + 33, 2 * width, width + 16, 16])
 
     @pytest.mark.parametrize("far", [0.4, 0.75])
     def test_only_a_wide_component_is_reordered(self, far, monkeypatch):
@@ -353,26 +382,31 @@ class TestPositiveDefiniteProof:
 
     @pytest.mark.parametrize("value", [0.5, 2.0])
     def test_a_coupling_to_the_row_after_a_cut_is_carried(self, value, monkeypatch):
-        # pairs (s - 1, s) across each cut s of the identity's blocks: PD at
-        # 0.5, not at 2.0, though every block alone is the identity
+        # pairs (s - 1, s) across each cut s of the blocks of a weak chain
+        # whose ends close into triangles, so that no vertex is a leaf: PD at
+        # 0.5, not at 2.0, though every block alone is diagonally dominant
         n = 4 * BLOCK_FLOOR
-        prec = np.eye(n)
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        prec = np.eye(n) + 0.05 * (offset == 1)
+        prec[2, 0] = prec[0, 2] = prec[n - 1, n - 3] = prec[n - 3, n - 1] = 0.05
         for s in range(BLOCK_FLOOR, n, BLOCK_FLOOR):
             prec[s, s - 1] = prec[s - 1, s] = value
         expected = cholesky_refusal(prec)
         assert (expected is None) == (value == 0.5)
         sizes, solved = matrix_sizes(monkeypatch, "cholesky"), matrix_sizes(monkeypatch, "solve")
         assert refusal(prec) == expected
-        if expected is None:
-            assert sizes == [BLOCK_FLOOR] * 4 and solved == [BLOCK_FLOOR] * 3
+        assert solved == []
+        if expected is None:  # each block is bordered by the next one's first row
+            assert sizes == [BLOCK_FLOOR + 1] * 3 + [BLOCK_FLOOR]
 
     @pytest.mark.parametrize("indefinite", [False, True])
     def test_blocks_with_no_coupling_across_a_cut_carry_nothing(self, indefinite, monkeypatch):
-        # 2 BLOCK_FLOOR independent pairs (k, k + 2 BLOCK_FLOOR): no block
-        # couples to the next, so no solve is made
+        # BLOCK_FLOOR independent 4-cycles (k, k + BLOCK_FLOOR, k + 2 BLOCK_FLOOR,
+        # k + 3 BLOCK_FLOOR), which have no leaf: no block couples to the
+        # next, so none is bordered
         n = 4 * BLOCK_FLOOR
         offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        prec = np.eye(n) + 0.5 * (offset == n // 2)
+        prec = np.eye(n) + 0.3 * ((offset == n // 4) | (offset == 3 * n // 4))
         if indefinite:
             prec[n - 1, n // 2 - 1] = prec[n // 2 - 1, n - 1] = 2.0
         expected = cholesky_refusal(prec)
@@ -395,17 +429,22 @@ class TestPositiveDefiniteProof:
         assert (expected is None) == (far == 0.4)
         sizes = matrix_sizes(monkeypatch, "cholesky")
         assert refusal(prec) == expected
-        assert max(sizes) <= BLOCK_FLOOR
+        assert max(sizes) <= BLOCK_FLOOR + 2  # a block and the 2 rows it couples to
         if expected is None:
-            assert sizes == [BLOCK_FLOOR] * 4
+            assert sizes == [BLOCK_FLOOR + 2] * 3 + [BLOCK_FLOOR]
 
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_only_the_lower_triangle_is_read(self, shuffled):
-        # P's upper triangle, 50 times its mirror image, would make it indefinite
+        # a band of half-width 2 over the first 2 BLOCK_FLOOR ids, each with a
+        # leaf among the others: one leaf round, then two blocks; P's upper
+        # triangle, 50 times its mirror image, would make it indefinite
         n = 4 * BLOCK_FLOOR
         offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        core = np.arange(n) < n // 2
+        band = (offset == 1) | (offset == 2)
+        prec = np.eye(n) + 0.2 * (band & core & core[:, None]) + 0.15 * (offset == n // 2)
         at = np.random.default_rng(5).permutation(n) if shuffled else np.arange(n)
-        prec = (np.eye(n) + 0.2 * (offset == 1) + 0.2 * (offset == 2))[np.ix_(at, at)]
+        prec = prec[np.ix_(at, at)]
         prec += 49 * np.triu(prec, 1)
         np.linalg.cholesky(prec)
         pattern = _nonzeros(prec)  # what the constructor passes: both triangles
@@ -413,10 +452,11 @@ class TestPositiveDefiniteProof:
         assert (rows < cols).any() and (rows > cols).any()
         _prove_positive_definite(prec, pattern)
 
-    @pytest.mark.parametrize("kind", ["permuted band", "sparse", "permuted sparse"])
+    @pytest.mark.parametrize("kind", ["permuted band", "sparse", "permuted sparse", "forest"])
     def test_every_shuffled_or_sparse_kind_reaches_the_reorder(self, kind, monkeypatch):
         # a dense pattern, and a band above half-width 2 BLOCK_FLOOR with 80 %
-        # of its entries, are factored whole; narrower bands keep member order
+        # of its entries, are factored whole; narrower bands keep member order;
+        # a forest's ring, once its trees are peeled, is wide from 2 BLOCK_FLOOR + 2
         calls = []
         order = reverse_cuthill_mckee
         monkeypatch.setattr("margraph.gaussian.reverse_cuthill_mckee",
@@ -429,6 +469,44 @@ class TestPositiveDefiniteProof:
 
         find(edge_precisions([kind]), reordered,
              settings=settings(database=None, derandomize=True, max_examples=100))
+
+    def test_a_permuted_chain_peels_nothing(self, monkeypatch):
+        # a round would take its two ends: fewer than BLOCK_FLOOR, and than half
+        n = 4 * BLOCK_FLOOR
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        at = np.random.default_rng(29).permutation(n)
+        prec = (np.eye(n) + 0.4 * (offset == 1))[np.ix_(at, at)]
+        left = []
+        graph = adjacency
+        monkeypatch.setattr("margraph.gaussian.adjacency",
+                            lambda m, *rest: left.append(m) or graph(m, *rest))
+        assert refusal(prec) is None
+        assert left == [n]
+
+    @pytest.mark.parametrize("tree", [False, True])
+    def test_the_identity_and_a_binary_tree_need_no_block_cholesky(self, tree, monkeypatch):
+        # every round takes at least half of the vertices left: all of the
+        # identity at once, or the leaves of the tree up to its root
+        n = 1600
+        prec = np.eye(n)
+        if tree:
+            child = np.arange(1, n)
+            prec[child, (child - 1) // 2] = prec[(child - 1) // 2, child] = 0.3
+        sizes = matrix_sizes(monkeypatch, "cholesky")
+        assert refusal(prec) is None
+        assert sizes == []
+
+    @pytest.mark.parametrize("coupling", [0.05, 0.2])
+    def test_a_star_is_decided_by_the_peeling(self, coupling, monkeypatch):
+        # 100 leaves go in one round, and the centre alone in the next: its
+        # Schur diagonal is 1 - 100 coupling^2, 0.75 or -3
+        prec = np.eye(101)
+        prec[0, 1:] = prec[1:, 0] = coupling
+        expected = cholesky_refusal(prec)
+        assert (expected is None) == (coupling == 0.05)
+        sizes = matrix_sizes(monkeypatch, "cholesky")
+        assert refusal(prec) == expected
+        assert sizes == []
 
 
 class TestKeptPattern:
@@ -875,6 +953,18 @@ class TestFactorCache:
         fresh = marginal_precision(damage_gaussian(), KEEP).precision
         assert np.array_equal(marginal_precision(m, KEEP).precision, fresh)
 
+    def test_the_kept_block_is_tested_once(self, monkeypatch):
+        m = damage_gaussian()
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda *args: calls.append(1) or isfinite(*args))
+        marginal_precision(m, KEEP)
+        assert len(calls) == 1
+        marginal_precision(m, KEEP)
+        innovation_matrix(m, KEEP)
+        gaussian_marginal_graph(m, KEEP)
+        assert len(calls) == 1
+
     def test_one_factorization_per_retained_set(self, monkeypatch):
         # One solve per stack of eliminated components that share a size and
         # a boundary width, counting only components with a non-empty
@@ -958,6 +1048,27 @@ def test_marginalize_gaussian_loads_only_its_route():
     assert "margraph.gaussian" in loaded
     assert not loaded & {"margraph.potentials", "margraph.hypergraph_marginal",
                          "margraph.oracle"}
+
+
+def test_marginalize_gaussian_on_a_forest_loads_no_numpy_ma(tmp_path):
+    # a binary tree with a triangle at its root: the leaf rounds leave the
+    # triangle and one more id to the blocks; np.unique would import numpy.ma,
+    # about 6 ms of every such process
+    n = 4 * BLOCK_FLOOR + 1
+    prec = np.eye(n)
+    child = np.arange(1, n)
+    prec[child, (child - 1) // 2] = prec[(child - 1) // 2, child] = 0.3
+    prec[1, 2] = prec[2, 1] = 0.3
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "variables": [{"label": f"X{k}"} for k in range(n)],
+        "gaussian": {"mean": [0.0] * n, "precision": prec.tolist()}}))
+    loaded = _modules_after(
+        "import margraph.cli\n"
+        f"assert margraph.cli.main(['marginalize-gaussian', {str(path)!r},"
+        " '--keep', 'X0,X5']) == 0")
+    assert "margraph.gaussian" in loaded
+    assert "numpy.ma" not in loaded
 
 
 def test_lazy_exports_are_the_module_objects():
