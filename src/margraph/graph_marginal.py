@@ -6,36 +6,29 @@ distribution of A factorizes according to the subgraph on A plus those
 fill-in edges.  The operator returns this graph exactly as constructed,
 never pruned; it may keep edges a finer (hypergraph) analysis would remove.
 
-The components and their boundaries come from
-:func:`~margraph.graphs.component_boundaries`, one adjacency pass per call,
-the same split the hypergraph plan uses.  The finer routes put their new
-structure on the same boundaries: innovations on boundary subsets for
-potentials, and for a Gaussian an innovation matrix summed over the
-components, each term supported on its component's boundary.
+The kept edges, the components and their boundaries come from one walk
+over the edges, the pass behind :func:`~margraph.graphs.component_boundaries`.
+The finer routes put their new structure on the same boundaries: innovations
+on boundary subsets for potentials, and for a Gaussian an innovation matrix
+summed over the components, each term supported on its component's boundary.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidInputError
-from .graphs import Graph, completed_edge_set, component_boundaries, subgraph, varset
+from itertools import combinations
+
+from .graphs import Graph, _edge_pass, _require_subset, boundary, completed_edge_set, varset
 
 
 def marginalize_graph(g: Graph, a) -> Graph:
-    """Marginal graph on ``a``: subgraph edges plus completed component boundaries.
-
-    The eliminated set V \\ a is split into connectivity components; the
-    boundary of each component (taken in ``g``) is completed.  The result's
-    edge set always contains the subgraph edges on ``a``.
-    """
-    a = varset(a)
-    kept = subgraph(g, a)  # validates a against g.vertices
-    dropped = set(g.vertices) - set(a)
-    if not dropped:
-        return kept
-    fill = set(kept.edges)
-    for _, d in component_boundaries(g, dropped):
-        fill |= completed_edge_set(d)
-    return Graph._of(a, frozenset(fill))
+    """Marginal graph on ``a``: the subgraph edges on ``a`` plus the
+    completed boundary (taken in ``g``) of each connectivity component of
+    the eliminated set V \\ a."""
+    a = _require_subset(g, a)
+    inside = set(a)
+    kept, pairs = _edge_pass(g, tuple(v for v in g.vertices if v not in inside))
+    return Graph._of(a, frozenset(kept).union(
+        *(combinations(d, 2) for _, d in pairs if len(d) > 1)))
 
 
 def eliminate_vertex(g: Graph, v: int) -> Graph:
@@ -44,9 +37,7 @@ def eliminate_vertex(g: Graph, v: int) -> Graph:
     Folding this over all of V \\ a, in any order, reproduces
     :func:`marginalize_graph`.
     """
-    if v not in set(g.vertices):
-        raise InvalidInputError(f"unknown vertex id {v}")
+    fill = completed_edge_set(boundary(g, (v,)))  # validates v
     rest = varset(set(g.vertices) - {v})
-    fill = completed_edge_set(g.neighbors(v))
     kept = frozenset(e for e in g.edges if v not in e)
     return Graph._of(rest, kept | fill)

@@ -170,12 +170,6 @@ class Graph:
     def edge_list(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def neighbors(self, v: int) -> VarSet:
-        if v not in set(self.vertices):
-            raise InvalidInputError(f"unknown vertex id {v}")
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return varset(out)
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for a, b in self.edges:
@@ -205,44 +199,51 @@ def boundary(g: Graph, a: Iterable[int]) -> VarSet:
     return varset(out)
 
 
+def _edge_pass(g: Graph, z: VarSet) -> tuple[list[Edge], list[tuple[VarSet, VarSet]]]:
+    """One walk over ``g.edges`` for sorted ``z``: the edges with no end in
+    ``z``, and each component of the subgraph on ``z`` with its boundary in
+    ``g``, ascending by smallest member.  A depth-first search (Tarjan 1972)
+    over the neighbour lists of ``z`` splits each component from its boundary.
+    """
+    inside = set(z)
+    kept: list[Edge] = []
+    adj: dict[int, list[int]] = {v: [] for v in z}
+    for e in g.edges:
+        a, b = e
+        if a in inside:
+            adj[a].append(b)
+        if b in inside:
+            adj[b].append(a)
+        elif a not in inside:
+            kept.append(e)
+    pairs = []
+    for start in z:  # ascending, so components come out by smallest member
+        stack = adj.pop(start, None)
+        if stack is None:
+            continue
+        comp, bd = [start], set()
+        while stack:
+            v = stack.pop()
+            more = adj.pop(v, None)  # None once searched, or outside z
+            if more is not None:
+                comp.append(v)
+                stack.extend(more)
+            elif v not in inside:
+                bd.add(v)
+        pairs.append((tuple(sorted(comp)), tuple(sorted(bd))))
+    return kept, pairs
+
+
 def component_boundaries(g: Graph, z: Iterable[int]) -> list[tuple[VarSet, VarSet]]:
     """Connectivity components of the subgraph on ``z``, each paired with
-    its boundary in ``g``.
-
-    Components come out as in :func:`connectivity_components`.  One
-    adjacency map serves every boundary, taken as the union of the
-    members' neighbourhoods minus the component.
-    """
-    adj = g.adjacency()
-    out = []
-    for comp in connectivity_components(subgraph(g, z)):
-        inside = set(comp)
-        out.append((comp, varset(set().union(*(adj[v] for v in comp)) - inside)))
-    return out
+    its boundary in ``g``, ascending by smallest member."""
+    return _edge_pass(g, _require_subset(g, z))[1]
 
 
 def connectivity_components(g: Graph) -> list[VarSet]:
-    """Partition of the vertices into maximal mutually connected sets.
-
-    Parts are emitted sorted by their smallest member.
-    """
-    adj = g.adjacency()
-    seen: set[int] = set()
-    parts: list[VarSet] = []
-    for start in g.vertices:  # ascending, so parts come out by smallest member
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        parts.append(varset(comp))
-    return parts
+    """Partition of the vertices into maximal mutually connected sets,
+    ascending by smallest member."""
+    return [comp for comp, _ in _edge_pass(g, g.vertices)[1]]
 
 
 def subgraph(g: Graph, a: Iterable[int]) -> Graph:
@@ -269,21 +270,27 @@ def is_complete(g: Graph, a: Iterable[int]) -> bool:
 def cliques(g: Graph) -> list[VarSet]:
     """All maximal complete vertex sets, lexicographically ordered.
 
-    Uses pivoting branch-and-bound search; isolated vertices come out as
-    singleton cliques.
+    Isolated vertices are singletons without a search, so a graph with no
+    vertices has none.  The rest go through Bron-Kerbosch with Tomita's
+    pivot (Tomita, Tanaka & Takahashi 2006).  A branch with no candidates
+    P ∩ N(v) ends without a call: R ∪ {v} is maximal if X ∩ N(v) is empty.
     """
     adj = g.adjacency()
-    found: list[VarSet] = []
+    found: list[VarSet] = [(v,) for v, nb in adj.items() if not nb]
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            found.append(varset(r))
-            return
+    def expand(r: tuple[int, ...], p: set[int], x: set[int]) -> None:
         pivot = max(p | x, key=lambda u: len(adj[u] & p))
         for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+            nv = adj[v]
+            q = p & nv
+            if q:
+                expand(r + (v,), q, x & nv)
+            elif x.isdisjoint(nv):
+                found.append(tuple(sorted(r + (v,))))
             p.remove(v)
             x.add(v)
 
-    expand(set(), set(g.vertices), set())
+    p = {v for v, nb in adj.items() if nb}
+    if p:
+        expand((), p, set())
     return sorted(found)

@@ -23,7 +23,6 @@ from margraph import (
     boundary,
     completed_edge_set,
     component_boundaries,
-    connectivity_components,
     energy_grid,
     induced_graph,
     subgraph,
@@ -155,13 +154,13 @@ def reverse_cuthill_mckee_by_queue(g: Graph, components) -> tuple[list[int], lis
 
 def marginal_graph_by_boundaries(g: Graph, a) -> Graph:
     """Reference graph operator: the subgraph on ``a`` plus, for every
-    eliminated component, its boundary found by a full edge scan
-    (:func:`boundary`) and completed."""
+    eliminated component (found by :func:`reachability_components`), its
+    boundary found by a full edge scan (:func:`boundary`) and completed."""
     a = varset(a)
     fill = set(subgraph(g, a).edges)
     dropped = varset(set(g.vertices) - set(a))
     if dropped:
-        for comp in connectivity_components(subgraph(g, dropped)):
+        for comp in reachability_components(subgraph(g, dropped)):
             fill |= completed_edge_set(boundary(g, comp))
     return Graph(a, frozenset(fill))
 

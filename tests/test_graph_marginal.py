@@ -20,6 +20,7 @@ from margraph import (
     subgraph,
     varset,
 )
+from margraph import graph_marginal, graphs
 
 from fixture_models import (
     chain_retained,
@@ -32,6 +33,7 @@ from helpers import (
     marginal_graph_by_boundaries,
     random_graph,
     random_normalized_potential,
+    reachability_components,
 )
 
 
@@ -173,5 +175,27 @@ class TestAgainstReferences:
         g, a = case
         z = set(g.vertices) - set(a)
         expected = [(comp, boundary(g, comp))
-                    for comp in connectivity_components(subgraph(g, z))]
+                    for comp in reachability_components(subgraph(g, z))]
         assert component_boundaries(g, z) == expected
+
+    def test_no_adjacency_map_subgraph_or_second_component_finder(self, monkeypatch):
+        # the marginal comes from the one shared edge pass alone
+        rng = np.random.default_rng(53)
+        cases = []
+        for n, density in ((12, 0.0), (12, 0.1), (16, 0.3), (8, 0.7)):
+            g = random_graph(rng, n, density)
+            a = varset(rng.choice(n, size=n // 2, replace=False).tolist())
+            cases.append((g, a, marginal_graph_by_boundaries(g, a)))
+        _, damage = damage_graph()
+        cases.append((damage, damage_retained(),
+                      marginal_graph_by_boundaries(damage, damage_retained())))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("marginalize_graph left the shared edge pass")
+
+        monkeypatch.setattr(Graph, "adjacency", refuse)
+        for name in ("subgraph", "connectivity_components"):
+            monkeypatch.setattr(graphs, name, refuse)
+            monkeypatch.setattr(graph_marginal, name, refuse, raising=False)
+        for g, a, expected in cases:
+            assert marginalize_graph(g, a) == expected

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from margraph import (
     GaussianModel,
@@ -25,6 +25,16 @@ from margraph.components import adjacency, component_labels
 
 from fixture_models import ten_vertex_graph
 from helpers import brute_force_cliques, neighbor_scan, random_graph, reachability_components
+
+
+@st.composite
+def clique_search_graphs(draw):
+    """0 to 13 vertices at densities 0 to 0.7, or complete: isolated
+    vertices, complete graphs, and sparse graphs whose search ends branches
+    on a vertex with no candidates left."""
+    n = draw(st.integers(0, 13))
+    density = draw(st.sampled_from([0.0, 0.1, 0.2, 0.35, 0.5, 0.7, 1.0]))
+    return random_graph(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n, density)
 
 
 @pytest.fixture
@@ -197,6 +207,21 @@ class TestCliques:
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(1, 13)), 0.4)
             assert cliques(g) == brute_force_cliques(g)
+
+    def test_a_graph_with_no_vertices_has_no_cliques(self):
+        g = Graph.from_edges((), [])
+        assert cliques(g) == brute_force_cliques(g) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(clique_search_graphs())
+    # isolated vertices beside a triangle; a complete graph; and two
+    # disjoint edges, where the search reaches vertex 3 with no candidates
+    # left and 2 in X ∩ N(3), a dead branch
+    @example(Graph.from_edges(range(5), [(0, 1), (0, 2), (1, 2)]))
+    @example(Graph.from_edges(range(5), completed_edge_set(range(5))))
+    @example(Graph.from_edges(range(4), [(0, 1), (2, 3)]))
+    def test_matches_subset_enumeration_up_to_13_vertices(self, g):
+        assert cliques(g) == brute_force_cliques(g)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_n=8))
