@@ -1,8 +1,9 @@
-"""Connectivity components and a bandwidth-reducing order of an edge list,
-for the routes that use numpy.
+"""Connectivity components, the components and boundaries of an eliminated
+set, and a bandwidth-reducing order of an edge list, for the routes that use
+numpy.
 
-The graph operator keeps :func:`margraph.graphs.connectivity_components`, a
-search in plain Python, so that a process which only marginalizes graphs
+The graph operator keeps its edge pass (:func:`margraph.graphs._edge_pass`),
+a search in plain Python, so that a process which only marginalizes graphs
 never imports numpy.
 """
 
@@ -45,6 +46,34 @@ def component_labels(adj: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         if not (smallest != label).any():
             return label
         label = smallest
+
+
+def eliminated_components(n: int, u: np.ndarray, v: np.ndarray, eliminated: np.ndarray) -> tuple:
+    """The connectivity components of the ``eliminated`` vertices of the graph
+    on 0..n-1 with the edges (u[k], v[k]), loops and repeats allowed: each
+    vertex's component index (-1 where kept), components ordered by smallest
+    member; the eliminated ids grouped by component, ascending within it;
+    each component's size; and the ascending (component, boundary id) pairs
+    of the edges with one end eliminated.  Eliminating a component completes
+    its boundary (Rose, Tarjan & Lueker 1976), which every route then reads."""
+    z = np.flatnonzero(eliminated)
+    at = np.full(n, -1)  # position in z
+    at[z] = np.arange(len(z))
+    pu, pv = at[u], at[v]
+    inner = (pu >= 0) & (pv >= 0)
+    label = component_labels(adjacency(len(z), pu[inner], pv[inner]))
+    roots = np.flatnonzero(label == np.arange(len(z)))
+    index = np.searchsorted(roots, label)  # the component of each vertex of z
+    comp = np.full(n, -1)
+    comp[z] = index
+    cu, cv = comp[u], comp[v]
+    # an edge with one end kept: the other end's component (the kept end's is -1), the kept end
+    key = ((cu + cv + 1) * n + np.where(cu < 0, u, v))[(cu < 0) != (cv < 0)]
+    key.sort()
+    fresh = np.ones(len(key), dtype=bool)  # a sort and a compare: np.unique would load numpy.ma
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    members = z[np.argsort(index, kind="stable")]
+    return comp, members, np.bincount(index, minlength=len(roots)), divmod(key[fresh], n)
 
 
 def reverse_cuthill_mckee(adj: tuple[np.ndarray, np.ndarray], label: np.ndarray,

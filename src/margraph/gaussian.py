@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .components import adjacency, component_labels, reverse_cuthill_mckee
+from .components import adjacency, component_labels, eliminated_components, reverse_cuthill_mckee
 from .errors import InvalidInputError
 from .graphs import Graph, VarSet, varset
 
@@ -155,13 +155,6 @@ def _asymmetry(prec: np.ndarray, pattern: np.ndarray | None = None) -> float:
     return worst
 
 
-def _components(label: np.ndarray) -> list[np.ndarray]:
-    """Ascending members of each component of a ``component_labels`` labelling."""
-    order = np.argsort(label, kind="stable")
-    cut = (np.flatnonzero(np.diff(label[order])) + 1).tolist()  # slices: np.split costs more
-    return [order[s:e] for s, e in zip([0, *cut], [*cut, len(label)])] if len(label) else []
-
-
 def _prove_positive_definite(prec: np.ndarray, pattern: np.ndarray) -> None:
     """Raise ``np.linalg.LinAlgError`` unless P, whose ``_nonzeros`` are
     ``pattern``, is PD (see the module docstring)."""
@@ -243,7 +236,9 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
     """Sorted retained set, innovation matrix Γ and marginal block P_aa - Γ, both
     read-only, computed once per (model, retained set): the model keeps the last
-    ones, in a slot replaced whole, so concurrent callers at worst compute them twice."""
+    ones, in a slot replaced whole, so concurrent callers at worst compute them twice.
+    The components of z and their boundaries come from one pass of
+    :func:`~margraph.components.eliminated_components` over the rows of z of P's pattern."""
     a = varset(a)
     if not a:
         raise InvalidInputError("retained set must be non-empty")
@@ -255,25 +250,16 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
     k, n, p, cols = len(a), m.n, m.precision, np.asarray(a)
     eliminated = np.ones(n, dtype=bool)
     eliminated[cols] = False
-    rows, at = np.flatnonzero(eliminated), np.empty(n, dtype=np.intp)
-    at[rows], at[cols] = np.arange(len(rows)), np.arange(k)  # position in z or in a
     pattern = _pattern(m)
-    per_row = np.diff(np.searchsorted(pattern, np.arange(n + 1) * n))
-    # the pattern's entries in the rows of z: row by position in z, column by id
-    i = np.repeat(np.arange(len(rows)), per_row[rows])
-    j = pattern[np.repeat(eliminated, per_row)] - np.repeat(rows * n, per_row[rows])
-    inner = np.flatnonzero(eliminated[j])  # the entries in the columns of z too
-    # components of the eliminated block's pattern, by smallest member
-    label = component_labels(adjacency(len(rows), i[inner], at[j[inner]]))
-    roots = np.flatnonzero(label == np.arange(len(rows)))
-    touches = np.zeros((len(roots), n), dtype=bool)  # component x column
-    touches[np.searchsorted(roots, label)[i], j] = True
-    owner, ds = divmod(np.flatnonzero(touches), n)  # ascending; 2-d nonzero costs 10x
-    owner, ds = owner[~eliminated[ds]], at[ds[~eliminated[ds]]]  # boundaries, by position in a
-    cut = np.searchsorted(owner, np.arange(len(roots) + 1)).tolist()
+    # the pattern's entries in the rows of z, as (row, column) ids
+    i, j = divmod(pattern[eliminated[pattern // n]], n)
+    _, z, sizes, (owner, ds) = eliminated_components(n, i, j, eliminated)
+    ds = np.searchsorted(cols, ds)  # boundaries, by position in a
+    ends = np.cumsum(sizes).tolist()
+    cut = np.searchsorted(owner, np.arange(len(sizes) + 1)).tolist()
     stacks: dict[tuple[int, int], list] = {}
-    for tau, s, e in zip(_components(label), cut, cut[1:]):
-        stacks.setdefault((len(tau), e - s), []).append((rows[tau], ds[s:e]))
+    for s, e, b, c in zip([0, *ends], ends, cut, cut[1:]):
+        stacks.setdefault((e - s, c - b), []).append((z[s:e], ds[b:c]))
     gamma = np.zeros(k * k)
     for (_, width), members in stacks.items():
         taus = np.array([tau for tau, _ in members])

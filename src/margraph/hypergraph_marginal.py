@@ -27,21 +27,22 @@ The route stays columnar, since models with many small components would
 otherwise pay numpy's per-call cost per table.  One lexsort of every
 member's scope arrays (:func:`~margraph.potentials._scope_rows`) gives the
 plan its hyperedges, as a padded array in lexicographic order, and finds
-each member's table on each; tuples are made only of the rows a step
-reads.  One label-flow pass of :func:`margraph.components.component_labels`
-finds the components and one sort every boundary.  Components share a local
-structure when their touching hyperedges, relabeled by position in the
-sorted union of component and boundary, coincide together with the
-component's own positions (relabeling keeps the order of ids, so
+each member's table on each; tuples are made only of the rows a step reads.
+The components and boundaries come from the pass the Gaussian route shares,
+:func:`margraph.components.eliminated_components`, over star edges: each
+hyperedge joins its largest eliminated member to every member.  Components
+share a local structure when their touching hyperedges, relabeled by
+position in the sorted union of component and boundary, coincide together
+with the component's own positions (relabeling keeps the order of ids, so
 smallest-id tie-breaking maps back); one byte-wise sort groups them, and
-min-fill runs once per structure.  A family gathers every member's tables
-of one structure and one set of domain sizes into one stack and folds it
-once, with at most ``STATE_LIMIT`` entries in its largest table.  The folds
-are summed per member and per boundary in ``plan.components`` order and
-split as stacks into a columnar potential per member, whose marginal is its
+min-fill runs once per structure.  A family gathers every member's tables of
+one structure and one set of domain sizes into one stack and folds it once,
+with at most ``STATE_LIMIT`` entries in its largest table.  The folds are
+summed per member and per boundary in ``plan.components`` order and split as
+stacks into a columnar potential per member, whose marginal is its
 restriction plus those innovations, summed per scope in that order.  Every
-sum runs in the order a component-by-component loop would use, so results
-do not depend on the grouping, bit for bit.
+sum runs in the order a component-by-component loop would use, so results do
+not depend on the grouping, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .components import adjacency, component_labels
+from .components import eliminated_components
 from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
 from .graphs import Graph, VarSet, Variables, component_boundaries, varset
 from .potentials import (
@@ -173,7 +174,7 @@ class EliminationPlan:
 
     - ``components``: the connectivity components of the eliminated set in
       the graph the hyperedges induce on the variables, ordered by smallest
-      member, and their ``boundaries`` in that graph;
+      member, and their ``boundaries`` in that graph (see the module docstring);
     - ``_structures``: per local structure, its relabeled hyperedges, a
       greedy min-fill elimination order (ties to the smallest id) and the
       scope of every product factor the fold forms along it, computed once
@@ -190,9 +191,8 @@ class EliminationPlan:
     each member's tables: ``_tables`` holds two (members x hyperedges)
     arrays, the group of the table on each hyperedge, counted across the
     members' groups in turn (-1 where the member has none), and its row in
-    that group.  A lone component skips the batching: its boundary and
-    structure are read in plain Python, where numpy's per-call cost would
-    outweigh the work.
+    that group.  A lone component skips the batching: its structure is read
+    in plain Python, where numpy's per-call cost would outweigh the work.
 
     A member of a family touches a subset of the plan's hyperedges, so the
     tables its fold of a component forms lie within these factor scopes.
@@ -210,44 +210,23 @@ class EliminationPlan:
             src[m, at], row[m, at] = k, np.arange(len(at))
         self._rows, self._tables = rows, (src, row)
         n = len(members[0].vars)
-        eliminated = np.ones(n, dtype=bool)
-        eliminated[list(a)] = False
-        z = np.flatnonzero(eliminated)
-        # index among the eliminated variables, -1 elsewhere and in the pad slot
-        at = np.full(n + 1, -1)
-        at[z] = np.arange(len(z))
-        inside = at[rows]
-        # each hyperedge joins its eliminated members to one of them
-        hub = inside.max(axis=1, initial=-1)
-        r, c = np.nonzero(inside >= 0)
-        label = component_labels(adjacency(len(z), hub[r], inside[r, c]))
-        root = label == np.arange(len(z))
-        count = int(root.sum())
-        comp = np.full(n + 1, -1)
-        comp[z] = (np.cumsum(root) - 1)[label]
+        eliminated = np.ones(n + 1, dtype=bool)  # the pad slot n is a kept vertex
+        eliminated[list(a) + [n]] = False
+        # each hyperedge joins its largest eliminated member to every member
+        hub = np.where(eliminated[rows], rows, -1).max(axis=1, initial=-1)
+        r, c = np.nonzero((rows >= 0) & (hub >= 0)[:, None])
+        comp, inner, size, (owner, bd) = eliminated_components(n + 1, hub[r], rows[r, c],
+                                                               eliminated)
         self._comp = comp
-        member = comp[rows]
-        # the eliminated members of a hyperedge lie in one component
-        owner = member.max(axis=1, initial=-1)
-        touch = np.flatnonzero(owner >= 0)
-        if count == 1:  # a lone component (see the class docstring)
-            tau = tuple(z.tolist())
-            scopes = self._scopes(touch)
-            bd = varset(set(chain.from_iterable(scopes)).difference(tau))
-            self.components, self.boundaries = (tau,), {tau: bd}
-            self._width = np.array([len(bd)])
-            self._structures = self._lone(touch, scopes)
+        touch = np.flatnonzero(hub >= 0)
+        self._width = np.bincount(owner, minlength=len(size))
+        self.components = _cut(inner.tolist(), size)
+        self.boundaries = dict(zip(self.components, _cut(bd.tolist(), self._width)))
+        if len(size) == 1:  # a lone component (see the class docstring)
+            self._structures = self._lone(touch)
         else:
-            # the boundary: members of a touching hyperedge outside its component
-            r, c = np.nonzero((member != owner[:, None]) & (rows >= 0))
-            bound = owner[r] * n + rows[r, c]
-            bound = bound[_distinct(bound)[0]]  # ascending
-            touch = touch[np.argsort(owner[touch], kind="stable")]
-            inner = z[np.argsort(comp[z], kind="stable")]
-            self._width = np.bincount(bound // n, minlength=count)
-            self.components = _cut(inner.tolist(), np.bincount(comp[inner], minlength=count))
-            self.boundaries = dict(zip(self.components, _cut((bound % n).tolist(), self._width)))
-            self._structures = self._group(touch, owner[touch], inner, bound)
+            touch = touch[np.argsort(comp[hub[touch]], kind="stable")]
+            self._structures = self._group(touch, comp[hub[touch]], inner, owner * n + bd)
         self._sizes, self.largest_factor, self.largest_split = self._sized(members[0].vars)
 
     def _scopes(self, j) -> list[VarSet]:
@@ -255,8 +234,8 @@ class EliminationPlan:
         rows = self._rows[j]
         return [tuple(r[:k]) for r, k in zip(rows.tolist(), (rows >= 0).sum(axis=1).tolist())]
 
-    def _lone(self, touch, scopes) -> list[tuple]:
-        scopes, tau, local = _relabeled(scopes, self.components[0])
+    def _lone(self, touch) -> list[tuple]:
+        scopes, tau, local = _relabeled(self._scopes(touch), self.components[0])
         return [_structure(scopes, tau, len(local), np.zeros(1, dtype=np.intp), touch[None],
                            np.array([local]))]
 

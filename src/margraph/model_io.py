@@ -235,57 +235,6 @@ def load_model(path) -> ModelFile:
     return model
 
 
-# ---------------------------------------------------------------------------
-# Writers.
-# ---------------------------------------------------------------------------
-
-def _variables_dict(variables: Variables) -> list[dict]:
-    return [{"label": lbl, "domain": list(variables.domains[i])}
-            for i, lbl in enumerate(variables.labels)]
-
-
-def graph_model_dict(variables: Variables, graph: Graph) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "variables": _variables_dict(variables),
-        "graph": {"edges": [[variables.labels[a], variables.labels[b]]
-                            for a, b in graph.edge_list]},
-    }
-
-
-def _potential_dict(potential: Potential) -> dict:
-    return {"interactions": [
-        {"scope": [potential.vars.labels[v] for v in t.scope], "table": t.ravel()}
-        for t in potential.tables]}
-
-
-def potential_model_dict(potential: Potential) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "variables": _variables_dict(potential.vars),
-        "potential": _potential_dict(potential),
-    }
-
-
-def family_model_dict(family: PotentialFamily) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "variables": _variables_dict(family.vars),
-        "potential_family": {"members": [_potential_dict(m) for m in family]},
-    }
-
-
-def gaussian_model_dict(variables: Variables, model: GaussianModel) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "variables": _variables_dict(variables),
-        "gaussian": {
-            "mean": [float(x) for x in model.mean],
-            "precision": [[float(x) for x in row] for row in model.precision],
-        },
-    }
-
-
 class _FloatReprs(dict):
     """The JSON text of each float looked up, formatted once per value; ±0.0
     compare equal but print apart, so they are never stored."""

@@ -2,7 +2,8 @@
 fixtures: two small six-variable chain models, a 4 x 5 grid potential, a
 ten-variable two-component graph, and a 24-variable network for damage
 assessment of reinforced concrete beams (after Liu and Li 1994) together
-with Gaussian instances on its sparsity pattern.
+with Gaussian instances on its sparsity pattern.  The writers here turn
+models into model-file documents.
 
 Run ``PYTHONPATH=src python tests/fixture_models.py OUTDIR`` from the
 root of a checkout to (re)write the fixture files.
@@ -16,13 +17,7 @@ import numpy as np
 
 from margraph.gaussian import GaussianModel, innovation_matrix
 from margraph.graphs import Graph, VarSet, Variables, varset
-from margraph.model_io import (
-    dump_json,
-    family_model_dict,
-    gaussian_model_dict,
-    graph_model_dict,
-    potential_model_dict,
-)
+from margraph.model_io import FORMAT_VERSION, dump_json
 from margraph.potentials import InteractionTable, Potential, PotentialFamily
 
 
@@ -43,6 +38,57 @@ def monomial_potential(variables: Variables, terms: dict) -> Potential:
             prod = prod * g
         tables.append(InteractionTable(scope, coef * prod))
     return Potential(variables, tables)
+
+
+# ---------------------------------------------------------------------------
+# Model-file writers: the documents the fixture files and round trips hold.
+# ---------------------------------------------------------------------------
+
+def _variables_dict(variables: Variables) -> list[dict]:
+    return [{"label": lbl, "domain": list(variables.domains[i])}
+            for i, lbl in enumerate(variables.labels)]
+
+
+def graph_model_dict(variables: Variables, graph: Graph) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "variables": _variables_dict(variables),
+        "graph": {"edges": [[variables.labels[a], variables.labels[b]]
+                            for a, b in graph.edge_list]},
+    }
+
+
+def _potential_dict(potential: Potential) -> dict:
+    return {"interactions": [
+        {"scope": [potential.vars.labels[v] for v in t.scope], "table": t.ravel()}
+        for t in potential.tables]}
+
+
+def potential_model_dict(potential: Potential) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "variables": _variables_dict(potential.vars),
+        "potential": _potential_dict(potential),
+    }
+
+
+def family_model_dict(family: PotentialFamily) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "variables": _variables_dict(family.vars),
+        "potential_family": {"members": [_potential_dict(m) for m in family]},
+    }
+
+
+def gaussian_model_dict(variables: Variables, model: GaussianModel) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "variables": _variables_dict(variables),
+        "gaussian": {
+            "mean": [float(x) for x in model.mean],
+            "precision": [[float(x) for x in row] for row in model.precision],
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from margraph import (
     varset,
 )
 from margraph.components import adjacency, component_labels
-from margraph.gaussian import _components, _solve_lower
+from margraph.gaussian import _solve_lower
 from margraph.hypergraph_marginal import (
     _checked_plan,
     _component_folds,
@@ -505,7 +505,9 @@ def innovation_by_dense_scan(m: GaussianModel, a) -> np.ndarray:
     touches = pattern[:, cols]
     stacks: dict[tuple[int, int], list] = {}
     edges = divmod(np.flatnonzero(pattern[:, rows]), len(rows))
-    for tau in _components(component_labels(adjacency(len(rows), *edges))):
+    label = component_labels(adjacency(len(rows), *edges))
+    for root in np.flatnonzero(label == np.arange(len(rows))):  # by smallest member
+        tau = np.flatnonzero(label == root)
         d = np.flatnonzero(touches[tau].any(axis=0))
         stacks.setdefault((len(tau), len(d)), []).append((rows[tau], d))
     gamma = np.zeros(k * k)

@@ -1071,6 +1071,17 @@ def test_marginalize_gaussian_on_a_forest_loads_no_numpy_ma(tmp_path):
     assert "numpy.ma" not in loaded
 
 
+def test_marginalize_hypergraph_emit_potential_loads_no_numpy_ma():
+    # the shared component pass dedupes the plan's boundary pairs by a sort, not np.unique
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "chain_potential.json")
+    loaded = _modules_after(
+        "import margraph.cli\n"
+        f"assert margraph.cli.main(['marginalize-hypergraph', {path!r},"
+        " '--keep', 'V1,V3,V5', '--emit-potential']) == 0")
+    assert "margraph.hypergraph_marginal" in loaded
+    assert "numpy.ma" not in loaded
+
+
 def test_lazy_exports_are_the_module_objects():
     # a fresh process, so every name goes through the package's __getattr__
     bad = _run_fresh(

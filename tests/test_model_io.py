@@ -12,17 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from margraph import Graph, ModelFormatError, Variables
 from margraph.cli import main
-from margraph.model_io import (
-    dump_json,
-    family_model_dict,
-    graph_model_dict,
-    graph_to_dot,
-    load_model,
-    parse_model,
-    potential_model_dict,
-)
+from margraph.model_io import dump_json, graph_to_dot, load_model, parse_model
 
-from fixture_models import fixture_documents, two_chain_graph
+from fixture_models import (
+    family_model_dict,
+    fixture_documents,
+    graph_model_dict,
+    potential_model_dict,
+    two_chain_graph,
+)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
