@@ -36,8 +36,10 @@ position in the sorted union of component and boundary, coincide together
 with the component's own positions (relabeling keeps the order of ids, so
 smallest-id tie-breaking maps back); one byte-wise sort groups them, and
 min-fill runs once per structure.  A family gathers every member's tables of
-one structure and one set of domain sizes into one stack and folds it once,
-with at most ``STATE_LIMIT`` entries in its largest table.  The folds are
+one structure, one set of domain sizes and one set of the structure's
+hyperedges into one stack and folds it once onto the structure's whole
+boundary, skipping the hyperedges the members lack, with at most
+``STATE_LIMIT`` entries in its largest table.  The folds are
 summed per member and per boundary in ``plan.components`` order and split as
 stacks into a columnar potential per member, whose marginal is its
 restriction plus those innovations, summed per scope in that order.  Every
@@ -196,10 +198,13 @@ class EliminationPlan:
 
     A member of a family touches a subset of the plan's hyperedges, so the
     tables its fold of a component forms lie within these factor scopes.
+    ``_sizes`` groups each structure's (member, component) pairs by the
+    domain sizes at the local positions and by which of the structure's
+    hyperedges the member has; each group folds as one stack.
     """
 
     __slots__ = ("components", "boundaries", "largest_factor", "largest_split", "_rows",
-                 "_tables", "_comp", "_width", "_structures", "_sizes")
+                 "_tables", "_comp", "_structures", "_sizes")
 
     def __init__(self, members, a: VarSet):
         groups = [(m, g) for m, u in enumerate(members) for g in u._groups]
@@ -219,9 +224,9 @@ class EliminationPlan:
                                                                eliminated)
         self._comp = comp
         touch = np.flatnonzero(hub >= 0)
-        self._width = np.bincount(owner, minlength=len(size))
+        width = np.bincount(owner, minlength=len(size))
         self.components = _cut(inner.tolist(), size)
-        self.boundaries = dict(zip(self.components, _cut(bd.tolist(), self._width)))
+        self.boundaries = dict(zip(self.components, _cut(bd.tolist(), width)))
         if len(size) == 1:  # a lone component (see the class docstring)
             self._structures = self._lone(touch)
         else:
@@ -268,21 +273,30 @@ class EliminationPlan:
         return built
 
     def _sized(self, vars: Variables) -> tuple[list, int, int]:
-        """Per structure, its components grouped by the domain sizes at their
-        local positions, as (sizes, rows of the structure, entries of the
-        largest table the fold forms); the largest of those entries; and the
-        entries of the largest innovation split."""
+        """Per structure, its (member, component) pairs grouped by the domain
+        sizes at the local positions and by the structure's hyperedges the
+        member has, as (sizes, members, rows of the structure, present
+        columns, entries of the largest table the fold forms), members
+        ascending; the largest of those entries; and the entries of the
+        largest innovation split."""
         dom = np.array([len(d) for d in vars.domains])
+        has = self._tables[0] >= 0
         groups, largest, split = [], 1, 0
-        for _, _, factors, _, _, local in self._structures:
-            sizes = dom[local]
-            reps, which = _distinct(sizes)
+        for _, _, factors, _, edges, local in self._structures:
+            width = local.shape[1]
+            keys = np.empty((len(has), len(edges), width + edges.shape[1]), dtype=np.intp)
+            keys[..., :width], keys[..., width:] = dom[local], has[:, edges]
+            keys = keys.reshape(-1, keys.shape[2])
+            reps, which = _distinct(keys)
+            which = which.reshape(len(has), len(edges))
             groups.append([])
-            for j, row in enumerate(sizes[reps].tolist()):
+            for j, key in enumerate(keys[reps].tolist()):
+                row = key[:width]
                 entries = max(math.prod(row[p] for p in f) for f in factors)
                 largest = max(largest, entries)
                 split = max(split, math.prod(row[p] + 1 for p in factors[-1]) - 1)
-                groups[-1].append((tuple(row), np.flatnonzero(which == j), entries))
+                present = [p for p, x in enumerate(key[width:]) if x]
+                groups[-1].append((tuple(row), *np.nonzero(which == j), present, entries))
         return groups, largest, split
 
 
@@ -347,15 +361,17 @@ def _relabeled(scopes, order) -> tuple[tuple, tuple, VarSet]:
     return tuple(tuple(at[v] for v in s) for s in scopes), tuple(at[v] for v in order), local
 
 
-def _fold_stack(structure: tuple, stacks, batch: int) -> tuple[VarSet, np.ndarray]:
+def _fold_stack(structure: tuple, stacks, batch: int) -> np.ndarray:
     """Bucket elimination of ``batch`` folds of one local structure at once.
 
-    ``stacks[i]`` holds table i of every fold, stacked along a leading
-    axis.  The order's variables are summed out of exp(-sum of the tables)
-    one at a time, in log space; returns the local scope left over and
-    -ln of the sum on it, one entry of the leading axis per fold.
+    ``structure`` is (scopes, order, sizes, boundary), and ``stacks[i]``
+    holds the table on scope i of every fold, stacked along a leading axis.
+    The order's variables are summed out of exp(-sum of the tables) one at
+    a time, in log space; returns -ln of the sum on the structure's
+    ``boundary``, which holds every variable the scopes leave over, one
+    entry of the leading axis per fold.
     """
-    scopes, order, sizes = structure
+    scopes, order, sizes, boundary = structure
     pos = {v: k for k, v in enumerate(order)}
     buckets: list[list] = [[] for _ in order]
     rest: list = []
@@ -380,11 +396,10 @@ def _fold_stack(structure: tuple, stacks, batch: int) -> tuple[VarSet, np.ndarra
         low = energy.min(axis=ax, keepdims=True)
         folded = low - np.log(np.exp(low - energy).sum(axis=ax, keepdims=True))
         place(scope[:ax - 1] + scope[ax:], np.squeeze(folded, axis=ax))
-    bd = varset(chain.from_iterable(s for s, _ in rest))
-    total = np.full((batch,) + tuple(sizes[v] for v in bd), const)
+    total = np.full((batch,) + tuple(sizes[v] for v in boundary), const)
     for s, values in rest:
-        total += _aligned(values, s, bd)
-    return bd, total
+        total += _aligned(values, s, boundary)
+    return total
 
 
 def _gather(sources: list, src: np.ndarray, row: np.ndarray) -> list[np.ndarray]:
@@ -406,92 +421,57 @@ def _gather(sources: list, src: np.ndarray, row: np.ndarray) -> list[np.ndarray]
     return runs[0] if len(runs) == 1 else [np.concatenate(col) for col in zip(*runs)]
 
 
-def _fold_rows(structure: tuple, widest: int, sources: list, member, rank, local, src, row,
-               out: list) -> None:
-    """Fold the components whose tables are rows ``row[i]`` of the stacks
-    ``sources[src[i]]``, for every i, and append each member's folds to
-    ``out[member]``: (ranks, scopes, values) as in :func:`_component_folds`.
-    ``member`` is ascending; ``local`` holds the ids of the local positions
-    of ``structure``.  A stack holds at most ``STATE_LIMIT`` entries in its
-    largest table, ``widest`` entries per fold."""
-    step = max(1, STATE_LIMIT // widest)
-    for start in range(0, len(rank), step):
-        c = slice(start, start + step)
-        stacks = _gather(sources, src[c], row[c])
-        bd, total = _fold_stack(structure, stacks, len(rank[c]))
-        ids = local[c][:, list(bd)]
-        cuts = np.searchsorted(member[c], np.arange(len(out) + 1)).tolist()
-        for m, (s, e) in enumerate(zip(cuts, cuts[1:])):
-            if s < e:
-                out[m].append((rank[c][s:e], ids[s:e], total[s:e]))
-
-
 def _component_folds(members, plan: EliminationPlan) -> list[list]:
     """Per member of ``members`` (potentials on one registry), the folds of
     the components of ``plan`` with a non-empty boundary, as stacks: a list
     of (ranks, scopes, values), where row i of the (B, k) ``scopes`` array
-    and of the (B, *shape) ``values`` stack hold the scope and the -ln table
-    of the fold of ``plan.components[ranks[i]]``.
+    and of the (B, *shape) ``values`` stack hold the boundary and the -ln
+    table of the fold of ``plan.components[ranks[i]]``.
 
-    The components of one local structure and one set of domain sizes fold
-    as one stack across the family, gathered from the members' stacks by
-    the plan's hyperedge indices; each fold equals a fold of its component
-    on its own, table by table.  A component a member touches with only
-    some of the plan's hyperedges folds with the others of the same reduced
-    structure.  The plan must be built from ``members``.
+    The components of one local structure, one set of domain sizes and one
+    set of the structure's hyperedges fold as one stack across the family,
+    gathered from the members' stacks by the plan's hyperedge indices; a
+    member's fold skips the hyperedges it lacks and still lands on the
+    whole boundary.  Each fold equals a fold of its component on its own,
+    table by table.  A stack holds at most ``STATE_LIMIT`` entries in its
+    largest table.  The plan must be built from ``members``.
     """
-    vars = members[0].vars
     tables, rows = plan._tables
     sources = [g.values for u in members for g in u._groups]
     out: list[list] = [[] for _ in members]
-    reduced: dict[tuple, list] = {}
     for (scopes, order, factors, ranks, edges, local), groups in zip(plan._structures,
                                                                      plan._sizes):
         if not factors[-1]:
             continue  # constant factor, absorbed by normalization
-        for sizes, at, entries in groups:
-            src, row = tables[:, edges[at]], rows[:, edges[at]]
-            whole = (src >= 0).all(axis=2)
-            m, b = np.nonzero(whole)
-            _fold_rows((scopes, order, sizes), entries, sources, m, ranks[at][b], local[at][b],
-                       src[m, b], row[m, b], out)
-            for m, b in zip(*np.nonzero(~whole)):  # a member without some of the hyperedges
-                present = src[m, b] >= 0
-                *structure, ids = _relabeled(plan._scopes(edges[at][b][present]),
-                                             tuple(local[at][b][list(order)].tolist()))
-                reduced.setdefault((*structure, vars.sizes(ids)), []).append(
-                    (m, ranks[at][b], ids, src[m, b][present], row[m, b][present], entries))
-    for structure, items in reduced.items():
-        m, rank, ids, src, row, entries = zip(*sorted(items, key=lambda item: item[0]))
-        _fold_rows(structure, max(entries), sources, np.array(m), np.array(rank), np.array(ids),
-                   np.array(src, dtype=np.intp).reshape(len(m), -1),
-                   np.array(row, dtype=np.intp).reshape(len(m), -1), out)
+        for sizes, member, at, present, entries in groups:
+            structure = (tuple(scopes[p] for p in present), order, sizes, factors[-1])
+            cols = member[:, None], edges[at][:, present]
+            src, row, rank = tables[cols], rows[cols], ranks[at]
+            ids = local[at][:, list(factors[-1])]
+            step = max(1, STATE_LIMIT // entries)
+            for start in range(0, len(at), step):
+                c = slice(start, start + step)
+                total = _fold_stack(structure, _gather(sources, src[c], row[c]), len(rank[c]))
+                cuts = np.searchsorted(member[c], np.arange(len(out) + 1)).tolist()
+                for m, (s, e) in enumerate(zip(cuts, cuts[1:])):
+                    if s < e:
+                        out[m].append((rank[c][s:e], ids[c][s:e], total[s:e]))
     return out
 
 
-def _innovation_tables(u: Potential, plan: EliminationPlan, null_tol: float,
-                       folds: list) -> Potential:
-    """Innovations of ``u`` from its ``folds`` along ``plan`` (its entry of
-    :func:`_component_folds`; the boundaries may be wider than what ``u``
-    alone induces, e.g. when the plan is built for a family), as one
-    potential: a table per innovation scope, kept in stacks.
+def _innovation_tables(u: Potential, null_tol: float, folds: list) -> Potential:
+    """Innovations of ``u`` from its ``folds`` (its entry of
+    :func:`_component_folds`, every fold on its component's whole boundary,
+    which may be wider than what ``u`` alone induces when the plan is built
+    for a family), as one potential: a table per innovation scope, kept in
+    stacks.
 
     The folded tables are summed per boundary in ``plan.components`` order
-    and then split, so the result does not depend on how the folds were
-    stacked.
+    (their ranks) and then split, so the result does not depend on how the
+    folds were stacked.
     """
-    parts = []
-    for ranks, scopes, values in folds:
-        if (plan._width[ranks] == scopes.shape[1]).all():
-            parts += _anchored_parts(u.vars, scopes, values, ranks)
-            continue
-        # a member without some of the plan's tables can fold onto part of
-        # a boundary; such folds are broadcast to the whole boundary
-        for k, r in enumerate(ranks.tolist()):
-            d = plan.boundaries[plan.components[r]]
-            wide = _aligned(values[k], tuple(scopes[k].tolist()), d)
-            parts += _anchored_parts(u.vars, np.array([d]),
-                                     np.broadcast_to(wide, u.vars.sizes(d))[None], ranks[k:k + 1])
+    parts = [p for ranks, scopes, values in folds
+             for p in _anchored_parts(u.vars, scopes, values, ranks)]
     innovation = Potential._from_parts(u.vars, _split(_sum_parts(parts, zero_first=True)),
                                        null_tol)
     assert is_normalized(innovation)
@@ -506,7 +486,7 @@ def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]
     be normalized.
     """
     [u], _, plan = _checked_plan([u], a, null_tol)
-    innovation = _innovation_tables(u, plan, null_tol, _component_folds([u], plan)[0])
+    innovation = _innovation_tables(u, null_tol, _component_folds([u], plan)[0])
     return [Innovation(t.scope, t) for t in innovation.tables]
 
 
@@ -536,7 +516,7 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
 
     restrictions, innovation_potentials, marginals = [restrict(m, a) for m in clean], [], []
     for m, r, folds in zip(clean, restrictions, _component_folds(clean, plan)):
-        innovation = _innovation_tables(m, plan, null_tol, folds)
+        innovation = _innovation_tables(m, null_tol, folds)
         innovation_potentials.append(innovation)
         # a scope's restricted table (rank 0) comes before its innovation (rank 1)
         parts = r._parts(0) + innovation._parts(1)

@@ -432,20 +432,6 @@ def _anchored_differences(stack: np.ndarray, zero_positions: Sequence[int]) -> n
     return out
 
 
-@lru_cache(maxsize=256)
-def _off_anchor_counts(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> np.ndarray:
-    """Number of coordinates away from the anchor at each entry of a grid:
-    an entry has a coordinate at the anchor exactly when its count is below
-    the number of axes.  Read-only and cached, since a few shapes recur
-    across many tables."""
-    count = np.zeros(shape, dtype=np.uint8)
-    for ax, (n, z) in enumerate(zip(shape, zero_positions)):
-        off = np.arange(n) != z
-        count += off.reshape([n if k == ax else 1 for k in range(len(shape))])
-    count.setflags(write=False)
-    return count
-
-
 # Split plans of at most this many entries are cached, 32 at most (16 MiB of
 # indices); larger ones are built on each call.
 SPLIT_PLAN_CACHE_ENTRIES = 1 << 16
@@ -571,13 +557,14 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
 def is_normalized(u: Potential, tol: float = NORMALIZED_TOL) -> bool:
     """True iff every entry at an assignment with some coordinate 0 is 0 (within ``tol``).
 
-    One masked max per group.  Potentials are immutable, so the answer at
-    the default ``tol`` is computed once and remembered.
+    One max per group and axis, over the slice at the anchor.  Potentials
+    are immutable, so the answer at the default ``tol`` is computed once and
+    remembered.
     """
     if tol == NORMALIZED_TOL and u._normalized is not None:
         return u._normalized
-    ok = all(max_abs(g.values[:, _off_anchor_counts(g.values.shape[1:], g.zp) < len(g.zp)]) <= tol
-             for g in u._groups)
+    ok = all(max_abs(g.values.take(z, axis=ax)) <= tol
+             for g in u._groups for ax, z in enumerate(g.zp, start=1))
     if tol == NORMALIZED_TOL:
         u._normalized = ok
     return ok

@@ -291,6 +291,10 @@ def fixture_documents() -> dict[str, dict]:
         eq_members.append(chain_potential(
             a12, a23, a45, a56, a13=float(cancelling_pair_coupling(a12, a23))))
     cancelling = PotentialFamily(eq_members)
+    # member 2 without its V2-V3 table: the members' scopes differ
+    second = eq_members[1]
+    partial = PotentialFamily([eq_members[0], Potential(
+        second.vars, [t for t in second.tables if t.scope != (1, 2)])])
 
     return {
         "two_component_graph.json": graph_model_dict(v10, g10),
@@ -299,6 +303,7 @@ def fixture_documents() -> dict[str, dict]:
         "chain_potential.json": potential_model_dict(base),
         "chain_potential_chord.json": potential_model_dict(generic),
         "chain_potential_cancelling.json": family_model_dict(cancelling),
+        "chain_potential_partial_family.json": family_model_dict(partial),
         "grid_potential.json": potential_model_dict(grid_potential()),
         "damage_graph.json": graph_model_dict(dmg_vars, dmg_graph),
         "damage_gaussian.json": gaussian_model_dict(dmg_vars, damage_gaussian()),

@@ -230,9 +230,11 @@ def folded_component_by_loops(u: Potential, tau, bd) -> np.ndarray:
 def fold_tables(vars: Variables, tables, order) -> tuple[tuple[int, ...], np.ndarray]:
     """Sum the variables of ``order`` out of exp(-sum of ``tables``), one at
     a time and in log space, by the library's bucket elimination on a batch
-    of one.  Returns the scope left over and -ln of the sum on it."""
+    of one.  Returns the scope left over, the scopes' variables outside
+    ``order``, and -ln of the sum on it."""
     scopes, order, local = _relabeled([t.scope for t in tables], order)
-    bd, total = _fold_stack((scopes, order, vars.sizes(local)), [t.values[None] for t in tables], 1)
+    bd = tuple(p for p in range(len(local)) if p not in order)
+    total = _fold_stack((scopes, order, vars.sizes(local), bd), [t.values[None] for t in tables], 1)
     return tuple(local[p] for p in bd), total[0]
 
 
@@ -378,7 +380,7 @@ def report_sets_by_set_algebra(family, a, marginals, null_tol: float) -> dict:
     restricted = {e for e in edges if inside.issuperset(e)}
     innovation_scopes = set()
     for m, folds in zip(clean, _component_folds(clean, plan)):
-        innovation_scopes.update(t.scope for t in _innovation_tables(m, plan, null_tol, folds).tables)
+        innovation_scopes.update(t.scope for t in _innovation_tables(m, null_tol, folds).tables)
     present = {t.scope for m in marginals for t in m.tables if t.max_abs > null_tol}
     return {
         "marginal_hypergraph": present,

@@ -409,6 +409,9 @@ GOLDEN = {
         "check-collapsibility", "fixtures/chain_potential_cancelling.json", "--keep", "V1,V3,V5"],
     "chain_potential_cancelling.oracle-verify.json": [
         "oracle-verify", "fixtures/chain_potential_cancelling.json", "--keep", "V1,V3,V5"],
+    "chain_potential_partial_family.json": ["marginalize-hypergraph",
+                                            "fixtures/chain_potential_partial_family.json",
+                                            "--keep", "V1,V3,V5", "--emit-potential"],
 }
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 

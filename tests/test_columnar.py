@@ -208,7 +208,7 @@ class TestOrderedSums:
         [u], _, plan = _checked_plan([u], (0, 2, 4), NULL_TOL)
         [folds] = _component_folds([u], plan)
         assert len(folds) == 1
-        got = {t.scope: t.values for t in _innovation_tables(u, plan, NULL_TOL, folds).tables}
+        got = {t.scope: t.values for t in _innovation_tables(u, NULL_TOL, folds).tables}
         ref = innovations_by_components(u, plan, NULL_TOL)
         assert list(got) == list(ref) and (0, 2) in got and (2, 4) in got
         for scope, values in ref.items():
@@ -237,7 +237,7 @@ class TestWideScopes:
     def test_innovations_lists_the_innovation_potential(self):
         u, keep = grid_potential(), grid_retained()
         [u], _, plan = _checked_plan([u], keep, NULL_TOL)
-        tables = _innovation_tables(u, plan, NULL_TOL, _component_folds([u], plan)[0]).tables
+        tables = _innovation_tables(u, NULL_TOL, _component_folds([u], plan)[0]).tables
         got = innovations(u, keep)
         assert len(got) == len(tables) > 500
         for i, t in zip(got, tables):

@@ -9,10 +9,11 @@ import math
 import time
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from margraph import (
     STATE_LIMIT,
@@ -40,7 +41,6 @@ from margraph.hypergraph_marginal import (
 from margraph.potentials import (
     NULL_TOL,
     SPLIT_PLAN_CACHE_ENTRIES,
-    _off_anchor_counts,
     _scope_rows,
     _split_plan,
 )
@@ -56,7 +56,6 @@ from helpers import (
     innovations_by_components,
     orders,
     report_sets_by_set_algebra,
-    zero_coord_mask,
 )
 
 FOLD_TOL = 1e-12
@@ -110,7 +109,7 @@ def _folds_by_component(members, plan: EliminationPlan) -> list[dict]:
 
 def _innovations(members, plan: EliminationPlan) -> list[dict]:
     """The innovation tables of each of ``members``, folded together."""
-    return [{t.scope: t.values for t in _innovation_tables(m, plan, NULL_TOL, folds).tables}
+    return [{t.scope: t.values for t in _innovation_tables(m, NULL_TOL, folds).tables}
             for m, folds in zip(members, _component_folds(members, plan))]
 
 
@@ -250,10 +249,31 @@ class TestStackedFolds:
         for member, folds in zip(family, _folds_by_component(family.members, plan)):
             assert list(folds) == [tau for tau in plan.components if plan.boundaries[tau]]
             for tau, (scope, values) in folds.items():
+                # every fold lies on the plan's boundary; a member without
+                # some of the tables folds onto part of it, broadcast
                 ref = component_potential(member, tau, plan)
-                assert scope == ref.scope
-                assert values.shape == ref.values.shape
-                assert values.tobytes() == ref.values.tobytes()
+                d = plan.boundaries[tau]
+                sizes = dict(zip(ref.scope, ref.values.shape))
+                wide = np.broadcast_to(ref.values.reshape([sizes.get(v, 1) for v in d]),
+                                       member.vars.sizes(d))
+                assert scope == d
+                assert values.shape == wide.shape
+                assert values.tobytes() == wide.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(block_families())
+    def test_members_without_some_tables_fold_through_the_plan_structures(self, case):
+        # no structure is rebuilt for a member that lacks some hyperedges
+        family, keep = case
+        plan = EliminationPlan(family.members, keep)
+        has = plan._tables[0] >= 0
+        assume(any(not has[:, edges].all() for *_, edges, _ in plan._structures))
+        with mock.patch.object(hypergraph_marginal, "_relabeled", side_effect=AssertionError):
+            folds = _component_folds(family.members, plan)
+        for stacks in folds:
+            for ranks, scopes, _ in stacks:
+                for r, scope in zip(ranks.tolist(), scopes.tolist()):
+                    assert tuple(scope) == plan.boundaries[plan.components[r]]
 
     @settings(max_examples=60, deadline=None)
     @given(block_families())
@@ -309,6 +329,12 @@ class TestStackedFolds:
         family = [u, negated, u]
         _component_folds(family, EliminationPlan(family, varset(range(0, n, 3))))
         assert batches == [30]
+        # a member without the singleton tables folds its ten in a stack of its own
+        pairs = Potential(u.vars, [t for t in u.tables if len(t.scope) == 2])
+        batches.clear()
+        family = [u, negated, pairs]
+        _component_folds(family, EliminationPlan(family, varset(range(0, n, 3))))
+        assert sorted(batches) == [10, 20]
 
 
 class TestMarginalAgainstOracle:
@@ -568,16 +594,3 @@ class TestResourceGuard:
             _split_plan.cache_clear()
             marginalize_hypergraph(_hub_potential(width), tuple(range(1, width + 1)))
             assert _split_plan.cache_info().currsize == kept
-
-
-@given(st.lists(st.integers(2, 4), min_size=1, max_size=5), st.data())
-def test_masks_from_the_support_array_match_zero_coord_mask(sizes, data):
-    shape = tuple(sizes)
-    zp = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
-    count = _off_anchor_counts(shape, zp)
-    assert np.array_equal(count < len(shape), zero_coord_mask(shape, zp))
-    for k in range(1, len(shape) + 1):
-        for sub in combinations(range(len(shape)), k):
-            idx = tuple(slice(None) if ax in sub else zp[ax] for ax in range(len(shape)))
-            expected = zero_coord_mask(tuple(shape[ax] for ax in sub), tuple(zp[ax] for ax in sub))
-            assert np.array_equal(count[idx] < k, expected)
