@@ -8,7 +8,9 @@ subsets of the boundaries.  The marginal potential is the restriction of
 the original to A plus the innovations; reading off which scopes survive
 (per family member) yields the marginal hypergraph together with the sets
 that appear, disappear, or persist, and settles graphical and parametric
-collapsibility.
+collapsibility.  The two graphs the report compares, the marginal's and the
+model's on A, come from scope arrays: each pair of ids becomes one integer
+code, and one sort finds the distinct ones.
 
 One :class:`EliminationPlan` per call, built whole from the members'
 scopes, fixes the components, their boundaries, an elimination order inside
@@ -52,6 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -69,12 +72,12 @@ from .potentials import (
     _anchored_parts,
     _distinct,
     _drop_null,
+    _readonly,
     _scope_rows,
     _split,
     _sum_parts,
     hypergraph_of,
     induced_graph,
-    is_normalized,
     require_normalized,
     restrict,
 )
@@ -459,6 +462,28 @@ def _component_folds(members, plan: EliminationPlan) -> list[list]:
     return out
 
 
+@lru_cache(maxsize=64)
+def _pair_weights(width: int, n: int) -> np.ndarray:
+    """The (width, pairs) matrix taking a row of ``width`` ids below ``n`` to
+    the code left * n + right of each pair of its entries, left before right."""
+    left, right = np.triu_indices(width, 1)
+    column = np.arange(width)[:, None]
+    return _readonly((column == left) * n + (column == right), np.intp)
+
+
+def _pair_graph(a: VarSet, n: int, rows: list) -> Graph:
+    """The graph on ``a`` joining every two entries of a row of one of
+    ``rows``, (B, r) arrays of ids below ``n``, ascending along each row.
+    One product per array codes the pairs, and one sort finds the distinct
+    codes, so no tuple is made for a pair that repeats."""
+    codes = [(r @ _pair_weights(r.shape[1], n)).ravel() for r in rows if r.shape[1] > 1 and len(r)]
+    if not codes:
+        return Graph._of(a, frozenset())
+    codes = np.sort(np.concatenate(codes))
+    last = codes[:-1][codes[1:] != codes[:-1]].tolist() + codes[-1:].tolist()  # last of each run
+    return Graph._of(a, frozenset(divmod(c, n) for c in last))
+
+
 def _innovation_tables(u: Potential, null_tol: float, folds: list) -> Potential:
     """Innovations of ``u`` from its ``folds`` (its entry of
     :func:`_component_folds`, every fold on its component's whole boundary,
@@ -468,14 +493,12 @@ def _innovation_tables(u: Potential, null_tol: float, folds: list) -> Potential:
 
     The folded tables are summed per boundary in ``plan.components`` order
     (their ranks) and then split, so the result does not depend on how the
-    folds were stacked.
+    folds were stacked.  The split makes every innovation normalized; a
+    property test checks :func:`~margraph.potentials.is_normalized` on it.
     """
     parts = [p for ranks, scopes, values in folds
              for p in _anchored_parts(u.vars, scopes, values, ranks)]
-    innovation = Potential._from_parts(u.vars, _split(_sum_parts(parts, zero_first=True)),
-                                       null_tol)
-    assert is_normalized(innovation)
-    return innovation
+    return Potential._from_parts(u.vars, _split(_sum_parts(parts, zero_first=True)), null_tol)
 
 
 def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]:
@@ -508,11 +531,13 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
         fam = PotentialFamily([fam])
     vars = fam.vars
     clean, a, plan = _checked_plan(fam.members, a, null_tol)
-    # the model's graph on ``a`` joins the retained variables of each hyperedge
-    rows, inside = plan._rows, set(a)
-    shared = ((plan._comp[rows] < 0) & (rows >= 0)).sum(axis=1) >= 2
-    model_subgraph = induced_graph(Hypergraph._of(
-        tuple(v for v in e if v in inside) for e in plan._scopes(shared)), a)
+    # the model's graph on ``a`` joins the retained ids of each hyperedge,
+    # read from the hyperedges with k of them, for each k
+    rows, n = plan._rows, len(vars)
+    kept = (plan._comp[rows] < 0) & (rows >= 0)
+    count = kept.sum(axis=1)
+    model_subgraph = _pair_graph(a, n, [rows[count == k][kept[count == k]].reshape(-1, k)
+                                        for k in range(2, rows.shape[1] + 1)])
 
     restrictions, innovation_potentials, marginals = [restrict(m, a) for m in clean], [], []
     for m, r, folds in zip(clean, restrictions, _component_folds(clean, plan)):
@@ -528,7 +553,8 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     present, restricted = marginal_hypergraph._set, hypergraph_of(restrictions, null_tol)._set
     assert present <= restricted | innovation_scopes._set
 
-    marginal_graph = induced_graph(marginal_hypergraph, a)
+    # the marginals hold no null rows (``Potential._from_parts`` dropped them)
+    marginal_graph = _pair_graph(a, n, [g.scopes for m in marginals for g in m._groups])
     return MarginalReport(
         retained=a,
         marginal_family=PotentialFamily(marginals),

@@ -394,7 +394,7 @@ def _sum_parts(parts, zero_first: bool = False) -> list:
     for (_, zp), items in like.items():
         scopes, values, rank = (np.concatenate(x) if len(x) > 1 else x[0] for x in zip(*items))
         order = np.lexsort((rank, *scopes.T[::-1]))
-        if (order[1:] < order[:-1]).any():  # a split of one row comes in order
+        if (order[1:] < order[:-1]).any():  # rows in order are not copied
             scopes, values, rank = scopes[order], values[order], rank[order]
         start = np.ones(len(rank), dtype=bool)
         start[1:] = (scopes[1:] != scopes[:-1]).any(axis=1)
@@ -471,7 +471,8 @@ def _split(parts) -> list:
 
     Each part takes one transform and then one gather per group of
     sub-scopes that share a sub-shape and sub-anchors (:func:`_split_plan`),
-    which yields one part.
+    which yields one part.  The pieces of a lone row need no sum: each
+    group's sub-scopes are distinct and come in lexicographic order.
     """
     pieces = []
     for zp, scopes, values, rank in parts:
@@ -482,7 +483,7 @@ def _split(parts) -> list:
         for sub_zp, axes, idx in (_split_plan if small else _split_plan.__wrapped__)(shape, zp):
             pieces.append((sub_zp, scopes[:, axes].reshape(-1, axes.shape[1]),
                            flat[:, idx].reshape((-1,) + idx.shape[1:]), np.repeat(rank, len(axes))))
-    return _sum_parts(pieces)
+    return pieces if len(parts) == 1 and len(parts[0][3]) == 1 else _sum_parts(pieces)
 
 
 # ---------------------------------------------------------------------------

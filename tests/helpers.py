@@ -16,6 +16,7 @@ import numpy as np
 from margraph import (
     GaussianModel,
     Graph,
+    Hypergraph,
     InteractionTable,
     InvalidInputError,
     Potential,
@@ -391,6 +392,16 @@ def report_sets_by_set_algebra(family, a, marginals, null_tol: float) -> dict:
         "model_subgraph": {p for e in edges for p in combinations([v for v in e if v in inside], 2)},
         "marginal_graph": {p for s in present for p in combinations(s, 2)},
     }
+
+
+def model_subgraph_by_tuples(plan, a) -> Graph:
+    """The model's graph on ``a`` from tuples: the retained ids of each
+    hyperedge of ``plan`` that holds two or more of them, as a hypergraph,
+    and the graph :func:`induced_graph` joins from it."""
+    rows, inside = plan._rows, set(a)
+    shared = ((plan._comp[rows] < 0) & (rows >= 0)).sum(axis=1) >= 2
+    return induced_graph(Hypergraph(tuple(v for v in e if v in inside)
+                                    for e in plan._scopes(shared)), a)
 
 
 def edges(plan) -> tuple:

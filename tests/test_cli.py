@@ -389,8 +389,8 @@ def test_a_non_finite_or_negative_tolerance_exits_2(capsys, command, value):
 # tests/golden/NAME holds the stdout of ``python -m margraph.cli ARGV`` run
 # from the repository root; these bytes pin the output across commits.  The
 # Gaussian files take DAMAGE_KEEP (see test_gaussian_stdout_matches_golden);
-# the others, the commands below, as README lists them, plus the 4 x 5 grid,
-# whose ten-variable boundary splits into 1 023 sub-scopes.
+# the others, the commands below, as README lists them, plus the 4 x 5 grid
+# in both formats, whose ten-variable boundary splits into 1 023 sub-scopes.
 GOLDEN = {
     "two_chains_graph.json": ["marginalize-graph", "fixtures/two_chains_graph.json",
                               "--keep", "V1,V3,V5"],
@@ -402,6 +402,9 @@ GOLDEN = {
                             "--keep", "V1,V3,V5", "--emit-potential", "--format", "dot"],
     "grid_potential.json": ["marginalize-hypergraph", "fixtures/grid_potential.json",
                             "--keep", "V1,V2,V3,V4,V5,V16,V17,V18,V19,V20", "--emit-potential"],
+    "grid_potential.dot": ["marginalize-hypergraph", "fixtures/grid_potential.json",
+                           "--keep", "V1,V2,V3,V4,V5,V16,V17,V18,V19,V20", "--emit-potential",
+                           "--format", "dot"],
     "chain_potential_cancelling.json": ["marginalize-hypergraph",
                                         "fixtures/chain_potential_cancelling.json",
                                         "--keep", "V1,V3,V5", "--emit-potential"],

@@ -34,7 +34,7 @@ from margraph.hypergraph_marginal import (
     _innovation_tables,
     innovations,
 )
-from margraph.potentials import NORMALIZED_TOL, _drop_null, _sum_parts
+from margraph.potentials import NORMALIZED_TOL, _drop_null, _split, _sum_parts
 
 from fixture_models import grid_potential, grid_retained
 from helpers import (
@@ -181,6 +181,22 @@ class TestOrderedSums:
         single = ((0,), np.array([[3]]), np.array([[-0.0]]), np.array([0]))
         assert np.signbit(_sum_parts([single])[0][2][0, 0])
         assert not np.signbit(_sum_parts([single], zero_first=True)[0][2][0, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(columnar_potentials(max_vars=8, width=(1, 8)), st.integers(0, 5))
+    def test_the_pieces_of_a_lone_row_are_their_own_sum(self, u, rank):
+        # a split of one row returns its pieces unsummed: one row per
+        # sub-scope, in lexicographic order, as the sum would return them
+        g = u._groups[0]
+        pieces = _split([(g.zp, g.scopes[:1], g.values[:1], np.array([rank]))])
+        summed = _sum_parts(pieces)
+        assert len(pieces) == len(summed)
+        for (zp, scopes, values, ranks), (zp2, scopes2, values2, ranks2) in zip(pieces, summed):
+            assert zp == zp2
+            assert scopes.tolist() == scopes2.tolist()
+            assert ranks.tolist() == ranks2.tolist()
+            assert values.shape == values2.shape
+            assert values.tobytes() == values2.tobytes()
 
     def test_pieces_add_in_table_order_across_groups(self):
         # (2,) takes three pieces from tables in two groups; table order

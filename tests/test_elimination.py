@@ -24,7 +24,9 @@ from margraph import (
     Variables,
     energy_grid,
     hypergraph_of,
+    induced_graph,
     innovations,
+    is_normalized,
     joint_table,
     marginal_table,
     marginalize_hypergraph,
@@ -34,17 +36,20 @@ from margraph import (
 from margraph import hypergraph_marginal
 from margraph.hypergraph_marginal import (
     EliminationPlan,
+    _checked_plan,
     _component_folds,
     _innovation_tables,
     _min_fill_order,
 )
 from margraph.potentials import (
+    NORMALIZED_TOL,
     NULL_TOL,
     SPLIT_PLAN_CACHE_ENTRIES,
     _scope_rows,
     _split_plan,
 )
 
+from fixture_models import grid_potential, grid_retained
 from helpers import (
     ReferencePlan,
     binary_vars,
@@ -54,6 +59,8 @@ from helpers import (
     factors,
     fold_tables,
     innovations_by_components,
+    is_normalized_by_tables,
+    model_subgraph_by_tuples,
     orders,
     report_sets_by_set_algebra,
 )
@@ -286,6 +293,18 @@ class TestStackedFolds:
             for scope, values in ref.items():
                 assert got[scope].tobytes() == values.tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(plan_cases)
+    def test_every_innovation_potential_is_normalized(self, case):
+        # the split makes normalized pieces; this holds it for the engine,
+        # which does not check it on each call
+        family, keep = case
+        clean, _, plan = _checked_plan(family.members, keep, NULL_TOL)
+        for member, folds in zip(clean, _component_folds(clean, plan)):
+            innovation = _innovation_tables(member, NULL_TOL, folds)
+            assert is_normalized(innovation)
+            assert is_normalized_by_tables(innovation, NORMALIZED_TOL)
+
     def test_folds_of_one_boundary_sum_in_plan_order_across_stacks(self):
         # five components hang off the retained vertex 0: leaves 1, 4, 7 and
         # two-variable chains 2-3 and 5-6, so the sum onto (0,) interleaves
@@ -465,6 +484,33 @@ class TestPlan:
             assert graph.vertices == varset(keep) and graph.edges == ref[name], name
         assert rep.graphically_collapsible == (ref["model_subgraph"] == ref["marginal_graph"])
         assert rep.parametrically_collapsible == (not ref["innovation_scopes"])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(plan_cases, null_table_families()))
+    def test_report_graphs_match_the_tuple_constructions(self, case):
+        # the report codes pairs of ids in arrays; the oracles build tuples
+        family, keep = case
+        rep = marginalize_hypergraph(family, keep)
+        _, a, plan = _checked_plan(family.members, keep, NULL_TOL)
+        assert rep.marginal_graph() == induced_graph(rep.marginal_hypergraph, a)
+        assert rep.model_subgraph == model_subgraph_by_tuples(plan, a)
+
+    def test_report_graphs_of_wide_hyperedges_match_the_tuple_constructions(self):
+        # the grid's marginal hyperedges hold 1-8 of its ten boundary
+        # variables; a pure three-way table joins 0, 1 and 2 in the model's
+        # graph with no pair table beside it
+        three = np.zeros((2, 2, 2))
+        three[1, 1, 1] = 0.8
+        three_way = Potential(binary_vars(4), [
+            InteractionTable((0, 1, 2), three),
+            InteractionTable((2, 3), np.array([[0.0, 0.0], [0.0, 1.0]]))])
+        for u, keep, sizes in ((grid_potential(), grid_retained(), (8, 45)),
+                               (three_way, (0, 1, 2), (3, 3))):
+            rep = marginalize_hypergraph(u, keep)
+            _, a, plan = _checked_plan([u], keep, NULL_TOL)
+            assert (len(rep.model_subgraph.edges), len(rep.marginal_graph().edges)) == sizes
+            assert rep.marginal_graph() == induced_graph(rep.marginal_hypergraph, a)
+            assert rep.model_subgraph == model_subgraph_by_tuples(plan, a)
 
     def test_untouched_variables_are_their_own_components(self):
         u = Potential(binary_vars(3), [InteractionTable((0, 1), np.array([[0.0, 0.0], [0.0, 1.0]]))])
