@@ -37,7 +37,8 @@ share a local structure when their touching hyperedges, relabeled by
 position in the sorted union of component and boundary, coincide together
 with the component's own positions (relabeling keeps the order of ids, so
 smallest-id tie-breaking maps back); one byte-wise sort groups them, and
-min-fill runs once per structure.  A family gathers every member's tables of
+min-fill runs once per distinct local structure per process, together with
+its bucket schedule.  A family gathers every member's tables of
 one structure, one set of domain sizes and one set of the structure's
 hyperedges into one stack and folds it once onto the structure's whole
 boundary, skipping the hyperedges the members lack, with at most
@@ -68,7 +69,6 @@ from .potentials import (
     InteractionTable,
     Potential,
     PotentialFamily,
-    _aligned,
     _anchored_parts,
     _distinct,
     _drop_null,
@@ -182,8 +182,8 @@ class EliminationPlan:
       member, and their ``boundaries`` in that graph (see the module docstring);
     - ``_structures``: per local structure, its relabeled hyperedges, a
       greedy min-fill elimination order (ties to the smallest id) and the
-      scope of every product factor the fold forms along it, computed once
-      per structure; with a row per component, the ranks of its components
+      scope of every product factor the fold forms along it, from
+      :func:`_ordered`; with a row per component, the ranks of its components
       in ``components``, the indices of their touching hyperedges (the
       rows the folds gather) and their local variables;
     - ``largest_factor``, the entries of the largest table the folds form,
@@ -203,7 +203,8 @@ class EliminationPlan:
     tables its fold of a component forms lie within these factor scopes.
     ``_sizes`` groups each structure's (member, component) pairs by the
     domain sizes at the local positions and by which of the structure's
-    hyperedges the member has; each group folds as one stack.
+    hyperedges the member has; each group folds as one stack along its
+    :func:`_schedule`.
     """
 
     __slots__ = ("components", "boundaries", "largest_factor", "largest_split", "_rows",
@@ -244,8 +245,8 @@ class EliminationPlan:
 
     def _lone(self, touch) -> list[tuple]:
         scopes, tau, local = _relabeled(self._scopes(touch), self.components[0])
-        return [_structure(scopes, tau, len(local), np.zeros(1, dtype=np.intp), touch[None],
-                           np.array([local]))]
+        return [(scopes, *_ordered(scopes, tau), np.zeros(1, dtype=np.intp), touch[None],
+                 np.array([local]))]
 
     def _group(self, touch, owner, inner, bound) -> list[tuple]:
         n, count, comp = len(self._comp) - 1, len(self.components), self._comp
@@ -271,21 +272,21 @@ class EliminationPlan:
                 scopes = tuple(tuple(p for p in row if p >= 0)
                                for row in relabeled[edges[rep]].tolist())
                 at = which == i
-                built.append(_structure(scopes, tuple(np.flatnonzero(inside[rep]).tolist()), width,
-                                        cs[at], touch[edges[at]], pos[at]))
+                tau = tuple(np.flatnonzero(inside[rep]).tolist())
+                built.append((scopes, *_ordered(scopes, tau), cs[at], touch[edges[at]], pos[at]))
         return built
 
     def _sized(self, vars: Variables) -> tuple[list, int, int]:
         """Per structure, its (member, component) pairs grouped by the domain
         sizes at the local positions and by the structure's hyperedges the
-        member has, as (sizes, members, rows of the structure, present
-        columns, entries of the largest table the fold forms), members
-        ascending; the largest of those entries; and the entries of the
-        largest innovation split."""
+        member has, as (the fold's :func:`_schedule`, None for an empty
+        boundary; members, rows of the structure, present columns, entries
+        of the largest table the fold forms), members ascending; the largest
+        of those entries; and the entries of the largest innovation split."""
         dom = np.array([len(d) for d in vars.domains])
         has = self._tables[0] >= 0
         groups, largest, split = [], 1, 0
-        for _, _, factors, _, edges, local in self._structures:
+        for scopes, order, factors, _, edges, local in self._structures:
             width = local.shape[1]
             keys = np.empty((len(has), len(edges), width + edges.shape[1]), dtype=np.intp)
             keys[..., :width], keys[..., width:] = dom[local], has[:, edges]
@@ -299,16 +300,20 @@ class EliminationPlan:
                 largest = max(largest, entries)
                 split = max(split, math.prod(row[p] + 1 for p in factors[-1]) - 1)
                 present = [p for p, x in enumerate(key[width:]) if x]
-                groups[-1].append((tuple(row), *np.nonzero(which == j), present, entries))
+                schedule = _schedule(tuple(scopes[p] for p in present), order, tuple(row),
+                                     factors[-1]) if factors[-1] else None
+                groups[-1].append((schedule, *np.nonzero(which == j), present, entries))
         return groups, largest, split
 
 
-def _structure(scopes: tuple, tau: VarSet, width: int, ranks, edges, local) -> tuple:
-    """A local structure with its min-fill order, as :attr:`EliminationPlan._structures`
-    holds it; ``tau`` holds the positions of the component among ``width``."""
+@lru_cache(maxsize=64)
+def _ordered(scopes: tuple, tau: VarSet) -> tuple:
+    """The min-fill order of the local structure with hyperedges ``scopes``
+    and component ``tau`` (positions), and the scope of every factor its
+    fold forms followed by its boundary, the positions outside ``tau``;
+    kept per distinct structure, as tuples, for the process."""
     order, factors = _min_fill_order(scopes, tau)
-    boundary = tuple(p for p in range(width) if p not in tau)
-    return scopes, order, tuple(factors) + (boundary,), ranks, edges, local
+    return order, tuple(factors) + (varset(set(chain(*scopes)).difference(tau)),)
 
 
 def _cut(flat: list, sizes: np.ndarray) -> tuple[VarSet, ...]:
@@ -364,44 +369,63 @@ def _relabeled(scopes, order) -> tuple[tuple, tuple, VarSet]:
     return tuple(tuple(at[v] for v in s) for s in scopes), tuple(at[v] for v in order), local
 
 
-def _fold_stack(structure: tuple, stacks, batch: int) -> np.ndarray:
-    """Bucket elimination of ``batch`` folds of one local structure at once.
-
-    ``structure`` is (scopes, order, sizes, boundary), and ``stacks[i]``
-    holds the table on scope i of every fold, stacked along a leading axis.
-    The order's variables are summed out of exp(-sum of the tables) one at
-    a time, in log space; returns -ln of the sum on the structure's
-    ``boundary``, which holds every variable the scopes leave over, one
-    entry of the leading axis per fold.
-    """
-    scopes, order, sizes, boundary = structure
+@lru_cache(maxsize=64)
+def _schedule(scopes: tuple, order: VarSet, sizes: tuple, boundary: VarSet) -> tuple:
+    """The bucket schedule of a fold of ``scopes`` along ``order`` onto
+    ``boundary`` (``sizes`` holds the domain size at each position), kept
+    per distinct key, as tuples, for the process: per variable of ``order``
+    some factor holds, the slots it sums (input i in slot i, each step's
+    fold in the next slot), the shape each takes and the summed axis; the
+    slots left on ``boundary`` and their shapes there; the constant
+    -ln|dom v| of the variables no factor holds; and the boundary's shape."""
     pos = {v: k for k, v in enumerate(order)}
     buckets: list[list] = [[] for _ in order]
     rest: list = []
+    held: list = []  # the scope of each slot
 
-    def place(scope: VarSet, values: np.ndarray) -> None:
+    def place(scope: VarSet) -> None:
         first = min((pos[v] for v in scope if v in pos), default=None)
-        (rest if first is None else buckets[first]).append((scope, values))
+        (rest if first is None else buckets[first]).append(len(held))
+        held.append(scope)
 
-    for scope, values in zip(scopes, stacks):
-        place(scope, values)
-    const = 0.0
+    def shapes(slots, scope: VarSet) -> tuple:
+        return tuple(tuple(sizes[x] if x in held[k] else 1 for x in scope) for k in slots)
+
+    for scope in scopes:
+        place(scope)
+    steps, const = [], 0.0
     for v, bucket in zip(order, buckets):
         if not bucket:  # no factor contains v: it only multiplies the sum
             const -= math.log(sizes[v])
             continue
-        scope = varset(chain.from_iterable(s for s, _ in bucket))
+        scope = varset(chain.from_iterable(held[k] for k in bucket))
+        ax = scope.index(v)
+        steps.append((tuple(bucket), shapes(bucket, scope), ax + 1))
+        place(scope[:ax] + scope[ax + 1:])
+    return (tuple(steps), tuple(zip(rest, shapes(rest, boundary))), const,
+            tuple(sizes[v] for v in boundary))
+
+
+def _fold_stack(schedule: tuple, stacks, batch: int) -> np.ndarray:
+    """Bucket elimination of ``batch`` folds of one local structure at once,
+    along its :func:`_schedule`.
+
+    ``stacks[i]`` holds the table on scope i of every fold, stacked along a
+    leading axis.  The order's variables are summed out of exp(-sum of the
+    tables) one at a time, in log space; returns -ln of the sum on the
+    boundary, one entry of the leading axis per fold.
+    """
+    steps, rest, const, shape = schedule
+    values = list(stacks)
+    for slots, shapes, ax in steps:
         energy = 0  # as sum() starts, so -0.0 entries become 0.0
-        for s, values in bucket:
-            energy = energy + values.reshape(
-                (batch,) + tuple(sizes[x] if x in s else 1 for x in scope))
-        ax = scope.index(v) + 1
+        for k, s in zip(slots, shapes):
+            energy = energy + values[k].reshape((batch,) + s)
         low = energy.min(axis=ax, keepdims=True)
-        folded = low - np.log(np.exp(low - energy).sum(axis=ax, keepdims=True))
-        place(scope[:ax - 1] + scope[ax:], np.squeeze(folded, axis=ax))
-    total = np.full((batch,) + tuple(sizes[v] for v in boundary), const)
-    for s, values in rest:
-        total += _aligned(values, s, boundary)
+        values.append(low - np.log(np.exp(low - energy).sum(axis=ax, keepdims=True)))
+    total = np.full((batch,) + shape, const)
+    for k, s in rest:
+        total += values[k].reshape((batch,) + s)
     return total
 
 
@@ -442,19 +466,17 @@ def _component_folds(members, plan: EliminationPlan) -> list[list]:
     tables, rows = plan._tables
     sources = [g.values for u in members for g in u._groups]
     out: list[list] = [[] for _ in members]
-    for (scopes, order, factors, ranks, edges, local), groups in zip(plan._structures,
-                                                                     plan._sizes):
+    for (_, _, factors, ranks, edges, local), groups in zip(plan._structures, plan._sizes):
         if not factors[-1]:
             continue  # constant factor, absorbed by normalization
-        for sizes, member, at, present, entries in groups:
-            structure = (tuple(scopes[p] for p in present), order, sizes, factors[-1])
+        for schedule, member, at, present, entries in groups:
             cols = member[:, None], edges[at][:, present]
             src, row, rank = tables[cols], rows[cols], ranks[at]
             ids = local[at][:, list(factors[-1])]
             step = max(1, STATE_LIMIT // entries)
             for start in range(0, len(at), step):
                 c = slice(start, start + step)
-                total = _fold_stack(structure, _gather(sources, src[c], row[c]), len(rank[c]))
+                total = _fold_stack(schedule, _gather(sources, src[c], row[c]), len(rank[c]))
                 cuts = np.searchsorted(member[c], np.arange(len(out) + 1)).tolist()
                 for m, (s, e) in enumerate(zip(cuts, cuts[1:])):
                     if s < e:
@@ -551,7 +573,6 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     marginal_hypergraph = hypergraph_of(marginals, null_tol)
     innovation_scopes = hypergraph_of(innovation_potentials, null_tol)
     present, restricted = marginal_hypergraph._set, hypergraph_of(restrictions, null_tol)._set
-    assert present <= restricted | innovation_scopes._set
 
     # the marginals hold no null rows (``Potential._from_parts`` dropped them)
     marginal_graph = _pair_graph(a, n, [g.scopes for m in marginals for g in m._groups])

@@ -38,6 +38,7 @@ from margraph.hypergraph_marginal import (
     _innovation_tables,
     _min_fill_order,
     _relabeled,
+    _schedule,
 )
 
 
@@ -235,7 +236,8 @@ def fold_tables(vars: Variables, tables, order) -> tuple[tuple[int, ...], np.nda
     ``order``, and -ln of the sum on it."""
     scopes, order, local = _relabeled([t.scope for t in tables], order)
     bd = tuple(p for p in range(len(local)) if p not in order)
-    total = _fold_stack((scopes, order, vars.sizes(local), bd), [t.values[None] for t in tables], 1)
+    schedule = _schedule(scopes, order, vars.sizes(local), bd)
+    total = _fold_stack(schedule, [t.values[None] for t in tables], 1)
     return tuple(local[p] for p in bd), total[0]
 
 

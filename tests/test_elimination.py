@@ -40,6 +40,8 @@ from margraph.hypergraph_marginal import (
     _component_folds,
     _innovation_tables,
     _min_fill_order,
+    _ordered,
+    _schedule,
 )
 from margraph.potentials import (
     NORMALIZED_TOL,
@@ -335,9 +337,9 @@ class TestStackedFolds:
         batches = []
         fold_stack = hypergraph_marginal._fold_stack
 
-        def counting(structure, stacks, batch):
+        def counting(schedule, stacks, batch):
             batches.append(batch)
-            return fold_stack(structure, stacks, batch)
+            return fold_stack(schedule, stacks, batch)
 
         monkeypatch.setattr(hypergraph_marginal, "_fold_stack", counting)
         _component_folds([u], plan)
@@ -484,6 +486,9 @@ class TestPlan:
             assert graph.vertices == varset(keep) and graph.edges == ref[name], name
         assert rep.graphically_collapsible == (ref["model_subgraph"] == ref["marginal_graph"])
         assert rep.parametrically_collapsible == (not ref["innovation_scopes"])
+        # every marginal scope is a restricted scope or an innovation scope
+        restricted = set(rep.kept.edges) | set(rep.removed.edges)
+        assert set(rep.marginal_hypergraph.edges) <= restricted | set(rep.innovation_scopes.edges)
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(plan_cases, null_table_families()))
@@ -602,9 +607,9 @@ class TestResourceGuard:
         batches = []
         fold_stack = hypergraph_marginal._fold_stack
 
-        def counting(structure, stacks, batch):
+        def counting(schedule, stacks, batch):
             batches.append(batch)
-            return fold_stack(structure, stacks, batch)
+            return fold_stack(schedule, stacks, batch)
 
         monkeypatch.setattr(hypergraph_marginal, "_fold_stack", counting)
         [folds] = _folds_by_component([u], plan)
@@ -640,3 +645,91 @@ class TestResourceGuard:
             _split_plan.cache_clear()
             marginalize_hypergraph(_hub_potential(width), tuple(range(1, width + 1)))
             assert _split_plan.cache_info().currsize == kept
+
+
+def _report_bytes(rep) -> tuple:
+    """Every table of a report, as bytes, with its hypergraphs and graphs."""
+    tables = [(t.scope, t.values.tobytes()) for m in rep.marginal_family for t in m.tables]
+    hypergraphs = [getattr(rep, name).edges for name in (
+        "marginal_hypergraph", "added", "removed", "kept", "innovation_scopes")]
+    return tables, hypergraphs, rep.model_subgraph, rep.marginal_graph()
+
+
+def _frozen(value) -> bool:
+    """Whether ``value`` is built of tuples, ints and floats alone."""
+    if isinstance(value, tuple):
+        return all(_frozen(x) for x in value)
+    return isinstance(value, (int, float))
+
+
+def _chain_segment(n: int, start: int, length: int, rng) -> Potential:
+    """A normalized binary chain on ids ``start`` to ``start + length - 1``
+    of a registry of ``n``, with random unary and pair tables."""
+    ids = range(start, start + length)
+    raw = [InteractionTable((k,), rng.uniform(-1.5, 1.5, 2)) for k in ids]
+    raw += [InteractionTable((k, k + 1), rng.uniform(-1.5, 1.5, (2, 2))) for k in ids[:-1]]
+    return normalize_potential(Potential(binary_vars(n), raw))
+
+
+class TestSymbolicCache:
+    """The min-fill orders and fold schedules kept per process."""
+
+    @staticmethod
+    def _clear():
+        _ordered.cache_clear()
+        _schedule.cache_clear()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(plan_cases, block_families()))
+    def test_reports_are_bit_identical_with_cold_and_warm_caches(self, case):
+        family, keep = case
+        self._clear()
+        cold = _report_bytes(marginalize_hypergraph(family, keep))
+        misses = _ordered.cache_info().misses, _schedule.cache_info().misses
+        warm = _report_bytes(marginalize_hypergraph(family, keep))
+        assert warm == cold
+        # the warm call computed no order and no schedule
+        assert (_ordered.cache_info().misses, _schedule.cache_info().misses) == misses
+
+    @settings(max_examples=40, deadline=None)
+    @given(plan_cases)
+    def test_cached_orders_and_schedules_are_tuples(self, case):
+        # a plan holds the cached values themselves, so no caller can mutate them
+        family, keep = case
+        _, _, plan = _checked_plan(family.members, keep, NULL_TOL)
+        for _, order, factors, *_ in plan._structures:
+            assert _frozen(order) and _frozen(factors)
+        for groups in plan._sizes:
+            for schedule, *_ in groups:
+                assert schedule is None or _frozen(schedule)
+
+    def test_a_structure_seen_in_another_model_is_reused(self):
+        # one chain segment of six at ids 0-5 and at ids 3-8: the components
+        # 1-4 and 4-7 relabel to one local structure with other tables
+        rng = np.random.default_rng(27)
+        self._clear()
+        marginalize_hypergraph(_chain_segment(6, 0, 6, rng), (0, 5))
+        before = _ordered.cache_info(), _schedule.cache_info()
+        u, keep = _chain_segment(9, 3, 6, rng), (0, 1, 2, 3, 8)
+        rep = marginalize_hypergraph(u, keep)
+        for cache, seen in zip((_ordered, _schedule), before):
+            info = cache.cache_info()
+            assert info.hits > seen.hits and info.misses == seen.misses
+        grid = energy_grid(rep.marginal_potential, keep)
+        dens = np.exp(-(grid - grid.min()))
+        dens /= dens.sum()
+        oracle = marginal_table(joint_table(u), keep).probs
+        assert np.max(np.abs(dens - oracle) / oracle) <= ORACLE_TOL
+
+    def test_the_caches_stay_bounded(self):
+        # chains keeping their ends, one more eliminated variable each time:
+        # every chain is a new structure
+        rng = np.random.default_rng(64)
+        self._clear()
+        longest = max(_ordered.cache_info().maxsize, _schedule.cache_info().maxsize) + 4
+        for k in range(1, longest + 1):
+            marginalize_hypergraph(_chain_segment(k + 2, 0, k + 2, rng), (0, k + 1))
+        for cache in (_ordered, _schedule):
+            info = cache.cache_info()
+            assert info.misses == longest
+            assert info.currsize <= info.maxsize < longest
