@@ -184,6 +184,13 @@ class TestMarginalPrecision:
         with pytest.raises(InvalidInputError):
             marginal_precision(m, ())
 
+    def test_ids_outside_the_model_are_refused(self):
+        m = GaussianModel(np.zeros(3), np.eye(3))
+        for call in (marginal_precision, innovation_matrix, gaussian_marginal_graph):
+            with pytest.raises(InvalidInputError, match=r"ids \[-1, 3, 7\] outside the model"):
+                call(m, (7, 0, 3, -1))
+        assert m._innovation is None
+
 
 class TestInnovationMatrix:
     def test_block_diagonal_has_no_innovations(self):

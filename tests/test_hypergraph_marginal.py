@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,12 @@ class TestInnovations:
 
 
 class TestMarginalizeHypergraph:
+    def test_ids_outside_the_registry_are_refused(self, base):
+        for call in (marginalize_hypergraph, innovations):
+            with pytest.raises(InvalidInputError,
+                               match=re.escape("ids [-1, 6, 9] outside the registry")):
+                call(base, (9, 0, 6, -1))
+
     def test_base_model(self, base):
         rep = marginalize_hypergraph(base, KEEP)
         assert rep.marginal_hypergraph == Hypergraph([(0,), (2,), (0, 2), (4,)])

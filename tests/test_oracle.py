@@ -109,8 +109,8 @@ class TestMarginalTable:
 
     def test_subset_must_be_inside_scope(self):
         t = joint_table(Potential(binary_vars(3)))
-        with pytest.raises(InvalidInputError):
-            marginal_table(t, (0, 9))
+        with pytest.raises(InvalidInputError, match=r"ids \[-1, 9\] outside the table scope"):
+            marginal_table(t, (0, 9, -1))
 
 
 class TestNormalizedPotentialRecovery:

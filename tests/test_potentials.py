@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +261,15 @@ class TestNormalize:
         assert 3 ** 12 - 1 <= STATE_LIMIT
         assert is_normalized(normalize_potential(fits))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_sum_that_overflows_is_refused(self):
+        # each table's piece on (0,) holds 1.5e308, and their sum does not fit
+        big = np.array([[0.0, 0.0], [1.5e308, 1.5e308]])
+        u = Potential(binary_vars(3), [InteractionTable((0, 1), big), InteractionTable((0, 2), big)])
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("non-finite entries in table for scope (0,)")):
+            normalize_potential(u)
+
 
 class TestIsNormalized:
     def test_monomial_potential_is_normalized(self, expected_normalized):
@@ -373,6 +384,10 @@ class TestRestrict:
 
     def test_empty_set(self, expected_normalized):
         assert len(restrict(expected_normalized, ())) == 0
+
+    def test_ids_outside_the_registry_are_refused(self, expected_normalized):
+        with pytest.raises(InvalidInputError, match=re.escape("ids [-1, 6, 9] outside the registry")):
+            restrict(expected_normalized, (9, 0, 6, -1))
 
 
 class TestHypergraphOf:
