@@ -20,8 +20,9 @@ byte-identical across repeated runs on identical inputs.
 
 One runner, :func:`_run`, does every step the commands share, in order:
 load the model, check its kind and resolve ``--keep``; for potential
-models, resolve the null tolerance, normalize (with a notice, or a refusal
-under ``--strict``) and marginalize; then write DOT of the graph the
+models, resolve the null tolerance and normalize (with a notice, or a
+refusal under ``--strict``), and hand the body a call that marginalizes, so
+a body can refuse before the engine runs; then write DOT of the graph the
 command's body returns, or the base document plus the body's own fields as
 JSON, to stdout or ``--output``.  :data:`_COMMANDS` names each command's
 body, the model kinds it takes and its options.  The engine modules are
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import InvalidInputError, ModelFormatError, ResourceLimitError
 from .graphs import Graph, VarSet, Variables
@@ -65,7 +67,7 @@ class _Run(NamedTuple):
     keep: VarSet
     null_tol: float | None  # this and the next two are for potential models only
     family: PotentialFamily | None  # normalized
-    report: MarginalReport | None
+    report: Callable[[], MarginalReport] | None  # marginalizes on each call
 
 
 def _marginalize_graph(run: _Run) -> Graph | dict:
@@ -78,7 +80,7 @@ def _marginalize_graph(run: _Run) -> Graph | dict:
 
 
 def _marginalize_hypergraph(run: _Run) -> Graph | dict:
-    report, variables = run.report, run.model.variables
+    report, variables = run.report(), run.model.variables
     if run.args.format == "dot":
         return report.marginal_graph()
     fields = {
@@ -120,7 +122,7 @@ def _marginalize_gaussian(run: _Run) -> Graph | dict:
 
 
 def _check_collapsibility(run: _Run) -> dict:
-    report, variables = run.report, run.model.variables
+    report, variables = run.report(), run.model.variables
     graphical_witness = None
     if not report.graphically_collapsible:
         expected, got = report.model_subgraph.edges, report.marginal_graph().edges
@@ -151,10 +153,12 @@ def _oracle_verify(run: _Run) -> dict:
     from .potentials import energy_grid, hypergraph_of, normalize_potential
 
     keep, null_tol = run.keep, run.null_tol
+    # joint_table refuses a model above STATE_LIMIT states before the engine runs
+    margs = [marginal_table(joint_table(member), keep) for member in run.family]
+    report = run.report()
     checks, recovered = [], []
-    for k, member in enumerate(run.family):
-        marg = marginal_table(joint_table(member), keep)
-        grid = energy_grid(run.report.marginal_family.members[k], keep)
+    for k, (member, marg) in enumerate(zip(run.family, margs)):
+        grid = energy_grid(report.marginal_family.members[k], keep)
         dens = np.exp(-(grid - grid.min()))
         dens = dens / dens.sum()
         err = float(np.max(np.abs(dens - marg.probs) / marg.probs))
@@ -180,7 +184,7 @@ def _oracle_verify(run: _Run) -> dict:
     oracle_h = hypergraph_of(recovered, null_tol)
     checks.append({
         "name": "marginal hypergraph matches the oracle-recovered one",
-        "passed": bool(oracle_h == run.report.marginal_hypergraph),
+        "passed": bool(oracle_h == report.marginal_hypergraph),
     })
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
@@ -244,7 +248,7 @@ def _run(args) -> int:
             print("notice: input potential is not normalized; normalizing.", file=sys.stderr)
             family = PotentialFamily([normalize_potential(m, null_tol) for m in family])
             renormalized = True
-        report = marginalize_hypergraph(family, keep, null_tol)
+        report = partial(marginalize_hypergraph, family, keep, null_tol)
         diagnostics = {"null_tolerance": null_tol, "normalized_input": renormalized}
 
     # a body returns either the graph to draw or its document fields

@@ -50,7 +50,7 @@ import numpy as np
 
 from .components import adjacency, component_labels, eliminated_components, reverse_cuthill_mckee
 from .errors import InvalidInputError
-from .graphs import Graph, VarSet, varset
+from .graphs import Graph, VarSet, _require_subset, _require_tolerance
 
 SYMMETRY_TOL = 1e-12
 # Largest diagonal block the forward substitution hands to np.linalg.solve.
@@ -239,11 +239,9 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
     ones, in a slot replaced whole, so concurrent callers at worst compute them twice.
     The components of z and their boundaries come from one pass of
     :func:`~margraph.components.eliminated_components` over the rows of z of P's pattern."""
-    a = varset(a)
+    a = _require_subset(a, range(m.n), "model")
     if not a:
         raise InvalidInputError("retained set must be non-empty")
-    if not set(a) <= set(range(m.n)):
-        raise InvalidInputError(f"ids {sorted(set(a) - set(range(m.n)))} outside the model")
     cached = m._innovation
     if cached is not None and cached[0] == a:
         return cached
@@ -308,9 +306,7 @@ def _scaled_tol(matrix: np.ndarray, tol: float | None) -> float:
     constructor takes it."""
     if tol is None:
         return 1e-9 * float(max(np.max(matrix, initial=0.0), -np.min(matrix, initial=0.0)))
-    if not 0.0 <= tol < math.inf:
-        raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
-    return tol
+    return _require_tolerance(tol, "tol")
 
 
 def _upper_edges(ids: tuple, flat: np.ndarray) -> Graph:

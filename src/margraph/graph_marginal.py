@@ -24,7 +24,7 @@ def marginalize_graph(g: Graph, a) -> Graph:
     """Marginal graph on ``a``: the subgraph edges on ``a`` plus the
     completed boundary (taken in ``g``) of each connectivity component of
     the eliminated set V \\ a."""
-    a = _require_subset(g, a)
+    a = _require_subset(a, set(g.vertices), "graph")
     inside = set(a)
     kept, pairs = _edge_pass(g, tuple(v for v in g.vertices if v not in inside))
     return Graph._of(a, frozenset(kept).union(

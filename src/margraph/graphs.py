@@ -12,6 +12,7 @@ so identical inputs always produce identical, identically ordered outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -178,17 +179,26 @@ class Graph:
         return adj
 
 
-def _require_subset(g: Graph, a: Iterable[int]) -> VarSet:
+def _require_subset(a: Iterable[int], allowed, place: str) -> VarSet:
+    """``a`` as a variable set, refused unless every id is in ``allowed``
+    (a range or a set, so each test is cheap); the message names ``place``."""
     a = varset(a)
-    missing = sorted(set(a) - set(g.vertices))
+    missing = [v for v in a if v not in allowed]
     if missing:
-        raise InvalidInputError(f"unknown vertex ids: {missing}")
+        raise InvalidInputError(f"ids {missing} outside the {place}")
     return a
+
+
+def _require_tolerance(tol: float, name: str) -> float:
+    """``tol``, refused if NaN, infinite or negative."""
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInputError(f"{name} must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def boundary(g: Graph, a: Iterable[int]) -> VarSet:
     """Vertices outside ``a`` directly connected to some vertex of ``a``."""
-    a = _require_subset(g, a)
+    a = _require_subset(a, set(g.vertices), "graph")
     inside = set(a)
     out = set()
     for x, y in g.edges:
@@ -237,7 +247,7 @@ def _edge_pass(g: Graph, z: VarSet) -> tuple[list[Edge], list[tuple[VarSet, VarS
 def component_boundaries(g: Graph, z: Iterable[int]) -> list[tuple[VarSet, VarSet]]:
     """Connectivity components of the subgraph on ``z``, each paired with
     its boundary in ``g``, ascending by smallest member."""
-    return _edge_pass(g, _require_subset(g, z))[1]
+    return _edge_pass(g, _require_subset(z, set(g.vertices), "graph"))[1]
 
 
 def connectivity_components(g: Graph) -> list[VarSet]:
@@ -248,7 +258,7 @@ def connectivity_components(g: Graph) -> list[VarSet]:
 
 def subgraph(g: Graph, a: Iterable[int]) -> Graph:
     """Graph on ``a`` keeping exactly the edges with both endpoints in ``a``."""
-    a = _require_subset(g, a)
+    a = _require_subset(a, set(g.vertices), "graph")
     inside = set(a)
     return Graph._of(a, frozenset(e for e in g.edges if e[0] in inside and e[1] in inside))
 

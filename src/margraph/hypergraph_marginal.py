@@ -12,42 +12,24 @@ collapsibility.  The two graphs the report compares, the marginal's and the
 model's on A, come from scope arrays: each pair of ids becomes one integer
 code, and one sort finds the distinct ones.
 
-One :class:`EliminationPlan` per call, built whole from the members'
-scopes, fixes the components, their boundaries, an elimination order inside
-each component and the size of the largest table the folds will form; a
-plan above ``STATE_LIMIT`` entries is refused before any table is
-allocated.  A component is folded by
-sum-product variable elimination in log space (Koller & Friedman,
-*Probabilistic Graphical Models*, ch. 9): eliminating a variable combines
-only the factors that contain it and replaces them by their log-sum over
-that variable, stabilized by the smallest energy along the summed axis.
-The cost follows the width of the order, not the size of the component.
-The plan also refuses a boundary whose innovation split would make more
-than ``STATE_LIMIT`` entries, prod(|dom v| + 1) - 1 for a boundary d.
+One :class:`EliminationPlan` per call fixes how each component folds and
+refuses, before any table is allocated, a fold or an innovation split above
+``STATE_LIMIT`` entries.  A component is folded by sum-product variable
+elimination in log space (Koller & Friedman, *Probabilistic Graphical
+Models*, ch. 9): eliminating a variable combines only the factors that
+contain it and replaces them by their log-sum over that variable, stabilized
+by the smallest energy along the summed axis, so the cost follows the width
+of the order, not the size of the component.
 
 The route stays columnar, since models with many small components would
-otherwise pay numpy's per-call cost per table.  One lexsort of every
-member's scope arrays (:func:`~margraph.potentials._scope_rows`) gives the
-plan its hyperedges, as a padded array in lexicographic order, and finds
-each member's table on each; tuples are made only of the rows a step reads.
-The components and boundaries come from the pass the Gaussian route shares,
-:func:`margraph.components.eliminated_components`, over star edges: each
-hyperedge joins its largest eliminated member to every member.  Components
-share a local structure when their touching hyperedges, relabeled by
-position in the sorted union of component and boundary, coincide together
-with the component's own positions (relabeling keeps the order of ids, so
-smallest-id tie-breaking maps back); one byte-wise sort groups them, and
-min-fill runs once per distinct local structure per process, together with
-its bucket schedule.  A family gathers every member's tables of
-one structure, one set of domain sizes and one set of the structure's
-hyperedges into one stack and folds it once onto the structure's whole
-boundary, skipping the hyperedges the members lack, with at most
-``STATE_LIMIT`` entries in its largest table.  The folds are
-summed per member and per boundary in ``plan.components`` order and split as
-stacks into a columnar potential per member, whose marginal is its
-restriction plus those innovations, summed per scope in that order.  Every
-sum runs in the order a component-by-component loop would use, so results do
-not depend on the grouping, bit for bit.
+otherwise pay numpy's per-call cost per table: the components of one local
+structure fold as one stack across the family, and min-fill runs once per
+distinct local structure per process, together with its bucket schedule.
+The folds are summed per member and per boundary in ``plan.components``
+order and split as stacks into a columnar potential per member, whose
+marginal is its restriction plus those innovations, summed per scope in that
+order.  Every sum runs in the order a component-by-component loop would use,
+so results do not depend on the grouping, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,14 +37,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations
 
 import numpy as np
 
 from .components import eliminated_components
 from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
-from .graphs import Graph, VarSet, Variables, component_boundaries, varset
+from .graphs import (Graph, VarSet, Variables, _require_subset, _require_tolerance,
+                     component_boundaries, varset)
 from .potentials import (
     NULL_TOL,
     Hypergraph,
@@ -179,13 +162,18 @@ class EliminationPlan:
 
     - ``components``: the connectivity components of the eliminated set in
       the graph the hyperedges induce on the variables, ordered by smallest
-      member, and their ``boundaries`` in that graph (see the module docstring);
+      member, and their ``boundaries`` in that graph, from the pass the
+      Gaussian route shares, :func:`~margraph.components.eliminated_components`;
     - ``_structures``: per local structure, its relabeled hyperedges, a
       greedy min-fill elimination order (ties to the smallest id) and the
       scope of every product factor the fold forms along it, from
       :func:`_ordered`; with a row per component, the ranks of its components
       in ``components``, the indices of their touching hyperedges (the
-      rows the folds gather) and their local variables;
+      rows the folds gather) and their local variables.  Components share a
+      local structure when their touching hyperedges and own positions
+      coincide, relabeled by position in the sorted union of component and
+      boundary, which keeps the order of ids (so ties map back); one
+      byte-wise sort groups them;
     - ``largest_factor``, the entries of the largest table the folds form,
       and ``largest_split``, the entries the innovation split of the widest
       boundary makes: a boundary d splits into pieces on its non-empty
@@ -196,15 +184,18 @@ class EliminationPlan:
     each member's tables: ``_tables`` holds two (members x hyperedges)
     arrays, the group of the table on each hyperedge, counted across the
     members' groups in turn (-1 where the member has none), and its row in
-    that group.  A lone component skips the batching: its structure is read
-    in plain Python, where numpy's per-call cost would outweigh the work.
+    that group.  Tuples are made only of the rows a step reads.  A lone
+    component skips the batching: its structure is read in plain Python,
+    where numpy's per-call cost would outweigh the work.
 
     A member of a family touches a subset of the plan's hyperedges, so the
     tables its fold of a component forms lie within these factor scopes.
     ``_sizes`` groups each structure's (member, component) pairs by the
     domain sizes at the local positions and by which of the structure's
     hyperedges the member has; each group folds as one stack along its
-    :func:`_schedule`.
+    :func:`_schedule`.  A component whose boundary is empty adds only the
+    normalizing constant, so :meth:`_sized` gives it no group: it is never
+    folded and counts towards no limit.
     """
 
     __slots__ = ("components", "boundaries", "largest_factor", "largest_split", "_rows",
@@ -279,21 +270,24 @@ class EliminationPlan:
     def _sized(self, vars: Variables) -> tuple[list, int, int]:
         """Per structure, its (member, component) pairs grouped by the domain
         sizes at the local positions and by the structure's hyperedges the
-        member has, as (the fold's :func:`_schedule`, None for an empty
-        boundary; members, rows of the structure, present columns, entries
-        of the largest table the fold forms), members ascending; the largest
-        of those entries; and the entries of the largest innovation split."""
+        member has, as (the fold's :func:`_schedule`, members, rows of the
+        structure, present columns, entries of the largest table the fold
+        forms), members ascending; the largest of those entries; and the
+        entries of the largest innovation split.  The one check for an empty
+        boundary: such a structure gets no group and counts no entries."""
         dom = np.array([len(d) for d in vars.domains])
         has = self._tables[0] >= 0
         groups, largest, split = [], 1, 0
         for scopes, order, factors, _, edges, local in self._structures:
+            groups.append([])
+            if not factors[-1]:
+                continue  # never folded (see the class docstring)
             width = local.shape[1]
             keys = np.empty((len(has), len(edges), width + edges.shape[1]), dtype=np.intp)
             keys[..., :width], keys[..., width:] = dom[local], has[:, edges]
             keys = keys.reshape(-1, keys.shape[2])
             reps, which = _distinct(keys)
             which = which.reshape(len(has), len(edges))
-            groups.append([])
             for j, key in enumerate(keys[reps].tolist()):
                 row = key[:width]
                 entries = max(math.prod(row[p] for p in f) for f in factors)
@@ -301,7 +295,7 @@ class EliminationPlan:
                 split = max(split, math.prod(row[p] + 1 for p in factors[-1]) - 1)
                 present = [p for p, x in enumerate(key[width:]) if x]
                 schedule = _schedule(tuple(scopes[p] for p in present), order, tuple(row),
-                                     factors[-1]) if factors[-1] else None
+                                     factors[-1])
                 groups[-1].append((schedule, *np.nonzero(which == j), present, entries))
         return groups, largest, split
 
@@ -326,11 +320,10 @@ def _checked_plan(members, a, null_tol: float) -> tuple[list, VarSet, Eliminatio
     """``members`` (normalized, on one registry) without their null tables,
     ``a`` as a checked id set, and the plan of those tables, refused when
     its largest table would exceed ``STATE_LIMIT`` entries."""
+    _require_tolerance(null_tol, "null_tol")
     for m in members:
         require_normalized(m)
-    a, allv = varset(a), members[0].vars.all_ids()
-    if not set(a) <= set(allv):
-        raise InvalidInputError(f"ids {sorted(set(a) - set(allv))} outside the registry")
+    a = _require_subset(a, range(len(members[0].vars)), "registry")
     clean = [_drop_null(m, null_tol) for m in members]
     plan = EliminationPlan(clean, a)
     entries = max(plan.largest_factor, plan.largest_split)
@@ -349,9 +342,8 @@ def boundary_hypergraph(h: Hypergraph, vars_ids, a) -> Hypergraph:
     no neighbors in ``a`` contributes the empty set, which is kept so
     callers can see it (it only ever feeds the normalizing constant).
     """
-    vertices, a = varset(vars_ids), varset(a)
-    if not set(vertices).issuperset(a):
-        raise InvalidInputError(f"ids {sorted(set(a) - set(vertices))} outside the vertex set")
+    vertices = varset(vars_ids)
+    a = _require_subset(a, set(vertices), "vertex set")
     pairs = component_boundaries(induced_graph(h, vertices), set(vertices).difference(a))
     return Hypergraph((d for _, d in pairs), allow_empty=True)
 
@@ -413,14 +405,15 @@ def _fold_stack(schedule: tuple, stacks, batch: int) -> np.ndarray:
     ``stacks[i]`` holds the table on scope i of every fold, stacked along a
     leading axis.  The order's variables are summed out of exp(-sum of the
     tables) one at a time, in log space; returns -ln of the sum on the
-    boundary, one entry of the leading axis per fold.
+    boundary, one entry of the leading axis per fold.  A bucket's energy
+    starts from its first table, so a step may return -0.0; the total
+    starts from the constant, the one place where a fold's zeros become
+    +0.0, so no returned entry is -0.0.
     """
     steps, rest, const, shape = schedule
     values = list(stacks)
     for slots, shapes, ax in steps:
-        energy = 0  # as sum() starts, so -0.0 entries become 0.0
-        for k, s in zip(slots, shapes):
-            energy = energy + values[k].reshape((batch,) + s)
+        energy = reduce(np.add, (values[k].reshape((batch,) + s) for k, s in zip(slots, shapes)))
         low = energy.min(axis=ax, keepdims=True)
         values.append(low - np.log(np.exp(low - energy).sum(axis=ax, keepdims=True)))
     total = np.full((batch,) + shape, const)
@@ -467,8 +460,6 @@ def _component_folds(members, plan: EliminationPlan) -> list[list]:
     sources = [g.values for u in members for g in u._groups]
     out: list[list] = [[] for _ in members]
     for (_, _, factors, ranks, edges, local), groups in zip(plan._structures, plan._sizes):
-        if not factors[-1]:
-            continue  # constant factor, absorbed by normalization
         for schedule, member, at, present, entries in groups:
             cols = member[:, None], edges[at][:, present]
             src, row, rank = tables[cols], rows[cols], ranks[at]
@@ -520,7 +511,7 @@ def _innovation_tables(u: Potential, null_tol: float, folds: list) -> Potential:
     """
     parts = [p for ranks, scopes, values in folds
              for p in _anchored_parts(u.vars, scopes, values, ranks)]
-    return Potential._from_parts(u.vars, _split(_sum_parts(parts, zero_first=True)), null_tol)
+    return Potential._from_parts(u.vars, _split(_sum_parts(parts)), null_tol)
 
 
 def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]:

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
-from .graphs import VarSet, Variables, varset
+from .graphs import VarSet, Variables, _require_subset, _require_tolerance, varset
 from .potentials import NULL_TOL, InteractionTable, Potential, energy_grid
 
 
@@ -63,9 +63,7 @@ def joint_table(u: Potential, scope=None) -> DensityTable:
 
 def marginal_table(t: DensityTable, a) -> DensityTable:
     """Exact summation over the variables of the scope outside ``a``."""
-    a = varset(a)
-    if not set(a) <= set(t.scope):
-        raise InvalidInputError(f"ids {sorted(set(a) - set(t.scope))} outside the table scope")
+    a = _require_subset(a, set(t.scope), "table scope")
     axes = tuple(k for k, v in enumerate(t.scope) if v not in set(a))
     probs = t.probs.sum(axis=axes) if axes else np.array(t.probs)
     return DensityTable(t.vars, a, probs)
@@ -80,6 +78,7 @@ def normalized_potential_from_table(t: DensityTable, null_tol: float = NULL_TOL)
     of C.  Tables that come out null (within ``null_tol``) are dropped
     from the returned potential but still enter the recursion exactly.
     """
+    _require_tolerance(null_tol, "null_tol")
     k = len(t.scope)
     g = -np.log(t.probs)
     zp = tuple(t.vars.zero_index(v) for v in t.scope)

@@ -48,11 +48,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import STATE_LIMIT, InvalidInputError, NotNormalizedError, ResourceLimitError
-from .graphs import Graph, VarSet, Variables, varset
+from .graphs import Graph, VarSet, Variables, _require_subset, _require_tolerance, varset
 
 # A table is treated as identically zero iff its max-abs entry is below
 # NULL_TOL; log-sum computations make exact zeros unattainable, and this
-# threshold separates true cancellation from rounding at desk scale.
+# threshold separates true cancellation from rounding at desk scale.  The
+# entry points refuse a null_tol that is NaN, infinite or negative.
 NULL_TOL = 1e-9
 
 # Tolerance for the exact structural zeroes required of normalized tables.
@@ -375,16 +376,16 @@ def _anchored_parts(vars: Variables, scopes: np.ndarray, values: np.ndarray,
     return [(zp, scopes[ks], values[ks], rank[ks]) for zp, ks in rows.items()]
 
 
-def _sum_parts(parts, zero_first: bool = False) -> list:
+def _sum_parts(parts) -> list:
     """Sum the rows that share a scope, in rank order.
 
     A part is (zp, scopes, values, rank): anchor positions, a (B, r) scope
     array, a (B, *shape) stack and a (B,) rank per row.  The lowest-ranked
-    row starts each sum (as ``0.0 +`` it when ``zero_first``, which turns
-    -0.0 into 0.0 as a sum started at zero does) and the others add on one
-    at a time.  Returns parts again: one row per scope, scopes in
-    lexicographic order within a part, each row ranked by its first term.
-    A lone part in that order comes back uncopied unless ``zero_first``.
+    row starts each sum, so a -0.0 of a lone row stays -0.0 (folds hold
+    none: see :func:`~margraph.hypergraph_marginal._fold_stack`), and the
+    others add on one at a time.  Returns parts again: one row per scope,
+    scopes in lexicographic order within a part, each row ranked by its
+    first term.  A lone part in that order comes back uncopied.
     """
     like: dict[tuple, list] = {}
     for zp, scopes, values, rank in parts:
@@ -400,8 +401,6 @@ def _sum_parts(parts, zero_first: bool = False) -> list:
         start[1:] = (scopes[1:] != scopes[:-1]).any(axis=1)
         heads = np.flatnonzero(start)
         total = values[heads] if len(heads) < len(rank) else values
-        if zero_first:
-            total = total + 0.0
         if len(heads) < len(rank):
             seg = np.cumsum(start) - 1
             pos = np.arange(len(rank)) - heads[seg]
@@ -547,6 +546,7 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
     A table over d splits into prod(|dom v| + 1) - 1 entries; more than
     ``STATE_LIMIT`` is refused before anything is allocated.
     """
+    _require_tolerance(null_tol, "null_tol")
     entries = max((math.prod(n + 1 for n in g.values.shape[1:]) - 1 for g in u0._groups),
                   default=0)
     if entries > STATE_LIMIT:
@@ -590,10 +590,7 @@ def _drop_null(u: Potential, null_tol: float = NULL_TOL) -> Potential:
 
 def restrict(u: Potential, a) -> Potential:
     """Keep exactly the tables whose scope is contained in ``a``."""
-    a = varset(a)
-    extra = [v for v in a if not 0 <= v < len(u.vars)]
-    if extra:
-        raise InvalidInputError(f"ids {extra} outside the registry")
+    a = _require_subset(a, range(len(u.vars)), "registry")
     inside = np.zeros(len(u.vars), dtype=bool)
     inside[list(a)] = True
     return _subset_of(u, lambda g: inside[g.scopes].all(axis=1))
@@ -605,6 +602,7 @@ def hypergraph_of(fam, null_tol: float = NULL_TOL) -> Hypergraph:
     Accepts a :class:`PotentialFamily`, a single :class:`Potential`, or an
     iterable of potentials.  Members are expected to be normalized already.
     """
+    _require_tolerance(null_tol, "null_tol")
     members = (fam,) if isinstance(fam, Potential) else fam  # a family iterates its members
     return Hypergraph._of(chain.from_iterable(
         map(tuple, g.scopes[g.max_abs > null_tol].tolist()) for m in members for g in m._groups))

@@ -478,7 +478,9 @@ class ReferencePlan:
         return max(math.prod(sizes[p] for p in f) for f in factors)
 
     def largest_factor(self, vars: Variables) -> int:
-        return max((self.fold_entries(vars, tau) for tau in self.components), default=1)
+        """Over the components with a non-empty boundary, the only ones folded."""
+        return max((self.fold_entries(vars, tau) for tau in self.components
+                    if self.boundaries[tau]), default=1)
 
     def largest_split(self, vars: Variables) -> int:
         return max((math.prod(n + 1 for n in vars.sizes(d)) - 1

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from margraph import hypergraph_marginal
 from margraph.cli import main
 from margraph.errors import STATE_LIMIT
 from margraph.gaussian import SYMMETRY_TOL
@@ -269,7 +270,8 @@ class TestOracleVerify:
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
 
-    def test_resource_limit_exits_3(self, capsys, tmp_path):
+    def test_resource_limit_exits_3(self, capsys, tmp_path, monkeypatch):
+        # the oracle refuses 2^21 states before the engine marginalizes
         doc = {
             "format_version": 1,
             "variables": [{"label": f"A{k}"} for k in range(21)],
@@ -278,8 +280,12 @@ class TestOracleVerify:
         }
         path = tmp_path / "big.json"
         path.write_text(dump_json(doc))
+        calls = []
+        monkeypatch.setattr(hypergraph_marginal, "marginalize_hypergraph",
+                            lambda *args: calls.append(args))
         code, out, err = run(capsys, "oracle-verify", str(path), "--keep", "A0")
-        assert code == 3 and "state space" in err
+        assert calls == []
+        assert code == 3 and out == "" and "state space" in err
 
 
 class TestEngineResourceLimit:

@@ -101,6 +101,39 @@ def columnar_potentials(draw, max_vars: int = 6, width: tuple[int, int] | None =
     return Potential(variables, tables)
 
 
+@st.composite
+def signed_zero_families(draw):
+    """Families of normalized potentials whose tables hold -0.0 and exact
+    zeros, at anchored entries and elsewhere, scaled up to 400x so that
+    some folds come out exactly zero: chains of 3-7 binary or ternary
+    variables with singletons and maybe a triple, and 1-3 members that
+    drop or negate tables; a random non-empty retained set."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(3, 7))
+    sizes = [int(rng.integers(2, 4)) for _ in range(n)]
+    variables = Variables([f"V{k}" for k in range(n)],
+                          [[float(i) for i in range(size)] for size in sizes])
+    scopes = {(k, k + 1) for k in range(n - 1)} | {(k,) for k in range(n) if rng.random() < 0.5}
+    if rng.random() < 0.5:
+        scopes.add(varset(rng.choice(n, size=3, replace=False).tolist()))
+    scale = draw(st.sampled_from([1.0, 20.0, 400.0]))
+    members = []
+    for k in range(draw(st.integers(1, 3))):
+        tables = []
+        for scope in sorted(scopes):
+            if k and rng.random() < 0.3:
+                continue
+            shape = variables.sizes(scope)
+            vals = rng.uniform(-1.0, 1.0, size=shape) * scale
+            vals[rng.random(size=shape) < 0.2] = 0.0
+            vals[zero_coord_mask(shape, (0,) * len(scope))] = 0.0
+            vals[rng.random(size=shape) < 0.4] *= -1.0  # turns some zeros into -0.0
+            tables.append(InteractionTable(scope, vals))
+        members.append(Potential(variables, tables))
+    keep = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return PotentialFamily(members), varset(keep)
+
+
 def _layout(u: Potential) -> list:
     """Every group of ``u``: shape, anchors, scopes, values and max-abs, as bytes."""
     return sorted((g.values.shape, g.zp, g.scopes.tobytes(), g.values.tobytes(),
@@ -176,11 +209,21 @@ class TestOrderedSums:
         [(_, scopes, total, rank)] = _sum_parts([part])
         assert scopes.tolist() == [[3]] and rank.tolist() == [0]
         assert total[0, 0] == (a + b) + c != (a + c) + b
-        # the first row starts the sum, so its -0.0 survives unless the sum
-        # starts at zero
+        # the first row starts the sum, so its -0.0 survives
         single = ((0,), np.array([[3]]), np.array([[-0.0]]), np.array([0]))
         assert np.signbit(_sum_parts([single])[0][2][0, 0])
-        assert not np.signbit(_sum_parts([single], zero_first=True)[0][2][0, 0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(signed_zero_families())
+    def test_folds_return_no_negative_zero(self, case):
+        # a bucket's energy starts from its first table, so a -0.0 can reach
+        # a step's result; the fold's total starts from its constant, which
+        # makes every zero it returns +0.0
+        family, keep = case
+        clean, _, plan = _checked_plan(family.members, keep, NULL_TOL)
+        for folds in _component_folds(clean, plan):
+            for _, _, values in folds:
+                assert not np.signbit(values[values == 0]).any()
 
     @settings(max_examples=60, deadline=None)
     @given(columnar_potentials(max_vars=8, width=(1, 8)), st.integers(0, 5))

@@ -428,7 +428,8 @@ class TestPlan:
     @given(models())
     def test_orders_shared_by_local_structure_match_direct_min_fill(self, model):
         # one min-fill order per relabeled local structure maps back to the
-        # order a direct min-fill of each component gives
+        # order a direct min-fill of each component gives; only a component
+        # with a non-empty boundary is folded, so only its tables count
         u, keep, _ = model
         plan = _plan(u, keep)
         largest = 1
@@ -436,8 +437,9 @@ class TestPlan:
             order, formed = _min_fill_order([e for e in edges(plan) if set(e) & set(tau)], tau)
             assert orders(plan)[tau] == order
             assert factors(plan)[tau] == formed
-            scopes = formed + [plan.boundaries[tau]]
-            largest = max(largest, *(math.prod(u.vars.sizes(s)) for s in scopes))
+            if plan.boundaries[tau]:
+                scopes = formed + [plan.boundaries[tau]]
+                largest = max(largest, *(math.prod(u.vars.sizes(s)) for s in scopes))
         assert plan.largest_factor == largest
 
     @settings(max_examples=80, deadline=None)
@@ -567,6 +569,25 @@ class TestResourceGuard:
         assert _plan(u, keep).largest_factor > STATE_LIMIT
         _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
         _refused_quickly_and_small(lambda: innovations(u, keep))
+
+    def test_a_component_with_an_empty_boundary_is_never_folded(self):
+        # the eliminated 21-clique would fold through 2^21 entries, but no
+        # retained variable borders it, so it only adds the normalizing
+        # constant: the marginal is the restriction to the isolated 0
+        tables = [InteractionTable((0,), np.array([0.0, 0.7]))]
+        tables += [InteractionTable((x, y), np.array([[0.0, 0.0], [0.0, 0.1]]))
+                   for x, y in combinations(range(1, 22), 2)]
+        u = Potential(binary_vars(22), tables)
+        plan = _plan(u, (0,))
+        assert plan.boundaries == {tuple(range(1, 22)): ()}
+        assert plan.largest_factor == 1 and plan._sizes == [[]]
+        rep = marginalize_hypergraph(u, (0,))
+        [t] = rep.marginal_potential.tables
+        assert t.scope == (0,) and t.values.tobytes() == tables[0].values.tobytes()
+        assert rep.parametrically_collapsible and innovations(u, (0,)) == []
+        # a boundary of 21 retained variables is still refused
+        hub = _hub_potential(21)
+        _refused_quickly_and_small(lambda: marginalize_hypergraph(hub, tuple(range(1, 22))))
 
     def test_hub_within_the_limit_still_folds(self):
         u = _hub_potential(5)
@@ -701,7 +722,7 @@ class TestSymbolicCache:
             assert _frozen(order) and _frozen(factors)
         for groups in plan._sizes:
             for schedule, *_ in groups:
-                assert schedule is None or _frozen(schedule)
+                assert _frozen(schedule)
 
     def test_a_structure_seen_in_another_model_is_reused(self):
         # one chain segment of six at ids 0-5 and at ids 3-8: the components

@@ -19,9 +19,11 @@ from margraph import (
     energy_grid,
     hypergraph_of,
     induced_graph,
+    innovations,
     is_complete,
     is_normalized,
     joint_table,
+    marginalize_hypergraph,
     normalize_potential,
     normalized_potential_from_table,
     precedes,
@@ -474,3 +476,25 @@ def test_hyperedges_complete_in_induced_graph(seed):
     h = hypergraph_of(u)
     g = induced_graph(h, u.vars.all_ids())
     assert all(is_complete(g, e) for e in h)
+
+
+NULL_TOL_CALLS = {
+    "normalize_potential": lambda u, tol: normalize_potential(u, tol),
+    "marginalize_hypergraph": lambda u, tol: marginalize_hypergraph(u, (0, 2), tol),
+    "innovations": lambda u, tol: innovations(u, (0, 2), tol),
+    "hypergraph_of": lambda u, tol: hypergraph_of(u, tol),
+    "normalized_potential_from_table":
+        lambda u, tol: normalized_potential_from_table(joint_table(u), tol),
+}
+
+
+@pytest.mark.parametrize("null_tol", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("entry", sorted(NULL_TOL_CALLS))
+def test_a_non_finite_or_negative_null_tol_is_refused(entry, null_tol):
+    # as the Gaussian calls refuse such a tol: a NaN cut kept no table, so a
+    # marginal came back empty and parametrically collapsible
+    u = Potential(binary_vars(3), [InteractionTable((k, k + 1), np.array([[0.0, 0.0], [0.0, 0.8]]))
+                                   for k in range(2)])
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"null_tol must be a finite number >= 0, got {null_tol!r}")):
+        NULL_TOL_CALLS[entry](u, null_tol)
