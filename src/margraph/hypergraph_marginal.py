@@ -12,8 +12,8 @@ collapsibility.  The two graphs the report compares, the marginal's and the
 model's on A, come from scope arrays: each pair of ids becomes one integer
 code, and one sort finds the distinct ones.
 
-One :class:`EliminationPlan` per call fixes how each component folds and
-refuses, before any table is allocated, a fold or an innovation split above
+An :class:`EliminationPlan` fixes how each component folds and refuses,
+before any table is allocated, a fold or an innovation split above
 ``STATE_LIMIT`` entries.  A component is folded by sum-product variable
 elimination in log space (Koller & Friedman, *Probabilistic Graphical
 Models*, ch. 9): eliminating a variable combines only the factors that
@@ -23,8 +23,8 @@ of the order, not the size of the component.
 
 The route stays columnar, since models with many small components would
 otherwise pay numpy's per-call cost per table: the components of one local
-structure fold as one stack across the family, and min-fill runs once per
-distinct local structure per process, together with its bucket schedule.
+structure fold as one stack across the family, and a process keeps the plan
+of each distinct model structure, min-fill orders and schedules included.
 The folds are summed per member and per boundary in ``plan.components``
 order and split as stacks into a columnar potential per member, whose
 marginal is its restriction plus those innovations, summed per scope in that
@@ -44,8 +44,8 @@ import numpy as np
 
 from .components import eliminated_components
 from .errors import STATE_LIMIT, InvalidInputError, ResourceLimitError
-from .graphs import (Graph, VarSet, Variables, _require_subset, _require_tolerance,
-                     component_boundaries, varset)
+from .graphs import (Graph, VarSet, _require_subset, _require_tolerance, component_boundaries,
+                     varset)
 from .potentials import (
     NULL_TOL,
     Hypergraph,
@@ -156,9 +156,9 @@ def _min_fill_order(scopes, tau: VarSet) -> tuple[tuple[int, ...], list[VarSet]]
 class EliminationPlan:
     """How marginalizing onto a retained set folds the eliminated variables.
 
-    Built once per call, eagerly, from the scope arrays of ``members``
-    (potentials on one registry), so that a plan of a family serves every
-    member.  It holds:
+    Built eagerly from the :func:`_model_structure` of members on one
+    registry, so that a plan of a family serves every member, and kept per
+    distinct structure per process, its arrays read-only.  It holds:
 
     - ``components``: the connectivity components of the eliminated set in
       the graph the hyperedges induce on the variables, ordered by smallest
@@ -201,15 +201,16 @@ class EliminationPlan:
     __slots__ = ("components", "boundaries", "largest_factor", "largest_split", "_rows",
                  "_tables", "_comp", "_structures", "_sizes")
 
-    def __init__(self, members, a: VarSet):
-        groups = [(m, g) for m, u in enumerate(members) for g in u._groups]
-        rows, which = _scope_rows([g.scopes for _, g in groups])
-        src = np.full((len(members), len(rows)), -1, dtype=np.intp)
+    def __init__(self, a: VarSet, sizes: tuple, scopes: tuple):
+        groups = [(m, np.frombuffer(b, dtype=np.intp).reshape(shape))
+                  for m, member in enumerate(scopes) for shape, b in member]
+        rows, which = _scope_rows([s for _, s in groups])
+        src = np.full((len(scopes), len(rows)), -1, dtype=np.intp)
         row = np.zeros_like(src)
         for k, ((m, _), at) in enumerate(zip(groups, which)):
             src[m, at], row[m, at] = k, np.arange(len(at))
         self._rows, self._tables = rows, (src, row)
-        n = len(members[0].vars)
+        n = len(sizes)
         eliminated = np.ones(n + 1, dtype=bool)  # the pad slot n is a kept vertex
         eliminated[list(a) + [n]] = False
         # each hyperedge joins its largest eliminated member to every member
@@ -227,7 +228,10 @@ class EliminationPlan:
         else:
             touch = touch[np.argsort(comp[hub[touch]], kind="stable")]
             self._structures = self._group(touch, comp[hub[touch]], inner, owner * n + bd)
-        self._sizes, self.largest_factor, self.largest_split = self._sized(members[0].vars)
+        self._sizes, self.largest_factor, self.largest_split = self._sized(sizes)
+        for x in chain((rows, src, row, comp), *(s[3:] for s in self._structures),
+                       *(g[1:3] for g in chain(*self._sizes))):
+            x.setflags(write=False)  # every later call with this structure shares the plan
 
     def _scopes(self, j) -> list[VarSet]:
         """The hyperedges at indices ``j``, as tuples of ids."""
@@ -267,7 +271,7 @@ class EliminationPlan:
                 built.append((scopes, *_ordered(scopes, tau), cs[at], touch[edges[at]], pos[at]))
         return built
 
-    def _sized(self, vars: Variables) -> tuple[list, int, int]:
+    def _sized(self, sizes: tuple) -> tuple[list, int, int]:
         """Per structure, its (member, component) pairs grouped by the domain
         sizes at the local positions and by the structure's hyperedges the
         member has, as (the fold's :func:`_schedule`, members, rows of the
@@ -275,7 +279,7 @@ class EliminationPlan:
         forms), members ascending; the largest of those entries; and the
         entries of the largest innovation split.  The one check for an empty
         boundary: such a structure gets no group and counts no entries."""
-        dom = np.array([len(d) for d in vars.domains])
+        dom = np.array(sizes)
         has = self._tables[0] >= 0
         groups, largest, split = [], 1, 0
         for scopes, order, factors, _, edges, local in self._structures:
@@ -293,27 +297,39 @@ class EliminationPlan:
                 entries = max(math.prod(row[p] for p in f) for f in factors)
                 largest = max(largest, entries)
                 split = max(split, math.prod(row[p] + 1 for p in factors[-1]) - 1)
-                present = [p for p, x in enumerate(key[width:]) if x]
+                present = tuple(p for p, x in enumerate(key[width:]) if x)
                 schedule = _schedule(tuple(scopes[p] for p in present), order, tuple(row),
                                      factors[-1])
                 groups[-1].append((schedule, *np.nonzero(which == j), present, entries))
         return groups, largest, split
 
 
-@lru_cache(maxsize=64)
 def _ordered(scopes: tuple, tau: VarSet) -> tuple:
     """The min-fill order of the local structure with hyperedges ``scopes``
     and component ``tau`` (positions), and the scope of every factor its
-    fold forms followed by its boundary, the positions outside ``tau``;
-    kept per distinct structure, as tuples, for the process."""
-    order, factors = _min_fill_order(scopes, tau)
-    return order, tuple(factors) + (varset(set(chain(*scopes)).difference(tau)),)
+    fold forms followed by its boundary, the positions outside ``tau``, as
+    tuples.  An empty boundary is never folded, so it gets no order."""
+    boundary = varset(set(chain(*scopes)).difference(tau))
+    order, factors = _min_fill_order(scopes, tau) if boundary else ((), [])
+    return order, tuple(factors) + (boundary,)
 
 
 def _cut(flat: list, sizes: np.ndarray) -> tuple[VarSet, ...]:
     """``flat`` cut into consecutive tuples of ``sizes``."""
     ends = np.cumsum(sizes).tolist()
     return tuple(tuple(flat[s:e]) for s, e in zip([0] + ends, ends))
+
+
+def _model_structure(members, a: VarSet) -> tuple:
+    """Everything a plan reads of ``members`` and ``a``, by value: ``a``, the
+    domain size of every registry variable and, per member, each group's
+    scope array as (shape, bytes), in group order."""
+    return (a, tuple(map(len, members[0].vars.domains)),
+            tuple(tuple((g.scopes.shape, g.scopes.tobytes()) for g in m._groups) for m in members))
+
+
+# the plan of each distinct _model_structure, kept for the process
+_plan_of = lru_cache(maxsize=32)(EliminationPlan)
 
 
 def _checked_plan(members, a, null_tol: float) -> tuple[list, VarSet, EliminationPlan]:
@@ -325,7 +341,7 @@ def _checked_plan(members, a, null_tol: float) -> tuple[list, VarSet, Eliminatio
         require_normalized(m)
     a = _require_subset(a, range(len(members[0].vars)), "registry")
     clean = [_drop_null(m, null_tol) for m in members]
-    plan = EliminationPlan(clean, a)
+    plan = _plan_of(*_model_structure(clean, a))
     entries = max(plan.largest_factor, plan.largest_split)
     if entries > STATE_LIMIT:
         raise ResourceLimitError(
@@ -361,15 +377,14 @@ def _relabeled(scopes, order) -> tuple[tuple, tuple, VarSet]:
     return tuple(tuple(at[v] for v in s) for s in scopes), tuple(at[v] for v in order), local
 
 
-@lru_cache(maxsize=64)
 def _schedule(scopes: tuple, order: VarSet, sizes: tuple, boundary: VarSet) -> tuple:
     """The bucket schedule of a fold of ``scopes`` along ``order`` onto
-    ``boundary`` (``sizes`` holds the domain size at each position), kept
-    per distinct key, as tuples, for the process: per variable of ``order``
-    some factor holds, the slots it sums (input i in slot i, each step's
-    fold in the next slot), the shape each takes and the summed axis; the
-    slots left on ``boundary`` and their shapes there; the constant
-    -ln|dom v| of the variables no factor holds; and the boundary's shape."""
+    ``boundary`` (``sizes`` holds the domain size at each position), as
+    tuples: per variable of ``order`` some factor holds, the slots it sums
+    (input i in slot i, each step's fold in the next slot), the shape each
+    takes and the summed axis; the slots left on ``boundary`` and their
+    shapes there; the constant -ln|dom v| of the variables no factor holds;
+    and the boundary's shape."""
     pos = {v: k for k, v in enumerate(order)}
     buckets: list[list] = [[] for _ in order]
     rest: list = []

@@ -32,11 +32,13 @@ from margraph import (
 from margraph.components import adjacency, component_labels
 from margraph.gaussian import _solve_lower
 from margraph.hypergraph_marginal import (
+    EliminationPlan,
     _checked_plan,
     _component_folds,
     _fold_stack,
     _innovation_tables,
     _min_fill_order,
+    _model_structure,
     _relabeled,
     _schedule,
 )
@@ -244,7 +246,8 @@ def fold_tables(vars: Variables, tables, order) -> tuple[tuple[int, ...], np.nda
 def component_potential(u: Potential, tau, plan=None) -> InteractionTable:
     """Reference component fold: the tables of ``u`` that touch ``tau``,
     one by one in scope order, folded along ``plan``'s order for the
-    component tau or, without a plan, along a min-fill order of their
+    component tau or, where the plan gives none (without a plan, or for a
+    component with an empty boundary), along a min-fill order of their
     scopes.  The entry at a boundary assignment b is
     -ln sum_t exp(-sum of those tables at (b, t)), over the joint
     assignments t of tau; a variable no table touches contributes -ln(its
@@ -256,7 +259,8 @@ def component_potential(u: Potential, tau, plan=None) -> InteractionTable:
     if tau[0] < 0 or tau[-1] >= n:
         raise InvalidInputError(f"ids {[v for v in tau if not 0 <= v < n]} outside the registry")
     tables = [t for t in u.tables if set(t.scope) & set(tau)]
-    order = orders(plan)[tau] if plan else _min_fill_order([t.scope for t in tables], tau)[0]
+    planned = orders(plan) if plan else {}
+    order = planned[tau] if tau in planned else _min_fill_order([t.scope for t in tables], tau)[0]
     return InteractionTable(*fold_tables(u.vars, tables, order))
 
 
@@ -406,6 +410,13 @@ def model_subgraph_by_tuples(plan, a) -> Graph:
                                     for e in plan._scopes(shared)), a)
 
 
+def build_plan(members, a) -> EliminationPlan:
+    """A new :class:`~margraph.hypergraph_marginal.EliminationPlan` of
+    ``members`` (potentials on one registry) and the retained ids ``a``,
+    past the plans the library keeps per process."""
+    return EliminationPlan(*_model_structure(members, varset(a)))
+
+
 def edges(plan) -> tuple:
     """The hyperedges of an :class:`~margraph.hypergraph_marginal.EliminationPlan`,
     in lexicographic order."""
@@ -415,19 +426,21 @@ def edges(plan) -> tuple:
 def orders(plan) -> dict:
     """The elimination order of each component of ``plan``, an
     :class:`~margraph.hypergraph_marginal.EliminationPlan` or a
-    :class:`ReferencePlan`."""
+    :class:`ReferencePlan`, that has a non-empty boundary: the others are
+    never folded and get no order."""
     if isinstance(plan, ReferencePlan):
         return plan.orders
     return {plan.components[r]: tuple(row)
-            for _, order, _, ranks, _, local in plan._structures
+            for _, order, fs, ranks, _, local in plan._structures if fs[-1]
             for r, row in zip(ranks.tolist(), local[:, list(order)].tolist())}
 
 
 def factors(plan) -> dict:
-    """Per component of an :class:`~margraph.hypergraph_marginal.EliminationPlan`,
-    the scope of every product factor its fold forms along its order."""
+    """Per component of an :class:`~margraph.hypergraph_marginal.EliminationPlan`
+    that has a non-empty boundary, the scope of every product factor its
+    fold forms along its order."""
     return {plan.components[r]: [tuple(row[p] for p in f) for f in fs[:-1]]
-            for _, _, fs, ranks, _, local in plan._structures
+            for _, _, fs, ranks, _, local in plan._structures if fs[-1]
             for r, row in zip(ranks.tolist(), local.tolist())}
 
 
@@ -437,7 +450,8 @@ class ReferencePlan:
     incidence map and a depth-first search give the components and
     boundaries, and each component's hyperedges, relabeled to positions in
     the sorted union of their variables, key one min-fill order per local
-    structure.  The reference for
+    structure; a component with an empty boundary is never folded and gets
+    none.  The reference for
     :class:`~margraph.hypergraph_marginal.EliminationPlan`: ``orders`` and
     ``factors`` hold what the functions of those names read from a plan,
     and ``largest_factor`` and ``largest_split`` take the registry."""
@@ -456,6 +470,8 @@ class ReferencePlan:
         self.orders, self.factors, self._local = {}, {}, {}
         found: dict[tuple, tuple] = {}
         for tau in self.components:
+            if not self.boundaries[tau]:
+                continue  # never folded
             touching = self.touching(tau)
             local = varset(chain(tau, *touching))
             at = {v: k for k, v in enumerate(local)}

@@ -3,7 +3,7 @@
 :func:`margraph.components.eliminated_components` is checked against the
 graph operator's depth-first search in plain Python, and the elimination
 plan and the Gaussian innovation matrix must each find their components and
-boundaries through it, once per call.
+boundaries through it: the plan once per build, the matrix once per call.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from margraph import Graph, component_boundaries, gaussian, hypergraph_marginal
 from margraph.components import eliminated_components
-from margraph.hypergraph_marginal import EliminationPlan
 
 from fixture_models import (
     chain_potential,
@@ -22,6 +21,7 @@ from fixture_models import (
     grid_potential,
     grid_retained,
 )
+from helpers import build_plan
 
 
 def by_search(n, pairs, mask):
@@ -93,7 +93,7 @@ class TestOnePassPerRoute:
         for u, a, count in ((chain_potential(1.0, 1.0, 1.0, 1.0), chain_retained(), 3),
                             (grid_potential(), grid_retained(), 1)):  # a lone component
             del calls[:]
-            plan = EliminationPlan([u], a)
+            plan = build_plan([u], a)
             assert calls == [len(u.vars) + 1]  # the pad slot is a kept vertex
             assert len(plan.components) == count
 

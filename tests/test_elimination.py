@@ -40,8 +40,8 @@ from margraph.hypergraph_marginal import (
     _component_folds,
     _innovation_tables,
     _min_fill_order,
-    _ordered,
-    _schedule,
+    _model_structure,
+    _plan_of,
 )
 from margraph.potentials import (
     NORMALIZED_TOL,
@@ -55,6 +55,7 @@ from fixture_models import grid_potential, grid_retained
 from helpers import (
     ReferencePlan,
     binary_vars,
+    build_plan,
     component_potential,
     dense_component_potential,
     edges,
@@ -98,7 +99,7 @@ def models(draw, max_vars: int = 12):
 
 
 def _plan(u: Potential, keep) -> EliminationPlan:
-    return EliminationPlan([u], varset(keep))
+    return build_plan([u], keep)
 
 
 def _folds_by_component(members, plan: EliminationPlan) -> list[dict]:
@@ -152,11 +153,11 @@ class TestFoldAgainstDenseReference:
     def test_shuffled_order_gives_the_same_table(self, model, random):
         u, keep, _ = model
         plan = _plan(u, keep)
-        for tau in plan.components:
+        for tau, order in orders(plan).items():
             tables = [t for t in u.tables if set(t.scope) & set(tau)]
-            shuffled = list(orders(plan)[tau])
+            shuffled = list(order)
             random.shuffle(shuffled)
-            scope, values = fold_tables(u.vars, tables, orders(plan)[tau])
+            scope, values = fold_tables(u.vars, tables, order)
             scope2, values2 = fold_tables(u.vars, tables, shuffled)
             assert scope == scope2
             assert _max_diff(values, values2) <= FOLD_TOL
@@ -254,7 +255,7 @@ class TestStackedFolds:
     @given(block_families())
     def test_stacked_folds_match_component_potential_bit_for_bit(self, case):
         family, keep = case
-        plan = EliminationPlan(family.members, keep)
+        plan = build_plan(family.members, keep)
         for member, folds in zip(family, _folds_by_component(family.members, plan)):
             assert list(folds) == [tau for tau in plan.components if plan.boundaries[tau]]
             for tau, (scope, values) in folds.items():
@@ -274,7 +275,7 @@ class TestStackedFolds:
     def test_members_without_some_tables_fold_through_the_plan_structures(self, case):
         # no structure is rebuilt for a member that lacks some hyperedges
         family, keep = case
-        plan = EliminationPlan(family.members, keep)
+        plan = build_plan(family.members, keep)
         has = plan._tables[0] >= 0
         assume(any(not has[:, edges].all() for *_, edges, _ in plan._structures))
         with mock.patch.object(hypergraph_marginal, "_relabeled", side_effect=AssertionError):
@@ -288,7 +289,7 @@ class TestStackedFolds:
     @given(block_families())
     def test_innovations_match_the_component_by_component_route_bit_for_bit(self, case):
         family, keep = case
-        plan = EliminationPlan(family.members, keep)
+        plan = build_plan(family.members, keep)
         for member, got in zip(family, _innovations(family.members, plan)):
             ref = innovations_by_components(member, plan, NULL_TOL)
             assert list(got) == list(ref)
@@ -348,13 +349,13 @@ class TestStackedFolds:
         negated = Potential(u.vars, [InteractionTable(t.scope, -t.values) for t in u.tables])
         batches.clear()
         family = [u, negated, u]
-        _component_folds(family, EliminationPlan(family, varset(range(0, n, 3))))
+        _component_folds(family, build_plan(family, range(0, n, 3)))
         assert batches == [30]
         # a member without the singleton tables folds its ten in a stack of its own
         pairs = Potential(u.vars, [t for t in u.tables if len(t.scope) == 2])
         batches.clear()
         family = [u, negated, pairs]
-        _component_folds(family, EliminationPlan(family, varset(range(0, n, 3))))
+        _component_folds(family, build_plan(family, range(0, n, 3)))
         assert sorted(batches) == [10, 20]
 
 
@@ -429,17 +430,20 @@ class TestPlan:
     def test_orders_shared_by_local_structure_match_direct_min_fill(self, model):
         # one min-fill order per relabeled local structure maps back to the
         # order a direct min-fill of each component gives; only a component
-        # with a non-empty boundary is folded, so only its tables count
+        # with a non-empty boundary is folded, so only it gets an order and
+        # only its tables count
         u, keep, _ = model
         plan = _plan(u, keep)
         largest = 1
         for tau in plan.components:
+            if not plan.boundaries[tau]:
+                assert tau not in orders(plan) and tau not in factors(plan)
+                continue
             order, formed = _min_fill_order([e for e in edges(plan) if set(e) & set(tau)], tau)
             assert orders(plan)[tau] == order
             assert factors(plan)[tau] == formed
-            if plan.boundaries[tau]:
-                scopes = formed + [plan.boundaries[tau]]
-                largest = max(largest, *(math.prod(u.vars.sizes(s)) for s in scopes))
+            scopes = formed + [plan.boundaries[tau]]
+            largest = max(largest, *(math.prod(u.vars.sizes(s)) for s in scopes))
         assert plan.largest_factor == largest
 
     @settings(max_examples=80, deadline=None)
@@ -447,7 +451,7 @@ class TestPlan:
     def test_plan_matches_the_reference_plan(self, case):
         family, keep = case
         h, vars = hypergraph_of(family), family.vars
-        plan, ref = EliminationPlan(family.members, keep), ReferencePlan(h, vars.all_ids(), keep)
+        plan, ref = build_plan(family.members, keep), ReferencePlan(h, vars.all_ids(), keep)
         assert edges(plan) == h.edges
         assert plan.components == ref.components
         assert list(plan.boundaries.items()) == list(ref.boundaries.items())
@@ -467,7 +471,7 @@ class TestPlan:
         for g, at in zip(groups, which):
             assert [edges[j] for j in at.tolist()] == list(map(tuple, g.scopes.tolist()))
         # the plan's lookup finds each member's table on each hyperedge
-        src, row = EliminationPlan(family.members, keep)._tables
+        src, row = build_plan(family.members, keep)._tables
         for m, u in enumerate(family):
             for j, e in enumerate(edges):
                 t = u.table_for(e)
@@ -570,14 +574,19 @@ class TestResourceGuard:
         _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
         _refused_quickly_and_small(lambda: innovations(u, keep))
 
-    def test_a_component_with_an_empty_boundary_is_never_folded(self):
+    def test_a_component_with_an_empty_boundary_is_never_folded(self, monkeypatch):
         # the eliminated 21-clique would fold through 2^21 entries, but no
         # retained variable borders it, so it only adds the normalizing
-        # constant: the marginal is the restriction to the isolated 0
+        # constant: the marginal is the restriction to the isolated 0, and
+        # the clique gets no min-fill order
         tables = [InteractionTable((0,), np.array([0.0, 0.7]))]
         tables += [InteractionTable((x, y), np.array([[0.0, 0.0], [0.0, 0.1]]))
                    for x, y in combinations(range(1, 22), 2)]
         u = Potential(binary_vars(22), tables)
+        calls, min_fill = [], hypergraph_marginal._min_fill_order
+        monkeypatch.setattr(hypergraph_marginal, "_min_fill_order",
+                            lambda *args: calls.append(args) or min_fill(*args))
+        _plan_of.cache_clear()
         plan = _plan(u, (0,))
         assert plan.boundaries == {tuple(range(1, 22)): ()}
         assert plan.largest_factor == 1 and plan._sizes == [[]]
@@ -585,6 +594,7 @@ class TestResourceGuard:
         [t] = rep.marginal_potential.tables
         assert t.scope == (0,) and t.values.tobytes() == tables[0].values.tobytes()
         assert rep.parametrically_collapsible and innovations(u, (0,)) == []
+        assert calls == []
         # a boundary of 21 retained variables is still refused
         hub = _hub_potential(21)
         _refused_quickly_and_small(lambda: marginalize_hypergraph(hub, tuple(range(1, 22))))
@@ -611,7 +621,7 @@ class TestResourceGuard:
         assert peak < 5 * 8 * STATE_LIMIT
         # a family stacks its members' folds together, within the same bound
         negated = Potential(u.vars, [InteractionTable(t.scope, -t.values) for t in u.tables])
-        plan = EliminationPlan([u, negated], varset(keep))
+        plan = build_plan([u, negated], keep)
         tracemalloc.start()
         try:
             folds = _component_folds([u, negated], plan)
@@ -676,13 +686,6 @@ def _report_bytes(rep) -> tuple:
     return tables, hypergraphs, rep.model_subgraph, rep.marginal_graph()
 
 
-def _frozen(value) -> bool:
-    """Whether ``value`` is built of tuples, ints and floats alone."""
-    if isinstance(value, tuple):
-        return all(_frozen(x) for x in value)
-    return isinstance(value, (int, float))
-
-
 def _chain_segment(n: int, start: int, length: int, rng) -> Potential:
     """A normalized binary chain on ids ``start`` to ``start + length - 1``
     of a registry of ``n``, with random unary and pair tables."""
@@ -693,64 +696,91 @@ def _chain_segment(n: int, start: int, length: int, rng) -> Potential:
 
 
 class TestSymbolicCache:
-    """The min-fill orders and fold schedules kept per process."""
-
-    @staticmethod
-    def _clear():
-        _ordered.cache_clear()
-        _schedule.cache_clear()
+    """The elimination plans kept per process, one per model structure."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(plan_cases, block_families()))
     def test_reports_are_bit_identical_with_cold_and_warm_caches(self, case):
         family, keep = case
-        self._clear()
+        _plan_of.cache_clear()
         cold = _report_bytes(marginalize_hypergraph(family, keep))
-        misses = _ordered.cache_info().misses, _schedule.cache_info().misses
+        misses = _plan_of.cache_info().misses
         warm = _report_bytes(marginalize_hypergraph(family, keep))
         assert warm == cold
-        # the warm call computed no order and no schedule
-        assert (_ordered.cache_info().misses, _schedule.cache_info().misses) == misses
+        # the warm call built no plan
+        assert _plan_of.cache_info().misses == misses
+
+    @staticmethod
+    def _not_reused(first, then) -> None:
+        """Marginalizing ``then`` (a family, a retained set and a tolerance)
+        right after ``first`` builds a plan of its own and gives its cold
+        report byte for byte."""
+        _plan_of.cache_clear()
+        cold = _report_bytes(marginalize_hypergraph(*then))
+        _plan_of.cache_clear()
+        marginalize_hypergraph(*first)
+        misses = _plan_of.cache_info().misses
+        assert _report_bytes(marginalize_hypergraph(*then)) == cold
+        assert _plan_of.cache_info().misses == misses + 1
+
+    def test_a_plan_is_not_reused_for_another_model_structure(self):
+        rng = np.random.default_rng(29)
+        u = _chain_segment(8, 0, 8, rng)
+        ends = (0, 7)
+        # (a) another retained set
+        self._not_reused((u, ends, NULL_TOL), (u, (0, 4, 7), NULL_TOL))
+        # (b) one table null, by its values or by the tolerance
+        tiny = [InteractionTable(t.scope, t.values * (1e-12 if t.scope == (3, 4) else 1.0))
+                for t in u.tables]
+        self._not_reused((u, ends, NULL_TOL), (Potential(u.vars, tiny), ends, NULL_TOL))
+        least = min(t.max_abs for t in u.tables)
+        self._not_reused((u, ends, NULL_TOL), (u, ends, least))
+        # (c) a ternary model on the same scopes as a binary one
+        ternary = Variables([f"V{k}" for k in range(8)], [(-1.0, 0.0, 2.5)] * 8)
+        u3 = normalize_potential(Potential(ternary, [
+            InteractionTable(t.scope, rng.uniform(-1.5, 1.5, ternary.sizes(t.scope)))
+            for t in u.tables]))
+        self._not_reused((u, ends, NULL_TOL), (u3, ends, NULL_TOL))
+        # (d) a family's members in another order or number
+        v = Potential(u.vars, [t for t in u.tables if len(t.scope) == 2])
+        for other in ([v, u], [u, v, u], [u]):
+            self._not_reused((PotentialFamily([u, v]), ends, NULL_TOL),
+                             (PotentialFamily(other), ends, NULL_TOL))
+
+    def test_a_model_over_the_limit_is_refused_on_every_call(self):
+        u, keep = _hub_potential(21), tuple(range(1, 22))
+        _plan_of.cache_clear()
+        for _ in range(2):
+            _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
+            _refused_quickly_and_small(lambda: innovations(u, keep))
+        # one plan served all four calls, and each of them was refused
+        info = _plan_of.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(plan_cases)
-    def test_cached_orders_and_schedules_are_tuples(self, case):
-        # a plan holds the cached values themselves, so no caller can mutate them
+    def test_a_cached_plan_holds_only_read_only_arrays(self, case):
         family, keep = case
-        _, _, plan = _checked_plan(family.members, keep, NULL_TOL)
-        for _, order, factors, *_ in plan._structures:
-            assert _frozen(order) and _frozen(factors)
-        for groups in plan._sizes:
-            for schedule, *_ in groups:
-                assert _frozen(schedule)
+        clean, a, plan = _checked_plan(family.members, keep, NULL_TOL)
+        assert _plan_of(*_model_structure(clean, a)) is plan
+        arrays, todo = [], [getattr(plan, name) for name in EliminationPlan.__slots__]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, np.ndarray):
+                arrays.append(x)
+            elif isinstance(x, (tuple, list, dict)):
+                todo += x.values() if isinstance(x, dict) else x
+        assert len(arrays) >= 4  # the hyperedges, the table lookup and the components
+        assert not any(x.flags.writeable for x in arrays)
 
-    def test_a_structure_seen_in_another_model_is_reused(self):
-        # one chain segment of six at ids 0-5 and at ids 3-8: the components
-        # 1-4 and 4-7 relabel to one local structure with other tables
-        rng = np.random.default_rng(27)
-        self._clear()
-        marginalize_hypergraph(_chain_segment(6, 0, 6, rng), (0, 5))
-        before = _ordered.cache_info(), _schedule.cache_info()
-        u, keep = _chain_segment(9, 3, 6, rng), (0, 1, 2, 3, 8)
-        rep = marginalize_hypergraph(u, keep)
-        for cache, seen in zip((_ordered, _schedule), before):
-            info = cache.cache_info()
-            assert info.hits > seen.hits and info.misses == seen.misses
-        grid = energy_grid(rep.marginal_potential, keep)
-        dens = np.exp(-(grid - grid.min()))
-        dens /= dens.sum()
-        oracle = marginal_table(joint_table(u), keep).probs
-        assert np.max(np.abs(dens - oracle) / oracle) <= ORACLE_TOL
-
-    def test_the_caches_stay_bounded(self):
+    def test_the_plan_memo_stays_bounded(self):
         # chains keeping their ends, one more eliminated variable each time:
         # every chain is a new structure
         rng = np.random.default_rng(64)
-        self._clear()
-        longest = max(_ordered.cache_info().maxsize, _schedule.cache_info().maxsize) + 4
+        _plan_of.cache_clear()
+        longest = _plan_of.cache_info().maxsize + 4
         for k in range(1, longest + 1):
             marginalize_hypergraph(_chain_segment(k + 2, 0, k + 2, rng), (0, k + 1))
-        for cache in (_ordered, _schedule):
-            info = cache.cache_info()
-            assert info.misses == longest
-            assert info.currsize <= info.maxsize < longest
+        info = _plan_of.cache_info()
+        assert info.misses == longest
+        assert info.currsize <= info.maxsize < longest
