@@ -25,12 +25,14 @@ read-only views of the stacks, built on each access.
 Every table operation runs once per group: the Mobius split differences a
 whole stack and takes one gather per sub-scope shape (not per subset),
 :func:`is_normalized` takes one masked max (and remembers the answer), null
-filtering and :func:`restrict` are masks over the rows.  Rows that land on
-one scope are summed in a fixed order: by rank, which for a potential's own
-tables is their table order (the sorted order of scopes), the lowest-ranked
-row starting the sum.  A table-by-table loop adds in that same order (table
-order, then subset order), so results do not depend on the grouping, bit
-for bit.
+filtering and :func:`restrict` are masks over the rows.  The rule: rows on
+one scope sum by rank, which for a potential's own tables is their table
+order (the sorted order of scopes), the lowest-ranked row first.  A
+table-by-table loop adds in that order too (table order, then subset order),
+so results do not depend on the grouping, bit for bit.
+Which rows meet in what order, and where each piece sits, depends only on
+the rows' anchors, shapes, scopes and ranks: a read-only row layout built
+once per such structure and kept for the process.
 
 Table layout is normative for file serialization: entries are dense in
 assignment-major order with the last scope variable fastest, i.e. the
@@ -376,41 +378,6 @@ def _anchored_parts(vars: Variables, scopes: np.ndarray, values: np.ndarray,
     return [(zp, scopes[ks], values[ks], rank[ks]) for zp, ks in rows.items()]
 
 
-def _sum_parts(parts) -> list:
-    """Sum the rows that share a scope, in rank order.
-
-    A part is (zp, scopes, values, rank): anchor positions, a (B, r) scope
-    array, a (B, *shape) stack and a (B,) rank per row.  The lowest-ranked
-    row starts each sum, so a -0.0 of a lone row stays -0.0 (folds hold
-    none: see :func:`~margraph.hypergraph_marginal._fold_stack`), and the
-    others add on one at a time.  Returns parts again: one row per scope,
-    scopes in lexicographic order within a part, each row ranked by its
-    first term.  A lone part in that order comes back uncopied.
-    """
-    like: dict[tuple, list] = {}
-    for zp, scopes, values, rank in parts:
-        if len(rank):
-            like.setdefault((values.shape[1:], zp), []).append((scopes, values, rank))
-    out = []
-    for (_, zp), items in like.items():
-        scopes, values, rank = (np.concatenate(x) if len(x) > 1 else x[0] for x in zip(*items))
-        order = np.lexsort((rank, *scopes.T[::-1]))
-        if (order[1:] < order[:-1]).any():  # rows in order are not copied
-            scopes, values, rank = scopes[order], values[order], rank[order]
-        start = np.ones(len(rank), dtype=bool)
-        start[1:] = (scopes[1:] != scopes[:-1]).any(axis=1)
-        heads = np.flatnonzero(start)
-        total = values[heads] if len(heads) < len(rank) else values
-        if len(heads) < len(rank):
-            seg = np.cumsum(start) - 1
-            pos = np.arange(len(rank)) - heads[seg]
-            for j in range(1, int(pos.max()) + 1):
-                at = np.flatnonzero(pos == j)
-                total[seg[at]] += values[at]
-        out.append((zp, scopes[heads], total, rank[heads]))
-    return out
-
-
 def _anchored_differences(stack: np.ndarray, zero_positions: Sequence[int]) -> np.ndarray:
     """Anchored finite-difference transform of a stack of tables, along
     every axis but the leading (stack) one.
@@ -431,8 +398,8 @@ def _anchored_differences(stack: np.ndarray, zero_positions: Sequence[int]) -> n
     return out
 
 
-# Split plans of at most this many entries are cached, 32 at most (16 MiB of
-# indices); larger ones are built on each call.
+# Split plans and row layouts of at most this many entries are cached, 32 of
+# each at most (16 MiB of indices each); larger ones are built on each call.
 SPLIT_PLAN_CACHE_ENTRIES = 1 << 16
 
 
@@ -462,27 +429,105 @@ def _split_plan(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> tupl
     return tuple(plan)
 
 
+@lru_cache(maxsize=32)
+def _row_layout(split: bool, key: tuple) -> tuple:
+    """The symbolic half of :func:`_split` (if ``split``) or :func:`_sum_parts`
+    on parts of structure ``key`` (:func:`_layout_of`), read-only: per output
+    part, its anchors, the parts it gathers, where its sums' first rows sit
+    (``None`` for rows in order: not copied), per depth j the sums with a row
+    j and where that row sits, and its scopes and ranks.  Sums index rows of
+    the parts' stacks, splits entries of a zero and the parts' transforms."""
+    like: dict[tuple, list] = {}
+    end = 1
+    for k, (zp, shape, (dims, raw), ranks) in enumerate(key):
+        scopes, rank = np.frombuffer(raw, np.intp).reshape(dims), np.frombuffer(ranks, np.intp)
+        if not split:
+            like.setdefault((shape, zp), []).append((k, scopes, rank))
+            continue
+        size = math.prod(shape)
+        small = math.prod(n + 1 for n in shape) - 1 <= SPLIT_PLAN_CACHE_ENTRIES
+        rows = end + size * np.arange(len(rank))
+        for sub_zp, axes, idx in (_split_plan if small else _split_plan.__wrapped__)(shape, zp):
+            at = np.where(idx == size, 0, np.add.outer(rows, idx)).reshape((-1,) + idx.shape[1:])
+            like.setdefault((idx.shape[1:], sub_zp), []).append(
+                (k, scopes[:, axes].reshape(-1, axes.shape[1]), np.repeat(rank, len(axes)), at))
+        end += size * len(rank)
+    out = []
+    for (_, zp), items in like.items():
+        members, scopes, rank, *at = zip(*items)
+        scopes, rank = np.concatenate(scopes), np.concatenate(rank)
+        at = np.concatenate(at[0]) if split else np.arange(len(rank))
+        order = np.lexsort((rank, *scopes.T[::-1]))
+        start = np.ones(len(rank), dtype=bool)
+        start[1:] = (scopes[order[1:]] != scopes[order[:-1]]).any(axis=1)
+        heads = np.flatnonzero(start)
+        seg = np.cumsum(start) - 1
+        pos = np.arange(len(rank)) - heads[seg]
+        depths = tuple((_readonly(seg[d], np.intp), _readonly(at[order[d]], np.intp))
+                       for d in (np.flatnonzero(pos == j) for j in range(1, int(pos.max()) + 1)))
+        first = order[heads]
+        identity = not split and not depths and (first == at).all()
+        out.append((zp, members, None if identity else _readonly(at[first], np.intp), depths,
+                    _readonly(scopes[first], np.intp), _readonly(rank[first], np.intp)))
+    return tuple(out)
+
+
+def _layout_of(parts, split: bool) -> tuple[list, tuple]:
+    """The parts of ``parts`` with rows and their :func:`_row_layout`, keyed
+    by value: per part, its anchors, table shape, scope array as (shape,
+    bytes) and ranks as intp bytes, never a table value.  A layout gathering
+    over ``SPLIT_PLAN_CACHE_ENTRIES`` entries is built on each call."""
+    live = [p for p in parts if len(p[3])]
+    key = tuple((zp, values.shape[1:], (s.shape, s.tobytes()), np.asarray(rank, np.intp).tobytes())
+                for zp, scopes, values, rank in live for s in [np.asarray(scopes, np.intp)])
+    small = sum(len(rank) * (math.prod(n + 1 for n in values.shape[1:]) - 1 if split else 1)
+                for _, _, values, rank in live) <= SPLIT_PLAN_CACHE_ENTRIES
+    return live, (_row_layout if small else _row_layout.__wrapped__)(split, key)
+
+
+def _add_rows(values: np.ndarray, take: np.ndarray, depths: tuple) -> np.ndarray:
+    """A layout's sums of ``values``: its first rows, then one add per depth."""
+    total = values[take]
+    for sums, at in depths:
+        total[sums] += values[at]
+    return total
+
+
+def _sum_parts(parts) -> list:
+    """Sum the rows that share a scope, in rank order.
+
+    A part is (zp, scopes, values, rank): anchor positions, a (B, r) scope
+    array, a (B, *shape) stack and a (B,) rank per row.  The rule: the
+    lowest-ranked row starts each sum, so a -0.0 of a lone row stays -0.0
+    (folds hold none: see :func:`~margraph.hypergraph_marginal._fold_stack`),
+    and the others add on, one in-place add per depth.  Returns parts again:
+    one row per scope, lexicographic within a part, ranked by its first
+    term; a lone part in that order comes back uncopied.  The order is the
+    parts' :func:`_row_layout`.
+    """
+    live, layout = _layout_of(parts, False)
+    out = []
+    for zp, members, take, depths, scopes, rank in layout:
+        values = [live[k][2] for k in members]
+        values = np.concatenate(values) if len(values) > 1 else values[0]
+        out.append((zp, scopes, values if take is None else _add_rows(values, take, depths), rank))
+    return out
+
+
 def _split(parts) -> list:
     """Split every row of the (zp, scopes, values, rank) ``parts`` into its
     normalized pieces on each non-empty subset of its scope (the constant
     piece is dropped) and sum the pieces per sub-scope by the rank of their
-    row (:func:`_sum_parts`).
-
-    Each part takes one transform and then one gather per group of
-    sub-scopes that share a sub-shape and sub-anchors (:func:`_split_plan`),
-    which yields one part.  The pieces of a lone row need no sum: each
-    group's sub-scopes are distinct and come in lexicographic order.
+    row, by the rule of :func:`_sum_parts`.  Each part takes one transform
+    into one flat buffer; each group of sub-scopes that share a sub-shape and
+    sub-anchors (:func:`_split_plan`) takes one gather and one add per depth
+    of the parts' :func:`_row_layout`, and yields one part.
     """
-    pieces = []
-    for zp, scopes, values, rank in parts:
-        shape = values.shape[1:]
-        small = math.prod(n + 1 for n in shape) - 1 <= SPLIT_PLAN_CACHE_ENTRIES
-        flat = np.zeros((len(values), math.prod(shape) + 1))  # the last column is the zero
-        flat[:, :-1] = _anchored_differences(values, zp).reshape(len(values), -1)
-        for sub_zp, axes, idx in (_split_plan if small else _split_plan.__wrapped__)(shape, zp):
-            pieces.append((sub_zp, scopes[:, axes].reshape(-1, axes.shape[1]),
-                           flat[:, idx].reshape((-1,) + idx.shape[1:]), np.repeat(rank, len(axes))))
-    return pieces if len(parts) == 1 and len(parts[0][3]) == 1 else _sum_parts(pieces)
+    live, layout = _layout_of(parts, True)
+    flat = np.concatenate([np.zeros(1)] + [_anchored_differences(values, zp).ravel()
+                                           for zp, _, values, _ in live])
+    return [(zp, scopes, _add_rows(flat, take, depths), rank)
+            for zp, _, take, depths, scopes, rank in layout]
 
 
 # ---------------------------------------------------------------------------

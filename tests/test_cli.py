@@ -510,6 +510,17 @@ class TestOutputContract:
     def test_fixture_stdout_matches_golden(self, name):
         assert _stdout(GOLDEN[name]) == _golden(name)
 
+    @pytest.mark.parametrize("name", [name for name, argv in GOLDEN.items()
+                                      if argv[0] == "marginalize-hypergraph"])
+    def test_a_warm_run_matches_the_golden(self, capsys, monkeypatch, name):
+        # the second run in one process reuses the elimination plan and the
+        # row layouts of the first, which a new process never does
+        monkeypatch.chdir(ROOT)
+        for _ in range(2):
+            code, out, _ = run(capsys, *GOLDEN[name])
+            assert code == 0
+        assert out.encode() == _golden(name)
+
     def test_result_document_round_trips(self, capsys):
         code, out, _ = run(capsys, "marginalize-gaussian", fixture("damage_gaussian.json"),
                            "--keep", "X1,X2,X8")

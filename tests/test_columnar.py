@@ -34,11 +34,21 @@ from margraph.hypergraph_marginal import (
     _innovation_tables,
     innovations,
 )
-from margraph.potentials import NORMALIZED_TOL, _drop_null, _split, _sum_parts
+from margraph.potentials import (
+    NORMALIZED_TOL,
+    SPLIT_PLAN_CACHE_ENTRIES,
+    _anchored_parts,
+    _drop_null,
+    _layout_of,
+    _row_layout,
+    _split,
+    _sum_parts,
+)
 
 from fixture_models import grid_potential, grid_retained
 from helpers import (
     ReferencePlan,
+    binary_vars,
     innovations_by_components,
     is_normalized_by_tables,
     normalized_pieces,
@@ -369,3 +379,131 @@ class TestStorage:
         assert _layout(engine) == _layout(public)
         assert len(engine) == len(public) and engine.scopes() == public.scopes()
         assert _layout(Potential(u.vars, u.tables)) == _layout(u)
+
+
+def _parts_bytes(parts: list) -> list:
+    """Every output part: anchors, scopes, values and ranks, as bytes."""
+    return [(zp, scopes.tolist(), values.shape, values.tobytes(), np.asarray(rank).tolist())
+            for zp, scopes, values, rank in parts]
+
+
+def _report_bytes(report) -> tuple:
+    """The marginal tables as bytes, the five hypergraphs and both flags."""
+    tables = [[(t.scope, t.values.tobytes()) for t in m.tables] for m in report.marginal_family]
+    return (tables, report.marginal_hypergraph, report.added, report.removed, report.kept,
+            report.innovation_scopes, report.graphically_collapsible,
+            report.parametrically_collapsible)
+
+
+def _misses() -> int:
+    return _row_layout.cache_info().misses
+
+
+class TestRowLayouts:
+    """The per-process memo of the symbolic half of sums and splits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(columnar_potentials(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.data())
+    def test_warm_calls_give_the_cold_bytes_and_build_no_layout(self, u, members, seed, data):
+        family = _family(u, np.random.default_rng(seed), members)
+        keep = varset(data.draw(st.sets(st.integers(0, len(u.vars) - 1), min_size=1)))
+
+        def calls():
+            return (_layout(normalize_potential(u)),
+                    [[(i.scope, i.table.values.tobytes()) for i in innovations(m, keep)]
+                     for m in family],
+                    _report_bytes(marginalize_hypergraph(family, keep)))
+
+        _row_layout.cache_clear()
+        cold = calls()
+        misses = _misses()
+        assert calls() == cold
+        assert _misses() == misses
+
+    def test_a_layout_is_not_reused_for_other_ranks(self):
+        # the (a + b) + c case: one scope, the same rows, ranked two ways
+        a, b, c = 1e16, 1.0, -1e16
+        scopes, values = np.array([[3], [3], [3]]), np.array([[c], [a], [b]])
+        _row_layout.cache_clear()
+        for rank, want in (([2, 0, 1], (a + b) + c), ([0, 1, 2], (c + a) + b)):
+            misses = _misses()
+            [(_, _, total, first)] = _sum_parts([((0,), scopes, values, np.array(rank))])
+            assert _misses() == misses + 1
+            assert total[0, 0] == want and first.tolist() == [0]
+        assert (a + b) + c != (c + a) + b
+
+    def test_a_layout_is_not_reused_for_other_part_order_anchors_or_shapes(self):
+        rng = np.random.default_rng(3)
+        p = ((0, 0), np.array([[0, 1], [1, 2]]), rng.normal(size=(2, 2, 2)), np.array([0, 2]))
+        q = ((0, 0), np.array([[1, 2], [0, 2]]), rng.normal(size=(2, 2, 2)), np.array([1, 3]))
+        wide = ((0, 0), p[1], rng.normal(size=(2, 3, 2)), p[3])
+        cases = [(_sum_parts, [p, q], [q, p]),  # part order
+                 (_split, [p, q], [q, p]),
+                 (_split, [p], [((1, 0),) + p[1:]]),  # anchors
+                 (_split, [p], [wide]),  # shapes
+                 (_sum_parts, [p], [wide])]
+        for fn, first, other in cases:
+            _row_layout.cache_clear()
+            cold = _parts_bytes(fn(other))
+            _row_layout.cache_clear()
+            fn(first)
+            misses = _misses()
+            assert _parts_bytes(fn(other)) == cold
+            assert _misses() == misses + 1
+
+    def test_int32_and_int64_ranks_give_equal_sums(self):
+        rng = np.random.default_rng(4)
+        scopes = rng.integers(0, 3, size=(12, 1))
+        values = rng.normal(size=(12, 2)) * 10.0 ** rng.integers(-8, 8, size=(12, 1))
+        rank = rng.permutation(12)
+        sums = [_parts_bytes(fn([((0,), scopes, values, rank.astype(dtype))]))
+                for fn in (_sum_parts, _split) for dtype in (np.int32, np.int64)]
+        assert sums[0] == sums[1] and sums[2] == sums[3]
+
+    def test_the_layout_memo_stays_bounded(self):
+        # k singletons of k variables: every potential is a new structure
+        _row_layout.cache_clear()
+        longest = _row_layout.cache_info().maxsize + 4
+        for k in range(1, longest + 1):
+            normalize_potential(Potential(binary_vars(k), [
+                InteractionTable((j,), np.array([0.0, 1.0])) for j in range(k)]))
+        info = _row_layout.cache_info()
+        assert info.misses == longest
+        assert info.currsize <= info.maxsize < longest
+
+    @settings(max_examples=40, deadline=None)
+    @given(signed_zero_families())
+    def test_a_layout_holds_only_read_only_arrays(self, case):
+        family, keep = case
+        clean, _, plan = _checked_plan(family.members, keep, NULL_TOL)
+        for m, folds in zip(clean, _component_folds(clean, plan)):
+            parts = [p for rank, scopes, values in folds
+                     for p in _anchored_parts(m.vars, scopes, values, rank)]
+            for split, given in ((False, parts), (True, _sum_parts(parts)), (True, m._parts())):
+                _, layout = _layout_of(given, split)
+                assert _layout_of(given, split)[1] is layout
+                arrays, todo = [], [layout]
+                while todo:
+                    x = todo.pop()
+                    if isinstance(x, np.ndarray):
+                        arrays.append(x)
+                    elif isinstance(x, tuple):
+                        todo += x
+                assert not any(x.flags.writeable for x in arrays)
+                assert arrays or not layout
+
+    def test_a_layout_over_the_budget_is_used_but_not_kept(self):
+        # a 10-variable binary table splits through 3^10 - 1 = 59 048 entries,
+        # within the budget; two of them gather 118 096, above it
+        v = binary_vars(11)
+        rng = np.random.default_rng(11)
+        tables = [(s, rng.normal(size=(2,) * 10)) for s in (tuple(range(10)), tuple(range(1, 11)))]
+        assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 2 * (3 ** 10 - 1)
+        for scoped, kept in ((tables[:1], 1), (tables, 0)):
+            u = Potential(v, [InteractionTable(s, t) for s, t in scoped])
+            _row_layout.cache_clear()
+            got = [normalize_potential(u) for _ in range(2)]
+            assert _row_layout.cache_info().currsize == kept
+            ref = split_by_tables(v, scoped)
+            for g in got:
+                _same_tables(g, {s: t for s, t in ref.items() if np.max(np.abs(t)) > NULL_TOL})

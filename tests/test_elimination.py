@@ -553,10 +553,16 @@ def _cliques(copies: int, width: int = 20) -> tuple[Potential, list[int]]:
 
 
 def _refused_quickly_and_small(call) -> None:
+    # a refusal that does not come before the folds fails here, before the
+    # folds could allocate what the limit guards against
+    def folded(*args):
+        pytest.fail("the refusal came after the plan: the folds were reached")
+
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(ResourceLimitError):
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(ResourceLimitError):
+            patch.setattr(hypergraph_marginal, "_component_folds", folded)
             call()
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
