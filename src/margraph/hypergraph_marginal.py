@@ -22,22 +22,24 @@ by the smallest energy along the summed axis, so the cost follows the width
 of the order, not the size of the component.
 
 The route stays columnar, since models with many small components would
-otherwise pay numpy's per-call cost per table: the components of one local
-structure fold as one stack across the family, and a process keeps the plan
-of each distinct model structure, min-fill orders and schedules included.
-The folds are summed per member and per boundary in ``plan.components``
-order and split as stacks into a columnar potential per member, whose
-marginal is its restriction plus those innovations, summed per scope in that
-order.  Every sum runs in the order a component-by-component loop would use,
-so results do not depend on the grouping, bit for bit.
+otherwise pay numpy's per-call cost per table.  The plan is the compiled model
+of its structure, kept for the process: besides the folds it fixes where
+every fold, innovation and marginal row sits and in what order rows on one
+scope add, and the model's graph on A.  A call folds the components of one
+local structure as one stack across the family, then sums, splits and adds
+by gathers; only which innovations and marginal tables are null depends on
+the values.  Every sum runs in the order a component-by-component loop would
+use, so results do not depend on the grouping, bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, combinations
 
 import numpy as np
@@ -48,21 +50,24 @@ from .graphs import (Graph, VarSet, _require_subset, _require_tolerance, compone
                      varset)
 from .potentials import (
     NULL_TOL,
+    SPLIT_PLAN_CACHE_ENTRIES,
     Hypergraph,
     InteractionTable,
     Potential,
     PotentialFamily,
-    _anchored_parts,
     _distinct,
     _drop_null,
+    _by_member,
+    _member_rows,
     _readonly,
     _scope_rows,
-    _split,
-    _sum_parts,
+    _split_layout,
+    _split_rows,
+    _sum_layout,
+    _sum_rows,
     hypergraph_of,
     induced_graph,
     require_normalized,
-    restrict,
 )
 
 
@@ -154,11 +159,14 @@ def _min_fill_order(scopes, tau: VarSet) -> tuple[tuple[int, ...], list[VarSet]]
 
 
 class EliminationPlan:
-    """How marginalizing onto a retained set folds the eliminated variables.
+    """How marginalizing onto a retained set folds the eliminated variables,
+    and everything else a model structure fixes before a table value is
+    read: the compiled model of that structure.
 
     Built eagerly from the :func:`_model_structure` of members on one
     registry, so that a plan of a family serves every member, and kept per
-    distinct structure per process, its arrays read-only.  It holds:
+    distinct structure per process (:func:`_plan_of`), its arrays read-only.
+    It holds:
 
     - ``components``: the connectivity components of the eliminated set in
       the graph the hyperedges induce on the variables, ordered by smallest
@@ -184,24 +192,51 @@ class EliminationPlan:
     each member's tables: ``_tables`` holds two (members x hyperedges)
     arrays, the group of the table on each hyperedge, counted across the
     members' groups in turn (-1 where the member has none), and its row in
-    that group.  Tuples are made only of the rows a step reads.  A lone
-    component skips the batching: its structure is read in plain Python,
-    where numpy's per-call cost would outweigh the work.
+    that group.  Tuples are made only of the rows a step reads.
 
     A member of a family touches a subset of the plan's hyperedges, so the
     tables its fold of a component forms lie within these factor scopes.
-    ``_sizes`` groups each structure's (member, component) pairs by the
-    domain sizes at the local positions and by which of the structure's
-    hyperedges the member has; each group folds as one stack along its
-    :func:`_schedule`.  A component whose boundary is empty adds only the
-    normalizing constant, so :meth:`_sized` gives it no group: it is never
-    folded and counts towards no limit.
+    ``_folds`` groups each structure's (member, component) pairs by the
+    domain sizes at the local positions, the anchors on the boundary and
+    which of the structure's hyperedges the member has, into stacks that
+    fold along one :func:`_schedule`.  A component whose boundary is empty
+    adds only the normalizing constant, so :meth:`_sized` gives it no stack:
+    it is never folded and counts towards no limit.
+
+    A plan above ``STATE_LIMIT`` is refused on every call, and nothing more
+    is built for it.  Otherwise, since every fold lies on its component's
+    whole boundary, the rest follows from the plan, the domain sizes and the
+    anchors (:meth:`_compile`), each layout's rows led by their member so
+    that one gather serves the family:
+
+    - ``_fold_sums``: the :func:`~margraph.potentials._sum_layout` of the
+      folds per member and boundary, by the rank of their component;
+    - ``_splits``: the :func:`~margraph.potentials._split_layout` of those
+      sums into innovations, per member and sub-scope;
+    - ``_marginal``: the sum layout, per member and scope, of the member's
+      tables inside the retained set (rank 0) and of *every* innovation of
+      their shape and anchors (rank 1).  A call adds an innovation only
+      where it is not null: a null one adds as -0.0, which leaves a
+      restricted table's bits as they are and, alone on its scope, is
+      dropped with the marginal's null tables.  The outputs of ``_splits``
+      with a shape and anchors no such table has (``_alone``) join the
+      marginal as they are;
+    - ``_innovation_rows`` and ``_marginal_rows``: the
+      :func:`~margraph.potentials._member_rows` of ``_splits`` and
+      ``_marginal``; ``_codes``, the :func:`_pair_codes` of the marginal's
+      rows, those of ``_alone`` last, so the marginal graph is a mask over
+      them;
+    - ``restricted``, the scopes of the tables inside the retained set;
+      ``model_subgraph``, the model's graph on it; and ``gathers``, the
+      entries of all the layouts' gather indices.
     """
 
-    __slots__ = ("components", "boundaries", "largest_factor", "largest_split", "_rows",
-                 "_tables", "_comp", "_structures", "_sizes")
+    __slots__ = ("components", "boundaries", "largest_factor", "largest_split", "restricted",
+                 "model_subgraph", "gathers", "_rows", "_tables", "_comp", "_structures", "_folds",
+                 "_fold_sums", "_splits", "_marginal", "_alone", "_innovation_rows",
+                 "_marginal_rows", "_codes")
 
-    def __init__(self, a: VarSet, sizes: tuple, scopes: tuple):
+    def __init__(self, a: VarSet, sizes: tuple, zeros: tuple, scopes: tuple):
         groups = [(m, np.frombuffer(b, dtype=np.intp).reshape(shape))
                   for m, member in enumerate(scopes) for shape, b in member]
         rows, which = _scope_rows([s for _, s in groups])
@@ -223,25 +258,28 @@ class EliminationPlan:
         width = np.bincount(owner, minlength=len(size))
         self.components = _cut(inner.tolist(), size)
         self.boundaries = dict(zip(self.components, _cut(bd.tolist(), width)))
-        if len(size) == 1:  # a lone component (see the class docstring)
-            self._structures = self._lone(touch)
-        else:
-            touch = touch[np.argsort(comp[hub[touch]], kind="stable")]
-            self._structures = self._group(touch, comp[hub[touch]], inner, owner * n + bd)
-        self._sizes, self.largest_factor, self.largest_split = self._sized(sizes)
+        touch = touch[np.argsort(comp[hub[touch]], kind="stable")]
+        self._structures = self._group(touch, comp[hub[touch]], inner, owner * n + bd)
+        dom = np.array(sizes)
+        shapes = [tuple(dom[s[0]].tolist()) for _, s in groups]
+        base, ends = [], {}  # where each group sits among the groups of its table shape
+        for (_, s), shape in zip(groups, shapes):
+            base.append(ends.get(shape, 0))
+            ends[shape] = base[-1] + len(s)
+        zero = np.array(zeros)
+        self._folds, self.largest_factor, self.largest_split = self._sized(dom, zero, shapes,
+                                                                           np.array(base))
+        self.gathers = 0
+        if max(self.largest_factor, self.largest_split) <= STATE_LIMIT:
+            self._compile(a, zero, groups, shapes)
         for x in chain((rows, src, row, comp), *(s[3:] for s in self._structures),
-                       *(g[1:3] for g in chain(*self._sizes))):
+                       *(f[3:] for f in self._folds)):
             x.setflags(write=False)  # every later call with this structure shares the plan
 
     def _scopes(self, j) -> list[VarSet]:
         """The hyperedges at indices ``j``, as tuples of ids."""
         rows = self._rows[j]
         return [tuple(r[:k]) for r, k in zip(rows.tolist(), (rows >= 0).sum(axis=1).tolist())]
-
-    def _lone(self, touch) -> list[tuple]:
-        scopes, tau, local = _relabeled(self._scopes(touch), self.components[0])
-        return [(scopes, *_ordered(scopes, tau), np.zeros(1, dtype=np.intp), touch[None],
-                 np.array([local]))]
 
     def _group(self, touch, owner, inner, bound) -> list[tuple]:
         n, count, comp = len(self._comp) - 1, len(self.components), self._comp
@@ -271,37 +309,79 @@ class EliminationPlan:
                 built.append((scopes, *_ordered(scopes, tau), cs[at], touch[edges[at]], pos[at]))
         return built
 
-    def _sized(self, sizes: tuple) -> tuple[list, int, int]:
-        """Per structure, its (member, component) pairs grouped by the domain
-        sizes at the local positions and by the structure's hyperedges the
-        member has, as (the fold's :func:`_schedule`, members, rows of the
-        structure, present columns, entries of the largest table the fold
-        forms), members ascending; the largest of those entries; and the
-        entries of the largest innovation split.  The one check for an empty
-        boundary: such a structure gets no group and counts no entries."""
-        dom = np.array(sizes)
-        has = self._tables[0] >= 0
-        groups, largest, split = [], 1, 0
-        for scopes, order, factors, _, edges, local in self._structures:
-            groups.append([])
+    def _sized(self, dom: np.ndarray, zero: np.ndarray, shapes: list,
+               base: np.ndarray) -> tuple[list, int, int]:
+        """The folds as stacks: per structure, its (member, component) pairs
+        grouped by the domain sizes at the local positions, the anchors on
+        the boundary and the structure's hyperedges the member has, members
+        ascending, and cut so that a stack holds at most ``STATE_LIMIT``
+        entries in its largest table, as (the fold's :func:`_schedule`, the
+        boundary's anchors, the table shape of each input, and per fold the
+        row of each input among the members' tables of its shape, its
+        member, its component's rank in ``components`` and its boundary);
+        the entries of the largest table the folds form; and those of the
+        largest innovation split.  The one check for an empty boundary: such
+        a structure gets no stack and counts no entries."""
+        tables, rows = self._tables
+        has = tables >= 0
+        folds, largest, split = [], 1, 0
+        for scopes, order, factors, ranks, edges, local in self._structures:
             if not factors[-1]:
                 continue  # never folded (see the class docstring)
-            width = local.shape[1]
-            keys = np.empty((len(has), len(edges), width + edges.shape[1]), dtype=np.intp)
-            keys[..., :width], keys[..., width:] = dom[local], has[:, edges]
+            width, bd = local.shape[1], local[:, list(factors[-1])]
+            fixed = np.hstack((dom[local], zero[bd]))
+            keys = np.empty((len(has), len(edges), fixed.shape[1] + edges.shape[1]), dtype=np.intp)
+            keys[..., :fixed.shape[1]], keys[..., fixed.shape[1]:] = fixed, has[:, edges]
             keys = keys.reshape(-1, keys.shape[2])
             reps, which = _distinct(keys)
             which = which.reshape(len(has), len(edges))
             for j, key in enumerate(keys[reps].tolist()):
-                row = key[:width]
+                row, zp = key[:width], tuple(key[width:fixed.shape[1]])
                 entries = max(math.prod(row[p] for p in f) for f in factors)
                 largest = max(largest, entries)
                 split = max(split, math.prod(row[p] + 1 for p in factors[-1]) - 1)
-                present = tuple(p for p, x in enumerate(key[width:]) if x)
+                present = tuple(p for p, x in enumerate(key[fixed.shape[1]:]) if x)
                 schedule = _schedule(tuple(scopes[p] for p in present), order, tuple(row),
                                      factors[-1])
-                groups[-1].append((schedule, *np.nonzero(which == j), present, entries))
-        return groups, largest, split
+                member, at = np.nonzero(which == j)
+                cols = member[:, None], edges[at][:, present]
+                slots = tuple(shapes[k] for k in tables[cols][0].tolist())
+                fold = base[tables[cols]] + rows[cols], member, ranks[at], bd[at]
+                step = max(1, STATE_LIMIT // entries)
+                folds += [(schedule, zp, slots, *(x[start:start + step] for x in fold))
+                          for start in range(0, len(at), step)]
+        return folds, largest, split
+
+    def _compile(self, a: VarSet, zero: np.ndarray, groups: list, shapes: list) -> None:
+        """The layouts of a call's sums and split, and the report's sets and
+        graphs (see the class docstring); ``groups`` holds (member, scopes)
+        per group of the members' tables, ``shapes`` their table shapes."""
+        n, kept = len(zero), self._comp < 0
+        self._fold_sums = _sum_layout([len(f[3]) for f in self._folds], [
+            (k, zp, schedule[-1], np.hstack((member[:, None], ids)), rank, np.arange(len(rank)))
+            for k, (schedule, zp, _, _, member, rank, ids) in enumerate(self._folds)])
+        self._splits = _split_layout([(zp, shape, s, r) for zp, shape, *_, s, r in self._fold_sums])
+        rows = [(k, tuple(zero[s[0]].tolist()), shape, np.hstack((np.full((len(at), 1), m), s[at])),
+                 np.zeros(len(at), np.intp), at)  # the tables inside the retained set
+                for k, ((m, s), shape) in enumerate(zip(groups, shapes))
+                for at in [np.flatnonzero(kept[s].all(axis=1))] if len(at)]
+        inside = {(zp, shape) for _, zp, shape, *_ in rows}
+        self._alone = [q for q, (zp, shape, *_) in enumerate(self._splits)
+                       if (zp, shape) not in inside]
+        rows += [(len(groups) + q, zp, shape, s, np.ones(len(s), np.intp), np.arange(len(s)))
+                 for q, (zp, shape, *_, s, _) in enumerate(self._splits) if q not in self._alone]
+        self._marginal = _sum_layout([len(s) for _, s in groups] +
+                                     [len(s) for *_, s, _ in self._splits], rows)
+        self._innovation_rows, self._marginal_rows = (
+            _member_rows(layout, len(self._tables[0])) for layout in (self._splits, self._marginal))
+        self._codes = [_pair_codes(s, n) for _, s, _ in self._marginal_rows + [
+            self._innovation_rows[q] for q in self._alone]]
+        self.restricted = frozenset(self._scopes(kept[self._rows].all(axis=1)))
+        codes = _pair_codes(np.where(kept[self._rows], self._rows, -1), n)  # of retained ids
+        self.model_subgraph = _pair_graph(a, n, [codes[codes >= 0]])
+        self.gathers = sum((take is not None and take.size) + sum(at.size for _, at in depths)
+                           for layout in (self._fold_sums, self._splits, self._marginal)
+                           for *_, take, depths, _, _ in layout)
 
 
 def _ordered(scopes: tuple, tau: VarSet) -> tuple:
@@ -322,14 +402,31 @@ def _cut(flat: list, sizes: np.ndarray) -> tuple[VarSet, ...]:
 
 def _model_structure(members, a: VarSet) -> tuple:
     """Everything a plan reads of ``members`` and ``a``, by value: ``a``, the
-    domain size of every registry variable and, per member, each group's
-    scope array as (shape, bytes), in group order."""
-    return (a, tuple(map(len, members[0].vars.domains)),
+    domain size and the position of 0 of every registry variable and, per
+    member, each group's scope array as (shape, bytes), in group order."""
+    vars = members[0].vars
+    return (a, tuple(map(len, vars.domains)), vars.zero_indices,
             tuple(tuple((g.scopes.shape, g.scopes.tobytes()) for g in m._groups) for m in members))
 
 
-# the plan of each distinct _model_structure, kept for the process
-_plan_of = lru_cache(maxsize=32)(EliminationPlan)
+# the plan of each model structure seen, the least recently used first
+_plans: OrderedDict = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def _plan_of(key: tuple) -> EliminationPlan:
+    """The plan of the :func:`_model_structure` ``key``.  At most 32 plans are
+    kept; one whose gather indices exceed ``SPLIT_PLAN_CACHE_ENTRIES`` serves
+    its call only."""
+    with _plans_lock:
+        plan = _plans.pop(key, None)
+    plan = plan or EliminationPlan(*key)
+    if plan.gathers <= SPLIT_PLAN_CACHE_ENTRIES:
+        with _plans_lock:
+            _plans[key] = plan
+            if len(_plans) > 32:
+                _plans.popitem(last=False)
+    return plan
 
 
 def _checked_plan(members, a, null_tol: float) -> tuple[list, VarSet, EliminationPlan]:
@@ -341,7 +438,7 @@ def _checked_plan(members, a, null_tol: float) -> tuple[list, VarSet, Eliminatio
         require_normalized(m)
     a = _require_subset(a, range(len(members[0].vars)), "registry")
     clean = [_drop_null(m, null_tol) for m in members]
-    plan = _plan_of(*_model_structure(clean, a))
+    plan = _plan_of(_model_structure(clean, a))
     entries = max(plan.largest_factor, plan.largest_split)
     if entries > STATE_LIMIT:
         raise ResourceLimitError(
@@ -362,19 +459,6 @@ def boundary_hypergraph(h: Hypergraph, vars_ids, a) -> Hypergraph:
     a = _require_subset(a, set(vertices), "vertex set")
     pairs = component_boundaries(induced_graph(h, vertices), set(vertices).difference(a))
     return Hypergraph((d for _, d in pairs), allow_empty=True)
-
-
-def _relabeled(scopes, order) -> tuple[tuple, tuple, VarSet]:
-    """``scopes`` and ``order`` relabeled to positions in ``local``, the
-    sorted union of ``order`` and the scopes, and ``local`` itself.
-
-    The relabeling keeps the order of ids, so a fold of the relabeled
-    structure (with the domain sizes at those positions) does the same
-    arithmetic as a fold of the original.
-    """
-    local = varset(chain(order, *scopes))
-    at = {v: k for k, v in enumerate(local)}
-    return tuple(tuple(at[v] for v in s) for s in scopes), tuple(at[v] for v in order), local
 
 
 def _schedule(scopes: tuple, order: VarSet, sizes: tuple, boundary: VarSet) -> tuple:
@@ -437,96 +521,54 @@ def _fold_stack(schedule: tuple, stacks, batch: int) -> np.ndarray:
     return total
 
 
-def _gather(sources: list, src: np.ndarray, row: np.ndarray) -> list[np.ndarray]:
-    """The stack of each column of the (B, k) ``src`` and ``row``: stack i
-    holds row ``row[j, i]`` of ``sources[src[j, i]]`` for every j.  A run
-    of rows with equal sources takes all the columns of one source in one
-    gather."""
-    cuts = (np.flatnonzero((src[1:] != src[:-1]).any(axis=1)) + 1).tolist()
-    runs = []
-    for start, end in zip([0] + cuts, cuts + [len(src)]):
-        first = src[start].tolist()
-        pieces = [None] * len(first)
-        for g in set(first):
-            cols = [i for i, x in enumerate(first) if x == g]
-            block = sources[g][row[start:end, cols].T]  # each column's stack contiguous
-            for k, i in enumerate(cols):
-                pieces[i] = block[k]
-        runs.append(pieces)
-    return runs[0] if len(runs) == 1 else [np.concatenate(col) for col in zip(*runs)]
+def _component_folds(members, plan: EliminationPlan) -> list[np.ndarray]:
+    """The folds of ``members`` (potentials on one registry, those the plan
+    is built from) along ``plan``: per stack of ``plan._folds``, the -ln
+    table of each of its folds on its component's boundary.
 
-
-def _component_folds(members, plan: EliminationPlan) -> list[list]:
-    """Per member of ``members`` (potentials on one registry), the folds of
-    the components of ``plan`` with a non-empty boundary, as stacks: a list
-    of (ranks, scopes, values), where row i of the (B, k) ``scopes`` array
-    and of the (B, *shape) ``values`` stack hold the boundary and the -ln
-    table of the fold of ``plan.components[ranks[i]]``.
-
-    The components of one local structure, one set of domain sizes and one
-    set of the structure's hyperedges fold as one stack across the family,
-    gathered from the members' stacks by the plan's hyperedge indices; a
-    member's fold skips the hyperedges it lacks and still lands on the
-    whole boundary.  Each fold equals a fold of its component on its own,
-    table by table.  A stack holds at most ``STATE_LIMIT`` entries in its
-    largest table.  The plan must be built from ``members``.
+    A stack gathers its inputs from the members' tables, those of one shape
+    end to end; a member's fold skips the hyperedges it lacks and still
+    lands on the whole boundary.  Each fold equals a fold of its component
+    on its own, table by table.  A stack holds at most ``STATE_LIMIT``
+    entries in its largest table.
     """
-    tables, rows = plan._tables
-    sources = [g.values for u in members for g in u._groups]
-    out: list[list] = [[] for _ in members]
-    for (_, _, factors, ranks, edges, local), groups in zip(plan._structures, plan._sizes):
-        for schedule, member, at, present, entries in groups:
-            cols = member[:, None], edges[at][:, present]
-            src, row, rank = tables[cols], rows[cols], ranks[at]
-            ids = local[at][:, list(factors[-1])]
-            step = max(1, STATE_LIMIT // entries)
-            for start in range(0, len(at), step):
-                c = slice(start, start + step)
-                total = _fold_stack(schedule, _gather(sources, src[c], row[c]), len(rank[c]))
-                cuts = np.searchsorted(member[c], np.arange(len(out) + 1)).tolist()
-                for m, (s, e) in enumerate(zip(cuts, cuts[1:])):
-                    if s < e:
-                        out[m].append((rank[c][s:e], ids[c][s:e], total[s:e]))
-    return out
+    like: dict[tuple, list] = {}
+    for g in chain.from_iterable(u._groups for u in members):
+        like.setdefault(g.values.shape[1:], []).append(g.values)
+    tables = {shape: np.concatenate(v) if len(v) > 1 else v[0] for shape, v in like.items()}
+    return [_fold_stack(schedule, [tables[s][i] for s, i in zip(slots, idx.T)], len(idx))
+            for schedule, _, slots, idx, *_ in plan._folds]
 
 
-@lru_cache(maxsize=64)
-def _pair_weights(width: int, n: int) -> np.ndarray:
-    """The (width, pairs) matrix taking a row of ``width`` ids below ``n`` to
-    the code left * n + right of each pair of its entries, left before right."""
-    left, right = np.triu_indices(width, 1)
-    column = np.arange(width)[:, None]
-    return _readonly((column == left) * n + (column == right), np.intp)
+def _pair_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Per row of the (B, r) ``rows`` (ids below ``n``, ascending along each
+    row, -1 for none), the code left * n + right of each pair of its entries,
+    or -1 where one of them is -1, read-only."""
+    left, right = np.array(list(combinations(range(rows.shape[1]), 2)), np.intp).reshape(-1, 2).T
+    left, right = rows[:, left], rows[:, right]
+    return _readonly(np.where((left >= 0) & (right >= 0), left * n + right, -1), np.intp)
 
 
-def _pair_graph(a: VarSet, n: int, rows: list) -> Graph:
-    """The graph on ``a`` joining every two entries of a row of one of
-    ``rows``, (B, r) arrays of ids below ``n``, ascending along each row.
-    One product per array codes the pairs, and one sort finds the distinct
-    codes, so no tuple is made for a pair that repeats."""
-    codes = [(r @ _pair_weights(r.shape[1], n)).ravel() for r in rows if r.shape[1] > 1 and len(r)]
-    if not codes:
-        return Graph._of(a, frozenset())
-    codes = np.sort(np.concatenate(codes))
+def _pair_graph(a: VarSet, n: int, codes: list) -> Graph:
+    """The graph on ``a`` of the pairs coded in the arrays ``codes`` (see
+    :func:`_pair_codes`).  One sort finds the distinct codes, so no tuple is
+    made for a pair that repeats."""
+    codes = np.sort(np.concatenate([c.ravel() for c in codes] + [np.zeros(0, np.intp)]))
     last = codes[:-1][codes[1:] != codes[:-1]].tolist() + codes[-1:].tolist()  # last of each run
     return Graph._of(a, frozenset(divmod(c, n) for c in last))
 
 
-def _innovation_tables(u: Potential, null_tol: float, folds: list) -> Potential:
-    """Innovations of ``u`` from its ``folds`` (its entry of
-    :func:`_component_folds`, every fold on its component's whole boundary,
-    which may be wider than what ``u`` alone induces when the plan is built
-    for a family), as one potential: a table per innovation scope, kept in
-    stacks.
+def _innovation_tables(plan: EliminationPlan, members) -> list[np.ndarray]:
+    """The innovations of ``members`` (those the plan is built from), across
+    the family: per output of ``plan._splits``, the stack of its pieces.
 
-    The folded tables are summed per boundary in ``plan.components`` order
-    (their ranks) and then split, so the result does not depend on how the
-    folds were stacked.  The split makes every innovation normalized; a
+    The folds are summed per member and boundary in ``plan.components``
+    order (their ranks) and then split, so the result does not depend on how
+    the folds were stacked.  The split makes every innovation normalized; a
     property test checks :func:`~margraph.potentials.is_normalized` on it.
     """
-    parts = [p for ranks, scopes, values in folds
-             for p in _anchored_parts(u.vars, scopes, values, ranks)]
-    return Potential._from_parts(u.vars, _split(_sum_parts(parts)), null_tol)
+    sums = _sum_rows(plan._fold_sums, _component_folds(members, plan))
+    return _split_rows(plan._splits, [(zp, v) for (zp, *_), v in zip(plan._fold_sums, sums)])
 
 
 def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]:
@@ -537,8 +579,8 @@ def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]
     be normalized.
     """
     [u], _, plan = _checked_plan([u], a, null_tol)
-    innovation = _innovation_tables(u, null_tol, _component_folds([u], plan)[0])
-    return [Innovation(t.scope, t) for t in innovation.tables]
+    [groups], _ = _by_member(1, plan._innovation_rows, _innovation_tables(plan, [u]), null_tol)
+    return [Innovation(t.scope, t) for t in Potential._of(u.vars, groups).tables]
 
 
 def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport:
@@ -559,29 +601,22 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
         fam = PotentialFamily([fam])
     vars = fam.vars
     clean, a, plan = _checked_plan(fam.members, a, null_tol)
-    # the model's graph on ``a`` joins the retained ids of each hyperedge,
-    # read from the hyperedges with k of them, for each k
-    rows, n = plan._rows, len(vars)
-    kept = (plan._comp[rows] < 0) & (rows >= 0)
-    count = kept.sum(axis=1)
-    model_subgraph = _pair_graph(a, n, [rows[count == k][kept[count == k]].reshape(-1, k)
-                                        for k in range(2, rows.shape[1] + 1)])
-
-    restrictions, innovation_potentials, marginals = [restrict(m, a) for m in clean], [], []
-    for m, r, folds in zip(clean, restrictions, _component_folds(clean, plan)):
-        innovation = _innovation_tables(m, null_tol, folds)
-        innovation_potentials.append(innovation)
-        # a scope's restricted table (rank 0) comes before its innovation (rank 1)
-        parts = r._parts(0) + innovation._parts(1)
-        marginals.append(Potential._from_parts(vars, _sum_parts(parts), null_tol))
+    pieces = _innovation_tables(plan, clean)
+    innovation, alive = _by_member(len(clean), plan._innovation_rows, pieces, null_tol)
+    for v, k in zip(pieces, alive):
+        v[~k] = -0.0  # a null innovation adds as -0.0 (see EliminationPlan)
+    sums, nonnull = _by_member(len(clean), plan._marginal_rows, _sum_rows(
+        plan._marginal, [g.values for m in clean for g in m._groups] + pieces), null_tol)
+    marginals = [Potential._of(vars, s + [g[q] for q in plan._alone])
+                 for s, g in zip(sums, innovation)]
+    innovation = [Potential._of(vars, g) for g in innovation]
 
     # a scope disappears when its combined table is null for every member
     marginal_hypergraph = hypergraph_of(marginals, null_tol)
-    innovation_scopes = hypergraph_of(innovation_potentials, null_tol)
-    present, restricted = marginal_hypergraph._set, hypergraph_of(restrictions, null_tol)._set
-
-    # the marginals hold no null rows (``Potential._from_parts`` dropped them)
-    marginal_graph = _pair_graph(a, n, [g.scopes for m in marginals for g in m._groups])
+    innovation_scopes = hypergraph_of(innovation, null_tol)
+    present, restricted = marginal_hypergraph._set, plan.restricted
+    marginal_graph = _pair_graph(a, len(vars), [
+        c[k] for c, k in zip(plan._codes, nonnull + [alive[q] for q in plan._alone])])
     return MarginalReport(
         retained=a,
         marginal_family=PotentialFamily(marginals),
@@ -589,9 +624,9 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
         added=Hypergraph._of(present - restricted),
         removed=Hypergraph._of(restricted - present),
         kept=Hypergraph._of(restricted & present),
-        graphically_collapsible=marginal_graph == model_subgraph,
+        graphically_collapsible=marginal_graph == plan.model_subgraph,
         parametrically_collapsible=not innovation_scopes,
         innovation_scopes=innovation_scopes,
-        model_subgraph=model_subgraph,
+        model_subgraph=plan.model_subgraph,
         _marginal_graph=marginal_graph,
     )

@@ -29,10 +29,10 @@ filtering and :func:`restrict` are masks over the rows.  The rule: rows on
 one scope sum by rank, which for a potential's own tables is their table
 order (the sorted order of scopes), the lowest-ranked row first.  A
 table-by-table loop adds in that order too (table order, then subset order),
-so results do not depend on the grouping, bit for bit.
-Which rows meet in what order, and where each piece sits, depends only on
-the rows' anchors, shapes, scopes and ranks: a read-only row layout built
-once per such structure and kept for the process.
+so results do not depend on the grouping, bit for bit.  Which rows meet in
+what order, and where each piece sits, is a read-only layout built from the
+rows' anchors, shapes and scopes alone; normalization keeps one per potential
+structure for the process.
 
 Table layout is normative for file serialization: entries are dense in
 assignment-major order with the last scope variable fastest, i.e. the
@@ -214,20 +214,6 @@ class Potential:
         return u
 
     @classmethod
-    def _from_parts(cls, vars: Variables, parts, null_tol: float) -> "Potential":
-        """A potential of engine-made parts (see :func:`_sum_parts`), one
-        scope per row, dropping the rows null within ``null_tol``."""
-        groups = []
-        for zp, scopes, values, _ in parts:
-            g = _Group(zp, scopes, values)
-            finite = np.isfinite(g.max_abs)
-            if not finite.all():
-                bad = tuple(g.scopes[~finite][0].tolist())
-                raise InvalidInputError(f"non-finite entries in table for scope {bad}")
-            groups.append(g.take(g.max_abs > null_tol))
-        return cls._of(vars, groups)
-
-    @classmethod
     def from_arrays(cls, vars: Variables, arrays: dict) -> "Potential":
         return cls(vars, (InteractionTable(varset(s), np.asarray(v, dtype=float))
                           for s, v in arrays.items()))
@@ -238,15 +224,6 @@ class Potential:
             self._index = {s: (g, k) for g in self._groups
                            for k, s in enumerate(map(tuple, g.scopes.tolist()))}
         return self._index
-
-    def _parts(self, rank=None) -> list:
-        """The groups as (zp, scopes, values, rank) parts.  Every row gets
-        ``rank``, or by default its position in table order."""
-        if rank is None:
-            ranks = _scope_rows([g.scopes for g in self._groups])[1]
-        else:
-            ranks = [np.full(len(g.scopes), rank) for g in self._groups]
-        return [(g.zp, g.scopes, g.values, r) for g, r in zip(self._groups, ranks)]
 
     @property
     def tables(self) -> tuple[InteractionTable, ...]:
@@ -365,19 +342,6 @@ class Hypergraph:
 # Ordered sums of rows, and the anchored Mobius transform.
 # ---------------------------------------------------------------------------
 
-def _anchored_parts(vars: Variables, scopes: np.ndarray, values: np.ndarray,
-                    rank: np.ndarray) -> list:
-    """Rows of like-sized scopes as (zp, scopes, values, rank) parts, one
-    per distinct anchor positions."""
-    zps = np.asarray(vars.zero_indices)[scopes]
-    if (zps == zps[0]).all():
-        return [(tuple(zps[0].tolist()), scopes, values, rank)]
-    rows: dict[tuple, list[int]] = {}
-    for k, zp in enumerate(map(tuple, zps.tolist())):
-        rows.setdefault(zp, []).append(k)
-    return [(zp, scopes[ks], values[ks], rank[ks]) for zp, ks in rows.items()]
-
-
 def _anchored_differences(stack: np.ndarray, zero_positions: Sequence[int]) -> np.ndarray:
     """Anchored finite-difference transform of a stack of tables, along
     every axis but the leading (stack) one.
@@ -398,8 +362,8 @@ def _anchored_differences(stack: np.ndarray, zero_positions: Sequence[int]) -> n
     return out
 
 
-# Split plans and row layouts of at most this many entries are cached, 32 of
-# each at most (16 MiB of indices each); larger ones are built on each call.
+# Split plans and layouts of at most this many gather entries are kept, 32
+# of each at most (16 MiB of indices each); larger ones are built on each call.
 SPLIT_PLAN_CACHE_ENTRIES = 1 << 16
 
 
@@ -429,34 +393,25 @@ def _split_plan(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> tupl
     return tuple(plan)
 
 
-@lru_cache(maxsize=32)
-def _row_layout(split: bool, key: tuple) -> tuple:
-    """The symbolic half of :func:`_split` (if ``split``) or :func:`_sum_parts`
-    on parts of structure ``key`` (:func:`_layout_of`), read-only: per output
-    part, its anchors, the parts it gathers, where its sums' first rows sit
-    (``None`` for rows in order: not copied), per depth j the sums with a row
-    j and where that row sits, and its scopes and ranks.  Sums index rows of
-    the parts' stacks, splits entries of a zero and the parts' transforms."""
+def _sum_layout(lengths: list, rows) -> tuple:
+    """The symbolic half of :func:`_sum_rows`, read-only: ``rows`` holds (k,
+    zp, shape, scopes, rank, at), the rows ``at`` of stack k, and
+    ``lengths`` the rows of each stack.  Rows that share a scope sum in rank
+    order, the sums in lexicographic order.  Per shape and anchors: (zp,
+    shape, the stacks it gathers, where the first row of each sum sits in
+    their concatenation or ``None`` when they are that concatenation in
+    order (not copied), per depth j the sums with a row j and where that row
+    sits, and the sums' scopes and ranks, those of their first rows)."""
     like: dict[tuple, list] = {}
-    end = 1
-    for k, (zp, shape, (dims, raw), ranks) in enumerate(key):
-        scopes, rank = np.frombuffer(raw, np.intp).reshape(dims), np.frombuffer(ranks, np.intp)
-        if not split:
-            like.setdefault((shape, zp), []).append((k, scopes, rank))
-            continue
-        size = math.prod(shape)
-        small = math.prod(n + 1 for n in shape) - 1 <= SPLIT_PLAN_CACHE_ENTRIES
-        rows = end + size * np.arange(len(rank))
-        for sub_zp, axes, idx in (_split_plan if small else _split_plan.__wrapped__)(shape, zp):
-            at = np.where(idx == size, 0, np.add.outer(rows, idx)).reshape((-1,) + idx.shape[1:])
-            like.setdefault((idx.shape[1:], sub_zp), []).append(
-                (k, scopes[:, axes].reshape(-1, axes.shape[1]), np.repeat(rank, len(axes)), at))
-        end += size * len(rank)
+    for k, zp, shape, scopes, rank, at in rows:
+        if len(at):
+            like.setdefault((shape, zp), []).append((k, scopes, rank, at))
     out = []
-    for (_, zp), items in like.items():
-        members, scopes, rank, *at = zip(*items)
-        scopes, rank = np.concatenate(scopes), np.concatenate(rank)
-        at = np.concatenate(at[0]) if split else np.arange(len(rank))
+    for (shape, zp), items in like.items():
+        stacks = tuple(dict.fromkeys(k for k, *_ in items))
+        base = dict(zip(stacks, accumulate((lengths[k] for k in stacks), initial=0)))
+        scopes, rank, at = (x[0] if len(x) == 1 else np.concatenate(x)
+                            for x in zip(*((s, r, base[k] + a) for k, s, r, a in items)))
         order = np.lexsort((rank, *scopes.T[::-1]))
         start = np.ones(len(rank), dtype=bool)
         start[1:] = (scopes[order[1:]] != scopes[order[:-1]]).any(axis=1)
@@ -466,68 +421,99 @@ def _row_layout(split: bool, key: tuple) -> tuple:
         depths = tuple((_readonly(seg[d], np.intp), _readonly(at[order[d]], np.intp))
                        for d in (np.flatnonzero(pos == j) for j in range(1, int(pos.max()) + 1)))
         first = order[heads]
-        identity = not split and not depths and (first == at).all()
-        out.append((zp, members, None if identity else _readonly(at[first], np.intp), depths,
-                    _readonly(scopes[first], np.intp), _readonly(rank[first], np.intp)))
+        take = _readonly(at[first], np.intp)
+        if not depths and np.array_equal(take, np.arange(sum(lengths[k] for k in stacks))):
+            take = None
+        out.append((zp, shape, stacks, take, depths, _readonly(scopes[first], np.intp),
+                    _readonly(rank[first], np.intp)))
     return tuple(out)
 
 
-def _layout_of(parts, split: bool) -> tuple[list, tuple]:
-    """The parts of ``parts`` with rows and their :func:`_row_layout`, keyed
-    by value: per part, its anchors, table shape, scope array as (shape,
-    bytes) and ranks as intp bytes, never a table value.  A layout gathering
-    over ``SPLIT_PLAN_CACHE_ENTRIES`` entries is built on each call."""
-    live = [p for p in parts if len(p[3])]
-    key = tuple((zp, values.shape[1:], (s.shape, s.tobytes()), np.asarray(rank, np.intp).tobytes())
-                for zp, scopes, values, rank in live for s in [np.asarray(scopes, np.intp)])
-    small = sum(len(rank) * (math.prod(n + 1 for n in values.shape[1:]) - 1 if split else 1)
-                for _, _, values, rank in live) <= SPLIT_PLAN_CACHE_ENTRIES
-    return live, (_row_layout if small else _row_layout.__wrapped__)(split, key)
+def _split_layout(parts) -> tuple:
+    """The symbolic half of :func:`_split_rows` on the rows of ``parts``, (zp,
+    shape, scopes, rank) each, with each row's scope after its member: every
+    row splits into its pieces on the non-empty subsets of its scope, which
+    sum per member and sub-scope by the rank of their row.  The
+    :func:`_sum_layout` of the pieces as rows of one stack: the parts'
+    anchored transforms end to end after one zero, where the pieces at the
+    anchor point."""
+    rows, end = [], 1
+    for zp, shape, scopes, rank in parts:
+        size = math.prod(shape)
+        small = math.prod(n + 1 for n in shape) - 1 <= SPLIT_PLAN_CACHE_ENTRIES
+        start = end + size * np.arange(len(rank))
+        for sub_zp, axes, idx in (_split_plan if small else _split_plan.__wrapped__)(shape, zp):
+            sub = np.hstack((np.repeat(scopes[:, :1], len(axes), axis=0),
+                             scopes[:, 1 + axes].reshape(-1, axes.shape[1])))
+            at = np.where(idx == size, 0, np.add.outer(start, idx)).reshape((-1,) + idx.shape[1:])
+            rows.append((0, sub_zp, idx.shape[1:], sub, np.repeat(rank, len(axes)), at))
+        end += size * len(rank)
+    return _sum_layout([0], rows)
 
 
-def _add_rows(values: np.ndarray, take: np.ndarray, depths: tuple) -> np.ndarray:
-    """A layout's sums of ``values``: its first rows, then one add per depth."""
-    total = values[take]
-    for sums, at in depths:
-        total[sums] += values[at]
-    return total
+def _member_rows(layout: tuple, count: int) -> list:
+    """Per output of ``layout``, whose scopes lead with a member below
+    ``count``: its anchors, its scopes without the member, and where each
+    member's rows start and the last one's end, as :func:`_by_member` reads
+    them."""
+    cut = np.arange(count + 1)
+    return [(zp, _readonly(np.ascontiguousarray(s[:, 1:]), np.intp),
+             np.searchsorted(s[:, 0], cut).tolist()) for zp, *_, s, _ in layout]
 
 
-def _sum_parts(parts) -> list:
-    """Sum the rows that share a scope, in rank order.
-
-    A part is (zp, scopes, values, rank): anchor positions, a (B, r) scope
-    array, a (B, *shape) stack and a (B,) rank per row.  The rule: the
-    lowest-ranked row starts each sum, so a -0.0 of a lone row stays -0.0
-    (folds hold none: see :func:`~margraph.hypergraph_marginal._fold_stack`),
-    and the others add on, one in-place add per depth.  Returns parts again:
-    one row per scope, lexicographic within a part, ranked by its first
-    term; a lone part in that order comes back uncopied.  The order is the
-    parts' :func:`_row_layout`.
-    """
-    live, layout = _layout_of(parts, False)
+def _sum_rows(layout: tuple, stacks: list) -> list:
+    """Sum the rows of ``stacks`` that share a scope along ``layout`` (a
+    :func:`_sum_layout`), in rank order: the lowest-ranked row starts each
+    sum, so a -0.0 of a lone row stays -0.0 (folds hold none: see
+    :func:`~margraph.hypergraph_marginal._fold_stack`), and the others add on,
+    one in-place add per depth."""
     out = []
-    for zp, members, take, depths, scopes, rank in layout:
-        values = [live[k][2] for k in members]
-        values = np.concatenate(values) if len(values) > 1 else values[0]
-        out.append((zp, scopes, values if take is None else _add_rows(values, take, depths), rank))
+    for _, _, ks, take, depths, _, _ in layout:
+        values = np.concatenate([stacks[k] for k in ks]) if len(ks) > 1 else stacks[ks[0]]
+        out.append(values if take is None else values[take])
+        for sums, at in depths:
+            out[-1][sums] += values[at]
     return out
 
 
-def _split(parts) -> list:
-    """Split every row of the (zp, scopes, values, rank) ``parts`` into its
-    normalized pieces on each non-empty subset of its scope (the constant
-    piece is dropped) and sum the pieces per sub-scope by the rank of their
-    row, by the rule of :func:`_sum_parts`.  Each part takes one transform
-    into one flat buffer; each group of sub-scopes that share a sub-shape and
-    sub-anchors (:func:`_split_plan`) takes one gather and one add per depth
-    of the parts' :func:`_row_layout`, and yields one part.
-    """
-    live, layout = _layout_of(parts, True)
-    flat = np.concatenate([np.zeros(1)] + [_anchored_differences(values, zp).ravel()
-                                           for zp, _, values, _ in live])
-    return [(zp, scopes, _add_rows(flat, take, depths), rank)
-            for zp, _, take, depths, scopes, rank in layout]
+def _split_rows(layout: tuple, stacks) -> list:
+    """Split every row of the (zp, values) ``stacks`` into its normalized
+    pieces on each non-empty subset of its scope (the constant piece is
+    dropped) and sum them per sub-scope along ``layout`` (a
+    :func:`_split_layout`), by the rule of :func:`_sum_rows`: one transform
+    per stack into one flat buffer, then one gather and one add per depth for
+    each group of sub-scopes that share a sub-shape and sub-anchors."""
+    return _sum_rows(layout, [np.concatenate(
+        [np.zeros(1)] + [_anchored_differences(values, zp).ravel() for zp, values in stacks])])
+
+
+def _by_member(count: int, rows, stacks: list, null_tol: float) -> tuple[list, list]:
+    """The groups of ``count`` potentials from engine-made stacks whose rows
+    ``rows`` lays out (:func:`_member_rows`): member m takes, per
+    stack, one group of its rows cuts[m] to cuts[m + 1] that are not null
+    within ``null_tol``.  Also returns, per stack, which rows those are.  A
+    non-finite row is refused."""
+    peaks = [np.abs(values).reshape(len(values), -1).max(axis=1) for values in stacks]
+    for (_, scopes, _), peak in zip(rows, peaks):
+        if not np.isfinite(peak).all():
+            bad = tuple(scopes[~np.isfinite(peak)][0].tolist())
+            raise InvalidInputError(f"non-finite entries in table for scope {bad}")
+    keep = [peak > null_tol for peak in peaks]
+    return [[_Group(zp, scopes[s:e], v[s:e], p[s:e]).take(k[s:e])
+             for (zp, scopes, cuts), v, p, k in zip(rows, stacks, peaks, keep)
+             for s, e in [cuts[m:m + 2]]] for m in range(count)], keep
+
+
+@lru_cache(maxsize=32)
+def _normalize_layout(key: tuple) -> tuple:
+    """The :func:`_split_layout` of a potential's groups, as one member, and
+    its :func:`_member_rows`, keyed by value: per group its anchors, table
+    shape and scope array as (shape, bytes), never a table value.  A row's
+    rank is its table order, from one :func:`_scope_rows`."""
+    scopes = [np.frombuffer(raw, np.intp).reshape(dims) for _, _, (dims, raw) in key]
+    layout = _split_layout([(zp, shape, np.hstack((np.zeros((len(s), 1), np.intp), s)), r)
+                            for (zp, shape, _), s, r in zip(key, scopes, _scope_rows(scopes)[1])])
+    return layout, _member_rows(layout, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +578,16 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
     ``STATE_LIMIT`` is refused before anything is allocated.
     """
     _require_tolerance(null_tol, "null_tol")
-    entries = max((math.prod(n + 1 for n in g.values.shape[1:]) - 1 for g in u0._groups),
-                  default=0)
-    if entries > STATE_LIMIT:
-        raise ResourceLimitError(
-            f"normalization needs {entries} table entries, above the limit of {STATE_LIMIT}")
-    return Potential._from_parts(u0.vars, _split(u0._parts()), null_tol)
+    groups = u0._groups
+    entries = [math.prod(n + 1 for n in g.values.shape[1:]) - 1 for g in groups]
+    if max(entries, default=0) > STATE_LIMIT:
+        raise ResourceLimitError(f"normalization needs {max(entries)} table entries, "
+                                 f"above the limit of {STATE_LIMIT}")
+    key = tuple((g.zp, g.values.shape[1:], (g.scopes.shape, g.scopes.tobytes())) for g in groups)
+    small = sum(len(g.scopes) * e for g, e in zip(groups, entries)) <= SPLIT_PLAN_CACHE_ENTRIES
+    layout, rows = (_normalize_layout if small else _normalize_layout.__wrapped__)(key)
+    sums = _split_rows(layout, [(g.zp, g.values) for g in groups])
+    return Potential._of(u0.vars, _by_member(1, rows, sums, null_tol)[0][0])
 
 
 def is_normalized(u: Potential, tol: float = NORMALIZED_TOL) -> bool:

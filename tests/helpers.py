@@ -39,9 +39,9 @@ from margraph.hypergraph_marginal import (
     _innovation_tables,
     _min_fill_order,
     _model_structure,
-    _relabeled,
     _schedule,
 )
+from margraph.potentials import _by_member, _split_layout, _split_rows, _sum_layout, _sum_rows
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> Graph:
@@ -231,12 +231,25 @@ def folded_component_by_loops(u: Potential, tau, bd) -> np.ndarray:
     return out
 
 
+def relabeled(scopes, order) -> tuple[tuple, tuple, tuple]:
+    """``scopes`` and ``order`` relabeled to positions in ``local``, the
+    sorted union of ``order`` and the scopes, and ``local`` itself.
+
+    The relabeling keeps the order of ids, so a fold of the relabeled
+    structure (with the domain sizes at those positions) does the same
+    arithmetic as a fold of the original.
+    """
+    local = varset(chain(order, *scopes))
+    at = {v: k for k, v in enumerate(local)}
+    return tuple(tuple(at[v] for v in s) for s in scopes), tuple(at[v] for v in order), local
+
+
 def fold_tables(vars: Variables, tables, order) -> tuple[tuple[int, ...], np.ndarray]:
     """Sum the variables of ``order`` out of exp(-sum of ``tables``), one at
     a time and in log space, by the library's bucket elimination on a batch
     of one.  Returns the scope left over, the scopes' variables outside
     ``order``, and -ln of the sum on it."""
-    scopes, order, local = _relabeled([t.scope for t in tables], order)
+    scopes, order, local = relabeled([t.scope for t in tables], order)
     bd = tuple(p for p in range(len(local)) if p not in order)
     schedule = _schedule(scopes, order, vars.sizes(local), bd)
     total = _fold_stack(schedule, [t.values[None] for t in tables], 1)
@@ -385,9 +398,8 @@ def report_sets_by_set_algebra(family, a, marginals, null_tol: float) -> dict:
     inside = set(a)
     edges = {t.scope for m in clean for t in m.tables}
     restricted = {e for e in edges if inside.issuperset(e)}
-    innovation_scopes = set()
-    for m, folds in zip(clean, _component_folds(clean, plan)):
-        innovation_scopes.update(t.scope for t in _innovation_tables(m, null_tol, folds).tables)
+    innovation_scopes = {t.scope for u in innovation_potentials(plan, clean, null_tol)
+                         for t in u.tables}
     present = {t.scope for m in marginals for t in m.tables if t.max_abs > null_tol}
     return {
         "marginal_hypergraph": present,
@@ -415,6 +427,48 @@ def build_plan(members, a) -> EliminationPlan:
     ``members`` (potentials on one registry) and the retained ids ``a``,
     past the plans the library keeps per process."""
     return EliminationPlan(*_model_structure(members, varset(a)))
+
+
+def innovation_potentials(plan, members, null_tol: float) -> list:
+    """Per member of ``members`` (those ``plan`` is built from), its
+    innovations that are not null within ``null_tol``, as one potential."""
+    groups, _ = _by_member(len(members), plan._innovation_rows,
+                           _innovation_tables(plan, members), null_tol)
+    return [Potential._of(members[0].vars, g) for g in groups]
+
+
+def member_folds(members, plan) -> list[list]:
+    """The folds of :func:`~margraph.hypergraph_marginal._component_folds`
+    per member of ``members``, as (ranks, boundaries, values) stacks: row i
+    holds the fold of ``plan.components[ranks[i]]`` on the boundary ids in
+    row i of ``boundaries``."""
+    out = [[] for _ in members]
+    for (*_, member, rank, ids), total in zip(plan._folds, _component_folds(members, plan)):
+        cuts = np.searchsorted(member, np.arange(len(members) + 1)).tolist()
+        for m, (s, e) in enumerate(zip(cuts, cuts[1:])):
+            if s < e:
+                out[m].append((rank[s:e], ids[s:e], total[s:e]))
+    return out
+
+
+def sum_parts(parts) -> list:
+    """The library's ordered sums on hand-made (zp, scopes, values, rank)
+    parts: the rows that share a scope, summed in rank order, as parts."""
+    layout = _sum_layout([len(r) for *_, r in parts], [
+        (k, zp, v.shape[1:], np.asarray(s), np.asarray(r, np.intp), np.arange(len(r)))
+        for k, (zp, s, v, r) in enumerate(parts)])
+    sums = _sum_rows(layout, [v for _, _, v, _ in parts])
+    return [(zp, scopes, v, rank) for (zp, *_, scopes, rank), v in zip(layout, sums)]
+
+
+def split_parts(parts) -> list:
+    """The library's Mobius split on hand-made (zp, scopes, values, rank)
+    parts, as rows of one member: each row's pieces, summed per sub-scope
+    by rank, as parts."""
+    layout = _split_layout([(zp, v.shape[1:], np.hstack((np.zeros((len(s), 1), np.intp), s)),
+                             np.asarray(r, np.intp)) for zp, s, v, r in parts])
+    sums = _split_rows(layout, [(zp, v) for zp, _, v, _ in parts])
+    return [(zp, scopes[:, 1:], v, rank) for (zp, *_, scopes, rank), v in zip(layout, sums)]
 
 
 def edges(plan) -> tuple:

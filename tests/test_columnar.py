@@ -28,21 +28,18 @@ from margraph import (
     restrict,
     varset,
 )
+from margraph import potentials
 from margraph.hypergraph_marginal import (
+    EliminationPlan,
     _checked_plan,
-    _component_folds,
-    _innovation_tables,
+    _plans,
     innovations,
 )
 from margraph.potentials import (
     NORMALIZED_TOL,
     SPLIT_PLAN_CACHE_ENTRIES,
-    _anchored_parts,
     _drop_null,
-    _layout_of,
-    _row_layout,
-    _split,
-    _sum_parts,
+    _normalize_layout,
 )
 
 from fixture_models import grid_potential, grid_retained
@@ -50,9 +47,13 @@ from helpers import (
     ReferencePlan,
     binary_vars,
     innovations_by_components,
+    innovation_potentials,
     is_normalized_by_tables,
+    member_folds,
     normalized_pieces,
     split_by_tables,
+    split_parts,
+    sum_parts,
     zero_coord_mask,
 )
 
@@ -216,12 +217,12 @@ class TestOrderedSums:
         # rows ranked 2, 0, 1 on one scope sum as (a + b) + c in rank order
         a, b, c = 1e16, 1.0, -1e16
         part = ((0,), np.array([[3], [3], [3]]), np.array([[c], [a], [b]]), np.array([2, 0, 1]))
-        [(_, scopes, total, rank)] = _sum_parts([part])
+        [(_, scopes, total, rank)] = sum_parts([part])
         assert scopes.tolist() == [[3]] and rank.tolist() == [0]
         assert total[0, 0] == (a + b) + c != (a + c) + b
         # the first row starts the sum, so its -0.0 survives
         single = ((0,), np.array([[3]]), np.array([[-0.0]]), np.array([0]))
-        assert np.signbit(_sum_parts([single])[0][2][0, 0])
+        assert np.signbit(sum_parts([single])[0][2][0, 0])
 
     @settings(max_examples=100, deadline=None)
     @given(signed_zero_families())
@@ -231,7 +232,7 @@ class TestOrderedSums:
         # makes every zero it returns +0.0
         family, keep = case
         clean, _, plan = _checked_plan(family.members, keep, NULL_TOL)
-        for folds in _component_folds(clean, plan):
+        for folds in member_folds(clean, plan):
             for _, _, values in folds:
                 assert not np.signbit(values[values == 0]).any()
 
@@ -241,8 +242,8 @@ class TestOrderedSums:
         # a split of one row returns its pieces unsummed: one row per
         # sub-scope, in lexicographic order, as the sum would return them
         g = u._groups[0]
-        pieces = _split([(g.zp, g.scopes[:1], g.values[:1], np.array([rank]))])
-        summed = _sum_parts(pieces)
+        pieces = split_parts([(g.zp, g.scopes[:1], g.values[:1], np.array([rank]))])
+        summed = sum_parts(pieces)
         assert len(pieces) == len(summed)
         for (zp, scopes, values, ranks), (zp2, scopes2, values2, ranks2) in zip(pieces, summed):
             assert zp == zp2
@@ -268,16 +269,18 @@ class TestOrderedSums:
 
     def test_boundaries_with_different_anchors_split_on_their_own(self):
         # the eliminated 1 and 3 fold alike, onto (0, 2) and (2, 4) whose
-        # anchors differ, so one stack of folds splits as two groups
+        # anchors differ, so they fold in two stacks, one per boundary's
+        # anchors, and split as two groups
         v = Variables([f"V{k}" for k in range(5)],
                       [(0.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
         rng = np.random.default_rng(5)
         u = normalize_potential(Potential(v, [InteractionTable((k, k + 1), rng.normal(size=(2, 2)))
                                               for k in range(4)]))
         [u], _, plan = _checked_plan([u], (0, 2, 4), NULL_TOL)
-        [folds] = _component_folds([u], plan)
-        assert len(folds) == 1
-        got = {t.scope: t.values for t in _innovation_tables(u, NULL_TOL, folds).tables}
+        [folds] = member_folds([u], plan)
+        assert len(folds) == 2
+        [innovation] = innovation_potentials(plan, [u], NULL_TOL)
+        got = {t.scope: t.values for t in innovation.tables}
         ref = innovations_by_components(u, plan, NULL_TOL)
         assert list(got) == list(ref) and (0, 2) in got and (2, 4) in got
         for scope, values in ref.items():
@@ -306,7 +309,7 @@ class TestWideScopes:
     def test_innovations_lists_the_innovation_potential(self):
         u, keep = grid_potential(), grid_retained()
         [u], _, plan = _checked_plan([u], keep, NULL_TOL)
-        tables = _innovation_tables(u, NULL_TOL, _component_folds([u], plan)[0]).tables
+        tables = innovation_potentials(plan, [u], NULL_TOL)[0].tables
         got = innovations(u, keep)
         assert len(got) == len(tables) > 500
         for i, t in zip(got, tables):
@@ -395,12 +398,33 @@ def _report_bytes(report) -> tuple:
             report.parametrically_collapsible)
 
 
-def _misses() -> int:
-    return _row_layout.cache_info().misses
+def _misses() -> tuple:
+    """Layouts built so far: normalization's count, and the plans kept."""
+    return _normalize_layout.cache_info().misses, {id(plan) for plan in _plans.values()}
+
+
+def _normalize_key(u: Potential) -> tuple:
+    """The key of ``u``'s split layout, as ``normalize_potential`` builds it."""
+    return tuple((g.zp, g.values.shape[1:], (g.scopes.shape, g.scopes.tobytes()))
+                 for g in u._groups)
+
+
+def _walk_arrays(*roots) -> list:
+    """Every array reachable from ``roots`` through tuples and lists."""
+    arrays, todo = [], list(roots)
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+        elif isinstance(x, (tuple, list)):
+            todo += x
+    return arrays
 
 
 class TestRowLayouts:
-    """The per-process memo of the symbolic half of sums and splits."""
+    """The per-process memos of the symbolic half of sums and splits: the
+    plan of each model structure on the hypergraph route, and the split
+    layout of each potential structure in normalization."""
 
     @settings(max_examples=60, deadline=None)
     @given(columnar_potentials(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.data())
@@ -414,60 +438,60 @@ class TestRowLayouts:
                      for m in family],
                     _report_bytes(marginalize_hypergraph(family, keep)))
 
-        _row_layout.cache_clear()
+        _normalize_layout.cache_clear()
+        _plans.clear()
         cold = calls()
         misses = _misses()
         assert calls() == cold
         assert _misses() == misses
 
-    def test_a_layout_is_not_reused_for_other_ranks(self):
-        # the (a + b) + c case: one scope, the same rows, ranked two ways
-        a, b, c = 1e16, 1.0, -1e16
-        scopes, values = np.array([[3], [3], [3]]), np.array([[c], [a], [b]])
-        _row_layout.cache_clear()
-        for rank, want in (([2, 0, 1], (a + b) + c), ([0, 1, 2], (c + a) + b)):
-            misses = _misses()
-            [(_, _, total, first)] = _sum_parts([((0,), scopes, values, np.array(rank))])
-            assert _misses() == misses + 1
-            assert total[0, 0] == want and first.tolist() == [0]
-        assert (a + b) + c != (c + a) + b
+    def test_a_warm_normalization_reads_no_scope_rows(self, monkeypatch):
+        # the table order that ranks the pieces is part of the kept layout
+        rng = np.random.default_rng(30)
+        v = Variables([f"V{k}" for k in range(5)],
+                      [(0.0, 1.0), (-1.0, 0.0, 2.0)] * 2 + [(0.0, 1.0)])
+        u = Potential(v, [InteractionTable(s, rng.normal(size=v.sizes(s)))
+                          for s in ((0,), (0, 1), (1, 2), (1, 3, 4), (2, 4), (3,))])
+        normalize_potential(u)
+        calls, scope_rows = [], potentials._scope_rows
+        monkeypatch.setattr(potentials, "_scope_rows",
+                            lambda *args: calls.append(args) or scope_rows(*args))
+        warm = _layout(normalize_potential(u))
+        assert calls == []
+        _normalize_layout.cache_clear()
+        assert _layout(normalize_potential(u)) == warm
+        assert len(calls) == 1
 
     def test_a_layout_is_not_reused_for_other_part_order_anchors_or_shapes(self):
         rng = np.random.default_rng(3)
-        p = ((0, 0), np.array([[0, 1], [1, 2]]), rng.normal(size=(2, 2, 2)), np.array([0, 2]))
-        q = ((0, 0), np.array([[1, 2], [0, 2]]), rng.normal(size=(2, 2, 2)), np.array([1, 3]))
-        wide = ((0, 0), p[1], rng.normal(size=(2, 3, 2)), p[3])
-        cases = [(_sum_parts, [p, q], [q, p]),  # part order
-                 (_split, [p, q], [q, p]),
-                 (_split, [p], [((1, 0),) + p[1:]]),  # anchors
-                 (_split, [p], [wide]),  # shapes
-                 (_sum_parts, [p], [wide])]
-        for fn, first, other in cases:
-            _row_layout.cache_clear()
-            cold = _parts_bytes(fn(other))
-            _row_layout.cache_clear()
-            fn(first)
-            misses = _misses()
-            assert _parts_bytes(fn(other)) == cold
-            assert _misses() == misses + 1
-
-    def test_int32_and_int64_ranks_give_equal_sums(self):
-        rng = np.random.default_rng(4)
-        scopes = rng.integers(0, 3, size=(12, 1))
-        values = rng.normal(size=(12, 2)) * 10.0 ** rng.integers(-8, 8, size=(12, 1))
-        rank = rng.permutation(12)
-        sums = [_parts_bytes(fn([((0,), scopes, values, rank.astype(dtype))]))
-                for fn in (_sum_parts, _split) for dtype in (np.int32, np.int64)]
-        assert sums[0] == sums[1] and sums[2] == sums[3]
+        scopes = ((0, 1), (1, 2), (2,))
+        binary = Variables(["A", "B", "C"])
+        p = Potential(binary, [InteractionTable(s, rng.normal(size=binary.sizes(s)))
+                               for s in scopes])
+        cases = [Potential._of(binary, p._groups[::-1])]  # part order
+        for domains in ([(0.0, 1.0), (-1.0, 0.0), (0.0, 1.0)],  # anchors
+                        [(0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0)]):  # shapes
+            v = Variables(["A", "B", "C"], domains)
+            cases.append(Potential(v, [InteractionTable(s, rng.normal(size=v.sizes(s)))
+                                       for s in scopes]))
+        for other in cases:
+            assert _normalize_key(other) != _normalize_key(p)
+            _normalize_layout.cache_clear()
+            cold = _layout(normalize_potential(other))
+            _normalize_layout.cache_clear()
+            normalize_potential(p)
+            misses = _misses()[0]
+            assert _layout(normalize_potential(other)) == cold
+            assert _misses()[0] == misses + 1
 
     def test_the_layout_memo_stays_bounded(self):
         # k singletons of k variables: every potential is a new structure
-        _row_layout.cache_clear()
-        longest = _row_layout.cache_info().maxsize + 4
+        _normalize_layout.cache_clear()
+        longest = _normalize_layout.cache_info().maxsize + 4
         for k in range(1, longest + 1):
             normalize_potential(Potential(binary_vars(k), [
                 InteractionTable((j,), np.array([0.0, 1.0])) for j in range(k)]))
-        info = _row_layout.cache_info()
+        info = _normalize_layout.cache_info()
         assert info.misses == longest
         assert info.currsize <= info.maxsize < longest
 
@@ -476,21 +500,13 @@ class TestRowLayouts:
     def test_a_layout_holds_only_read_only_arrays(self, case):
         family, keep = case
         clean, _, plan = _checked_plan(family.members, keep, NULL_TOL)
-        for m, folds in zip(clean, _component_folds(clean, plan)):
-            parts = [p for rank, scopes, values in folds
-                     for p in _anchored_parts(m.vars, scopes, values, rank)]
-            for split, given in ((False, parts), (True, _sum_parts(parts)), (True, m._parts())):
-                _, layout = _layout_of(given, split)
-                assert _layout_of(given, split)[1] is layout
-                arrays, todo = [], [layout]
-                while todo:
-                    x = todo.pop()
-                    if isinstance(x, np.ndarray):
-                        arrays.append(x)
-                    elif isinstance(x, tuple):
-                        todo += x
-                assert not any(x.flags.writeable for x in arrays)
-                assert arrays or not layout
+        layouts = [getattr(plan, name) for name in EliminationPlan.__slots__]
+        for m in clean:
+            normalize_potential(m)
+            layouts.append(_normalize_layout(_normalize_key(m)))
+            assert _normalize_layout(_normalize_key(m)) is layouts[-1]
+        arrays = _walk_arrays(layouts)
+        assert arrays and not any(x.flags.writeable for x in arrays)
 
     def test_a_layout_over_the_budget_is_used_but_not_kept(self):
         # a 10-variable binary table splits through 3^10 - 1 = 59 048 entries,
@@ -501,9 +517,9 @@ class TestRowLayouts:
         assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 2 * (3 ** 10 - 1)
         for scoped, kept in ((tables[:1], 1), (tables, 0)):
             u = Potential(v, [InteractionTable(s, t) for s, t in scoped])
-            _row_layout.cache_clear()
+            _normalize_layout.cache_clear()
             got = [normalize_potential(u) for _ in range(2)]
-            assert _row_layout.cache_info().currsize == kept
+            assert _normalize_layout.cache_info().currsize == kept
             ref = split_by_tables(v, scoped)
             for g in got:
                 _same_tables(g, {s: t for s, t in ref.items() if np.max(np.abs(t)) > NULL_TOL})

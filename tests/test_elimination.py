@@ -6,6 +6,8 @@ oversized elimination before allocating anything.
 """
 
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from itertools import combinations
@@ -38,10 +40,10 @@ from margraph.hypergraph_marginal import (
     EliminationPlan,
     _checked_plan,
     _component_folds,
-    _innovation_tables,
     _min_fill_order,
     _model_structure,
     _plan_of,
+    _plans,
 )
 from margraph.potentials import (
     NORMALIZED_TOL,
@@ -61,8 +63,10 @@ from helpers import (
     edges,
     factors,
     fold_tables,
+    innovation_potentials,
     innovations_by_components,
     is_normalized_by_tables,
+    member_folds,
     model_subgraph_by_tuples,
     orders,
     report_sets_by_set_algebra,
@@ -107,7 +111,7 @@ def _folds_by_component(members, plan: EliminationPlan) -> list[dict]:
     (scope, values) per component, in ``plan.components`` order; no
     component may fold twice."""
     out = []
-    for stacks in _component_folds(members, plan):
+    for stacks in member_folds(members, plan):
         folds = {}
         for ranks, scopes, values in stacks:
             for r, scope, vals in zip(ranks, scopes.tolist(), values):
@@ -119,8 +123,8 @@ def _folds_by_component(members, plan: EliminationPlan) -> list[dict]:
 
 def _innovations(members, plan: EliminationPlan) -> list[dict]:
     """The innovation tables of each of ``members``, folded together."""
-    return [{t.scope: t.values for t in _innovation_tables(m, NULL_TOL, folds).tables}
-            for m, folds in zip(members, _component_folds(members, plan))]
+    return [{t.scope: t.values for t in u.tables}
+            for u in innovation_potentials(plan, members, NULL_TOL)]
 
 
 def _max_diff(a, b) -> float:
@@ -278,8 +282,8 @@ class TestStackedFolds:
         plan = build_plan(family.members, keep)
         has = plan._tables[0] >= 0
         assume(any(not has[:, edges].all() for *_, edges, _ in plan._structures))
-        with mock.patch.object(hypergraph_marginal, "_relabeled", side_effect=AssertionError):
-            folds = _component_folds(family.members, plan)
+        with mock.patch.object(hypergraph_marginal, "_schedule", side_effect=AssertionError):
+            folds = member_folds(family.members, plan)
         for stacks in folds:
             for ranks, scopes, _ in stacks:
                 for r, scope in zip(ranks.tolist(), scopes.tolist()):
@@ -303,8 +307,7 @@ class TestStackedFolds:
         # which does not check it on each call
         family, keep = case
         clean, _, plan = _checked_plan(family.members, keep, NULL_TOL)
-        for member, folds in zip(clean, _component_folds(clean, plan)):
-            innovation = _innovation_tables(member, NULL_TOL, folds)
+        for innovation in innovation_potentials(plan, clean, NULL_TOL):
             assert is_normalized(innovation)
             assert is_normalized_by_tables(innovation, NORMALIZED_TOL)
 
@@ -319,7 +322,7 @@ class TestStackedFolds:
         u = normalize_potential(Potential(binary_vars(8), raw))
         plan = _plan(u, (0,))
         assert [plan.boundaries[tau] for tau in plan.components] == [(0,)] * 5
-        assert len(_component_folds([u], plan)[0]) == 2
+        assert len(member_folds([u], plan)[0]) == 2
         [got] = _innovations([u], plan)
         ref = innovations_by_components(u, plan, NULL_TOL)
         assert list(got) == list(ref) == [(0,)]
@@ -592,10 +595,10 @@ class TestResourceGuard:
         calls, min_fill = [], hypergraph_marginal._min_fill_order
         monkeypatch.setattr(hypergraph_marginal, "_min_fill_order",
                             lambda *args: calls.append(args) or min_fill(*args))
-        _plan_of.cache_clear()
+        _plans.clear()
         plan = _plan(u, (0,))
         assert plan.boundaries == {tuple(range(1, 22)): ()}
-        assert plan.largest_factor == 1 and plan._sizes == [[]]
+        assert plan.largest_factor == 1 and plan._folds == []
         rep = marginalize_hypergraph(u, (0,))
         [t] = rep.marginal_potential.tables
         assert t.scope == (0,) and t.values.tobytes() == tables[0].values.tobytes()
@@ -630,7 +633,7 @@ class TestResourceGuard:
         plan = build_plan([u, negated], keep)
         tracemalloc.start()
         try:
-            folds = _component_folds([u, negated], plan)
+            folds = member_folds([u, negated], plan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -679,6 +682,7 @@ class TestResourceGuard:
         # 10-variable one into 3^10 - 1; only the smaller plan is kept
         assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 3 ** 12 - 1
         for width, kept in ((12, 0), (10, 1)):
+            _plans.clear()  # the split plans are read when a plan is built
             _split_plan.cache_clear()
             marginalize_hypergraph(_hub_potential(width), tuple(range(1, width + 1)))
             assert _split_plan.cache_info().currsize == kept
@@ -701,33 +705,60 @@ def _chain_segment(n: int, start: int, length: int, rng) -> Potential:
     return normalize_potential(Potential(binary_vars(n), raw))
 
 
+def _walk_arrays(*roots) -> list:
+    """Every array reachable from ``roots`` through tuples, lists and dicts."""
+    arrays, todo = [], list(roots)
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+        elif isinstance(x, (tuple, list, dict)):
+            todo += x.values() if isinstance(x, dict) else x
+    return arrays
+
+
+def _one_ternary_chain(anchor: int) -> Potential:
+    """A normalized chain of seven variables, binary but for the ternary 3,
+    whose 0 sits at position ``anchor``: every table on 3 is alone in its
+    group, so the groups' scopes do not depend on where that 0 sits."""
+    rng = np.random.default_rng(41)
+    domains = [(0.0, 1.0)] * 7
+    domains[3] = ((0.0, 1.0, 2.0), (-1.0, 0.0, 1.0))[anchor]
+    v = Variables([f"V{k}" for k in range(7)], domains)
+    raw = [InteractionTable((k,), rng.uniform(-1.5, 1.5, v.sizes((k,)))) for k in range(7)]
+    raw += [InteractionTable((k, k + 1), rng.uniform(-1.5, 1.5, v.sizes((k, k + 1))))
+            for k in range(6)]
+    return normalize_potential(Potential(v, raw))
+
+
 class TestSymbolicCache:
-    """The elimination plans kept per process, one per model structure."""
+    """The plans kept per process, one per model structure, each compiled
+    with the layouts of a call's sums and splits."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(plan_cases, block_families()))
     def test_reports_are_bit_identical_with_cold_and_warm_caches(self, case):
         family, keep = case
-        _plan_of.cache_clear()
+        _plans.clear()
         cold = _report_bytes(marginalize_hypergraph(family, keep))
-        misses = _plan_of.cache_info().misses
+        [plan] = _plans.values()
         warm = _report_bytes(marginalize_hypergraph(family, keep))
         assert warm == cold
         # the warm call built no plan
-        assert _plan_of.cache_info().misses == misses
+        assert list(_plans.values()) == [plan]
 
     @staticmethod
     def _not_reused(first, then) -> None:
         """Marginalizing ``then`` (a family, a retained set and a tolerance)
         right after ``first`` builds a plan of its own and gives its cold
         report byte for byte."""
-        _plan_of.cache_clear()
+        _plans.clear()
         cold = _report_bytes(marginalize_hypergraph(*then))
-        _plan_of.cache_clear()
+        _plans.clear()
         marginalize_hypergraph(*first)
-        misses = _plan_of.cache_info().misses
+        [plan] = _plans.values()
         assert _report_bytes(marginalize_hypergraph(*then)) == cold
-        assert _plan_of.cache_info().misses == misses + 1
+        assert len(_plans) == 2 and plan in _plans.values()
 
     def test_a_plan_is_not_reused_for_another_model_structure(self):
         rng = np.random.default_rng(29)
@@ -753,29 +784,37 @@ class TestSymbolicCache:
             self._not_reused((PotentialFamily([u, v]), ends, NULL_TOL),
                              (PotentialFamily(other), ends, NULL_TOL))
 
+    def test_a_model_is_not_reused_for_another_anchor(self):
+        # equal domain sizes and equal group scopes; only the position of 0
+        # in the domain of the retained 3 differs, and with it the anchors
+        # of both boundaries
+        first, then = _one_ternary_chain(0), _one_ternary_chain(1)
+        a, sizes, zeros, scopes = _model_structure([first], varset((0, 3, 6)))
+        assert _model_structure([then], a) == (a, sizes, then.vars.zero_indices, scopes)
+        assert then.vars.zero_indices != zeros
+        self._not_reused((first, (0, 3, 6), NULL_TOL), (then, (0, 3, 6), NULL_TOL))
+
     def test_a_model_over_the_limit_is_refused_on_every_call(self):
         u, keep = _hub_potential(21), tuple(range(1, 22))
-        _plan_of.cache_clear()
+        _plans.clear()
+        served = []
         for _ in range(2):
             _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
+            served += _plans.values()
             _refused_quickly_and_small(lambda: innovations(u, keep))
+            served += _plans.values()
         # one plan served all four calls, and each of them was refused
-        info = _plan_of.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        # before anything was compiled
+        assert len(served) == 4 and all(plan is served[0] for plan in served)
+        assert served[0].largest_factor > STATE_LIMIT and served[0].gathers == 0
 
     @settings(max_examples=40, deadline=None)
     @given(plan_cases)
     def test_a_cached_plan_holds_only_read_only_arrays(self, case):
         family, keep = case
         clean, a, plan = _checked_plan(family.members, keep, NULL_TOL)
-        assert _plan_of(*_model_structure(clean, a)) is plan
-        arrays, todo = [], [getattr(plan, name) for name in EliminationPlan.__slots__]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, np.ndarray):
-                arrays.append(x)
-            elif isinstance(x, (tuple, list, dict)):
-                todo += x.values() if isinstance(x, dict) else x
+        assert _plan_of(_model_structure(clean, a)) is plan
+        arrays = _walk_arrays([getattr(plan, name) for name in EliminationPlan.__slots__])
         assert len(arrays) >= 4  # the hyperedges, the table lookup and the components
         assert not any(x.flags.writeable for x in arrays)
 
@@ -783,10 +822,55 @@ class TestSymbolicCache:
         # chains keeping their ends, one more eliminated variable each time:
         # every chain is a new structure
         rng = np.random.default_rng(64)
-        _plan_of.cache_clear()
-        longest = _plan_of.cache_info().maxsize + 4
-        for k in range(1, longest + 1):
+        _plans.clear()
+        for k in range(1, 32 + 5):
             marginalize_hypergraph(_chain_segment(k + 2, 0, k + 2, rng), (0, k + 1))
-        info = _plan_of.cache_info()
-        assert info.misses == longest
-        assert info.currsize <= info.maxsize < longest
+            assert len(_plans) == min(k, 32)
+        # the least recently used went first: the chains of 3 to 6 variables
+        assert next(iter(_plans))[1] == (2,) * 7
+
+    def test_threads_share_the_plans(self):
+        # more threads than cores, each cycling through 40 structures, so
+        # plans are kept, evicted and built again while others read them
+        rng = np.random.default_rng(65)
+        models = [(_chain_segment(k + 2, 0, k + 2, rng), (0, k + 1)) for k in range(1, 41)]
+        want = [_report_bytes(marginalize_hypergraph(*m)) for m in models]
+        errors, switch = [], sys.getswitchinterval()
+
+        def work(start: int) -> None:
+            try:
+                for j in range(2 * len(models)):
+                    i = (start + j) % len(models)
+                    assert _report_bytes(marginalize_hypergraph(*models[i])) == want[i]
+            except Exception as e:  # reported by the test's thread
+                errors.append(e)
+
+        threads = [threading.Thread(target=work, args=(5 * t,)) for t in range(8)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(_plans) <= 32
+
+    def test_the_grid_is_kept_and_a_wider_model_serves_its_call_only(self):
+        # the grid's 10-variable boundary splits through 3^10 - 1 = 59 048
+        # entries, within the gather budget with its sums; two such
+        # boundaries are above it, and their plan is built on each call
+        grid, keep = grid_potential(), grid_retained()
+        hubs = Potential(binary_vars(13), [
+            InteractionTable((h, k), np.array([[0.0, 0.0], [0.0, 0.4]]))
+            for h, ks in ((0, range(1, 11)), (12, range(2, 12))) for k in ks])
+        for u, keep, kept in ((grid, keep, True), (hubs, tuple(range(1, 12)), False)):
+            _plans.clear()
+            reports = [_report_bytes(marginalize_hypergraph(u, keep)) for _ in range(2)]
+            assert reports[0] == reports[1]
+            plan = _checked_plan([u], keep, NULL_TOL)[2]
+            assert (plan.gathers <= SPLIT_PLAN_CACHE_ENTRIES) == kept
+            assert list(_plans.values()) == ([plan] if kept else [])
+            assert (_checked_plan([u], keep, NULL_TOL)[2] is plan) == kept

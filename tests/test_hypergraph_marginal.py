@@ -1,9 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margraph import (
+    STATE_LIMIT,
     Hypergraph,
     InteractionTable,
     InvalidInputError,
@@ -19,9 +22,11 @@ from margraph import (
     marginal_table,
     marginalize_graph,
     marginalize_hypergraph,
+    normalize_potential,
     normalized_potential_from_table,
     precedes,
     subgraph,
+    Variables,
     varset,
 )
 
@@ -330,3 +335,77 @@ class TestInvariants:
             assert not set(rep.added.edges) & set(h_restricted.edges)
             assert set(rep.removed.edges) <= set(h_restricted.edges)
             assert rep.kept == h_restricted.difference(rep.removed)
+
+
+@st.composite
+def disjoint_models(draw):
+    """The normalized members (1 or 2) of a model of 40-60 variables and a
+    retained set: a binary chain, a chain whose binary or ternary domains do
+    not start at 0, each keeping a random third, or a random binary tree in
+    which every vertex has at most two children, keeping those at even
+    depth; random unary and pair tables."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(40, 61))
+    kind = draw(st.sampled_from(["chain", "tree", "ternary", "anchored"]))
+    domains = [{"ternary": (-1.0, 0.0, 2.5), "anchored": (-1.0, 0.0)}.get(kind, (0.0, 1.0))] * n
+    variables = Variables([f"V{k}" for k in range(n)], domains)
+    parents, depth, slots = [], [0], [0, 0]  # one slot per free child place
+    for k in range(1, n):
+        if kind == "tree":
+            parents.append(slots.pop(int(rng.integers(0, len(slots)))))
+            slots += [k, k]
+        else:
+            parents.append(k - 1)
+        depth.append(depth[parents[-1]] + 1)
+    scopes = [(k,) for k in range(n)] + [(p, k) for p, k in zip(parents, range(1, n))]
+    members = [normalize_potential(Potential(variables, [
+        InteractionTable(s, rng.uniform(-1.5, 1.5, variables.sizes(s))) for s in scopes]))
+        for _ in range(draw(st.integers(1, 2)))]
+    keep = [k for k in range(n) if (depth[k] % 2 == 0 if kind == "tree" else rng.random() < 0.35)]
+    return members, varset(keep or [0])
+
+
+def _offset(u: Potential, variables: Variables, by: int) -> Potential:
+    """``u``'s tables on ``variables``, every id moved up by ``by``."""
+    return Potential(variables, [InteractionTable(tuple(v + by for v in t.scope), t.values)
+                                 for t in u.tables])
+
+
+def _moved(edges, by: int) -> set:
+    return {tuple(v + by for v in e) for e in edges}
+
+
+class TestDisjointUnion:
+    @settings(max_examples=40, deadline=None)
+    @given(disjoint_models(), disjoint_models())
+    def test_the_union_of_two_models_marginalizes_to_the_union_of_their_marginals(self, x, y):
+        # past STATE_LIMIT the oracle cannot check a marginal; two models on
+        # disjoint variables must marginalize side by side, byte for byte
+        (first, a), (second, b) = x, y
+        count = min(len(first), len(second))
+        first, second = first[:count], second[:count]
+        by = len(first[0].vars)
+        joint = Variables(first[0].vars.labels + tuple(f"W{k}" for k in range(len(second[0].vars))),
+                          first[0].vars.domains + second[0].vars.domains)
+        assert math.prod(map(len, joint.domains)) > STATE_LIMIT
+        union = PotentialFamily(
+            Potential(joint, _offset(u, joint, 0).tables + _offset(v, joint, by).tables)
+            for u, v in zip(first, second))
+        rep = marginalize_hypergraph(union, a + tuple(k + by for k in b))
+        left = marginalize_hypergraph(PotentialFamily(first), a)
+        right = marginalize_hypergraph(PotentialFamily(second), b)
+        for got, u, v in zip(rep.marginal_family, left.marginal_family, right.marginal_family):
+            want = {t.scope: t.values.tobytes() for t in u.tables}
+            want.update({s: t.values.tobytes() for t in v.tables for s in _moved([t.scope], by)})
+            assert {t.scope: t.values.tobytes() for t in got.tables} == want
+        for name in ("marginal_hypergraph", "added", "removed", "kept", "innovation_scopes"):
+            assert set(getattr(rep, name)) == (set(getattr(left, name))
+                                               | _moved(getattr(right, name), by)), name
+        assert set(rep.model_subgraph.edges) == (set(left.model_subgraph.edges)
+                                                 | _moved(right.model_subgraph.edges, by))
+        assert set(rep.marginal_graph().edges) == (set(left.marginal_graph().edges)
+                                                   | _moved(right.marginal_graph().edges, by))
+        assert rep.graphically_collapsible == (left.graphically_collapsible
+                                               and right.graphically_collapsible)
+        assert rep.parametrically_collapsible == (left.parametrically_collapsible
+                                                  and right.parametrically_collapsible)

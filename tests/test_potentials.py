@@ -30,7 +30,7 @@ from margraph import (
     restrict,
     varset,
 )
-from margraph.potentials import NORMALIZED_TOL, _split
+from margraph.potentials import NORMALIZED_TOL
 
 from fixture_models import (
     chain_retained,
@@ -44,6 +44,7 @@ from helpers import (
     is_normalized_by_tables,
     random_normalized_potential,
     split_by_tables,
+    split_parts,
     zero_coord_mask,
 )
 
@@ -347,7 +348,7 @@ class TestStackedKernels:
     @given(anchored_tables())
     def test_split_matches_the_table_by_table_split_bit_for_bit(self, case):
         variables, scoped = case
-        got = tables_of(_split(parts_of(variables, scoped)))
+        got = tables_of(split_parts(parts_of(variables, scoped)))
         ref = split_by_tables(variables, scoped)
         assert sorted(got) == sorted(ref)
         for scope, values in ref.items():
