@@ -377,8 +377,9 @@ class EliminationPlan:
         self._codes = [_pair_codes(s, n) for _, s, _ in self._marginal_rows + [
             self._innovation_rows[q] for q in self._alone]]
         self.restricted = frozenset(self._scopes(kept[self._rows].all(axis=1)))
-        codes = _pair_codes(np.where(kept[self._rows], self._rows, -1), n)  # of retained ids
-        self.model_subgraph = _pair_graph(a, n, [codes[codes >= 0]])
+        ids = np.where(kept[self._rows], self._rows, -1)  # the retained ids of each hyperedge
+        both = _pair_codes(ids >= 0, 2) == 3  # the pairs whose two ids are retained
+        self.model_subgraph = _pair_graph(a, n, [_pair_codes(ids, n)[both]])
         self.gathers = sum((take is not None and take.size) + sum(at.size for _, at in depths)
                            for layout in (self._fold_sums, self._splits, self._marginal)
                            for *_, take, depths, _, _ in layout)
@@ -542,11 +543,9 @@ def _component_folds(members, plan: EliminationPlan) -> list[np.ndarray]:
 
 def _pair_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Per row of the (B, r) ``rows`` (ids below ``n``, ascending along each
-    row, -1 for none), the code left * n + right of each pair of its entries,
-    or -1 where one of them is -1, read-only."""
+    row), the code left * n + right of each pair of its entries, read-only."""
     left, right = np.array(list(combinations(range(rows.shape[1]), 2)), np.intp).reshape(-1, 2).T
-    left, right = rows[:, left], rows[:, right]
-    return _readonly(np.where((left >= 0) & (right >= 0), left * n + right, -1), np.intp)
+    return _readonly(rows[:, left] * n + rows[:, right], np.intp)
 
 
 def _pair_graph(a: VarSet, n: int, codes: list) -> Graph:

@@ -437,6 +437,18 @@ def innovation_potentials(plan, members, null_tol: float) -> list:
     return [Potential._of(members[0].vars, g) for g in groups]
 
 
+def arrays_in(*roots) -> list:
+    """Every array reachable from ``roots`` through tuples, lists and dicts."""
+    arrays, todo = [], list(roots)
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+        elif isinstance(x, (tuple, list, dict)):
+            todo += x.values() if isinstance(x, dict) else x
+    return arrays
+
+
 def member_folds(members, plan) -> list[list]:
     """The folds of :func:`~margraph.hypergraph_marginal._component_folds`
     per member of ``members``, as (ranks, boundaries, values) stacks: row i

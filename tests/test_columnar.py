@@ -45,6 +45,7 @@ from margraph.potentials import (
 from fixture_models import grid_potential, grid_retained
 from helpers import (
     ReferencePlan,
+    arrays_in,
     binary_vars,
     innovations_by_components,
     innovation_potentials,
@@ -409,18 +410,6 @@ def _normalize_key(u: Potential) -> tuple:
                  for g in u._groups)
 
 
-def _walk_arrays(*roots) -> list:
-    """Every array reachable from ``roots`` through tuples and lists."""
-    arrays, todo = [], list(roots)
-    while todo:
-        x = todo.pop()
-        if isinstance(x, np.ndarray):
-            arrays.append(x)
-        elif isinstance(x, (tuple, list)):
-            todo += x
-    return arrays
-
-
 class TestRowLayouts:
     """The per-process memos of the symbolic half of sums and splits: the
     plan of each model structure on the hypergraph route, and the split
@@ -505,7 +494,7 @@ class TestRowLayouts:
             normalize_potential(m)
             layouts.append(_normalize_layout(_normalize_key(m)))
             assert _normalize_layout(_normalize_key(m)) is layouts[-1]
-        arrays = _walk_arrays(layouts)
+        arrays = arrays_in(layouts)
         assert arrays and not any(x.flags.writeable for x in arrays)
 
     def test_a_layout_over_the_budget_is_used_but_not_kept(self):

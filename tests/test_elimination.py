@@ -56,6 +56,7 @@ from margraph.potentials import (
 from fixture_models import grid_potential, grid_retained
 from helpers import (
     ReferencePlan,
+    arrays_in,
     binary_vars,
     build_plan,
     component_potential,
@@ -705,18 +706,6 @@ def _chain_segment(n: int, start: int, length: int, rng) -> Potential:
     return normalize_potential(Potential(binary_vars(n), raw))
 
 
-def _walk_arrays(*roots) -> list:
-    """Every array reachable from ``roots`` through tuples, lists and dicts."""
-    arrays, todo = [], list(roots)
-    while todo:
-        x = todo.pop()
-        if isinstance(x, np.ndarray):
-            arrays.append(x)
-        elif isinstance(x, (tuple, list, dict)):
-            todo += x.values() if isinstance(x, dict) else x
-    return arrays
-
-
 def _one_ternary_chain(anchor: int) -> Potential:
     """A normalized chain of seven variables, binary but for the ternary 3,
     whose 0 sits at position ``anchor``: every table on 3 is alone in its
@@ -814,7 +803,7 @@ class TestSymbolicCache:
         family, keep = case
         clean, a, plan = _checked_plan(family.members, keep, NULL_TOL)
         assert _plan_of(_model_structure(clean, a)) is plan
-        arrays = _walk_arrays([getattr(plan, name) for name in EliminationPlan.__slots__])
+        arrays = arrays_in([getattr(plan, name) for name in EliminationPlan.__slots__])
         assert len(arrays) >= 4  # the hyperedges, the table lookup and the components
         assert not any(x.flags.writeable for x in arrays)
 
