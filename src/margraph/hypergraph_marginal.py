@@ -380,7 +380,7 @@ class EliminationPlan:
         ids = np.where(kept[self._rows], self._rows, -1)  # the retained ids of each hyperedge
         both = _pair_codes(ids >= 0, 2) == 3  # the pairs whose two ids are retained
         self.model_subgraph = _pair_graph(a, n, [_pair_codes(ids, n)[both]])
-        self.gathers = sum((take is not None and take.size) + sum(at.size for _, at in depths)
+        self.gathers = sum(take.size + sum(at.size for _, at in depths)
                            for layout in (self._fold_sums, self._splits, self._marginal)
                            for *_, take, depths, _, _ in layout)
 

@@ -399,9 +399,8 @@ def _sum_layout(lengths: list, rows) -> tuple:
     ``lengths`` the rows of each stack.  Rows that share a scope sum in rank
     order, the sums in lexicographic order.  Per shape and anchors: (zp,
     shape, the stacks it gathers, where the first row of each sum sits in
-    their concatenation or ``None`` when they are that concatenation in
-    order (not copied), per depth j the sums with a row j and where that row
-    sits, and the sums' scopes and ranks, those of their first rows)."""
+    their concatenation, per depth j the sums with a row j and where that
+    row sits, and the sums' scopes and ranks, those of their first rows)."""
     like: dict[tuple, list] = {}
     for k, zp, shape, scopes, rank, at in rows:
         if len(at):
@@ -410,8 +409,7 @@ def _sum_layout(lengths: list, rows) -> tuple:
     for (shape, zp), items in like.items():
         stacks = tuple(dict.fromkeys(k for k, *_ in items))
         base = dict(zip(stacks, accumulate((lengths[k] for k in stacks), initial=0)))
-        scopes, rank, at = (x[0] if len(x) == 1 else np.concatenate(x)
-                            for x in zip(*((s, r, base[k] + a) for k, s, r, a in items)))
+        scopes, rank, at = map(np.concatenate, zip(*((s, r, base[k] + a) for k, s, r, a in items)))
         order = np.lexsort((rank, *scopes.T[::-1]))
         start = np.ones(len(rank), dtype=bool)
         start[1:] = (scopes[order[1:]] != scopes[order[:-1]]).any(axis=1)
@@ -421,11 +419,8 @@ def _sum_layout(lengths: list, rows) -> tuple:
         depths = tuple((_readonly(seg[d], np.intp), _readonly(at[order[d]], np.intp))
                        for d in (np.flatnonzero(pos == j) for j in range(1, int(pos.max()) + 1)))
         first = order[heads]
-        take = _readonly(at[first], np.intp)
-        if not depths and np.array_equal(take, np.arange(sum(lengths[k] for k in stacks))):
-            take = None
-        out.append((zp, shape, stacks, take, depths, _readonly(scopes[first], np.intp),
-                    _readonly(rank[first], np.intp)))
+        out.append((zp, shape, stacks, _readonly(at[first], np.intp), depths,
+                    _readonly(scopes[first], np.intp), _readonly(rank[first], np.intp)))
     return tuple(out)
 
 
@@ -470,7 +465,7 @@ def _sum_rows(layout: tuple, stacks: list) -> list:
     out = []
     for _, _, ks, take, depths, _, _ in layout:
         values = np.concatenate([stacks[k] for k in ks]) if len(ks) > 1 else stacks[ks[0]]
-        out.append(values if take is None else values[take])
+        out.append(values[take])
         for sums, at in depths:
             out[-1][sums] += values[at]
     return out
