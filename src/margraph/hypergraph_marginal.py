@@ -23,7 +23,7 @@ of the order, not the size of the component.
 
 The route stays columnar, since models with many small components would
 otherwise pay numpy's per-call cost per table.  The plan is the compiled model
-of its structure, kept for the process: besides the folds it fixes where
+of its structure, kept in the process's memo: besides the folds it fixes where
 every fold, innovation and marginal row sits and in what order rows on one
 scope add, and the model's graph on A.  A call folds the components of one
 local structure as one stack across the family, then sums, splits and adds
@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations
@@ -50,7 +48,6 @@ from .graphs import (Graph, VarSet, _require_subset, _require_tolerance, compone
                      varset)
 from .potentials import (
     NULL_TOL,
-    SPLIT_PLAN_CACHE_ENTRIES,
     Hypergraph,
     InteractionTable,
     Potential,
@@ -58,6 +55,8 @@ from .potentials import (
     _distinct,
     _drop_null,
     _by_member,
+    _gathers,
+    _kept,
     _member_rows,
     _readonly,
     _scope_rows,
@@ -165,7 +164,7 @@ class EliminationPlan:
 
     Built eagerly from the :func:`_model_structure` of members on one
     registry, so that a plan of a family serves every member, and kept per
-    distinct structure per process (:func:`_plan_of`), its arrays read-only.
+    distinct structure per process (``potentials._kept``), arrays read-only.
     It holds:
 
     - ``components``: the connectivity components of the eliminated set in
@@ -380,9 +379,7 @@ class EliminationPlan:
         ids = np.where(kept[self._rows], self._rows, -1)  # the retained ids of each hyperedge
         both = _pair_codes(ids >= 0, 2) == 3  # the pairs whose two ids are retained
         self.model_subgraph = _pair_graph(a, n, [_pair_codes(ids, n)[both]])
-        self.gathers = sum(take.size + sum(at.size for _, at in depths)
-                           for layout in (self._fold_sums, self._splits, self._marginal)
-                           for *_, take, depths, _, _ in layout)
+        self.gathers = sum(map(_gathers, (self._fold_sums, self._splits, self._marginal)))
 
 
 def _ordered(scopes: tuple, tau: VarSet) -> tuple:
@@ -410,26 +407,6 @@ def _model_structure(members, a: VarSet) -> tuple:
             tuple(tuple((g.scopes.shape, g.scopes.tobytes()) for g in m._groups) for m in members))
 
 
-# the plan of each model structure seen, the least recently used first
-_plans: OrderedDict = OrderedDict()
-_plans_lock = threading.Lock()
-
-
-def _plan_of(key: tuple) -> EliminationPlan:
-    """The plan of the :func:`_model_structure` ``key``.  At most 32 plans are
-    kept; one whose gather indices exceed ``SPLIT_PLAN_CACHE_ENTRIES`` serves
-    its call only."""
-    with _plans_lock:
-        plan = _plans.pop(key, None)
-    plan = plan or EliminationPlan(*key)
-    if plan.gathers <= SPLIT_PLAN_CACHE_ENTRIES:
-        with _plans_lock:
-            _plans[key] = plan
-            if len(_plans) > 32:
-                _plans.popitem(last=False)
-    return plan
-
-
 def _checked_plan(members, a, null_tol: float) -> tuple[list, VarSet, EliminationPlan]:
     """``members`` (normalized, on one registry) without their null tables,
     ``a`` as a checked id set, and the plan of those tables, refused when
@@ -439,7 +416,7 @@ def _checked_plan(members, a, null_tol: float) -> tuple[list, VarSet, Eliminatio
         require_normalized(m)
     a = _require_subset(a, range(len(members[0].vars)), "registry")
     clean = [_drop_null(m, null_tol) for m in members]
-    plan = _plan_of(_model_structure(clean, a))
+    plan = _kept(EliminationPlan, _model_structure(clean, a), lambda plan: plan.gathers)
     entries = max(plan.largest_factor, plan.largest_split)
     if entries > STATE_LIMIT:
         raise ResourceLimitError(
@@ -522,6 +499,7 @@ def _fold_stack(schedule: tuple, stacks, batch: int) -> np.ndarray:
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _by_member refuses what is not finite
 def _component_folds(members, plan: EliminationPlan) -> list[np.ndarray]:
     """The folds of ``members`` (potentials on one registry, those the plan
     is built from) along ``plan``: per stack of ``plan._folds``, the -ln

@@ -31,8 +31,8 @@ order (the sorted order of scopes), the lowest-ranked row first.  A
 table-by-table loop adds in that order too (table order, then subset order),
 so results do not depend on the grouping, bit for bit.  Which rows meet in
 what order, and where each piece sits, is a read-only layout built from the
-rows' anchors, shapes and scopes alone; normalization keeps one per potential
-structure for the process.
+rows' anchors, shapes and scopes alone; :func:`_kept` keeps it, and all else
+compiled from a structure alone, in one memo for the process.
 
 Table layout is normative for file serialization: entries are dense in
 assignment-major order with the last scope variable fastest, i.e. the
@@ -42,8 +42,9 @@ C-order raveling of an array whose axes follow the sorted scope.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -362,12 +363,33 @@ def _anchored_differences(stack: np.ndarray, zero_positions: Sequence[int]) -> n
     return out
 
 
-# Split plans and layouts of at most this many gather entries are kept, 32
-# of each at most (16 MiB of indices each); larger ones are built on each call.
+# The memo: (build, key) -> what build(*key) returned, the least recently used
+# first.  An entry holds at most this many gather-index entries (512 KiB), so the
+# 64 kept hold at most 32 MiB of indices; larger ones are built on each call.
 SPLIT_PLAN_CACHE_ENTRIES = 1 << 16
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
 
 
-@lru_cache(maxsize=32)
+def _kept(build, key: tuple, entries):
+    """``build(*key)``, ``key`` holding all the build reads by value; kept if
+    ``entries`` of it, its gather-index entries, are at most the budget."""
+    with _memo_lock:
+        value = _memo.pop((build, key), None)
+    value = build(*key) if value is None else value  # unlocked: a plan's build reads split plans
+    if entries(value) <= SPLIT_PLAN_CACHE_ENTRIES:
+        with _memo_lock:
+            _memo[build, key] = value  # the most recently used last
+            if len(_memo) > 64:
+                _memo.popitem(last=False)
+    return value
+
+
+def _gathers(layout: tuple) -> int:
+    """The gather-index entries of a :func:`_sum_layout`."""
+    return sum(take.size + sum(at.size for _, at in depths) for *_, take, depths, _, _ in layout)
+
+
 def _split_plan(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> tuple:
     """Where the pieces on the sub-scopes of a table sit in its transform:
     per (sub-shape, sub-anchors), the sub-scopes' ``axes`` (one row each, in
@@ -435,9 +457,9 @@ def _split_layout(parts) -> tuple:
     rows, end = [], 1
     for zp, shape, scopes, rank in parts:
         size = math.prod(shape)
-        small = math.prod(n + 1 for n in shape) - 1 <= SPLIT_PLAN_CACHE_ENTRIES
         start = end + size * np.arange(len(rank))
-        for sub_zp, axes, idx in (_split_plan if small else _split_plan.__wrapped__)(shape, zp):
+        for sub_zp, axes, idx in _kept(_split_plan, (shape, zp),
+                                       lambda plan: sum(x.size for *_, x in plan)):
             sub = np.hstack((np.repeat(scopes[:, :1], len(axes), axis=0),
                              scopes[:, 1 + axes].reshape(-1, axes.shape[1])))
             at = np.where(idx == size, 0, np.add.outer(start, idx)).reshape((-1,) + idx.shape[1:])
@@ -451,11 +473,11 @@ def _member_rows(layout: tuple, count: int) -> list:
     ``count``: its anchors, its scopes without the member, and where each
     member's rows start and the last one's end, as :func:`_by_member` reads
     them."""
-    cut = np.arange(count + 1)
     return [(zp, _readonly(np.ascontiguousarray(s[:, 1:]), np.intp),
-             np.searchsorted(s[:, 0], cut).tolist()) for zp, *_, s, _ in layout]
+             np.searchsorted(s[:, 0], np.arange(count + 1)).tolist()) for zp, *_, s, _ in layout]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _by_member refuses what is not finite
 def _sum_rows(layout: tuple, stacks: list) -> list:
     """Sum the rows of ``stacks`` that share a scope along ``layout`` (a
     :func:`_sum_layout`), in rank order: the lowest-ranked row starts each
@@ -471,6 +493,7 @@ def _sum_rows(layout: tuple, stacks: list) -> list:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _split_rows(layout: tuple, stacks) -> list:
     """Split every row of the (zp, values) ``stacks`` into its normalized
     pieces on each non-empty subset of its scope (the constant piece is
@@ -499,10 +522,9 @@ def _by_member(count: int, rows, stacks: list, null_tol: float) -> tuple[list, l
              for s, e in [cuts[m:m + 2]]] for m in range(count)], keep
 
 
-@lru_cache(maxsize=32)
-def _normalize_layout(key: tuple) -> tuple:
+def _normalize_layout(*key: tuple) -> tuple:
     """The :func:`_split_layout` of a potential's groups, as one member, and
-    its :func:`_member_rows`, keyed by value: per group its anchors, table
+    its :func:`_member_rows`, from ``key``: per group its anchors, table
     shape and scope array as (shape, bytes), never a table value.  A row's
     rank is its table order, from one :func:`_scope_rows`."""
     scopes = [np.frombuffer(raw, np.intp).reshape(dims) for _, _, (dims, raw) in key]
@@ -579,8 +601,7 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
         raise ResourceLimitError(f"normalization needs {max(entries)} table entries, "
                                  f"above the limit of {STATE_LIMIT}")
     key = tuple((g.zp, g.values.shape[1:], (g.scopes.shape, g.scopes.tobytes())) for g in groups)
-    small = sum(len(g.scopes) * e for g, e in zip(groups, entries)) <= SPLIT_PLAN_CACHE_ENTRIES
-    layout, rows = (_normalize_layout if small else _normalize_layout.__wrapped__)(key)
+    layout, rows = _kept(_normalize_layout, key, lambda built: _gathers(built[0]))
     sums = _split_rows(layout, [(g.zp, g.values) for g in groups])
     return Potential._of(u0.vars, _by_member(1, rows, sums, null_tol)[0][0])
 

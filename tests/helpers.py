@@ -41,7 +41,8 @@ from margraph.hypergraph_marginal import (
     _model_structure,
     _schedule,
 )
-from margraph.potentials import _by_member, _split_layout, _split_rows, _sum_layout, _sum_rows
+from margraph.potentials import (_by_member, _memo, _split_layout, _split_rows, _sum_layout,
+                                 _sum_rows)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> Graph:
@@ -427,6 +428,12 @@ def build_plan(members, a) -> EliminationPlan:
     ``members`` (potentials on one registry) and the retained ids ``a``,
     past the plans the library keeps per process."""
     return EliminationPlan(*_model_structure(members, varset(a)))
+
+
+def kept(build) -> list:
+    """What the per-process memo keeps of ``build``'s, the least recently
+    used first."""
+    return [value for (b, _), value in _memo.items() if b is build]
 
 
 def innovation_potentials(plan, members, null_tol: float) -> list:

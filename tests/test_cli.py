@@ -579,6 +579,22 @@ class TestOutputContract:
         assert code == 2 and out == ""
         assert "non-finite" in err and "Traceback" not in err
 
+    def test_a_split_that_overflows_exits_2_without_a_numpy_warning(self, tmp_path):
+        # the anchored differences of the finite table overflow, and the
+        # non-finite piece on A is refused; in a new process, where numpy's
+        # warnings would reach stderr
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "variables": [{"label": "A"}, {"label": "B"}],
+            "potential": {"interactions": [{"scope": ["A", "B"],
+                                            "table": [-1.7e308, 0.0, 1.7e308, 0.0]}]}}))
+        done = self._cli("marginalize-hypergraph", str(path), "--keep", "A")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "notice: input potential is not normalized; normalizing.",
+            "error: non-finite entries in table for scope (0,)"]
+
     @pytest.mark.parametrize("command, payload, field", [
         ("marginalize-gaussian",
          {"gaussian": {"mean": [0, 0], "precision": [[2.0, 0.5], [0.5, HUGE]]}},

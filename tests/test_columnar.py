@@ -32,13 +32,12 @@ from margraph import potentials
 from margraph.hypergraph_marginal import (
     EliminationPlan,
     _checked_plan,
-    _plans,
     innovations,
 )
 from margraph.potentials import (
     NORMALIZED_TOL,
-    SPLIT_PLAN_CACHE_ENTRIES,
     _drop_null,
+    _memo,
     _normalize_layout,
 )
 
@@ -46,10 +45,10 @@ from fixture_models import grid_potential, grid_retained
 from helpers import (
     ReferencePlan,
     arrays_in,
-    binary_vars,
     innovations_by_components,
     innovation_potentials,
     is_normalized_by_tables,
+    kept,
     member_folds,
     normalized_pieces,
     split_by_tables,
@@ -177,8 +176,8 @@ class TestKernelsAgainstTables:
     @settings(max_examples=100, deadline=None)
     @given(columnar_potentials(), st.data())
     def test_null_filter_and_restrict_are_row_masks(self, u, data):
-        kept = _drop_null(u, NULL_TOL)
-        _same_tables(kept, {t.scope: t.values for t in u.tables if t.max_abs > NULL_TOL})
+        nonnull = _drop_null(u, NULL_TOL)
+        _same_tables(nonnull, {t.scope: t.values for t in u.tables if t.max_abs > NULL_TOL})
         a = data.draw(st.sets(st.integers(0, len(u.vars) - 1)))
         _same_tables(restrict(u, a), {t.scope: t.values for t in u.tables if set(t.scope) <= a})
 
@@ -399,11 +398,6 @@ def _report_bytes(report) -> tuple:
             report.parametrically_collapsible)
 
 
-def _misses() -> tuple:
-    """Layouts built so far: normalization's count, and the plans kept."""
-    return _normalize_layout.cache_info().misses, {id(plan) for plan in _plans.values()}
-
-
 def _normalize_key(u: Potential) -> tuple:
     """The key of ``u``'s split layout, as ``normalize_potential`` builds it."""
     return tuple((g.zp, g.values.shape[1:], (g.scopes.shape, g.scopes.tobytes()))
@@ -411,9 +405,10 @@ def _normalize_key(u: Potential) -> tuple:
 
 
 class TestRowLayouts:
-    """The per-process memos of the symbolic half of sums and splits: the
-    plan of each model structure on the hypergraph route, and the split
-    layout of each potential structure in normalization."""
+    """The symbolic half of sums and splits, kept in the per-process memo:
+    the plan of each model structure on the hypergraph route, the split
+    layout of each potential structure in normalization and the split plan
+    of each table shape and anchors."""
 
     @settings(max_examples=60, deadline=None)
     @given(columnar_potentials(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.data())
@@ -427,12 +422,12 @@ class TestRowLayouts:
                      for m in family],
                     _report_bytes(marginalize_hypergraph(family, keep)))
 
-        _normalize_layout.cache_clear()
-        _plans.clear()
+        _memo.clear()
         cold = calls()
-        misses = _misses()
+        memo = {key: id(value) for key, value in _memo.items()}
         assert calls() == cold
-        assert _misses() == misses
+        # the warm calls built nothing: a build within the budget would be kept
+        assert {key: id(value) for key, value in _memo.items()} == memo and len(memo) < 64
 
     def test_a_warm_normalization_reads_no_scope_rows(self, monkeypatch):
         # the table order that ranks the pieces is part of the kept layout
@@ -447,7 +442,7 @@ class TestRowLayouts:
                             lambda *args: calls.append(args) or scope_rows(*args))
         warm = _layout(normalize_potential(u))
         assert calls == []
-        _normalize_layout.cache_clear()
+        _memo.clear()
         assert _layout(normalize_potential(u)) == warm
         assert len(calls) == 1
 
@@ -465,50 +460,26 @@ class TestRowLayouts:
                                        for s in scopes]))
         for other in cases:
             assert _normalize_key(other) != _normalize_key(p)
-            _normalize_layout.cache_clear()
+            _memo.clear()
             cold = _layout(normalize_potential(other))
-            _normalize_layout.cache_clear()
+            _memo.clear()
             normalize_potential(p)
-            misses = _misses()[0]
+            [layout] = kept(_normalize_layout)
             assert _layout(normalize_potential(other)) == cold
-            assert _misses()[0] == misses + 1
-
-    def test_the_layout_memo_stays_bounded(self):
-        # k singletons of k variables: every potential is a new structure
-        _normalize_layout.cache_clear()
-        longest = _normalize_layout.cache_info().maxsize + 4
-        for k in range(1, longest + 1):
-            normalize_potential(Potential(binary_vars(k), [
-                InteractionTable((j,), np.array([0.0, 1.0])) for j in range(k)]))
-        info = _normalize_layout.cache_info()
-        assert info.misses == longest
-        assert info.currsize <= info.maxsize < longest
+            assert len(kept(_normalize_layout)) == 2 and layout in kept(_normalize_layout)
 
     @settings(max_examples=40, deadline=None)
     @given(signed_zero_families())
     def test_a_layout_holds_only_read_only_arrays(self, case):
+        # every array of every entry the memo keeps, of all three kinds
         family, keep = case
-        clean, _, plan = _checked_plan(family.members, keep, NULL_TOL)
-        layouts = [getattr(plan, name) for name in EliminationPlan.__slots__]
-        for m in clean:
+        _memo.clear()
+        for m in family:
             normalize_potential(m)
-            layouts.append(_normalize_layout(_normalize_key(m)))
-            assert _normalize_layout(_normalize_key(m)) is layouts[-1]
-        arrays = arrays_in(layouts)
+            innovations(m, keep)
+        marginalize_hypergraph(family, keep)
+        entries = [[getattr(x, name) for name in EliminationPlan.__slots__]
+                   if isinstance(x, EliminationPlan) else x for x in _memo.values()]
+        assert {type(x) for x in _memo.values()} == {EliminationPlan, tuple}
+        arrays = arrays_in(entries)
         assert arrays and not any(x.flags.writeable for x in arrays)
-
-    def test_a_layout_over_the_budget_is_used_but_not_kept(self):
-        # a 10-variable binary table splits through 3^10 - 1 = 59 048 entries,
-        # within the budget; two of them gather 118 096, above it
-        v = binary_vars(11)
-        rng = np.random.default_rng(11)
-        tables = [(s, rng.normal(size=(2,) * 10)) for s in (tuple(range(10)), tuple(range(1, 11)))]
-        assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 2 * (3 ** 10 - 1)
-        for scoped, kept in ((tables[:1], 1), (tables, 0)):
-            u = Potential(v, [InteractionTable(s, t) for s, t in scoped])
-            _normalize_layout.cache_clear()
-            got = [normalize_potential(u) for _ in range(2)]
-            assert _normalize_layout.cache_info().currsize == kept
-            ref = split_by_tables(v, scoped)
-            for g in got:
-                _same_tables(g, {s: t for s, t in ref.items() if np.max(np.abs(t)) > NULL_TOL})

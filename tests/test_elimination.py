@@ -42,13 +42,13 @@ from margraph.hypergraph_marginal import (
     _component_folds,
     _min_fill_order,
     _model_structure,
-    _plan_of,
-    _plans,
 )
 from margraph.potentials import (
     NORMALIZED_TOL,
     NULL_TOL,
     SPLIT_PLAN_CACHE_ENTRIES,
+    _memo,
+    _normalize_layout,
     _scope_rows,
     _split_plan,
 )
@@ -67,10 +67,12 @@ from helpers import (
     innovation_potentials,
     innovations_by_components,
     is_normalized_by_tables,
+    kept,
     member_folds,
     model_subgraph_by_tuples,
     orders,
     report_sets_by_set_algebra,
+    split_by_tables,
 )
 
 FOLD_TOL = 1e-12
@@ -596,7 +598,7 @@ class TestResourceGuard:
         calls, min_fill = [], hypergraph_marginal._min_fill_order
         monkeypatch.setattr(hypergraph_marginal, "_min_fill_order",
                             lambda *args: calls.append(args) or min_fill(*args))
-        _plans.clear()
+        _memo.clear()
         plan = _plan(u, (0,))
         assert plan.boundaries == {tuple(range(1, 22)): ()}
         assert plan.largest_factor == 1 and plan._folds == []
@@ -678,15 +680,6 @@ class TestResourceGuard:
         rep = marginalize_hypergraph(u, keep)
         assert (1, 2) in rep.added
 
-    def test_a_split_plan_above_the_cache_budget_is_not_retained(self):
-        # a 12-variable binary boundary splits into 3^12 - 1 entries, a
-        # 10-variable one into 3^10 - 1; only the smaller plan is kept
-        assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 3 ** 12 - 1
-        for width, kept in ((12, 0), (10, 1)):
-            _plans.clear()  # the split plans are read when a plan is built
-            _split_plan.cache_clear()
-            marginalize_hypergraph(_hub_potential(width), tuple(range(1, width + 1)))
-            assert _split_plan.cache_info().currsize == kept
 
 
 def _report_bytes(rep) -> tuple:
@@ -697,13 +690,27 @@ def _report_bytes(rep) -> tuple:
     return tables, hypergraphs, rep.model_subgraph, rep.marginal_graph()
 
 
-def _chain_segment(n: int, start: int, length: int, rng) -> Potential:
-    """A normalized binary chain on ids ``start`` to ``start + length - 1``
-    of a registry of ``n``, with random unary and pair tables."""
-    ids = range(start, start + length)
+def _result_bytes(result) -> tuple:
+    """A potential's tables as bytes, or a report's (:func:`_report_bytes`)."""
+    if isinstance(result, Potential):
+        return tuple((t.scope, t.values.tobytes()) for t in result.tables)
+    return _report_bytes(result)
+
+
+def _raw_chain(n: int, rng, start: int = 0, length: int | None = None) -> Potential:
+    """A binary chain on ids ``start`` to ``start + length - 1`` (all ``n``
+    by default) of a registry of ``n``, with random unary and pair tables,
+    not normalized."""
+    ids = range(start, start + (n if length is None else length))
     raw = [InteractionTable((k,), rng.uniform(-1.5, 1.5, 2)) for k in ids]
     raw += [InteractionTable((k, k + 1), rng.uniform(-1.5, 1.5, (2, 2))) for k in ids[:-1]]
-    return normalize_potential(Potential(binary_vars(n), raw))
+    return Potential(binary_vars(n), raw)
+
+
+def _chain_segment(n: int, start: int, length: int, rng) -> Potential:
+    """The normalized :func:`_raw_chain` on ids ``start`` to
+    ``start + length - 1`` of a registry of ``n``."""
+    return normalize_potential(_raw_chain(n, rng, start, length))
 
 
 def _one_ternary_chain(anchor: int) -> Potential:
@@ -720,34 +727,42 @@ def _one_ternary_chain(anchor: int) -> Potential:
     return normalize_potential(Potential(v, raw))
 
 
+def _memo_ids() -> dict:
+    """What the memo keeps, by identity."""
+    return {key: id(value) for key, value in _memo.items()}
+
+
 class TestSymbolicCache:
-    """The plans kept per process, one per model structure, each compiled
-    with the layouts of a call's sums and splits."""
+    """The per-process memo (``potentials._kept``): the plan of each model
+    structure, compiled with the layouts of a call's sums and splits, the
+    split layout of each potential structure in normalization and the split
+    plan of each table shape and anchors."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(plan_cases, block_families()))
     def test_reports_are_bit_identical_with_cold_and_warm_caches(self, case):
         family, keep = case
-        _plans.clear()
+        _memo.clear()
         cold = _report_bytes(marginalize_hypergraph(family, keep))
-        [plan] = _plans.values()
+        [plan] = kept(EliminationPlan)
+        memo = _memo_ids()
         warm = _report_bytes(marginalize_hypergraph(family, keep))
         assert warm == cold
-        # the warm call built no plan
-        assert list(_plans.values()) == [plan]
+        # the warm call built nothing: a build within the budget would be kept
+        assert _memo_ids() == memo and len(memo) < 64
 
     @staticmethod
     def _not_reused(first, then) -> None:
         """Marginalizing ``then`` (a family, a retained set and a tolerance)
         right after ``first`` builds a plan of its own and gives its cold
         report byte for byte."""
-        _plans.clear()
+        _memo.clear()
         cold = _report_bytes(marginalize_hypergraph(*then))
-        _plans.clear()
+        _memo.clear()
         marginalize_hypergraph(*first)
-        [plan] = _plans.values()
+        [plan] = kept(EliminationPlan)
         assert _report_bytes(marginalize_hypergraph(*then)) == cold
-        assert len(_plans) == 2 and plan in _plans.values()
+        assert len(kept(EliminationPlan)) == 2 and plan in kept(EliminationPlan)
 
     def test_a_plan_is_not_reused_for_another_model_structure(self):
         rng = np.random.default_rng(29)
@@ -785,13 +800,13 @@ class TestSymbolicCache:
 
     def test_a_model_over_the_limit_is_refused_on_every_call(self):
         u, keep = _hub_potential(21), tuple(range(1, 22))
-        _plans.clear()
+        _memo.clear()
         served = []
         for _ in range(2):
             _refused_quickly_and_small(lambda: marginalize_hypergraph(u, keep))
-            served += _plans.values()
+            served += kept(EliminationPlan)
             _refused_quickly_and_small(lambda: innovations(u, keep))
-            served += _plans.values()
+            served += kept(EliminationPlan)
         # one plan served all four calls, and each of them was refused
         # before anything was compiled
         assert len(served) == 4 and all(plan is served[0] for plan in served)
@@ -801,36 +816,53 @@ class TestSymbolicCache:
     @given(plan_cases)
     def test_a_cached_plan_holds_only_read_only_arrays(self, case):
         family, keep = case
+        _memo.clear()
         clean, a, plan = _checked_plan(family.members, keep, NULL_TOL)
-        assert _plan_of(_model_structure(clean, a)) is plan
+        assert kept(EliminationPlan) == [plan]
         arrays = arrays_in([getattr(plan, name) for name in EliminationPlan.__slots__])
         assert len(arrays) >= 4  # the hyperedges, the table lookup and the components
         assert not any(x.flags.writeable for x in arrays)
 
-    def test_the_plan_memo_stays_bounded(self):
-        # chains keeping their ends, one more eliminated variable each time:
-        # every chain is a new structure
+    def test_the_memo_stays_bounded(self):
+        # raw chains, one more variable each time, normalized and then
+        # marginalized keeping their ends: each chain adds a normalization
+        # layout and a plan, and every chain reuses the split plans of its
+        # two table shapes
         rng = np.random.default_rng(64)
-        _plans.clear()
-        for k in range(1, 32 + 5):
-            marginalize_hypergraph(_chain_segment(k + 2, 0, k + 2, rng), (0, k + 1))
-            assert len(_plans) == min(k, 32)
-        # the least recently used went first: the chains of 3 to 6 variables
-        assert next(iter(_plans))[1] == (2,) * 7
+        _memo.clear()
+        for k in range(1, 36):
+            marginalize_hypergraph(normalize_potential(_raw_chain(k + 2, rng)), (0, k + 1))
+            assert len(_memo) == min(2 * k + 2, 64)
+            if k == 1:
+                split_plans = [id(x) for x in kept(_split_plan)]
+        # the least recently used went first: the layouts and plans of the
+        # chains of 3 to 6 variables, and not the split plans, built first
+        # but read by every chain
+        assert [build for build, _ in _memo][:2] == [_normalize_layout, EliminationPlan]
+        assert kept(EliminationPlan)[0].components == (tuple(range(1, 6)),)
+        assert len(kept(_normalize_layout)) == len(kept(EliminationPlan)) == 31
+        assert [id(x) for x in kept(_split_plan)] == split_plans
 
     def test_threads_share_the_plans(self):
-        # more threads than cores, each cycling through 40 structures, so
-        # plans are kept, evicted and built again while others read them
+        # more threads than cores, each cycling through 48 raw chains, which
+        # it normalizes and then marginalizes: 96 structures against the
+        # memo's 64 entries, so entries are kept, evicted and built again
+        # while others read them
         rng = np.random.default_rng(65)
-        models = [(_chain_segment(k + 2, 0, k + 2, rng), (0, k + 1)) for k in range(1, 41)]
-        want = [_report_bytes(marginalize_hypergraph(*m)) for m in models]
+        models = [(_raw_chain(k + 2, rng), (0, k + 1)) for k in range(1, 49)]
+
+        def run(u, keep) -> tuple:
+            normal = normalize_potential(u)
+            return _result_bytes(normal), _report_bytes(marginalize_hypergraph(normal, keep))
+
+        want = [run(*m) for m in models]
         errors, switch = [], sys.getswitchinterval()
 
         def work(start: int) -> None:
             try:
                 for j in range(2 * len(models)):
                     i = (start + j) % len(models)
-                    assert _report_bytes(marginalize_hypergraph(*models[i])) == want[i]
+                    assert run(*models[i]) == want[i]
             except Exception as e:  # reported by the test's thread
                 errors.append(e)
 
@@ -845,21 +877,40 @@ class TestSymbolicCache:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(_plans) <= 32
+        assert len(_memo) <= 64
 
-    def test_the_grid_is_kept_and_a_wider_model_serves_its_call_only(self):
-        # the grid's 10-variable boundary splits through 3^10 - 1 = 59 048
-        # entries, within the gather budget with its sums; two such
-        # boundaries are above it, and their plan is built on each call
-        grid, keep = grid_potential(), grid_retained()
+    def test_the_gather_budget_decides_what_is_kept(self):
+        # an entry is kept only if its gather indices hold at most
+        # SPLIT_PLAN_CACHE_ENTRIES entries.  A 10-variable binary table
+        # splits through 3^10 - 1 = 59 048, two of them through twice that
+        # and a 12-variable one through 3^12 - 1.  The grid's plan gathers
+        # 59 121 with its sums; a plan of two 10-variable boundaries more.
+        assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 2 * (3 ** 10 - 1) < 3 ** 12 - 1
+        rng = np.random.default_rng(11)
+        wide = [InteractionTable(s, rng.normal(size=(2,) * 10))
+                for s in (tuple(range(10)), tuple(range(1, 11)))]
         hubs = Potential(binary_vars(13), [
             InteractionTable((h, k), np.array([[0.0, 0.0], [0.0, 0.4]]))
             for h, ks in ((0, range(1, 11)), (12, range(2, 12))) for k in ks])
-        for u, keep, kept in ((grid, keep, True), (hubs, tuple(range(1, 12)), False)):
-            _plans.clear()
-            reports = [_report_bytes(marginalize_hypergraph(u, keep)) for _ in range(2)]
-            assert reports[0] == reports[1]
-            plan = _checked_plan([u], keep, NULL_TOL)[2]
-            assert (plan.gathers <= SPLIT_PLAN_CACHE_ENTRIES) == kept
-            assert list(_plans.values()) == ([plan] if kept else [])
-            assert (_checked_plan([u], keep, NULL_TOL)[2] is plan) == kept
+        cases = [  # what to run, the kind of entry and whether it is kept
+            (lambda: marginalize_hypergraph(grid_potential(), grid_retained()),
+             EliminationPlan, True),
+            (lambda: marginalize_hypergraph(hubs, tuple(range(1, 12))), EliminationPlan, False),
+            (lambda: normalize_potential(Potential(binary_vars(11), wide[:1])),
+             _normalize_layout, True),
+            (lambda: normalize_potential(Potential(binary_vars(11), wide)),
+             _normalize_layout, False),
+            (lambda: marginalize_hypergraph(_hub_potential(10), tuple(range(1, 11))),
+             _split_plan, True),
+            (lambda: marginalize_hypergraph(_hub_potential(12), tuple(range(1, 13))),
+             _split_plan, False),
+        ]
+        for call, build, keeps in cases:
+            _memo.clear()
+            # the answer is the same whether or not the first call's is kept
+            assert _result_bytes(call()) == _result_bytes(call())
+            assert len(kept(build)) == keeps
+        # and a normalization not kept equals the table-by-table split
+        ref = split_by_tables(binary_vars(11), [(t.scope, t.values) for t in wide])
+        assert dict(_result_bytes(normalize_potential(Potential(binary_vars(11), wide)))) == {
+            s: v.tobytes() for s, v in ref.items() if np.max(np.abs(v)) > NULL_TOL}

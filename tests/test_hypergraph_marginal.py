@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,26 @@ class TestMarginalizeHypergraph:
         assert (2,) not in narrow_innov and (0, 2) not in narrow_innov
         # family-wide, the pair scope still appears (driven by the full member)
         assert (0, 2) in rep.marginal_hypergraph
+
+    def test_an_energy_sum_that_overflows_folds_without_a_warning(self):
+        # on the eliminated B = 1 with A = C = 1 the energy is 1.7e308 +
+        # 1.7e308, which overflows to inf; exp(-inf) = 0 next to the anchor's
+        # finite term, so the marginal is that of 800 in its place, to the bit
+        def marginal(big: float) -> list:
+            def pair(x: float) -> np.ndarray:
+                return np.array([[0.0, 0.0], [0.0, x]])
+
+            u = Potential(binary_vars(4), [
+                InteractionTable((0,), np.array([0.0, 0.3])),
+                InteractionTable((1,), np.array([0.0, -1.0])),
+                InteractionTable((0, 1), pair(big)), InteractionTable((1, 2), pair(big)),
+                InteractionTable((1, 3), pair(0.5)), InteractionTable((2, 3), pair(-0.2))])
+            rep = marginalize_hypergraph(u, (0, 2, 3))
+            return [(t.scope, t.values.tobytes()) for t in rep.marginal_potential.tables]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert marginal(1.7e308) == marginal(800.0)
 
     def test_marginalizing_onto_nothing_is_degenerate_but_safe(self, base):
         rep = marginalize_hypergraph(base, ())

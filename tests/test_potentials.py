@@ -264,7 +264,6 @@ class TestNormalize:
         assert 3 ** 12 - 1 <= STATE_LIMIT
         assert is_normalized(normalize_potential(fits))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_sum_that_overflows_is_refused(self):
         # each table's piece on (0,) holds 1.5e308, and their sum does not fit
         big = np.array([[0.0, 0.0], [1.5e308, 1.5e308]])
