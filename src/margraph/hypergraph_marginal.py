@@ -55,7 +55,6 @@ from .potentials import (
     _distinct,
     _drop_null,
     _by_member,
-    _gathers,
     _kept,
     _member_rows,
     _readonly,
@@ -379,7 +378,9 @@ class EliminationPlan:
         ids = np.where(kept[self._rows], self._rows, -1)  # the retained ids of each hyperedge
         both = _pair_codes(ids >= 0, 2) == 3  # the pairs whose two ids are retained
         self.model_subgraph = _pair_graph(a, n, [_pair_codes(ids, n)[both]])
-        self.gathers = sum(map(_gathers, (self._fold_sums, self._splits, self._marginal)))
+        self.gathers = sum(take.size + sum(at.size for _, at in depths)
+                           for layout in (self._fold_sums, self._splits, self._marginal)
+                           for *_, take, depths, _, _ in layout)
 
 
 def _ordered(scopes: tuple, tau: VarSet) -> tuple:
@@ -499,7 +500,6 @@ def _fold_stack(schedule: tuple, stacks, batch: int) -> np.ndarray:
     return total
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _by_member refuses what is not finite
 def _component_folds(members, plan: EliminationPlan) -> list[np.ndarray]:
     """The folds of ``members`` (potentials on one registry, those the plan
     is built from) along ``plan``: per stack of ``plan._folds``, the -ln
@@ -544,8 +544,9 @@ def _innovation_tables(plan: EliminationPlan, members) -> list[np.ndarray]:
     the folds were stacked.  The split makes every innovation normalized; a
     property test checks :func:`~margraph.potentials.is_normalized` on it.
     """
-    sums = _sum_rows(plan._fold_sums, _component_folds(members, plan))
-    return _split_rows(plan._splits, [(zp, v) for (zp, *_), v in zip(plan._fold_sums, sums)])
+    with np.errstate(over="ignore", invalid="ignore"):  # _by_member refuses inf and NaN
+        sums = _sum_rows(plan._fold_sums, _component_folds(members, plan))
+        return _split_rows(plan._splits, [(zp, v) for (zp, *_), v in zip(plan._fold_sums, sums)])
 
 
 def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]:
@@ -582,8 +583,9 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     innovation, alive = _by_member(len(clean), plan._innovation_rows, pieces, null_tol)
     for v, k in zip(pieces, alive):
         v[~k] = -0.0  # a null innovation adds as -0.0 (see EliminationPlan)
-    sums, nonnull = _by_member(len(clean), plan._marginal_rows, _sum_rows(
-        plan._marginal, [g.values for m in clean for g in m._groups] + pieces), null_tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # _by_member refuses inf and NaN
+        sums, nonnull = _by_member(len(clean), plan._marginal_rows, _sum_rows(
+            plan._marginal, [g.values for m in clean for g in m._groups] + pieces), null_tol)
     marginals = [Potential._of(vars, s + [g[q] for q in plan._alone])
                  for s, g in zip(sums, innovation)]
     innovation = [Potential._of(vars, g) for g in innovation]

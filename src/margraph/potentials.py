@@ -385,11 +385,6 @@ def _kept(build, key: tuple, entries):
     return value
 
 
-def _gathers(layout: tuple) -> int:
-    """The gather-index entries of a :func:`_sum_layout`."""
-    return sum(take.size + sum(at.size for _, at in depths) for *_, take, depths, _, _ in layout)
-
-
 def _split_plan(shape: tuple[int, ...], zero_positions: tuple[int, ...]) -> tuple:
     """Where the pieces on the sub-scopes of a table sit in its transform:
     per (sub-shape, sub-anchors), the sub-scopes' ``axes`` (one row each, in
@@ -477,7 +472,6 @@ def _member_rows(layout: tuple, count: int) -> list:
              np.searchsorted(s[:, 0], np.arange(count + 1)).tolist()) for zp, *_, s, _ in layout]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _by_member refuses what is not finite
 def _sum_rows(layout: tuple, stacks: list) -> list:
     """Sum the rows of ``stacks`` that share a scope along ``layout`` (a
     :func:`_sum_layout`), in rank order: the lowest-ranked row starts each
@@ -493,7 +487,6 @@ def _sum_rows(layout: tuple, stacks: list) -> list:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _split_rows(layout: tuple, stacks) -> list:
     """Split every row of the (zp, values) ``stacks`` into its normalized
     pieces on each non-empty subset of its scope (the constant piece is
@@ -601,8 +594,10 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
         raise ResourceLimitError(f"normalization needs {max(entries)} table entries, "
                                  f"above the limit of {STATE_LIMIT}")
     key = tuple((g.zp, g.values.shape[1:], (g.scopes.shape, g.scopes.tobytes())) for g in groups)
-    layout, rows = _kept(_normalize_layout, key, lambda built: _gathers(built[0]))
-    sums = _split_rows(layout, [(g.zp, g.values) for g in groups])
+    gathers = sum(len(g.scopes) * e for g, e in zip(groups, entries))  # one per piece entry
+    layout, rows = _kept(_normalize_layout, key, lambda _: gathers)
+    with np.errstate(over="ignore", invalid="ignore"):  # _by_member refuses inf and NaN
+        sums = _split_rows(layout, [(g.zp, g.values) for g in groups])
     return Potential._of(u0.vars, _by_member(1, rows, sums, null_tol)[0][0])
 
 

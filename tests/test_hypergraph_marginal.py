@@ -286,6 +286,19 @@ class TestMarginalizeHypergraph:
             warnings.simplefilter("error")
             assert marginal(1.7e308) == marginal(800.0)
 
+    def test_a_marginal_sum_that_overflows_is_refused_without_a_warning(self):
+        # eliminating B leaves an innovation of about -1.7e308 on A, and the
+        # restricted table on A adds another: the sum is -inf
+        u = Potential(binary_vars(2), [
+            InteractionTable((0,), np.array([0.0, -1.7e308])),
+            InteractionTable((0, 1), np.array([[0.0, 0.0], [0.0, -1.7e308]]))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(innovations(u, (0,))[0].table.max_abs)
+            with pytest.raises(InvalidInputError,
+                               match=re.escape("non-finite entries in table for scope (0,)")):
+                marginalize_hypergraph(u, (0,))
+
     def test_marginalizing_onto_nothing_is_degenerate_but_safe(self, base):
         rep = marginalize_hypergraph(base, ())
         assert len(rep.marginal_hypergraph) == 0
