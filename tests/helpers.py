@@ -436,6 +436,12 @@ def kept(build) -> list:
     return [value for (b, _), value in _memo.items() if b is build]
 
 
+def memo_ids() -> dict:
+    """What the per-process memo keeps, by identity: a call that builds an
+    entry within the budget changes it."""
+    return {key: id(value) for key, value in _memo.items()}
+
+
 def innovation_potentials(plan, members, null_tol: float) -> list:
     """Per member of ``members`` (those ``plan`` is built from), its
     innovations that are not null within ``null_tol``, as one potential."""

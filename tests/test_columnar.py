@@ -50,6 +50,7 @@ from helpers import (
     is_normalized_by_tables,
     kept,
     member_folds,
+    memo_ids,
     normalized_pieces,
     split_by_tables,
     split_parts,
@@ -424,10 +425,10 @@ class TestRowLayouts:
 
         _memo.clear()
         cold = calls()
-        memo = {key: id(value) for key, value in _memo.items()}
+        memo = memo_ids()
         assert calls() == cold
         # the warm calls built nothing: a build within the budget would be kept
-        assert {key: id(value) for key, value in _memo.items()} == memo and len(memo) < 64
+        assert memo_ids() == memo and len(memo) < 64
 
     def test_a_warm_normalization_reads_no_scope_rows(self, monkeypatch):
         # the table order that ranks the pieces is part of the kept layout

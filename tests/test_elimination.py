@@ -69,6 +69,7 @@ from helpers import (
     is_normalized_by_tables,
     kept,
     member_folds,
+    memo_ids,
     model_subgraph_by_tuples,
     orders,
     report_sets_by_set_algebra,
@@ -727,11 +728,6 @@ def _one_ternary_chain(anchor: int) -> Potential:
     return normalize_potential(Potential(v, raw))
 
 
-def _memo_ids() -> dict:
-    """What the memo keeps, by identity."""
-    return {key: id(value) for key, value in _memo.items()}
-
-
 class TestSymbolicCache:
     """The per-process memo (``potentials._kept``): the plan of each model
     structure, compiled with the layouts of a call's sums and splits, the
@@ -744,12 +740,12 @@ class TestSymbolicCache:
         family, keep = case
         _memo.clear()
         cold = _report_bytes(marginalize_hypergraph(family, keep))
-        [plan] = kept(EliminationPlan)
-        memo = _memo_ids()
+        assert len(kept(EliminationPlan)) == 1
+        memo = memo_ids()
         warm = _report_bytes(marginalize_hypergraph(family, keep))
         assert warm == cold
         # the warm call built nothing: a build within the budget would be kept
-        assert _memo_ids() == memo and len(memo) < 64
+        assert memo_ids() == memo and len(memo) < 64
 
     @staticmethod
     def _not_reused(first, then) -> None:
