@@ -36,15 +36,18 @@ from margraph.hypergraph_marginal import (
 )
 from margraph.potentials import (
     NORMALIZED_TOL,
+    SPLIT_PLAN_CACHE_ENTRIES,
     _drop_null,
     _memo,
     _normalize_layout,
+    _split_plan,
 )
 
 from fixture_models import grid_potential, grid_retained
 from helpers import (
     ReferencePlan,
     arrays_in,
+    binary_vars,
     innovations_by_components,
     innovation_potentials,
     is_normalized_by_tables,
@@ -469,6 +472,20 @@ class TestRowLayouts:
             assert _layout(normalize_potential(other)) == cold
             assert len(kept(_normalize_layout)) == 2 and layout in kept(_normalize_layout)
 
+    def test_the_layout_memo_stays_bounded(self):
+        # k singletons of k variables: every potential is a new structure,
+        # and every one reads the split plan of the one table shape, which
+        # stays; the least recently used layouts went first
+        _memo.clear()
+        keys = []
+        for k in range(1, 64 + 5):
+            u = Potential(binary_vars(k), [
+                InteractionTable((j,), np.array([0.0, 1.0])) for j in range(k)])
+            normalize_potential(u)
+            keys.append(_normalize_key(u))
+        assert len(_memo) == 64 and len(kept(_split_plan)) == 1
+        assert [key for build, key in _memo if build is _normalize_layout] == keys[-63:]
+
     @settings(max_examples=40, deadline=None)
     @given(signed_zero_families())
     def test_a_layout_holds_only_read_only_arrays(self, case):
@@ -484,3 +501,19 @@ class TestRowLayouts:
         assert {type(x) for x in _memo.values()} == {EliminationPlan, tuple}
         arrays = arrays_in(entries)
         assert arrays and not any(x.flags.writeable for x in arrays)
+
+    def test_a_layout_over_the_budget_is_used_but_not_kept(self):
+        # a 10-variable binary table splits through 3^10 - 1 = 59 048 gather
+        # entries, within the budget; two of them gather 118 096, above it
+        v = binary_vars(11)
+        rng = np.random.default_rng(11)
+        tables = [(s, rng.normal(size=(2,) * 10)) for s in (tuple(range(10)), tuple(range(1, 11)))]
+        assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 2 * (3 ** 10 - 1)
+        for scoped, keeps in ((tables[:1], 1), (tables, 0)):
+            u = Potential(v, [InteractionTable(s, t) for s, t in scoped])
+            _memo.clear()
+            got = [normalize_potential(u) for _ in range(2)]
+            assert len(kept(_normalize_layout)) == keeps
+            ref = split_by_tables(v, scoped)
+            for g in got:
+                _same_tables(g, {s: t for s, t in ref.items() if np.max(np.abs(t)) > NULL_TOL})

@@ -73,7 +73,6 @@ from helpers import (
     model_subgraph_by_tuples,
     orders,
     report_sets_by_set_algebra,
-    split_by_tables,
 )
 
 FOLD_TOL = 1e-12
@@ -681,6 +680,17 @@ class TestResourceGuard:
         rep = marginalize_hypergraph(u, keep)
         assert (1, 2) in rep.added
 
+    def test_a_split_plan_above_the_cache_budget_is_not_retained(self):
+        # a 12-variable binary boundary splits into 3^12 - 1 entries, a
+        # 10-variable one into 3^10 - 1; only the smaller plan is kept, and
+        # the answer is the same whether or not the first call's is kept
+        assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 3 ** 12 - 1
+        for width, keeps in ((12, 0), (10, 1)):
+            u, keep = _hub_potential(width), tuple(range(1, width + 1))
+            _memo.clear()
+            reports = [_report_bytes(marginalize_hypergraph(u, keep)) for _ in range(2)]
+            assert reports[0] == reports[1]
+            assert len(kept(_split_plan)) == keeps
 
 
 def _report_bytes(rep) -> tuple:
@@ -819,7 +829,7 @@ class TestSymbolicCache:
         assert len(arrays) >= 4  # the hyperedges, the table lookup and the components
         assert not any(x.flags.writeable for x in arrays)
 
-    def test_the_memo_stays_bounded(self):
+    def test_the_plan_memo_stays_bounded(self):
         # raw chains, one more variable each time, normalized and then
         # marginalized keeping their ends: each chain adds a normalization
         # layout and a plan, and every chain reuses the split plans of its
@@ -875,38 +885,21 @@ class TestSymbolicCache:
         assert errors == []
         assert len(_memo) <= 64
 
-    def test_the_gather_budget_decides_what_is_kept(self):
+    def test_the_grid_is_kept_and_a_wider_model_serves_its_call_only(self):
         # an entry is kept only if its gather indices hold at most
-        # SPLIT_PLAN_CACHE_ENTRIES entries.  A 10-variable binary table
-        # splits through 3^10 - 1 = 59 048, two of them through twice that
-        # and a 12-variable one through 3^12 - 1.  The grid's plan gathers
-        # 59 121 with its sums; a plan of two 10-variable boundaries more.
-        assert 3 ** 10 - 1 <= SPLIT_PLAN_CACHE_ENTRIES < 2 * (3 ** 10 - 1) < 3 ** 12 - 1
-        rng = np.random.default_rng(11)
-        wide = [InteractionTable(s, rng.normal(size=(2,) * 10))
-                for s in (tuple(range(10)), tuple(range(1, 11)))]
+        # SPLIT_PLAN_CACHE_ENTRIES entries.  The grid's 10-variable boundary
+        # splits through 3^10 - 1 = 59 048, and its plan gathers 59 121 with
+        # its sums; two such boundaries are above the budget, and their plan
+        # is built on each call
+        grid, keep = grid_potential(), grid_retained()
         hubs = Potential(binary_vars(13), [
             InteractionTable((h, k), np.array([[0.0, 0.0], [0.0, 0.4]]))
             for h, ks in ((0, range(1, 11)), (12, range(2, 12))) for k in ks])
-        cases = [  # what to run, the kind of entry and whether it is kept
-            (lambda: marginalize_hypergraph(grid_potential(), grid_retained()),
-             EliminationPlan, True),
-            (lambda: marginalize_hypergraph(hubs, tuple(range(1, 12))), EliminationPlan, False),
-            (lambda: normalize_potential(Potential(binary_vars(11), wide[:1])),
-             _normalize_layout, True),
-            (lambda: normalize_potential(Potential(binary_vars(11), wide)),
-             _normalize_layout, False),
-            (lambda: marginalize_hypergraph(_hub_potential(10), tuple(range(1, 11))),
-             _split_plan, True),
-            (lambda: marginalize_hypergraph(_hub_potential(12), tuple(range(1, 13))),
-             _split_plan, False),
-        ]
-        for call, build, keeps in cases:
+        for u, keep, keeps in ((grid, keep, True), (hubs, tuple(range(1, 12)), False)):
             _memo.clear()
-            # the answer is the same whether or not the first call's is kept
-            assert _result_bytes(call()) == _result_bytes(call())
-            assert len(kept(build)) == keeps
-        # and a normalization not kept equals the table-by-table split
-        ref = split_by_tables(binary_vars(11), [(t.scope, t.values) for t in wide])
-        assert dict(_result_bytes(normalize_potential(Potential(binary_vars(11), wide)))) == {
-            s: v.tobytes() for s, v in ref.items() if np.max(np.abs(v)) > NULL_TOL}
+            reports = [_report_bytes(marginalize_hypergraph(u, keep)) for _ in range(2)]
+            assert reports[0] == reports[1]
+            plan = _checked_plan([u], keep, NULL_TOL)[2]
+            assert (plan.gathers <= SPLIT_PLAN_CACHE_ENTRIES) == keeps
+            assert kept(EliminationPlan) == ([plan] if keeps else [])
+            assert (_checked_plan([u], keep, NULL_TOL)[2] is plan) == keeps
