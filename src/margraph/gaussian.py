@@ -10,16 +10,13 @@ eliminated set (components of the non-zero pattern of its block): a
 component tau with boundary d = {retained j : P[tau, j] != 0} contributes
 P_d,tau P_tau,tau^-1 P_tau,d on the d x d entries only.  This is the
 Gaussian analogue of innovations on the subsets of each boundary.  Each
-term is computed through the Cholesky factor L of P_tau,tau rather than an
-explicit inverse: with Y = L^-1 P_tau,d it is Y^T Y, symmetric by
-construction.  Components of equal size and boundary width are factored
-and solved together as one stack.
-
-Y is found by blocked forward substitution, since L is lower triangular:
-split L into [[L11, 0], [L21, L22]] and P_tau,d into rows [B1; B2], solve
-L11 Y1 = B1, then L22 Y2 = B2 - L21 Y1, recursively.  A diagonal block of at
-most SOLVE_LEAF rows goes to ``np.linalg.solve`` as a whole, so components
-that small are solved exactly as a plain ``np.linalg.solve(L, P_tau,d)``.
+term is computed through the Cholesky factor L of P_tau,tau, not an explicit
+inverse.  Components of at most SOLVE_LEAF ids and equal boundary width are one
+stack: Y^T Y with Y = L^-1 P_tau,d from ``np.linalg.solve``.  A wider one takes its
+block-bidiagonal L from the proof's block Cholesky below.  A forward and a backward
+block sweep, each L_tt^-1 applied as one explicit inverse, give X = P_tau,tau^-1 P_tau,d
+(a boundary column joins the forward sweep at the first block coupled to it); P_d,tau X
+is summed from P_tau,d's few entries per column, and its lower triangle mirrored.
 
 The constructor proves P positive definite from its lower triangle, as
 ``np.linalg.cholesky`` would.  It first eliminates leaves in rounds: a vertex of
@@ -53,14 +50,11 @@ from .errors import InvalidInputError
 from .graphs import Graph, VarSet, _require_subset, _require_tolerance
 
 SYMMETRY_TOL = 1e-12
-# Largest diagonal block the forward substitution hands to np.linalg.solve.
-# On the 800-long eliminated chain of a banded n = 1600 model (one BLAS
-# thread), leaves of 16 to 192 rows solve in 21-36 ms against 56-62 ms for
-# one LU solve, and 256 or more are slower; 128 is the largest leaf in that
-# flat range, so the most components keep the plain solve's bits.
+# Widest eliminated component whose Γ term the stacked kernel takes (every golden's).
 SOLVE_LEAF = 128
-# Rows per strip of the constructor's symmetry scan.  At n = 1600 strips of
-# 32 to 128 rows take 5.3-6.5 ms against 22 ms for max|P - P^T|.
+# Rows per strip of the constructor's symmetry scan, and of the mirror of a wide
+# component's Γ term.  At n = 1600 strips of 32 to 128 rows take 5.3-6.5 ms against
+# 22 ms for max|P - P^T|; an 800 x 800 mirror 1.4 ms against 4.2 ms for tril + tril.T.
 STRIP_ROWS = 64
 # Least rows per block of the constructor's block Cholesky, and of a leaf round that
 # takes less than half of what is left.  With bordered blocks 16-64 read level on
@@ -174,9 +168,16 @@ def _prove_positive_definite(prec: np.ndarray, pattern: np.ndarray) -> None:
         x, y = np.where(leaf[u], (u, v), (v, u))[:, gone]  # each gone edge's leaf, neighbour
         diag -= np.bincount(y, w[gone] ** 2 / diag[x], minlength=n)
         u, v, w, left = u[~gone], v[~gone], w[~gone], left[~leaf[left]]
-    if not len(left):
-        return
-    m, (u, v) = len(left), np.searchsorted(left, (u, v))  # by rank among those left
+    if len(left):  # by rank among those left; each block's factor only has to exist
+        for _ in _envelope_factors(len(left), *np.searchsorted(left, (u, v)), w, diag[left]):
+            pass
+
+
+def _envelope_factors(m: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.ndarray):
+    """Factor the m x m matrix with diagonal ``diag`` and lower triangle w at (u, v),
+    u > v, by the module docstring's block Cholesky.  Yields each block's rows, those
+    of the next block that it couples to (by position there) and the factor [[L_tt, 0],
+    [L_t+1,t, L22]] of the block so bordered; ``np.linalg.LinAlgError`` if not PD."""
     adj = adjacency(m, u, v)
     label = component_labels(adj)
     order = np.argsort(label, kind="stable")  # by component, members ascending
@@ -198,7 +199,7 @@ def _prove_positive_definite(prec: np.ndarray, pattern: np.ndarray) -> None:
     lo, hi, w = lo[by], hi[by], w[by]
     coupled = np.zeros(m, dtype=bool)  # the rows that a coupling across a cut reaches
     coupled[hi[hi >= np.repeat(ends, np.diff([0, *ends]))[lo]]] = True
-    diag, slot = diag[left[order]], np.full(m, -1)  # by position; each position's row in k
+    diag, slot = diag[order], np.full(m, -1)  # by position; each position's row in k
     s, carry, held = 0, np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
     for e, cut in zip(ends, [*ends[1:], m]):
         # the block, bordered by the rows of the next block that it couples to, built
@@ -213,24 +214,56 @@ def _prove_positive_definite(prec: np.ndarray, pattern: np.ndarray) -> None:
         k[r[inside], c[inside]] = w[i:j][inside]  # r > c: the lower triangle
         k.flat[::len(pick) + 1] = diag[pick]
         k[held[:, None], held] = carry  # the Schur block of the rows the last block held
-        tail = np.linalg.cholesky(k)[e - s:, e - s:]  # L22 L22^T is near's Schur block
-        slot[pick] = -1
+        factor = np.linalg.cholesky(k)
+        slot[pick], tail = -1, factor[e - s:, e - s:]  # L22 L22^T is near's Schur block
+        yield order[s:e], near - e, factor
         carry, held, s = tail @ tail.T, near - e, e
 
 
-def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Overwrite ``b`` with Y solving chol Y = b, for lower-triangular
-    ``chol``; both may carry the same leading stack axes.  Returns ``b``."""
-    n = chol.shape[-1]
-    if n <= SOLVE_LEAF:
-        b[...] = np.linalg.solve(chol, b)
-        return b
-    h = n // 2
-    top, rest = b[..., :h, :], b[..., h:, :]
-    _solve_lower(chol[..., :h, :h], top)
-    rest -= np.matmul(chol[..., h:, :h], top)
-    _solve_lower(chol[..., h:, h:], rest)
-    return b
+def _envelope_term(p: np.ndarray, tau: np.ndarray, d: np.ndarray, i: np.ndarray,
+                   j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Γ's term P_d,tau P_tau,tau^-1 P_tau,d of the component ``tau`` with boundary ``d``
+    (ids, ascending) by the module docstring's block sweeps, from the entries (i, j) of
+    its rows of P's pattern, row-major; and the order of d its rows and columns take."""
+    m, width, r, inner = len(tau), len(d), np.searchsorted(tau, i), np.isin(j, tau)
+    lower = inner & (i > j)  # rows r by rank in tau; inner: the entries within tau
+    blocks = list(_envelope_factors(m, r[lower], np.searchsorted(tau, j[lower]),
+                                    p[i[lower], j[lower]], p[tau, tau]))
+    r, c, x = r[~inner], np.searchsorted(d, j[~inner]), p[i[~inner], j[~inner]]  # P_tau,d
+    first = np.full(width, m)  # the first position that couples to each column
+    np.minimum.at(first, c, np.argsort(np.concatenate([rows for rows, _, _ in blocks]))[r])
+    order = np.argsort(first, kind="stable")  # the columns by the block they join at
+    c = np.argsort(order)[c]
+    joined = np.searchsorted(first[order], np.cumsum([len(rows) for rows, _, _ in blocks]))
+    b = np.zeros((m, width))
+    b[r, c] = x
+    inverses, ys, below, held = [], [], np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
+    for (rows, near, f), cols in zip(blocks, joined):  # L Y = P_tau,d, a block at a time
+        inverses.append(np.linalg.inv(f[:len(rows), :len(rows)]))
+        rhs = b[rows, :cols]
+        rhs[held, :below.shape[1]] -= below
+        ys.append(inverses[-1] @ rhs)
+        below, held = f[len(rows):, :len(rows)] @ ys[-1], near
+    x_next = np.zeros((0, width))
+    for (rows, near, f), inv, y in zip(blocks[::-1], inverses[::-1], ys[::-1]):  # L^T X = Y
+        rhs = -(f[len(rows):, :len(rows)].T @ x_next[near])
+        rhs[:, :y.shape[1]] += y
+        b[rows] = x_next = inv.T @ rhs  # X replaces P_tau,d, whose rows are all read
+    by = np.argsort(c, kind="stable")  # the entries by column, rows ascending in each
+    r, c, x = r[by], c[by], x[by]
+    rank = np.arange(len(c)) - np.searchsorted(c, c)  # each entry's rank in its column
+    g = b[r[rank == 0]]  # every column of d has an entry
+    g *= x[rank == 0, None]
+    for k in range(1, int(rank.max(initial=0)) + 1):
+        at = rank == k
+        part = b[r[at]]
+        part *= x[at, None]  # in place: a product with x[at, None] took 3x as long
+        g[c[at]] += part
+    for s in range(0, width, STRIP_ROWS):  # mirror the lower triangle, a strip at a time
+        e = s + STRIP_ROWS
+        g[s:e, s:e] = np.tril(g[s:e, s:e]) + np.tril(g[s:e, s:e], -1).T
+        g[s:e, e:] = g[e:, s:e].T
+    return g, order
 
 
 def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
@@ -251,7 +284,7 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
     pattern = _pattern(m)
     # the pattern's entries in the rows of z, as (row, column) ids
     i, j = divmod(pattern[eliminated[pattern // n]], n)
-    _, z, sizes, (owner, ds) = eliminated_components(n, i, j, eliminated)
+    comp, z, sizes, (owner, ds) = eliminated_components(n, i, j, eliminated)
     ds = np.searchsorted(cols, ds)  # boundaries, by position in a
     ends = np.cumsum(sizes).tolist()
     cut = np.searchsorted(owner, np.arange(len(sizes) + 1)).tolist()
@@ -259,20 +292,25 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
     for s, e, b, c in zip([0, *ends], ends, cut, cut[1:]):
         stacks.setdefault((e - s, c - b), []).append((z[s:e], ds[b:c]))
     gamma = np.zeros(k * k)
-    for (_, width), members in stacks.items():
-        taus = np.array([tau for tau, _ in members])
-        ds = np.array([d for _, d in members])
-        try:
+    try:
+        for (size, width), members in stacks.items():
+            if size > SOLVE_LEAF:  # one component at a time, along its envelope
+                for tau, d in members:
+                    mine = comp[i] == comp[tau[0]]
+                    term, order = _envelope_term(p, tau, cols[d], i[mine], j[mine])
+                    np.add.at(gamma, (d[order, None] * k + d[order]).ravel(), term.ravel())
+                continue
+            taus = np.array([tau for tau, _ in members])
+            ds = np.array([d for _, d in members])
             chol = np.linalg.cholesky(p[taus[:, :, None], taus[:, None, :]])
-        except np.linalg.LinAlgError:
-            raise InvalidInputError(
-                "eliminated precision block is not positive definite; "
-                "corrupted input") from None
-        if width:
-            y = _solve_lower(chol, p[taus[:, :, None], cols[ds][:, None, :]])
-            terms = np.matmul(y.transpose(0, 2, 1), y).ravel()
-            del chol, y  # up to |z| x |a| each: free them before the scatter
-            np.add.at(gamma, (ds[:, :, None] * k + ds[:, None, :]).ravel(), terms)
+            if width:
+                y = np.linalg.solve(chol, p[taus[:, :, None], cols[ds][:, None, :]])
+                terms = np.matmul(y.transpose(0, 2, 1), y).ravel()
+                del chol, y  # up to |z| x |a| each: free them before the scatter
+                np.add.at(gamma, (ds[:, :, None] * k + ds[:, None, :]).ravel(), terms)
+    except np.linalg.LinAlgError:
+        raise InvalidInputError(
+            "eliminated precision block is not positive definite; corrupted input") from None
     gamma = gamma.reshape(k, k)
     block = p[np.ix_(a, a)] - gamma
     if not np.all(np.isfinite(block)):  # only rounding at the float range's edge reaches this

@@ -557,7 +557,8 @@ def innovations(u: Potential, a, null_tol: float = NULL_TOL) -> list[Innovation]
     be normalized.
     """
     [u], _, plan = _checked_plan([u], a, null_tol)
-    [groups], _ = _by_member(1, plan._innovation_rows, _innovation_tables(plan, [u]), null_tol)
+    [groups], _ = _by_member(1, plan._innovation_rows, _innovation_tables(plan, [u]), null_tol,
+                             u.vars.labels)
     return [Innovation(t.scope, t) for t in Potential._of(u.vars, groups).tables]
 
 
@@ -580,12 +581,12 @@ def marginalize_hypergraph(fam, a, null_tol: float = NULL_TOL) -> MarginalReport
     vars = fam.vars
     clean, a, plan = _checked_plan(fam.members, a, null_tol)
     pieces = _innovation_tables(plan, clean)
-    innovation, alive = _by_member(len(clean), plan._innovation_rows, pieces, null_tol)
+    innovation, alive = _by_member(len(clean), plan._innovation_rows, pieces, null_tol, vars.labels)
     for v, k in zip(pieces, alive):
         v[~k] = -0.0  # a null innovation adds as -0.0 (see EliminationPlan)
     with np.errstate(over="ignore", invalid="ignore"):  # _by_member refuses inf and NaN
-        sums, nonnull = _by_member(len(clean), plan._marginal_rows, _sum_rows(
-            plan._marginal, [g.values for m in clean for g in m._groups] + pieces), null_tol)
+        sums = _sum_rows(plan._marginal, [g.values for m in clean for g in m._groups] + pieces)
+    sums, nonnull = _by_member(len(clean), plan._marginal_rows, sums, null_tol, vars.labels)
     marginals = [Potential._of(vars, s + [g[q] for q in plan._alone])
                  for s, g in zip(sums, innovation)]
     innovation = [Potential._of(vars, g) for g in innovation]

@@ -498,17 +498,18 @@ def _split_rows(layout: tuple, stacks) -> list:
         [np.zeros(1)] + [_anchored_differences(values, zp).ravel() for zp, values in stacks])])
 
 
-def _by_member(count: int, rows, stacks: list, null_tol: float) -> tuple[list, list]:
+def _by_member(count: int, rows, stacks: list, null_tol: float, labels) -> tuple[list, list]:
     """The groups of ``count`` potentials from engine-made stacks whose rows
     ``rows`` lays out (:func:`_member_rows`): member m takes, per
     stack, one group of its rows cuts[m] to cuts[m + 1] that are not null
     within ``null_tol``.  Also returns, per stack, which rows those are.  A
-    non-finite row is refused."""
+    non-finite row, which only overflow makes, is refused by the ``labels``
+    of its scope."""
     peaks = [np.abs(values).reshape(len(values), -1).max(axis=1) for values in stacks]
     for (_, scopes, _), peak in zip(rows, peaks):
         if not np.isfinite(peak).all():
-            bad = tuple(scopes[~np.isfinite(peak)][0].tolist())
-            raise InvalidInputError(f"non-finite entries in table for scope {bad}")
+            bad = [labels[v] for v in scopes[~np.isfinite(peak)][0].tolist()]
+            raise InvalidInputError(f"computed table for scope {bad} overflowed")
     keep = [peak > null_tol for peak in peaks]
     return [[_Group(zp, scopes[s:e], v[s:e], p[s:e]).take(k[s:e])
              for (zp, scopes, cuts), v, p, k in zip(rows, stacks, peaks, keep)
@@ -598,7 +599,7 @@ def normalize_potential(u0: Potential, null_tol: float = NULL_TOL) -> Potential:
     layout, rows = _kept(_normalize_layout, key, lambda _: gathers)
     with np.errstate(over="ignore", invalid="ignore"):  # _by_member refuses inf and NaN
         sums = _split_rows(layout, [(g.zp, g.values) for g in groups])
-    return Potential._of(u0.vars, _by_member(1, rows, sums, null_tol)[0][0])
+    return Potential._of(u0.vars, _by_member(1, rows, sums, null_tol, u0.vars.labels)[0][0])
 
 
 def is_normalized(u: Potential, tol: float = NORMALIZED_TOL) -> bool:

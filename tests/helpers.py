@@ -30,7 +30,7 @@ from margraph import (
     varset,
 )
 from margraph.components import adjacency, component_labels
-from margraph.gaussian import _solve_lower
+from margraph.gaussian import SOLVE_LEAF, _envelope_term
 from margraph.hypergraph_marginal import (
     EliminationPlan,
     _checked_plan,
@@ -446,7 +446,7 @@ def innovation_potentials(plan, members, null_tol: float) -> list:
     """Per member of ``members`` (those ``plan`` is built from), its
     innovations that are not null within ``null_tol``, as one potential."""
     groups, _ = _by_member(len(members), plan._innovation_rows,
-                           _innovation_tables(plan, members), null_tol)
+                           _innovation_tables(plan, members), null_tol, members[0].vars.labels)
     return [Potential._of(members[0].vars, g) for g in groups]
 
 
@@ -607,13 +607,14 @@ def innovation_by_neighbour_sum(m: GaussianModel, a) -> np.ndarray:
 def innovation_by_dense_scan(m: GaussianModel, a) -> np.ndarray:
     """The innovation matrix as the library built it before the model kept
     P's pattern: the eliminated rows' pattern read off P densely, boundaries
-    by one ``.any`` per component.  The stacks, solves and scatter are the
-    library's, so the two must agree bit for bit."""
+    by one ``.any`` per component.  The stacks, solves, the wide components'
+    kernel and the scatter are the library's, so the two must agree bit for bit."""
     a = varset(a)
     k, p = len(a), m.precision
     rows = np.asarray(varset(set(range(m.n)) - set(a)), dtype=np.intp)
     cols = np.asarray(a)
     pattern = p[rows] != 0
+    pattern[np.arange(len(rows)), rows] = False
     touches = pattern[:, cols]
     stacks: dict[tuple[int, int], list] = {}
     edges = divmod(np.flatnonzero(pattern[:, rows]), len(rows))
@@ -621,14 +622,20 @@ def innovation_by_dense_scan(m: GaussianModel, a) -> np.ndarray:
     for root in np.flatnonzero(label == np.arange(len(rows))):  # by smallest member
         tau = np.flatnonzero(label == root)
         d = np.flatnonzero(touches[tau].any(axis=0))
-        stacks.setdefault((len(tau), len(d)), []).append((rows[tau], d))
+        stacks.setdefault((len(tau), len(d)), []).append((tau, d))
     gamma = np.zeros(k * k)
-    for (_, width), members in stacks.items():
-        taus = np.array([tau for tau, _ in members])
+    for (size, width), members in stacks.items():
+        if size > SOLVE_LEAF:
+            for tau, d in members:
+                i, j = np.nonzero(pattern[tau])
+                term, order = _envelope_term(p, rows[tau], cols[d], rows[tau][i], j)
+                np.add.at(gamma, (d[order, None] * k + d[order]).ravel(), term.ravel())
+            continue
+        taus = np.array([rows[tau] for tau, _ in members])
         ds = np.array([d for _, d in members])
         chol = np.linalg.cholesky(p[taus[:, :, None], taus[:, None, :]])
         if width:
-            y = _solve_lower(chol, p[taus[:, :, None], cols[ds][:, None, :]])
+            y = np.linalg.solve(chol, p[taus[:, :, None], cols[ds][:, None, :]])
             terms = np.matmul(y.transpose(0, 2, 1), y).ravel()
             np.add.at(gamma, (ds[:, :, None] * k + ds[:, None, :]).ravel(), terms)
     return gamma.reshape(k, k)

@@ -593,7 +593,7 @@ class TestOutputContract:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.splitlines() == [
             "notice: input potential is not normalized; normalizing.",
-            "error: non-finite entries in table for scope (0,)"]
+            "error: computed table for scope ['A'] overflowed"]
 
     @pytest.mark.parametrize("command, payload, field", [
         ("marginalize-gaussian",

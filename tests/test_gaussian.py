@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -31,7 +32,6 @@ from margraph.gaussian import (
     _nonzeros,
     _prove_positive_definite,
     _scaled_tol,
-    _solve_lower,
 )
 
 from fixture_models import (
@@ -177,6 +177,23 @@ class TestMarginalPrecision:
         for call in (marginal_precision, innovation_matrix, gaussian_marginal_graph):
             with pytest.raises(InvalidInputError, match="non-finite"):
                 call(m, (0, 1))
+        assert m._innovation is None
+
+    @pytest.mark.parametrize("rows", [3, SOLVE_LEAF + 3])
+    def test_an_indefinite_eliminated_block_is_refused(self, rows):
+        # an unchecked model whose eliminated chain (couplings 0.9, so its
+        # smallest eigenvalue is below 1 - 1.8 cos(pi / 4) < 0) is not PD: the
+        # constructor would refuse it; Γ refuses it in the stacked kernel and
+        # in the wide component's block sweeps alike
+        prec = np.eye(rows + 1)
+        prec[0, 1] = prec[1, 0] = 0.1
+        chain = np.arange(1, rows)
+        prec[chain, chain + 1] = prec[chain + 1, chain] = 0.9
+        m = GaussianModel._of(np.zeros(rows + 1), prec)
+        for call in (marginal_precision, innovation_matrix, gaussian_marginal_graph):
+            with pytest.raises(InvalidInputError, match=re.escape(
+                    "eliminated precision block is not positive definite; corrupted input")):
+                call(m, (0,))
         assert m._innovation is None
 
     def test_empty_retained_set_rejected(self):
@@ -595,29 +612,88 @@ class TestReverseCuthillMcKee:
         assert order == []
 
 
-def lower_triangular(rng, n, batch=()):
-    """Well-conditioned lower-triangular matrices: unit-scale diagonal and
-    small off-diagonal entries."""
-    low = np.tril(rng.normal(size=(*batch, n, n)), -1) / np.sqrt(n)
-    return low + np.eye(n) * rng.uniform(1.0, 2.0, size=(*batch, 1, n))
+def interleaved_bands(rng, rows, copies=1):
+    """``copies`` block-diagonal copies of a diagonally dominant band of
+    half-width 2 over 2 rows + 1 ids, and the ids that keep each copy's even
+    ids: each copy's odd ids form one eliminated chain of ``rows`` variables,
+    whose boundary is the copy's even ids."""
+    size = 2 * rows + 1
+    prec = np.zeros((copies * size, copies * size))
+    for i in range(len(prec)):
+        for j in range(i + 1, min((i // size + 1) * size, i + 3)):
+            prec[i, j] = prec[j, i] = rng.uniform(0.1, 0.5) * rng.choice([-1.0, 1.0])
+    np.fill_diagonal(prec, np.abs(prec).sum(axis=1) + rng.uniform(0.5, 1.5, size=len(prec)))
+    return prec, [v for v in range(len(prec)) if v % size % 2 == 0]
+
+
+@st.composite
+def wide_components(draw, kinds=("band", "permuted band", "chord")):
+    """A precision whose first m ids, SOLVE_LEAF to 3 SOLVE_LEAF of them, form one
+    eliminated component and whose 1-40 others are retained, each coupled to 1-3
+    rows of it.  The component is a band of half-width 2-5, the same band with its
+    ids shuffled (wide in member order, so reordered), or a chain with a chord
+    BLOCK_FLOOR + 1 to 2 BLOCK_FLOOR ranks long, which crosses a cut.  The last
+    retained id couples to the component's last id alone: in member order, a
+    column that joins the sweeps at the last block.  Its smallest eigenvalue is
+    1 % of its largest, as in ``edge_precisions``."""
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.sampled_from([SOLVE_LEAF, SOLVE_LEAF + 1]) | st.integers(SOLVE_LEAF, 3 * SOLVE_LEAF))
+    q = draw(st.integers(1, 40))
+    offset = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    if kind == "chord":
+        inner = offset == 1
+        s = int(rng.integers(0, m - 2 * BLOCK_FLOOR))
+        t = s + int(rng.integers(BLOCK_FLOOR + 1, 2 * BLOCK_FLOOR + 1))
+        inner[s, t] = inner[t, s] = True
+    else:
+        inner = (offset >= 1) & (offset <= draw(st.integers(2, 5)))
+    keep = np.zeros((m + q, m + q), dtype=bool)
+    keep[:m, :m] = inner
+    for col in range(m, m + q - 1):
+        keep[rng.choice(m, size=int(rng.integers(1, 4)), replace=False), col] = True
+    keep[m - 1, m + q - 1] = True
+    keep |= keep.T
+    low = np.tril(rng.normal(size=keep.shape) * keep, -1)
+    prec = low + low.T + np.diag(rng.uniform(0.5, 2.0, size=m + q))
+    eig = np.linalg.eigvalsh(prec)
+    prec += (0.01 * np.max(np.abs(eig)) - eig[0]) * np.eye(m + q)
+    if kind == "permuted band":
+        at = np.concatenate((rng.permutation(m), np.arange(m, m + q)))
+        prec = prec[np.ix_(at, at)]
+    return prec, list(range(m, m + q))
 
 
 class TestBlockedSolve:
+    """Γ of a component of at most SOLVE_LEAF rows is one stacked Cholesky and
+    plain ``np.linalg.solve`` with its like-shaped ones; a wider component's Γ
+    comes from block sweeps along the factor of the PD proof's block loop, with
+    no solve, and its lower triangle mirrored."""
+
     @pytest.mark.parametrize("n", [SOLVE_LEAF - 1, SOLVE_LEAF, SOLVE_LEAF + 1, 2 * SOLVE_LEAF + 1])
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_matches_lu_solve(self, n, batch, monkeypatch):
-        rng = np.random.default_rng(n)
-        chol = lower_triangular(rng, n, batch)
-        b = rng.normal(size=(*batch, n, 7))
-        expected = np.linalg.solve(chol, b)
-        sizes = matrix_sizes(monkeypatch, "solve")
-        y = _solve_lower(chol, b.copy())
-        assert max(sizes) <= SOLVE_LEAF
-        if n <= SOLVE_LEAF:
-            assert np.array_equal(y, expected)  # one leaf: the plain solve, bit for bit
-        else:
-            assert len(sizes) > 1
-            assert np.max(np.abs(y - expected)) <= 1e-13 * np.max(np.abs(expected))
+        # one or three copies of an eliminated chain of n variables
+        copies = batch[0] if batch else 1
+        prec, a = interleaved_bands(np.random.default_rng(n), n, copies)
+        z = [v for v in range(len(prec)) if v not in a]
+        taus, ds = np.reshape(z, (copies, n)), np.reshape(a, (copies, n + 1))
+        chol = np.linalg.cholesky(prec[taus[:, :, None], taus[:, None, :]])
+        y = np.linalg.solve(chol, prec[taus[:, :, None], ds[:, None, :]])
+        plain = np.matmul(y.transpose(0, 2, 1), y)
+        lu = prec[np.ix_(a, z)] @ np.linalg.solve(prec[np.ix_(z, z)], prec[np.ix_(z, a)])
+        m = GaussianModel(np.zeros(len(prec)), prec)
+        sizes, solved = matrix_sizes(monkeypatch, "cholesky"), matrix_sizes(monkeypatch, "solve")
+        gamma = innovation_matrix(m, a)
+        assert np.array_equal(gamma, gamma.T)
+        if n <= SOLVE_LEAF:  # one stack: the plain solve, bit for bit
+            assert sizes == [n] and solved == [n]
+            for c in range(copies):
+                at = slice(c * (n + 1), (c + 1) * (n + 1))
+                assert np.array_equal(gamma[at, at], plain[c])
+        else:  # blocks of the chain, each bordered by the next block's first row
+            assert solved == [] and max(sizes) == BLOCK_FLOOR + 1
+            assert np.max(np.abs(gamma - lu)) <= 1e-12 * np.max(np.abs(lu))
 
     def test_banded_chain_longer_than_two_leaves(self, monkeypatch):
         # bandwidth-2 band keeping the even ids: the odd ids form one
@@ -633,13 +709,50 @@ class TestBlockedSolve:
         a, z = list(range(0, n, 2)), list(range(1, n, 2))
         schur = prec[np.ix_(a, z)] @ np.linalg.inv(prec[np.ix_(z, z)]) @ prec[np.ix_(z, a)]
         m = GaussianModel(np.zeros(n), prec)
-        sizes = matrix_sizes(monkeypatch, "solve")
+        sizes, solved = matrix_sizes(monkeypatch, "cholesky"), matrix_sizes(monkeypatch, "solve")
+        inverted = matrix_sizes(monkeypatch, "inv")
         gamma = innovation_matrix(m, a)
-        assert sizes and max(sizes) <= SOLVE_LEAF
+        # the chain in member order: eight blocks of BLOCK_FLOOR rows, each factored
+        # with the next block's first row and inverted once, then the last 5 rows
+        assert sizes == [BLOCK_FLOOR + 1] * 8 + [5] and solved == []
+        assert inverted == [BLOCK_FLOOR] * 8 + [5]
         scale = np.max(np.abs(schur))
         assert np.max(np.abs(gamma - schur)) <= 1e-12 * scale
         block = marginal_precision(m, a).precision
         assert np.max(np.abs(block - (prec[np.ix_(a, a)] - schur))) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_components())
+    def test_a_wide_component_matches_the_explicit_inverse(self, case):
+        prec, a = case
+        z = [v for v in range(len(prec)) if v not in a]
+        schur = prec[np.ix_(a, z)] @ np.linalg.inv(prec[np.ix_(z, z)]) @ prec[np.ix_(z, a)]
+        gamma = innovation_matrix(GaussianModel(np.zeros(len(prec)), prec), a)
+        assert np.array_equal(gamma, gamma.T)
+        assert np.max(np.abs(gamma - schur)) <= 1e-12 * np.max(np.abs(schur))
+
+    @pytest.mark.parametrize("kind", ["permuted band", "chord"])
+    def test_every_wide_kind_reaches_its_branch(self, kind, monkeypatch):
+        # a shuffled band is reordered; a chord crosses a cut into the next block
+        calls = []
+        order = reverse_cuthill_mckee
+        monkeypatch.setattr("margraph.gaussian.reverse_cuthill_mckee",
+                            lambda *args: calls.append(1) or order(*args))
+        borders = matrix_sizes(monkeypatch, "cholesky")
+
+        def reached(case):
+            prec, a = case
+            m = GaussianModel(np.zeros(len(prec)), prec)
+            calls.clear()
+            borders.clear()
+            innovation_matrix(m, a)
+            if kind == "chord":  # a block bordered by more than the chain's one row
+                return any(size > BLOCK_FLOOR + 1 for size in borders)
+            return bool(calls)
+
+        wide = wide_components([kind]).filter(lambda case: len(case[0]) - len(case[1]) > SOLVE_LEAF)
+        find(wide, reached,
+             settings=settings(database=None, derandomize=True, max_examples=100))
 
 
 class TestPairwiseInnovation:

@@ -296,7 +296,7 @@ class TestMarginalizeHypergraph:
             warnings.simplefilter("error")
             assert math.isfinite(innovations(u, (0,))[0].table.max_abs)
             with pytest.raises(InvalidInputError,
-                               match=re.escape("non-finite entries in table for scope (0,)")):
+                               match=re.escape("computed table for scope ['V1'] overflowed")):
                 marginalize_hypergraph(u, (0,))
 
     def test_marginalizing_onto_nothing_is_degenerate_but_safe(self, base):

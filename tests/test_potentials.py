@@ -269,7 +269,7 @@ class TestNormalize:
         big = np.array([[0.0, 0.0], [1.5e308, 1.5e308]])
         u = Potential(binary_vars(3), [InteractionTable((0, 1), big), InteractionTable((0, 2), big)])
         with pytest.raises(InvalidInputError,
-                           match=re.escape("non-finite entries in table for scope (0,)")):
+                           match=re.escape("computed table for scope ['V1'] overflowed")):
             normalize_potential(u)
 
 
