@@ -237,18 +237,18 @@ def _envelope_term(p: np.ndarray, tau: np.ndarray, d: np.ndarray, i: np.ndarray,
     joined = np.searchsorted(first[order], np.cumsum([len(rows) for rows, _, _ in blocks]))
     b = np.zeros((m, width))
     b[r, c] = x
-    inverses, ys, below, held = [], [], np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
+    sweeps, below, held = [], np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
     for (rows, near, f), cols in zip(blocks, joined):  # L Y = P_tau,d, a block at a time
-        inverses.append(np.linalg.inv(f[:len(rows), :len(rows)]))
-        rhs = b[rows, :cols]
+        inv, rhs = np.linalg.inv(f[:len(rows), :len(rows)]), b[rows, :cols]
         rhs[held, :below.shape[1]] -= below
-        ys.append(inverses[-1] @ rhs)
-        below, held = f[len(rows):, :len(rows)] @ ys[-1], near
+        sweeps.append((rows, near, f, inv, inv @ rhs))
+        below, held = f[len(rows):, :len(rows)] @ sweeps[-1][-1], near
+    # L^T X = Y on Y's columns alone: row a of P_d,tau X reads X in rows whose blocks a
+    # has joined by, so its lower triangle is exact; the mirror overwrites the rest
     x_next = np.zeros((0, width))
-    for (rows, near, f), inv, y in zip(blocks[::-1], inverses[::-1], ys[::-1]):  # L^T X = Y
-        rhs = -(f[len(rows):, :len(rows)].T @ x_next[near])
-        rhs[:, :y.shape[1]] += y
-        b[rows] = x_next = inv.T @ rhs  # X replaces P_tau,d, whose rows are all read
+    for rows, near, f, inv, y in sweeps[::-1]:
+        y -= f[len(rows):, :len(rows)].T @ x_next[near, :y.shape[1]]
+        b[rows, :y.shape[1]] = x_next = inv.T @ y  # X replaces P_tau,d, all of it read
     by = np.argsort(c, kind="stable")  # the entries by column, rows ascending in each
     r, c, x = r[by], c[by], x[by]
     rank = np.arange(len(c)) - np.searchsorted(c, c)  # each entry's rank in its column
