@@ -12,11 +12,13 @@ P_d,tau P_tau,tau^-1 P_tau,d on the d x d entries only.  This is the
 Gaussian analogue of innovations on the subsets of each boundary.  Each
 term is computed through the Cholesky factor L of P_tau,tau, not an explicit
 inverse.  Components of at most SOLVE_LEAF ids and equal boundary width are one
-stack: Y^T Y with Y = L^-1 P_tau,d from ``np.linalg.solve``.  A wider one takes its
+stack: Y^T Y with Y = L^-1 P_tau,d from ``np.linalg.solve``, and so are wider ones
+as dense as the constructor's rule for factoring P whole.  Other wide ones take their
 block-bidiagonal L from the proof's block Cholesky below.  A forward and a backward
 block sweep, each L_tt^-1 applied as one explicit inverse, give X = P_tau,tau^-1 P_tau,d
 (a boundary column joins the forward sweep at the first block coupled to it); P_d,tau X
-is summed from P_tau,d's few entries per column, and its lower triangle mirrored.
+is summed in the backward sweep from each block's rows of P_tau,d, and its lower
+triangle mirrored.
 
 The constructor proves P positive definite from its lower triangle, as
 ``np.linalg.cholesky`` would.  It first eliminates leaves in rounds: a vertex of
@@ -50,7 +52,7 @@ from .errors import InvalidInputError
 from .graphs import Graph, VarSet, _require_subset, _require_tolerance
 
 SYMMETRY_TOL = 1e-12
-# Widest eliminated component whose Γ term the stacked kernel takes (every golden's).
+# Widest eliminated component that always takes the stacked kernel (every golden's).
 SOLVE_LEAF = 128
 # Rows per strip of the constructor's symmetry scan, and of the mirror of a wide
 # component's Γ term.  At n = 1600 strips of 32 to 128 rows take 5.3-6.5 ms against
@@ -230,11 +232,15 @@ def _envelope_term(p: np.ndarray, tau: np.ndarray, d: np.ndarray, i: np.ndarray,
     blocks = list(_envelope_factors(m, r[lower], np.searchsorted(tau, j[lower]),
                                     p[i[lower], j[lower]], p[tau, tau]))
     r, c, x = r[~inner], np.searchsorted(d, j[~inner]), p[i[~inner], j[~inner]]  # P_tau,d
+    at = np.argsort(np.concatenate([rows for rows, _, _ in blocks]))[r]  # entries' positions
     first = np.full(width, m)  # the first position that couples to each column
-    np.minimum.at(first, c, np.argsort(np.concatenate([rows for rows, _, _ in blocks]))[r])
+    np.minimum.at(first, c, at)
     order = np.argsort(first, kind="stable")  # the columns by the block they join at
     c = np.argsort(order)[c]
-    joined = np.searchsorted(first[order], np.cumsum([len(rows) for rows, _, _ in blocks]))
+    ends = np.cumsum([len(rows) for rows, _, _ in blocks])
+    joined = np.searchsorted(first[order], ends)  # the columns joined up to each block
+    lo = np.full(len(blocks), width)  # each block's first column
+    np.minimum.at(lo, np.searchsorted(ends, at, side="right"), c)
     b = np.zeros((m, width))
     b[r, c] = x
     sweeps, below, held = [], np.zeros((0, 0)), np.zeros(0, dtype=np.intp)
@@ -243,22 +249,13 @@ def _envelope_term(p: np.ndarray, tau: np.ndarray, d: np.ndarray, i: np.ndarray,
         rhs[held, :below.shape[1]] -= below
         sweeps.append((rows, near, f, inv, inv @ rhs))
         below, held = f[len(rows):, :len(rows)] @ sweeps[-1][-1], near
-    # L^T X = Y on Y's columns alone: row a of P_d,tau X reads X in rows whose blocks a
-    # has joined by, so its lower triangle is exact; the mirror overwrites the rest
-    x_next = np.zeros((0, width))
-    for rows, near, f, inv, y in sweeps[::-1]:
+    # L^T X = Y on Y's columns alone, and P_d,tau X summed a block at a time: row a reads
+    # X in rows whose blocks a has joined by, so its lower triangle is exact
+    g, x_next = np.zeros((width, width)), np.zeros((0, width))
+    for (rows, near, f, inv, y), s in zip(sweeps[::-1], lo[::-1]):
         y -= f[len(rows):, :len(rows)].T @ x_next[near, :y.shape[1]]
-        b[rows, :y.shape[1]] = x_next = inv.T @ y  # X replaces P_tau,d, all of it read
-    by = np.argsort(c, kind="stable")  # the entries by column, rows ascending in each
-    r, c, x = r[by], c[by], x[by]
-    rank = np.arange(len(c)) - np.searchsorted(c, c)  # each entry's rank in its column
-    g = b[r[rank == 0]]  # every column of d has an entry
-    g *= x[rank == 0, None]
-    for k in range(1, int(rank.max(initial=0)) + 1):
-        at = rank == k
-        part = b[r[at]]
-        part *= x[at, None]  # in place: a product with x[at, None] took 3x as long
-        g[c[at]] += part
+        x_next = inv.T @ y
+        g[s:y.shape[1], :y.shape[1]] += b[rows, s:y.shape[1]].T @ x_next
     for s in range(0, width, STRIP_ROWS):  # mirror the lower triangle, a strip at a time
         e = s + STRIP_ROWS
         g[s:e, s:e] = np.tril(g[s:e, s:e]) + np.tril(g[s:e, s:e], -1).T
@@ -288,13 +285,15 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
     ds = np.searchsorted(cols, ds)  # boundaries, by position in a
     ends = np.cumsum(sizes).tolist()
     cut = np.searchsorted(owner, np.arange(len(sizes) + 1)).tolist()
-    stacks: dict[tuple[int, int], list] = {}
-    for s, e, b, c in zip([0, *ends], ends, cut, cut[1:]):
-        stacks.setdefault((e - s, c - b), []).append((z[s:e], ds[b:c]))
+    # a component as dense as the constructor's rule for factoring P whole is one block
+    banded = np.bincount(comp[i[eliminated[j]]], minlength=len(sizes)) < 2 * BLOCK_FLOOR * sizes
+    stacks: dict[tuple[int, int, bool], list] = {}
+    for s, e, b, c, band in zip([0, *ends], ends, cut, cut[1:], banded):
+        stacks.setdefault((e - s, c - b, e - s > SOLVE_LEAF and band), []).append((z[s:e], ds[b:c]))
     gamma = np.zeros(k * k)
     try:
-        for (size, width), members in stacks.items():
-            if size > SOLVE_LEAF:  # one component at a time, along its envelope
+        for (size, width, wide), members in stacks.items():
+            if wide:  # one component at a time, along its envelope
                 for tau, d in members:
                     mine = comp[i] == comp[tau[0]]
                     term, order = _envelope_term(p, tau, cols[d], i[mine], j[mine])

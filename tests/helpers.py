@@ -30,7 +30,7 @@ from margraph import (
     varset,
 )
 from margraph.components import adjacency, component_labels
-from margraph.gaussian import SOLVE_LEAF, _envelope_term
+from margraph.gaussian import BLOCK_FLOOR, SOLVE_LEAF, _envelope_term
 from margraph.hypergraph_marginal import (
     EliminationPlan,
     _checked_plan,
@@ -622,10 +622,11 @@ def innovation_by_dense_scan(m: GaussianModel, a) -> np.ndarray:
     for root in np.flatnonzero(label == np.arange(len(rows))):  # by smallest member
         tau = np.flatnonzero(label == root)
         d = np.flatnonzero(touches[tau].any(axis=0))
-        stacks.setdefault((len(tau), len(d)), []).append((tau, d))
+        band = np.count_nonzero(pattern[tau][:, rows[tau]]) < 2 * BLOCK_FLOOR * len(tau)
+        stacks.setdefault((len(tau), len(d), len(tau) > SOLVE_LEAF and band), []).append((tau, d))
     gamma = np.zeros(k * k)
-    for (size, width), members in stacks.items():
-        if size > SOLVE_LEAF:
+    for (size, width, wide), members in stacks.items():
+        if wide:
             for tau, d in members:
                 i, j = np.nonzero(pattern[tau])
                 term, order = _envelope_term(p, rows[tau], cols[d], rows[tau][i], j)

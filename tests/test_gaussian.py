@@ -721,6 +721,36 @@ class TestBlockedSolve:
         block = marginal_precision(m, a).precision
         assert np.max(np.abs(block - (prec[np.ix_(a, a)] - schur))) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("pairs, whole", [(527, False), (528, True)])
+    def test_a_component_as_dense_as_a_whole_p_is_factored_whole(self, pairs, whole,
+                                                                 monkeypatch):
+        # SOLVE_LEAF + 2 eliminated ids: a band of half-width BLOCK_FLOOR, 7264
+        # entries in both triangles, and ``pairs`` more pairs farther out.  At
+        # 2 BLOCK_FLOOR (SOLVE_LEAF + 2) = 8320 entries the block has as many
+        # non-zeros, its diagonal's with them, as the constructor's rule for
+        # factoring P whole, and it goes to the stacked kernel whole
+        m = SOLVE_LEAF + 2
+        rng = np.random.default_rng(43)
+        offset = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        extra = rng.choice(np.flatnonzero(np.triu(offset > BLOCK_FLOOR)), pairs, replace=False)
+        keep = np.zeros((m + 2, m + 2), dtype=bool)
+        keep[:m, :m] = (offset > 0) & (offset <= BLOCK_FLOOR)
+        keep[(*divmod(extra, m),)] = True
+        keep[0, m] = keep[m - 1, m + 1] = True
+        keep |= keep.T
+        assert np.count_nonzero(keep[:m, :m]) == 7264 + 2 * pairs
+        low = np.tril(rng.uniform(-1.0, 1.0, size=keep.shape) * keep, -1)
+        prec = low + low.T
+        np.fill_diagonal(prec, np.abs(prec).sum(axis=1) + 1.0)
+        a, z = [m, m + 1], list(range(m))
+        lu = prec[np.ix_(a, z)] @ np.linalg.solve(prec[np.ix_(z, z)], prec[np.ix_(z, a)])
+        model = GaussianModel(np.zeros(m + 2), prec)
+        sizes, solved = matrix_sizes(monkeypatch, "cholesky"), matrix_sizes(monkeypatch, "solve")
+        gamma = innovation_matrix(model, a)
+        assert (sizes == [m] and solved == [m]) == whole
+        assert np.array_equal(gamma, gamma.T)
+        assert np.max(np.abs(gamma - lu)) <= 1e-12 * np.max(np.abs(lu))
+
     @settings(max_examples=60, deadline=None)
     @given(wide_components())
     def test_a_wide_component_matches_the_explicit_inverse(self, case):
