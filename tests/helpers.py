@@ -616,7 +616,7 @@ def innovation_by_dense_scan(m: GaussianModel, a) -> np.ndarray:
     pattern = p[rows] != 0
     pattern[np.arange(len(rows)), rows] = False
     touches = pattern[:, cols]
-    stacks: dict[tuple[int, int], list] = {}
+    stacks: dict[tuple[int, int, bool], list] = {}
     edges = divmod(np.flatnonzero(pattern[:, rows]), len(rows))
     label = component_labels(adjacency(len(rows), *edges))
     for root in np.flatnonzero(label == np.arange(len(rows))):  # by smallest member

@@ -628,17 +628,19 @@ def interleaved_bands(rng, rows, copies=1):
 
 @st.composite
 def wide_components(draw, kinds=("band", "permuted band", "chord")):
-    """A precision whose first m ids, SOLVE_LEAF to 3 SOLVE_LEAF of them, form one
-    eliminated component and whose 1-100 others are retained (more than a strip of
-    the mirror, STRIP_ROWS), each coupled to 1-3 rows of it.  The component is a band of half-width 2-5, the same band with its
-    ids shuffled (wide in member order, so reordered), or a chain with a chord
+    """A precision whose first m ids, SOLVE_LEAF to 3 SOLVE_LEAF of them, form
+    one eliminated component and whose 1-100 others are retained (up to more
+    than a strip of the mirror, STRIP_ROWS), each coupled to 1-3 rows of it.
+    The component is a band of half-width 2-5, the same band with its ids
+    shuffled (wide in member order, so reordered), or a chain with a chord
     BLOCK_FLOOR + 1 to 2 BLOCK_FLOOR ranks long, which crosses a cut.  The last
     retained id couples to the component's last id alone: in member order, a
     column that joins the sweeps at the last block.  Its smallest eigenvalue is
     1 % of its largest, as in ``edge_precisions``."""
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    m = draw(st.sampled_from([SOLVE_LEAF, SOLVE_LEAF + 1]) | st.integers(SOLVE_LEAF, 3 * SOLVE_LEAF))
+    m = draw(st.sampled_from([SOLVE_LEAF, SOLVE_LEAF + 1])
+             | st.integers(SOLVE_LEAF, 3 * SOLVE_LEAF))
     q = draw(st.integers(1, 100))
     offset = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
     if kind == "chord":
