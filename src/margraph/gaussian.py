@@ -285,7 +285,7 @@ def _gamma(m: GaussianModel, a) -> tuple[VarSet, np.ndarray, np.ndarray]:
     ds = np.searchsorted(cols, ds)  # boundaries, by position in a
     ends = np.cumsum(sizes).tolist()
     cut = np.searchsorted(owner, np.arange(len(sizes) + 1)).tolist()
-    # a component as dense as the constructor's rule for factoring P whole is one block
+    # a component as dense as the constructor's rule for factoring P whole goes whole
     banded = np.bincount(comp[i[eliminated[j]]], minlength=len(sizes)) < 2 * BLOCK_FLOOR * sizes
     stacks: dict[tuple[int, int, bool], list] = {}
     for s, e, b, c, band in zip([0, *ends], ends, cut, cut[1:], banded):
